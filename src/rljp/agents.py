@@ -86,12 +86,34 @@ class RetryPolicy:
 
 
 class Transcript:
-    """Append-only call log; one JSON line per logical agent call."""
+    """Append-only call log; one JSON line per logical agent call.
+
+    Keeps running totals of calls and usage units rather than the entries.
+    Opening an existing log seeds the totals from its lines, so a resumed run
+    still accounts for every call in the file.
+    """
 
     def __init__(self, path: Optional[str | Path] = None):
         self.path = Path(path) if path is not None else None
-        self.entries: list[dict] = []
+        self.calls = 0
+        self.input_units = 0
+        self.output_units = 0
         self._lock = threading.Lock()
+        if self.path is not None and self.path.exists():
+            with self.path.open("r", encoding="utf-8") as handle:
+                for line in handle:
+                    try:
+                        entry = json.loads(line)
+                    except json.JSONDecodeError:
+                        # a write cut short by a crash: still one call
+                        logger.warning("%s: unreadable line counted without usage", self.path)
+                        entry = {}
+                    self._count(entry)
+
+    def _count(self, entry: dict) -> None:
+        self.calls += 1
+        self.input_units += entry.get("input_units", 0)
+        self.output_units += entry.get("output_units", 0)
 
     def record(
         self,
@@ -116,14 +138,14 @@ class Transcript:
             "output_units": response.output_units,
         }
         with self._lock:
-            self.entries.append(entry)
+            self._count(entry)
             if self.path is not None:
                 with self.path.open("a", encoding="utf-8") as handle:
                     handle.write(json.dumps(entry, ensure_ascii=False))
                     handle.write("\n")
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return self.calls
 
 
 def complete(

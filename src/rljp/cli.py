@@ -12,19 +12,7 @@ import logging
 import sys
 
 from .config import ConfigError, load_config
-from .pipeline import StageError, run_pipeline
-
-SUBCOMMANDS = {
-    "ingest": "ingest",
-    "split": "split",
-    "init-rules": "init-rules",
-    "build-confusable": "build-confusable",
-    "optimize": "optimize",
-    "train-candidates": "train-candidates",
-    "examine": "examine",
-    "evaluate": "evaluate",
-    "run-all": "evaluate",
-}
+from .pipeline import STAGES, StageError, run_pipeline
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -34,8 +22,10 @@ def build_parser() -> argparse.ArgumentParser:
         "legal judgment prediction.",
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
-    for name in SUBCOMMANDS:
-        sub = subparsers.add_parser(name, help=f"run the pipeline through {SUBCOMMANDS[name]}")
+    for name in (*STAGES, "run-all"):
+        last_stage = STAGES[-1] if name == "run-all" else name
+        sub = subparsers.add_parser(name, help=f"run the pipeline through {last_stage}")
+        sub.set_defaults(last_stage=last_stage)
         sub.add_argument("--config", required=True, help="path to the JSON config file")
         sub.add_argument("--run-dir", default="run", help="artifact directory (default: ./run)")
         sub.add_argument("--seed", type=int, default=None, help="override the config seed")
@@ -64,7 +54,7 @@ def main(argv: list[str] | None = None) -> int:
             args.run_dir,
             mock=args.mock,
             resume=args.resume,
-            last_stage=SUBCOMMANDS[args.command],
+            last_stage=args.last_stage,
         )
     except FileExistsError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

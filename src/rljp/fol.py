@@ -140,6 +140,16 @@ def consequent_key(consequent: Consequent) -> str:
     return f"article={consequent.article_id},term={consequent.prison_term_bucket}"
 
 
+def consequent_from_key(key: str) -> Consequent:
+    """Inverse of consequent_key."""
+    parts = dict(item.split("=", 1) for item in key.split(","))
+    if "charge" in parts:
+        return ArticleCharge(parts["article"], parts["charge"])
+    if "term" in parts:
+        return ArticleTerm(parts["article"], parts["term"])
+    return Article(parts["article"])
+
+
 def consequent_subtask(consequent: Consequent) -> str:
     """The label dimension a quiz over this consequent discriminates."""
     if isinstance(consequent, Article):

@@ -1,5 +1,12 @@
 """Resumable pipeline: nine stages from raw cases to a metrics report.
 
+The stages are the rows of one table, `STAGE_TABLE`, in run order. A row
+gives a stage's input files, the config sections its input hash covers, the
+fixed outputs it writes, and a body function over the `PipelineRun`; the
+optimize body also returns its per-target tree stores as extra outputs.
+`STAGES`, `PipelineRun.run_through` and the CLI subcommands all come from
+this table, and every stage runs through `PipelineRun._execute`.
+
 Every stage reads and writes plain files under the run directory and records
 its input hash plus output hashes in the manifest. On rerun a stage is
 skipped exactly when its recorded input hash still matches and all of its
@@ -11,12 +18,12 @@ rebuild.
 from __future__ import annotations
 
 import datetime as _dt
-import functools
 import hashlib
 import json
 import logging
 import time
 import uuid
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Optional
 
@@ -49,6 +56,7 @@ from .fol import (
     ArticleTerm,
     Consequent,
     FolRule,
+    consequent_from_key,
     consequent_key,
     parse_rule,
     render_rule,
@@ -60,17 +68,8 @@ from .rule_init import RuleSet, init_all_rules
 
 logger = logging.getLogger(__name__)
 
-STAGES = (
-    "ingest",
-    "split",
-    "group-precedents",
-    "init-rules",
-    "build-confusable",
-    "optimize",
-    "train-candidates",
-    "examine",
-    "evaluate",
-)
+# stands for the corpus named by config data.cases_path among a stage's inputs
+CORPUS = "data.cases_path"
 
 
 class StageError(RuntimeError):
@@ -81,6 +80,16 @@ class StageError(RuntimeError):
 
 class ChecksumError(StageError):
     pass
+
+
+@dataclass(frozen=True)
+class Stage:
+    """One row of the stage table; file names other than CORPUS are in the run dir."""
+
+    inputs: tuple[str, ...]
+    config_sections: tuple[str, ...]
+    outputs: tuple[str, ...]
+    body: Callable[[PipelineRun], Optional[list[Path]]]  # returns extra outputs
 
 
 def _sha256(path: Path) -> str:
@@ -145,6 +154,7 @@ class PipelineRun:
             **({"routing": routed} if routed else {}),
         }
         self.transcript = Transcript(self.run_dir / "transcript.jsonl")
+        self._cases: Optional[dict[str, LegalCase]] = None
 
     def _agent_for(self, stage: Optional[str]):
         """Stage-routed agent backend; one instance per distinct spec."""
@@ -161,32 +171,29 @@ class PipelineRun:
     def path(self, name: str) -> Path:
         return self.run_dir / name
 
+    def _input_path(self, name: str) -> Path:
+        if name == CORPUS:
+            return Path(self.config["data"]["cases_path"])
+        return self.path(name)
+
     def tree_path(self, target_key: str) -> Path:
         safe = "".join(c if c.isalnum() or c in "=,_-" else "-" for c in target_key)
         return self.run_dir / "trees" / f"{safe}.json"
 
     # -- manifest helpers
 
-    def _count_transcript_lines(self) -> int:
-        path = self.run_dir / "transcript.jsonl"
-        if not path.exists():
-            return 0
-        with path.open("r", encoding="utf-8") as handle:
-            return sum(1 for _ in handle)
-
     def _save_manifest(self) -> None:
-        self.manifest["agent_calls"] = self._count_transcript_lines()
-        usage = {"input_units": 0, "output_units": 0}
-        for entry in self.transcript.entries:
-            usage["input_units"] += entry.get("input_units", 0)
-            usage["output_units"] += entry.get("output_units", 0)
-        self.manifest["usage"] = usage
+        self.manifest["agent_calls"] = self.transcript.calls
+        self.manifest["usage"] = {
+            "input_units": self.transcript.input_units,
+            "output_units": self.transcript.output_units,
+        }
         self.manifest_path.write_text(
             json.dumps(self.manifest, indent=2, ensure_ascii=False) + "\n",
             encoding="utf-8",
         )
 
-    def _stage_input_hash(self, inputs: list[Path], config_sections: list[str]) -> str:
+    def _stage_input_hash(self, inputs: list[Path], config_sections: tuple[str, ...]) -> str:
         digest = hashlib.sha256()
         digest.update(str(self.config["seed"]).encode())
         for section in config_sections:
@@ -198,18 +205,13 @@ class PipelineRun:
             digest.update(_sha256(path).encode())
         return digest.hexdigest()
 
-    def _execute(
-        self,
-        name: str,
-        inputs: list[Path],
-        config_sections: list[str],
-        outputs: Callable[[], list[Path]],
-        body: Callable[[], None],
-    ) -> None:
+    def _execute(self, name: str) -> None:
+        stage = STAGE_TABLE[name]
+        inputs = [self._input_path(input_name) for input_name in stage.inputs]
         for path in inputs:
             if not path.exists():
                 raise StageError(name, f"missing input artifact {path}")
-        input_hash = self._stage_input_hash(inputs, config_sections)
+        input_hash = self._stage_input_hash(inputs, stage.config_sections)
         recorded = self.manifest["stages"].get(name)
         if recorded and recorded.get("status") == "ok" and recorded.get("input_hash") == input_hash:
             missing = [p for p in recorded["outputs"] if not Path(p).exists()]
@@ -236,7 +238,7 @@ class PipelineRun:
         logger.info("stage %s: running", name)
         started = time.monotonic()
         try:
-            body()
+            extra_outputs = stage.body(self) or []
         except Exception as exc:
             entry["status"] = "failed"
             entry["error"] = str(exc)
@@ -245,7 +247,8 @@ class PipelineRun:
             if isinstance(exc, StageError):
                 raise
             raise StageError(name, str(exc)) from exc
-        entry["outputs"] = {str(p): _sha256(p) for p in outputs()}
+        outputs = [self.path(output) for output in stage.outputs] + extra_outputs
+        entry["outputs"] = {str(p): _sha256(p) for p in outputs}
         for path_str in entry["outputs"]:
             if path_str not in self.manifest["artifacts"]:
                 self.manifest["artifacts"].append(path_str)
@@ -254,24 +257,28 @@ class PipelineRun:
         entry["elapsed_s"] = round(time.monotonic() - started, 3)
         self._save_manifest()
 
-    # -- shared loading helpers (stages re-read artifacts rather than carry state)
+    # -- shared loading (stages re-read artifacts rather than carry state)
 
-    def _load_valid_cases(self) -> list[LegalCase]:
-        return load_cases(self.path("cases.valid.jsonl"))
+    @property
+    def cases(self) -> dict[str, LegalCase]:
+        """cases.valid.jsonl by case id, in file order; parsed once per run."""
+        if self._cases is None:
+            cases = load_cases(self.path("cases.valid.jsonl"))
+            self._cases = {case.case_id: case for case in cases}
+        return self._cases
 
     def _load_labels(self) -> LabelSpace:
         labels_path = self.config["data"]["labels_path"]
         if labels_path:
             return load_label_space(labels_path)
-        return label_space(self._load_valid_cases())
+        return label_space(self.cases.values())
 
     def _load_split(self) -> DatasetSplit:
         payload = json.loads(self.path("split.json").read_text(encoding="utf-8"))
-        by_id = {case.case_id: case for case in self._load_valid_cases()}
         return DatasetSplit(
-            train=tuple(by_id[i] for i in payload["train"]),
-            validation=tuple(by_id[i] for i in payload["validation"]),
-            test=tuple(by_id[i] for i in payload["test"]),
+            train=tuple(self.cases[i] for i in payload["train"]),
+            validation=tuple(self.cases[i] for i in payload["validation"]),
+            test=tuple(self.cases[i] for i in payload["test"]),
         )
 
     def _load_ruleset(self, filename: str) -> RuleSet:
@@ -313,423 +320,334 @@ class PipelineRun:
             json.dumps(payload, indent=2, ensure_ascii=False) + "\n", encoding="utf-8"
         )
 
-    def _targets(self) -> list[Consequent]:
+    def _load_precedents(
+        self,
+    ) -> tuple[list[Consequent], dict[tuple[str, str], list[LegalCase]]]:
+        """Targets (charge pairs, then term pairs, each sorted) and their
+        precedent groups keyed by (article, charge or term)."""
         payload = json.loads(self.path("precedents.json").read_text(encoding="utf-8"))
         targets: list[Consequent] = []
-        for key in sorted(payload["article+charge"]):
-            article, charge = key.split("|", 1)
-            targets.append(ArticleCharge(article, charge))
-        for key in sorted(payload["article+prison_term"]):
-            article, term = key.split("|", 1)
-            targets.append(ArticleTerm(article, term))
-        return targets
-
-    def _precedent_groups(self) -> dict[tuple[str, str], list[LegalCase]]:
-        payload = json.loads(self.path("precedents.json").read_text(encoding="utf-8"))
-        by_id = {case.case_id: case for case in self._load_valid_cases()}
         groups: dict[tuple[str, str], list[LegalCase]] = {}
-        for mode in ("article+charge", "article+prison_term"):
-            for key, ids in payload[mode].items():
+        modes = (("article+charge", ArticleCharge), ("article+prison_term", ArticleTerm))
+        for mode, kind in modes:
+            for key in sorted(payload[mode]):
                 article, second = key.split("|", 1)
-                groups[(article, second)] = [by_id[i] for i in ids]
-        return groups
+                targets.append(kind(article, second))
+                groups[(article, second)] = [self.cases[i] for i in payload[mode][key]]
+        return targets, groups
 
-    def _load_confusable(self, labels: LabelSpace) -> dict[str, ConfusableSet]:
+    def _load_confusable(self) -> dict[str, ConfusableSet]:
         payload = json.loads(self.path("confusable.json").read_text(encoding="utf-8"))
-        by_id = {case.case_id: case for case in self._load_valid_cases()}
-        sets: dict[str, ConfusableSet] = {}
-        for key, row in payload.items():
-            target = _target_from_key(key)
-            sets[key] = ConfusableSet(
-                target=target,
-                positives=tuple(by_id[i] for i in row["positive_ids"]),
-                negatives=tuple(by_id[i] for i in row["negative_ids"]),
+        return {
+            key: ConfusableSet(
+                target=consequent_from_key(key),
+                positives=tuple(self.cases[i] for i in row["positive_ids"]),
+                negatives=tuple(self.cases[i] for i in row["negative_ids"]),
                 negative_similarity=dict(row["similarity_of_each_negative"]),
             )
-        return sets
-
-    # ------------------------------------------------------------------
-    # stages
-
-    def stage_ingest(self) -> None:
-        data = self.config["data"]
-        source = Path(data["cases_path"])
-
-        def body() -> None:
-            rejects: list[RejectedLine] = []
-            cases = load_cases(source, data["schema"], rejects=rejects)
-            if not cases:
-                raise ValueError("no valid cases ingested")
-            with self.path("cases.valid.jsonl").open("w", encoding="utf-8") as handle:
-                for case in cases:
-                    row = {"case_id": case.case_id, "fact": case.fact_text}
-                    if case.judgment:
-                        row["meta"] = {
-                            "relevant_articles": [case.judgment.article_id],
-                            "accusation": [case.judgment.charge_id],
-                            "term_bucket": [case.judgment.prison_term_bucket],
-                        }
-                    handle.write(json.dumps(row, ensure_ascii=False) + "\n")
-            write_rejects_report(self.path("rejects.jsonl"), rejects)
-
-        self._execute(
-            "ingest",
-            inputs=[source],
-            config_sections=["data"],
-            outputs=lambda: [self.path("cases.valid.jsonl"), self.path("rejects.jsonl")],
-            body=body,
-        )
-
-    def stage_split(self) -> None:
-        def body() -> None:
-            cases = self._load_valid_cases()
-            split = split_dataset(
-                cases, tuple(self.config["data"]["ratios"]), self.config["seed"]
-            )
-            payload = {
-                "train": [c.case_id for c in split.train],
-                "validation": [c.case_id for c in split.validation],
-                "test": [c.case_id for c in split.test],
-            }
-            self.path("split.json").write_text(
-                json.dumps(payload, indent=2) + "\n", encoding="utf-8"
-            )
-
-        self._execute(
-            "split",
-            inputs=[self.path("cases.valid.jsonl")],
-            config_sections=["data"],
-            outputs=lambda: [self.path("split.json")],
-            body=body,
-        )
-
-    def stage_group_precedents(self) -> None:
-        def body() -> None:
-            split = self._load_split()
-            k = self.config["data"]["precedent_k"]
-            payload = {}
-            for mode in ("article+charge", "article+prison_term"):
-                groups = group_precedents(split.train, mode, k)
-                payload[mode] = {
-                    f"{a}|{b}": [c.case_id for c in cases]
-                    for (a, b), cases in sorted(groups.items())
-                }
-            self.path("precedents.json").write_text(
-                json.dumps(payload, indent=2, ensure_ascii=False) + "\n",
-                encoding="utf-8",
-            )
-
-        self._execute(
-            "group-precedents",
-            inputs=[self.path("cases.valid.jsonl"), self.path("split.json")],
-            config_sections=["data"],
-            outputs=lambda: [self.path("precedents.json")],
-            body=body,
-        )
-
-    def stage_init_rules(self) -> None:
-        def body() -> None:
-            labels = self._load_labels()
-            groups = self._precedent_groups()
-            targets = self._targets()
-            ruleset = init_all_rules(
-                groups,
-                targets,
-                self._agent_for("init-rules"),
-                labels,
-                transcript=self.transcript,
-                temperature=self.config["optimization"]["temperature"],
-                k=self.config["data"]["precedent_k"],
-            )
-            if not ruleset.rules:
-                raise ValueError("rule initialization produced no rules")
-            self._dump_ruleset(ruleset, "rules_init.json")
-
-        self._execute(
-            "init-rules",
-            inputs=[self.path("cases.valid.jsonl"), self.path("precedents.json")],
-            config_sections=["data", "optimization", "providers"],
-            outputs=lambda: [self.path("rules_init.json")],
-            body=body,
-        )
-
-    def stage_build_confusable(self) -> None:
-        def body() -> None:
-            split = self._load_split()
-            train = list(split.train)
-            embeddings = embed_cases(train, self.embedder)
-            row_of = {case_id: i for i, case_id in enumerate(embeddings.case_ids)}
-            num_config = self.config["optimization"]["num_negatives"]
-            payload = {}
-            for target in self._targets():
-                key = consequent_key(target)
-                positives = [c for c in train if _matches(c, target)]
-                others = [c for c in train if not _matches(c, target)]
-                if not positives or not others:
-                    logger.warning("target %s has no positives or no others; skipped", key)
-                    continue
-                emb_pos = _slice_embeddings(embeddings, positives, row_of)
-                emb_oth = _slice_embeddings(embeddings, others, row_of)
-                num = num_config if num_config else len(positives)
-                conf = build_confusable_set_from_embeddings(
-                    emb_pos, emb_oth, positives, others, num, target=target
-                )
-                payload[key] = {
-                    "target": key,
-                    "positive_ids": [c.case_id for c in conf.positives],
-                    "negative_ids": [c.case_id for c in conf.negatives],
-                    "similarity_of_each_negative": {
-                        case_id: round(sim, 12)
-                        for case_id, sim in conf.negative_similarity.items()
-                    },
-                }
-            if not payload:
-                raise ValueError("no confusable sets could be built")
-            self.path("confusable.json").write_text(
-                json.dumps(payload, indent=2, ensure_ascii=False, sort_keys=True) + "\n",
-                encoding="utf-8",
-            )
-
-        self._execute(
-            "build-confusable",
-            inputs=[
-                self.path("cases.valid.jsonl"),
-                self.path("split.json"),
-                self.path("precedents.json"),
-            ],
-            config_sections=["data", "optimization", "providers"],
-            outputs=lambda: [self.path("confusable.json")],
-            body=body,
-        )
-
-    def stage_optimize(self) -> None:
-        tree_paths: list[Path] = []
-
-        def body() -> None:
-            labels = self._load_labels()
-            init_rules = self._load_ruleset("rules_init.json")
-            confusable_sets = self._load_confusable(labels)
-            opt_config = self.config["optimization"]
-            optimized = RuleSet()
-            optimized.failures = dict(init_rules.failures)
-            weights: dict[str, float] = {}
-            for key in sorted(init_rules.rules):
-                if key not in confusable_sets:
-                    optimized.failures[key] = "no confusable set"
-                    continue
-                conf = confusable_sets[key]
-                questions = make_quiz(
-                    conf,
-                    labels,
-                    num_options=self.config["quiz"]["num_options"],
-                    seed=self.config["seed"],
-                    distractors_from_negatives=self.config["quiz"][
-                        "distractors_from_negatives"
-                    ],
-                )
-                store = self.tree_path(key)
-                tree_paths.append(store)
-                tree = None
-                if store.exists():
-                    # mid-stage resume; a store left by different inputs
-                    # (changed seed or confusable set) just starts over
-                    try:
-                        tree = opt_tree.load_tree(store, conf.target, questions)
-                        logger.info(
-                            "resuming tree for %s at iteration %d", key, tree.iteration
-                        )
-                    except Exception as exc:
-                        logger.warning(
-                            "tree store %s not resumable (%s); rebuilding", store, exc
-                        )
-                if tree is None:
-                    tree = opt_tree.new_tree(init_rules.rules[key])
-                rewrite = functools.partial(
-                    _cacl_rewrite,
-                    agent=self._agent_for("optimize"),
-                    labels=labels,
-                    transcript=self.transcript,
-                    tag_prefix=f"cacl/{key}",
-                    temperature=opt_config["temperature"],
-                    fact_truncate=opt_config["fact_truncate"],
-                    max_records_per_side=opt_config["max_records_per_side"],
-                )
-                best = opt_tree.optimize(
-                    tree,
-                    questions,
-                    self._agent_for("optimize"),
-                    rewrite=rewrite,
-                    defined_score=opt_config["defined_score"],
-                    max_iterations=opt_config["max_iterations"],
-                    transcript=self.transcript,
-                    concurrency=self.config["agent_concurrency"],
-                    store_path=store,
-                )
-                optimized.rules[key] = best
-                weights[key] = tree.max_score
-            if not optimized.rules:
-                raise ValueError("optimization produced no rules")
-            self._dump_ruleset(optimized, "rules_optimized.json", weights=weights)
-
-        def outputs() -> list[Path]:
-            return [self.path("rules_optimized.json")] + tree_paths
-
-        self._execute(
-            "optimize",
-            inputs=[
-                self.path("cases.valid.jsonl"),
-                self.path("rules_init.json"),
-                self.path("confusable.json"),
-            ],
-            config_sections=["quiz", "optimization", "providers"],
-            outputs=outputs,
-            body=body,
-        )
-
-    def stage_train_candidates(self) -> None:
-        def body() -> None:
-            labels = self._load_labels()
-            split = self._load_split()
-            exam = self.config["examination"]
-            provider = CharNgramPerceptron(
-                labels,
-                ngram_sizes=tuple(exam["ngram_sizes"]),
-                hash_dim=exam["hash_dim"],
-                epochs=exam["epochs"],
-            )
-            provider.train(list(split.train))
-            provider.save(self.path("candidates.json"))
-
-        self._execute(
-            "train-candidates",
-            inputs=[self.path("cases.valid.jsonl"), self.path("split.json")],
-            config_sections=["data", "examination"],
-            outputs=lambda: [self.path("candidates.json")],
-            body=body,
-        )
-
-    def stage_examine(self) -> None:
-        def body() -> None:
-            labels = self._load_labels()
-            split = self._load_split()
-            rules = self._load_ruleset("rules_optimized.json")
-            provider = CharNgramPerceptron.load(self.path("candidates.json"))
-            exam = self.config["examination"]
-            with self.path("predictions.jsonl").open("w", encoding="utf-8") as handle:
-                for case in split.test:
-                    prediction = examine_case(
-                        case.case_id,
-                        case.fact_text,
-                        rules,
-                        provider,
-                        labels,
-                        self._agent_for("examine"),
-                        seed=self.config["seed"],
-                        candidate_k=exam["candidate_k"],
-                        abstract_threshold=exam["abstract_threshold"],
-                        transcript=self.transcript,
-                    )
-                    handle.write(
-                        json.dumps(
-                            {
-                                "case_id": prediction.case_id,
-                                "article": prediction.article_id,
-                                "charge": prediction.charge_id,
-                                "term": prediction.prison_term_bucket,
-                                "used_fallback": prediction.used_fallback,
-                                "used_abstract": prediction.used_abstract,
-                                "rationale": prediction.rationale,
-                            },
-                            ensure_ascii=False,
-                        )
-                        + "\n"
-                    )
-
-        self._execute(
-            "examine",
-            inputs=[
-                self.path("cases.valid.jsonl"),
-                self.path("split.json"),
-                self.path("rules_optimized.json"),
-                self.path("candidates.json"),
-            ],
-            config_sections=["examination", "providers"],
-            outputs=lambda: [self.path("predictions.jsonl")],
-            body=body,
-        )
-
-    def stage_evaluate(self) -> None:
-        def body() -> None:
-            labels = self._load_labels()
-            split = self._load_split()
-            gold_by_id: dict[str, Judgment] = {
-                case.case_id: case.judgment
-                for case in split.test
-                if case.judgment is not None
-            }
-            predictions = []
-            pred_ids = []
-            with self.path("predictions.jsonl").open("r", encoding="utf-8") as handle:
-                for line in handle:
-                    row = json.loads(line)
-                    predictions.append(
-                        {
-                            "article": row["article"],
-                            "charge": row["charge"],
-                            "prison_term": row["term"],
-                        }
-                    )
-                    pred_ids.append(row["case_id"])
-            gold = [gold_by_id[i] for i in pred_ids]
-            report = compute_metrics(
-                predictions,
-                gold,
-                case_ids_predictions=pred_ids,
-                case_ids_gold=pred_ids,
-                labels=labels,
-                macro_over_full_label_space=self.config["metrics"][
-                    "macro_over_full_label_space"
-                ],
-            )
-            self.path("metrics.json").write_text(report_as_json(report), encoding="utf-8")
-            self.path("metrics.txt").write_text(report_as_table(report), encoding="utf-8")
-
-        self._execute(
-            "evaluate",
-            inputs=[
-                self.path("cases.valid.jsonl"),
-                self.path("split.json"),
-                self.path("predictions.jsonl"),
-            ],
-            config_sections=["metrics"],
-            outputs=lambda: [self.path("metrics.json"), self.path("metrics.txt")],
-            body=body,
-        )
-
-    # ------------------------------------------------------------------
-
-    _STAGE_METHODS = {
-        "ingest": stage_ingest,
-        "split": stage_split,
-        "group-precedents": stage_group_precedents,
-        "init-rules": stage_init_rules,
-        "build-confusable": stage_build_confusable,
-        "optimize": stage_optimize,
-        "train-candidates": stage_train_candidates,
-        "examine": stage_examine,
-        "evaluate": stage_evaluate,
-    }
+            for key, row in payload.items()
+        }
 
     def run_through(self, last_stage: str) -> dict:
         """Run the stage prefix ending at `last_stage`; returns the manifest."""
-        if last_stage not in STAGES:
+        if last_stage not in STAGE_TABLE:
             raise ValueError(f"unknown stage {last_stage!r}")
-        for name in STAGES:
-            self._STAGE_METHODS[name](self)
-            if name == last_stage:
-                break
+        for name in STAGES[: STAGES.index(last_stage) + 1]:
+            self._execute(name)
         self._save_manifest()
         return self.manifest
+
+
+# ---------------------------------------------------------------------------
+# stage bodies
+
+
+def _ingest(run: PipelineRun) -> None:
+    data = run.config["data"]
+    rejects: list[RejectedLine] = []
+    cases = load_cases(run._input_path(CORPUS), data["schema"], rejects=rejects)
+    if not cases:
+        raise ValueError("no valid cases ingested")
+    with run.path("cases.valid.jsonl").open("w", encoding="utf-8") as handle:
+        for case in cases:
+            row = {"case_id": case.case_id, "fact": case.fact_text}
+            if case.judgment:
+                row["meta"] = {
+                    "relevant_articles": [case.judgment.article_id],
+                    "accusation": [case.judgment.charge_id],
+                    "term_bucket": [case.judgment.prison_term_bucket],
+                }
+            handle.write(json.dumps(row, ensure_ascii=False) + "\n")
+    write_rejects_report(run.path("rejects.jsonl"), rejects)
+    run._cases = None  # cases.valid.jsonl was rewritten; reparse on next use
+
+
+def _split(run: PipelineRun) -> None:
+    split = split_dataset(
+        list(run.cases.values()), tuple(run.config["data"]["ratios"]), run.config["seed"]
+    )
+    payload = {
+        "train": [c.case_id for c in split.train],
+        "validation": [c.case_id for c in split.validation],
+        "test": [c.case_id for c in split.test],
+    }
+    run.path("split.json").write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+
+
+def _group_precedents(run: PipelineRun) -> None:
+    split = run._load_split()
+    k = run.config["data"]["precedent_k"]
+    payload = {}
+    for mode in ("article+charge", "article+prison_term"):
+        groups = group_precedents(split.train, mode, k)
+        payload[mode] = {
+            f"{a}|{b}": [c.case_id for c in cases] for (a, b), cases in sorted(groups.items())
+        }
+    run.path("precedents.json").write_text(
+        json.dumps(payload, indent=2, ensure_ascii=False) + "\n", encoding="utf-8"
+    )
+
+
+def _init_rules(run: PipelineRun) -> None:
+    targets, groups = run._load_precedents()
+    ruleset = init_all_rules(
+        groups,
+        targets,
+        run._agent_for("init-rules"),
+        run._load_labels(),
+        transcript=run.transcript,
+        temperature=run.config["optimization"]["temperature"],
+        k=run.config["data"]["precedent_k"],
+    )
+    if not ruleset.rules:
+        raise ValueError("rule initialization produced no rules")
+    run._dump_ruleset(ruleset, "rules_init.json")
+
+
+def _build_confusable(run: PipelineRun) -> None:
+    train = list(run._load_split().train)
+    embeddings = embed_cases(train, run.embedder)
+    row_of = {case_id: i for i, case_id in enumerate(embeddings.case_ids)}
+    num_config = run.config["optimization"]["num_negatives"]
+    targets, _ = run._load_precedents()
+    payload = {}
+    for target in targets:
+        key = consequent_key(target)
+        positives = [c for c in train if _matches(c, target)]
+        others = [c for c in train if not _matches(c, target)]
+        if not positives or not others:
+            logger.warning("target %s has no positives or no others; skipped", key)
+            continue
+        emb_pos = _slice_embeddings(embeddings, positives, row_of)
+        emb_oth = _slice_embeddings(embeddings, others, row_of)
+        num = num_config if num_config else len(positives)
+        conf = build_confusable_set_from_embeddings(
+            emb_pos, emb_oth, positives, others, num, target=target
+        )
+        payload[key] = {
+            "target": key,
+            "positive_ids": [c.case_id for c in conf.positives],
+            "negative_ids": [c.case_id for c in conf.negatives],
+            "similarity_of_each_negative": {
+                case_id: round(sim, 12) for case_id, sim in conf.negative_similarity.items()
+            },
+        }
+    if not payload:
+        raise ValueError("no confusable sets could be built")
+    run.path("confusable.json").write_text(
+        json.dumps(payload, indent=2, ensure_ascii=False, sort_keys=True) + "\n",
+        encoding="utf-8",
+    )
+
+
+def _optimize(run: PipelineRun) -> list[Path]:
+    labels = run._load_labels()
+    init_rules = run._load_ruleset("rules_init.json")
+    confusable_sets = run._load_confusable()
+    opt_config = run.config["optimization"]
+    agent = run._agent_for("optimize")
+    optimized = RuleSet()
+    optimized.failures = dict(init_rules.failures)
+    weights: dict[str, float] = {}
+    tree_paths: list[Path] = []
+    for key in sorted(init_rules.rules):
+        if key not in confusable_sets:
+            optimized.failures[key] = "no confusable set"
+            continue
+        conf = confusable_sets[key]
+        questions = make_quiz(
+            conf,
+            labels,
+            num_options=run.config["quiz"]["num_options"],
+            seed=run.config["seed"],
+            distractors_from_negatives=run.config["quiz"]["distractors_from_negatives"],
+        )
+        store = run.tree_path(key)
+        tree_paths.append(store)
+        tree = None
+        if store.exists():
+            # mid-stage resume; a store left by different inputs
+            # (changed seed or confusable set) just starts over
+            try:
+                tree = opt_tree.load_tree(store, conf.target, questions)
+                logger.info("resuming tree for %s at iteration %d", key, tree.iteration)
+            except Exception as exc:
+                logger.warning("tree store %s not resumable (%s); rebuilding", store, exc)
+        if tree is None:
+            tree = opt_tree.new_tree(init_rules.rules[key])
+
+        def rewrite(rule: FolRule, result, child_rule_id: str) -> FolRule:
+            return cacl_mod.optimize_rule(
+                rule,
+                result,
+                agent,
+                labels,
+                child_rule_id=child_rule_id,
+                tag_prefix=f"cacl/{key}",
+                transcript=run.transcript,
+                temperature=opt_config["temperature"],
+                fact_truncate=opt_config["fact_truncate"],
+                max_records_per_side=opt_config["max_records_per_side"],
+            )
+
+        best = opt_tree.optimize(
+            tree,
+            questions,
+            agent,
+            rewrite=rewrite,
+            defined_score=opt_config["defined_score"],
+            max_iterations=opt_config["max_iterations"],
+            transcript=run.transcript,
+            concurrency=run.config["agent_concurrency"],
+            store_path=store,
+        )
+        optimized.rules[key] = best
+        weights[key] = tree.max_score
+    if not optimized.rules:
+        raise ValueError("optimization produced no rules")
+    run._dump_ruleset(optimized, "rules_optimized.json", weights=weights)
+    return tree_paths
+
+
+def _train_candidates(run: PipelineRun) -> None:
+    exam = run.config["examination"]
+    provider = CharNgramPerceptron(
+        run._load_labels(),
+        ngram_sizes=tuple(exam["ngram_sizes"]),
+        hash_dim=exam["hash_dim"],
+        epochs=exam["epochs"],
+    )
+    provider.train(list(run._load_split().train))
+    provider.save(run.path("candidates.json"))
+
+
+def _examine(run: PipelineRun) -> None:
+    labels = run._load_labels()
+    split = run._load_split()
+    rules = run._load_ruleset("rules_optimized.json")
+    provider = CharNgramPerceptron.load(run.path("candidates.json"))
+    exam = run.config["examination"]
+    with run.path("predictions.jsonl").open("w", encoding="utf-8") as handle:
+        for case in split.test:
+            prediction = examine_case(
+                case.case_id,
+                case.fact_text,
+                rules,
+                provider,
+                labels,
+                run._agent_for("examine"),
+                seed=run.config["seed"],
+                candidate_k=exam["candidate_k"],
+                abstract_threshold=exam["abstract_threshold"],
+                transcript=run.transcript,
+            )
+            row = {
+                "case_id": prediction.case_id,
+                "article": prediction.article_id,
+                "charge": prediction.charge_id,
+                "term": prediction.prison_term_bucket,
+                "used_fallback": prediction.used_fallback,
+                "used_abstract": prediction.used_abstract,
+                "rationale": prediction.rationale,
+            }
+            handle.write(json.dumps(row, ensure_ascii=False) + "\n")
+
+
+def _evaluate(run: PipelineRun) -> None:
+    split = run._load_split()
+    gold_by_id: dict[str, Judgment] = {
+        case.case_id: case.judgment for case in split.test if case.judgment is not None
+    }
+    predictions = []
+    pred_ids = []
+    with run.path("predictions.jsonl").open("r", encoding="utf-8") as handle:
+        for line in handle:
+            row = json.loads(line)
+            predictions.append(
+                {"article": row["article"], "charge": row["charge"], "prison_term": row["term"]}
+            )
+            pred_ids.append(row["case_id"])
+    gold = [gold_by_id[i] for i in pred_ids]
+    report = compute_metrics(
+        predictions,
+        gold,
+        case_ids_predictions=pred_ids,
+        case_ids_gold=pred_ids,
+        labels=run._load_labels(),
+        macro_over_full_label_space=run.config["metrics"]["macro_over_full_label_space"],
+    )
+    run.path("metrics.json").write_text(report_as_json(report), encoding="utf-8")
+    run.path("metrics.txt").write_text(report_as_table(report), encoding="utf-8")
+
+
+# Stage order is run order. A stage's input hash covers the seed, then its
+# config sections, then its inputs, each in the order listed here; reordering
+# them invalidates every existing run directory.
+STAGE_TABLE: dict[str, Stage] = {
+    "ingest": Stage((CORPUS,), ("data",), ("cases.valid.jsonl", "rejects.jsonl"), _ingest),
+    "split": Stage(("cases.valid.jsonl",), ("data",), ("split.json",), _split),
+    "group-precedents": Stage(
+        ("cases.valid.jsonl", "split.json"), ("data",), ("precedents.json",), _group_precedents
+    ),
+    "init-rules": Stage(
+        ("cases.valid.jsonl", "precedents.json"),
+        ("data", "optimization", "providers"),
+        ("rules_init.json",),
+        _init_rules,
+    ),
+    "build-confusable": Stage(
+        ("cases.valid.jsonl", "split.json", "precedents.json"),
+        ("data", "optimization", "providers"),
+        ("confusable.json",),
+        _build_confusable,
+    ),
+    "optimize": Stage(
+        ("cases.valid.jsonl", "rules_init.json", "confusable.json"),
+        ("quiz", "optimization", "providers"),
+        ("rules_optimized.json",),
+        _optimize,
+    ),
+    "train-candidates": Stage(
+        ("cases.valid.jsonl", "split.json"),
+        ("data", "examination"),
+        ("candidates.json",),
+        _train_candidates,
+    ),
+    "examine": Stage(
+        ("cases.valid.jsonl", "split.json", "rules_optimized.json", "candidates.json"),
+        ("examination", "providers"),
+        ("predictions.jsonl",),
+        _examine,
+    ),
+    "evaluate": Stage(
+        ("cases.valid.jsonl", "split.json", "predictions.jsonl"),
+        ("metrics",),
+        ("metrics.json", "metrics.txt"),
+        _evaluate,
+    ),
+}
+
+STAGES = tuple(STAGE_TABLE)
 
 
 def run_pipeline(
@@ -765,21 +683,6 @@ def _matches(case: LegalCase, target: Consequent) -> bool:
     return case.judgment.article_id == target.article_id
 
 
-def _target_from_key(key: str) -> Consequent:
-    rule = parse_rule(f"FORALL x (P(x)) -> {_consequent_text_from_key(key)}")
-    return rule.target
-
-
-def _consequent_text_from_key(key: str) -> str:
-    parts = dict(item.split("=", 1) for item in key.split(","))
-    text = f"ARTICLE(\"{parts['article']}\")"
-    if "charge" in parts:
-        text += f" CHARGE(\"{parts['charge']}\")"
-    if "term" in parts:
-        text += f" TERM(\"{parts['term']}\")"
-    return text
-
-
 def _slice_embeddings(embeddings, cases, row_of):
     import numpy as np
 
@@ -787,30 +690,3 @@ def _slice_embeddings(embeddings, cases, row_of):
 
     rows = np.stack([embeddings.vectors[row_of[c.case_id]] for c in cases])
     return EmbeddingMatrix(vectors=rows, case_ids=tuple(c.case_id for c in cases))
-
-
-def _cacl_rewrite(
-    rule: FolRule,
-    result,
-    child_rule_id: str,
-    *,
-    agent,
-    labels,
-    transcript,
-    tag_prefix,
-    temperature,
-    fact_truncate,
-    max_records_per_side,
-) -> FolRule:
-    return cacl_mod.optimize_rule(
-        rule,
-        result,
-        agent,
-        labels,
-        child_rule_id=child_rule_id,
-        tag_prefix=tag_prefix,
-        transcript=transcript,
-        temperature=temperature,
-        fact_truncate=fact_truncate,
-        max_records_per_side=max_records_per_side,
-    )

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import random
 
 from rljp.corpus import Judgment, LabelSpace, LegalCase
@@ -101,3 +102,9 @@ def make_case(case_id: str, fact: str, article="264", charge="theft", term="b0")
         fact_text=fact,
         judgment=Judgment(article_id=article, charge_id=charge, prison_term_bucket=term),
     )
+
+
+def transcript_entries(transcript) -> list[dict]:
+    """The JSON lines a file-backed Transcript has written, in order."""
+    with transcript.path.open("r", encoding="utf-8") as handle:
+        return [json.loads(line) for line in handle]

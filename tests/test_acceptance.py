@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import rljp.opt_tree as opt_tree_mod
-from helpers import LABELS, make_case, random_rule
+from helpers import LABELS, make_case, random_rule, transcript_entries
 from rljp.agents import ScriptedBackend, Transcript
 from rljp.cacl import optimize_rule
 from rljp.cli import main as cli_main
@@ -279,7 +279,7 @@ def test_criterion_4_tree_invariants(tmp_path, monkeypatch):
     _report(4, "100 scripted runs: monotone max, tie rule, resume", started, 30.0)
 
 
-def test_criterion_5_consequent_lock():
+def test_criterion_5_consequent_lock(tmp_path):
     started = time.perf_counter()
     rng = random.Random(7777)
     drifted = 0
@@ -310,14 +310,16 @@ def test_criterion_5_consequent_lock():
         result = build_quiz_result(
             [_make_record("TP"), _make_record("FP")]
         )
-        transcript = Transcript()
+        transcript = Transcript(tmp_path / f"transcript{trial}.jsonl")
         child = optimize_rule(
             anchor, result, backend, LABELS,
             child_rule_id=f"child{trial}", transcript=transcript,
         )
         if child.target != anchor.target:
             drifted += 1
-        rewrite_entries = [e for e in transcript.entries if e["tag"] == "cacl/rewrite"]
+        rewrite_entries = [
+            e for e in transcript_entries(transcript) if e["tag"] == "cacl/rewrite"
+        ]
         if len(rewrite_entries) >= 2 and "consequent changed" in rewrite_entries[-1]["request"]["user"]:
             repairs_seen += 1
     assert drifted == 0

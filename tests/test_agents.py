@@ -4,6 +4,7 @@ import random
 import pytest
 import requests
 
+from helpers import transcript_entries
 from rljp.agents import (
     AgentError,
     ChatRequest,
@@ -93,9 +94,9 @@ class TestScriptedBackend:
 
 
 class TestComplete:
-    def test_two_transient_failures_then_success(self):
+    def test_two_transient_failures_then_success(self, tmp_path):
         backend = FlakyBackend(failures=2)
-        transcript = Transcript()
+        transcript = Transcript(tmp_path / "transcript.jsonl")
         sleeps: list[float] = []
         response = complete(
             _request(),
@@ -108,7 +109,7 @@ class TestComplete:
         assert backend.calls == 3
         assert len(sleeps) == 2
         assert len(transcript) == 1
-        assert transcript.entries[0]["retries"] == 2
+        assert transcript_entries(transcript)[0]["retries"] == 2
 
     def test_exhausted_retries(self):
         backend = FlakyBackend(failures=99)
@@ -141,13 +142,26 @@ class TestComplete:
                 delay = policy.delay(attempt, rng)
                 assert 0.0 <= delay <= 2.0**attempt
 
-    def test_transcript_lines_match_logical_calls(self):
+    def test_transcript_lines_match_logical_calls(self, tmp_path):
         backend = ScriptedBackend({"a": "1", "b": "2"})
-        transcript = Transcript()
+        transcript = Transcript(tmp_path / "transcript.jsonl")
         complete(_request("a"), backend, transcript=transcript)
         complete(_request("b"), backend, transcript=transcript)
         assert len(transcript) == 2
-        assert [e["tag"] for e in transcript.entries] == ["a", "b"]
+        assert [e["tag"] for e in transcript_entries(transcript)] == ["a", "b"]
+
+
+class TestTranscript:
+    def test_reopened_transcript_seeds_counters_from_its_lines(self, tmp_path):
+        path = tmp_path / "transcript.jsonl"
+        first = Transcript(path)
+        first.record(_request("a"), ChatResponse("x", 7, 2), retries=0, backend="b")
+        with path.open("a", encoding="utf-8") as handle:
+            handle.write('{"tag": "cut short\n')
+        reopened = Transcript(path)
+        assert (reopened.calls, reopened.input_units, reopened.output_units) == (2, 7, 2)
+        reopened.record(_request("b"), ChatResponse("y", 3, 1), retries=0, backend="b")
+        assert (len(reopened), reopened.input_units, reopened.output_units) == (3, 10, 3)
 
 
 class TestChatRequest:
@@ -237,15 +251,15 @@ class TestHttpBackend:
         with pytest.raises(RefusalError):
             backend.send(_request())
 
-    def test_retry_integration_5xx_then_success(self):
+    def test_retry_integration_5xx_then_success(self, tmp_path):
         backend, session = self._backend(
             [FakeHttpResponse(500), FakeHttpResponse(502), FakeHttpResponse(200, _ok_payload())]
         )
-        transcript = Transcript()
+        transcript = Transcript(tmp_path / "transcript.jsonl")
         response = complete(
             _request(), backend, transcript=transcript,
             rng=random.Random(1), sleep=lambda _: None,
         )
         assert response.text == "hello"
-        assert transcript.entries[0]["retries"] == 2
+        assert transcript_entries(transcript)[0]["retries"] == 2
         assert len(session.requests) == 3

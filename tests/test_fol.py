@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from helpers import LABELS, random_rule
+from helpers import LABELS, random_consequent, random_rule
 from rljp.fol import (
     Article,
     ArticleCharge,
@@ -12,6 +12,8 @@ from rljp.fol import (
     Quantifier,
     RuleSyntaxError,
     Var,
+    consequent_from_key,
+    consequent_key,
     parse_rule,
     render_rule,
     validate_rule,
@@ -107,6 +109,12 @@ class TestRender:
             once = render_rule(parse_rule(source))
             twice = render_rule(parse_rule(once))
             assert once == twice
+
+    def test_consequent_key_roundtrip(self):
+        rng = random.Random(20240502)
+        for _ in range(300):
+            consequent = random_consequent(rng)
+            assert consequent_from_key(consequent_key(consequent)) == consequent
 
 
 class TestValidate:

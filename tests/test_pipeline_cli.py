@@ -3,7 +3,9 @@ from pathlib import Path
 
 import pytest
 
-from rljp.cli import main
+import rljp.pipeline as pipeline_mod
+from rljp.agents import ChatResponse
+from rljp.cli import build_parser, main
 from rljp.config import ConfigError, load_config
 from rljp.pipeline import STAGES
 
@@ -174,6 +176,59 @@ class TestResume:
         assert (run_dir / "split.json").exists()
         assert not (run_dir / "precedents.json").exists()
 
+    def test_every_stage_and_run_all_is_a_subcommand(self):
+        parser = build_parser()
+        for name in (*STAGES, "run-all"):
+            assert parser.parse_args([name, "--config", "config.json"]).command == name
+
+    def test_group_precedents_subcommand_stops_after_grouping(
+        self, fixture_config_path, tmp_path
+    ):
+        run_dir = tmp_path / "run"
+        assert run_cli(
+            ["group-precedents", "--config", fixture_config_path, "--run-dir", run_dir]
+        ) == 0
+        manifest = json.loads((run_dir / "manifest.json").read_text())
+        assert list(manifest["stages"]) == ["ingest", "split", "group-precedents"]
+        written = sorted(p.name for p in run_dir.iterdir() if p.is_file())
+        assert written == [
+            "cases.valid.jsonl", "manifest.json", "precedents.json", "rejects.jsonl", "split.json"
+        ]
+        assert not any((run_dir / "trees").iterdir())
+
+    def test_resumed_run_keeps_usage_of_earlier_calls(
+        self, fixture_config_path, tmp_path, monkeypatch
+    ):
+        class Metered:
+            """Passes calls through, reporting 10 input and 1 output unit each."""
+
+            def __init__(self, inner):
+                self.inner = inner
+                self.name = inner.name
+
+            def send(self, request):
+                response = self.inner.send(request)
+                return ChatResponse(response.text, input_units=10, output_units=1)
+
+        build_agent = pipeline_mod.build_agent
+        monkeypatch.setattr(
+            pipeline_mod, "build_agent", lambda *a, **k: Metered(build_agent(*a, **k))
+        )
+        run_dir = tmp_path / "run"
+        args = ["--config", fixture_config_path, "--run-dir", run_dir]
+        assert run_cli(["train-candidates", *args]) == 0
+        assert run_cli(["evaluate", *args, "--resume"]) == 0
+        manifest = json.loads((run_dir / "manifest.json").read_text())
+        with (run_dir / "transcript.jsonl").open() as handle:
+            entries = [json.loads(line) for line in handle]
+        assert manifest["agent_calls"] == len(entries) > 0
+        assert (
+            manifest["usage"]["input_units"]
+            == 10 * manifest["agent_calls"]
+            == sum(e["input_units"] for e in entries)
+        )
+        assert manifest["usage"]["output_units"] == sum(e["output_units"] for e in entries)
+
     def test_mock_flag_runs_offline(self, fixture_config_path, tmp_path):
         run_dir = tmp_path / "run"
         code = run_cli(
@@ -233,3 +288,27 @@ class TestPipelineProducts:
                 assert target == payload["target"]
                 assert version == str(node["version"])
                 assert sequence.isdigit()
+
+    def test_every_artifact_is_deterministic(
+        self, completed_run, fixture_config_path, tmp_path
+    ):
+        # the manifest and transcript carry wall-clock times and latencies;
+        # the rule stores carry the run's created_at and nothing else that varies
+        run_dir = tmp_path / "run"
+        assert run_cli(["run-all", "--config", fixture_config_path, "--run-dir", run_dir]) == 0
+
+        def files(root):
+            return sorted(str(p.relative_to(root)) for p in root.rglob("*") if p.is_file())
+
+        names = files(run_dir)
+        assert names == files(completed_run)
+        for name in names:
+            if name in ("manifest.json", "transcript.jsonl"):
+                continue
+            ours, theirs = (run_dir / name).read_bytes(), (completed_run / name).read_bytes()
+            if name in ("rules_init.json", "rules_optimized.json"):
+                ours, theirs = json.loads(ours), json.loads(theirs)
+                for payload in (ours, theirs):
+                    for row in payload["rules"].values():
+                        del row["created_at"]
+            assert ours == theirs, name
