@@ -259,9 +259,10 @@ class ScriptedBackend:
 class HttpBackend:
     """Chat-completions client for any OpenAI-compatible endpoint.
 
-    Credentials come from the RLJP_API_KEY environment variable. 5xx and
-    transport errors surface as TransientAgentError (so complete() retries),
-    4xx as AgentError, and content-filter stops as RefusalError.
+    Credentials come from the RLJP_API_KEY environment variable. 5xx, 429
+    and transport errors surface as TransientAgentError (so complete()
+    retries), other 4xx and malformed 200 bodies as AgentError, and
+    content-filter stops as RefusalError.
     """
 
     def __init__(
@@ -302,21 +303,31 @@ class HttpBackend:
         except requests.RequestException as exc:
             raise TransientAgentError(f"transport failure: {exc}") from exc
         elapsed_ms = (time.monotonic() - started) * 1000.0
-        if http_response.status_code >= 500:
-            raise TransientAgentError(f"server error {http_response.status_code}")
-        if http_response.status_code >= 400:
-            raise AgentError(
-                f"request rejected ({http_response.status_code}): {http_response.text[:500]}"
-            )
-        body = http_response.json()
-        choice = body["choices"][0]
-        if choice.get("finish_reason") == "content_filter":
+        status = http_response.status_code
+        if status >= 500:
+            raise TransientAgentError(f"server error {status}")
+        if status == 429:
+            raise TransientAgentError("rate limited (429)")
+        if status >= 400:
+            raise AgentError(f"request rejected ({status}): {http_response.text[:500]}")
+        try:
+            body = http_response.json()
+            choice = body["choices"][0]
+            refused = choice.get("finish_reason") == "content_filter"
+            text = None if refused else choice["message"]["content"]
+            usage = body.get("usage") or {}
+            input_units = int(usage.get("prompt_tokens", 0))
+            output_units = int(usage.get("completion_tokens", 0))
+        except (ValueError, LookupError, TypeError, AttributeError) as exc:
+            raise AgentError(f"malformed response body: {exc!r}") from exc
+        if refused:
             raise RefusalError("provider content filter")
-        usage = body.get("usage", {})
+        if not isinstance(text, str):
+            raise AgentError(f"malformed response body: content is {type(text).__name__}")
         return ChatResponse(
-            text=choice["message"]["content"],
-            input_units=int(usage.get("prompt_tokens", 0)),
-            output_units=int(usage.get("completion_tokens", 0)),
+            text=text,
+            input_units=input_units,
+            output_units=output_units,
             latency_ms=elapsed_ms,
         )
 

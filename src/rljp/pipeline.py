@@ -8,7 +8,8 @@ optimize body also returns its per-target tree stores as extra outputs.
 this table, and every stage runs through `PipelineRun._execute`.
 
 Every stage reads and writes plain files under the run directory and records
-its input hash plus output hashes in the manifest. On rerun a stage is
+its input hash plus output hashes in the manifest, by paths relative to the
+run directory, so a moved run directory still resumes. On rerun a stage is
 skipped exactly when its recorded input hash still matches and all of its
 outputs are present with their recorded hashes; an output whose bytes
 changed behind the manifest's back is a checksum failure, not a silent
@@ -169,6 +170,8 @@ class PipelineRun:
     # -- paths
 
     def path(self, name: str) -> Path:
+        """`name` under the run dir; an absolute path (as older manifests
+        recorded outputs) stays itself."""
         return self.run_dir / name
 
     def _input_path(self, name: str) -> Path:
@@ -214,10 +217,10 @@ class PipelineRun:
         input_hash = self._stage_input_hash(inputs, stage.config_sections)
         recorded = self.manifest["stages"].get(name)
         if recorded and recorded.get("status") == "ok" and recorded.get("input_hash") == input_hash:
-            missing = [p for p in recorded["outputs"] if not Path(p).exists()]
+            missing = [p for p in recorded["outputs"] if not self.path(p).exists()]
             if not missing:
                 for path_str, digest in recorded["outputs"].items():
-                    actual = _sha256(Path(path_str))
+                    actual = _sha256(self.path(path_str))
                     if actual != digest:
                         raise ChecksumError(
                             name, f"artifact {path_str} does not match its recorded checksum"
@@ -248,7 +251,9 @@ class PipelineRun:
                 raise
             raise StageError(name, str(exc)) from exc
         outputs = [self.path(output) for output in stage.outputs] + extra_outputs
-        entry["outputs"] = {str(p): _sha256(p) for p in outputs}
+        entry["outputs"] = {
+            p.relative_to(self.run_dir).as_posix(): _sha256(p) for p in outputs
+        }
         for path_str in entry["outputs"]:
             if path_str not in self.manifest["artifacts"]:
                 self.manifest["artifacts"].append(path_str)

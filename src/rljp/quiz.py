@@ -137,29 +137,20 @@ def make_quiz(
     target_text = render_consequent(target)
 
     if distractors_from_negatives:
-        pool_labels = {
-            render_consequent(case_label(c, target)): case_label(c, target)
-            for c in confusable.negatives
-        }
-        universe = list(pool_labels.values())
+        universe = [case_label(c, target) for c in confusable.negatives]
     else:
         universe = _label_universe(labels, target)
+    # rendered once, deduplicated in first-seen order
+    universe_texts = list(dict.fromkeys(render_consequent(label) for label in universe))
 
     questions: list[QuizQuestion] = []
     for case in confusable.validation_cases():
-        gold = case_label(case, target)
-        gold_text = render_consequent(gold)
+        gold_text = render_consequent(case_label(case, target))
         is_positive = gold_text == target_text
 
         fixed = [target_text] if is_positive else [target_text, gold_text]
         needed = num_options - len(fixed)
-        candidates = [
-            render_consequent(label)
-            for label in universe
-            if render_consequent(label) not in fixed
-        ]
-        # dedup while preserving order, then sample
-        candidates = list(dict.fromkeys(candidates))
+        candidates = [text for text in universe_texts if text not in fixed]
         if len(candidates) < needed:
             raise QuizBuildError(
                 f"need {needed} distractors for case {case.case_id}, "

@@ -175,13 +175,12 @@ class TestChatRequest:
 
 
 class FakeHttpResponse:
-    def __init__(self, status_code, payload=None):
+    def __init__(self, status_code, payload=None, text=None):
         self.status_code = status_code
-        self._payload = payload or {}
-        self.text = json.dumps(self._payload)
+        self.text = json.dumps(payload or {}) if text is None else text
 
     def json(self):
-        return self._payload
+        return json.loads(self.text)
 
 
 class FakeSession:
@@ -263,3 +262,39 @@ class TestHttpBackend:
         assert response.text == "hello"
         assert transcript_entries(transcript)[0]["retries"] == 2
         assert len(session.requests) == 3
+
+    def test_rate_limit_is_transient(self):
+        backend, _ = self._backend([FakeHttpResponse(429)])
+        with pytest.raises(TransientAgentError):
+            backend.send(_request())
+
+    def test_retry_integration_429_then_success(self):
+        backend, session = self._backend(
+            [FakeHttpResponse(429), FakeHttpResponse(200, _ok_payload())]
+        )
+        response = complete(
+            _request(), backend, rng=random.Random(1), sleep=lambda _: None
+        )
+        assert response.text == "hello"
+        assert len(session.requests) == 2
+
+    @pytest.mark.parametrize(
+        "response",
+        [
+            FakeHttpResponse(200, text="<html>gateway</html>"),
+            FakeHttpResponse(200, {"object": "chat.completion"}),
+            FakeHttpResponse(200, {"choices": []}),
+            FakeHttpResponse(200, {"choices": [{"finish_reason": "stop"}]}),
+            FakeHttpResponse(200, {"choices": [{"message": {"content": None}}]}),
+            FakeHttpResponse(200, {"choices": [{"message": {"content": ["a"]}}]}),
+            FakeHttpResponse(200, {**_ok_payload(), "usage": {"prompt_tokens": "many"}}),
+        ],
+        ids=["not-json", "no-choices", "empty-choices", "no-message",
+             "null-content", "list-content", "bad-usage"],
+    )
+    def test_malformed_body_is_a_non_transient_agent_error(self, response):
+        backend, session = self._backend([response])
+        with pytest.raises(AgentError, match="malformed") as err:
+            complete(_request(), backend, sleep=lambda _: None)
+        assert not isinstance(err.value, TransientAgentError)
+        assert len(session.requests) == 1

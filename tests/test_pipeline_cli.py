@@ -1,3 +1,4 @@
+import hashlib
 import json
 from pathlib import Path
 
@@ -5,6 +6,7 @@ import pytest
 
 import rljp.pipeline as pipeline_mod
 from rljp.agents import ChatResponse
+from rljp.candidates import CharNgramPerceptron
 from rljp.cli import build_parser, main
 from rljp.config import ConfigError, load_config
 from rljp.pipeline import STAGES
@@ -94,7 +96,8 @@ class TestRunAll:
         for entry in manifest["stages"].values():
             for path in entry["outputs"]:
                 assert path in manifest["artifacts"]
-                assert Path(path).exists()
+                assert not Path(path).is_absolute()
+                assert (completed_run / path).exists()
 
     def test_config_snapshot_is_complete(self, completed_run, fixture_config_path):
         manifest = json.loads((completed_run / "manifest.json").read_text())
@@ -167,6 +170,56 @@ class TestResume:
             ["optimize", "--config", fixture_config_path, "--run-dir", run_dir, "--resume"]
         ) == 0
         assert json.loads(victim.read_text())["max_score"] >= 0.9
+
+    def test_moved_run_dir_resumes_with_every_stage_skipped(
+        self, fixture_config_path, tmp_path
+    ):
+        built = tmp_path / "built"
+        assert run_cli(["run-all", "--config", fixture_config_path, "--run-dir", built]) == 0
+        moved = built.rename(tmp_path / "moved")
+        assert not built.exists()
+        lines_before = (moved / "transcript.jsonl").read_text().count("\n")
+        assert run_cli(
+            ["run-all", "--config", fixture_config_path, "--run-dir", moved, "--resume"]
+        ) == 0
+        manifest = json.loads((moved / "manifest.json").read_text())
+        assert all(entry["skipped"] for entry in manifest["stages"].values())
+        assert list(manifest["stages"]) == list(STAGES)
+        assert (moved / "transcript.jsonl").read_text().count("\n") == lines_before
+
+    def test_run_dir_with_dense_candidates_and_absolute_paths_resumes(
+        self, completed_run, fixture_config_path, tmp_path
+    ):
+        # an older run dir: dense candidate weights, manifest outputs by
+        # absolute path; learned stages stay skipped and predictions match
+        run_dir = tmp_path / "run"
+        args = ["--config", fixture_config_path, "--run-dir", run_dir]
+        assert run_cli(["train-candidates", *args]) == 0
+        candidates_path = run_dir / "candidates.json"
+        provider = CharNgramPerceptron.load(candidates_path)
+        payload = json.loads(candidates_path.read_text())
+        payload["weights"] = {s: w.tolist() for s, w in provider._weights.items()}
+        candidates_path.write_text(json.dumps(payload) + "\n")
+        manifest_path = run_dir / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        for entry in manifest["stages"].values():
+            entry["outputs"] = {
+                str(run_dir / name): digest for name, digest in entry["outputs"].items()
+            }
+        manifest["stages"]["train-candidates"]["outputs"][str(candidates_path)] = (
+            hashlib.sha256(candidates_path.read_bytes()).hexdigest()
+        )
+        manifest["artifacts"] = [str(run_dir / name) for name in manifest["artifacts"]]
+        manifest_path.write_text(json.dumps(manifest))
+
+        assert run_cli(["evaluate", *args, "--resume"]) == 0
+        manifest = json.loads(manifest_path.read_text())
+        learned = list(STAGES)[: list(STAGES).index("train-candidates") + 1]
+        assert all(manifest["stages"][name]["skipped"] for name in learned)
+        assert not manifest["stages"]["examine"]["skipped"]
+        assert (run_dir / "predictions.jsonl").read_bytes() == (
+            completed_run / "predictions.jsonl"
+        ).read_bytes()
 
     def test_prefix_subcommand_stops_at_stage(self, fixture_config_path, tmp_path):
         run_dir = tmp_path / "run"

@@ -5,7 +5,8 @@ import pytest
 from helpers import LABELS, make_case
 from rljp.agents import ScriptedBackend, Transcript
 from rljp.confusable import ConfusableSet
-from rljp.fol import ArticleCharge, parse_rule
+import rljp.quiz as quiz_mod
+from rljp.fol import ArticleCharge, parse_rule, render_consequent
 from rljp.quiz import (
     QuizQuestion,
     ReasoningRecord,
@@ -92,6 +93,28 @@ class TestMakeQuiz:
         for q in questions:
             labels = {label for _, label in q.options}
             assert labels <= {TARGET_TEXT, "ARTICLE(263) CHARGE(robbery)"}
+
+    def test_label_universe_is_rendered_once(self, monkeypatch):
+        calls = []
+
+        def counting_render(consequent):
+            calls.append(consequent)
+            return render_consequent(consequent)
+
+        monkeypatch.setattr(quiz_mod, "render_consequent", counting_render)
+        confusable = ConfusableSet(
+            target=TARGET,
+            positives=tuple(make_case(f"p{i}", f"stole item {i}") for i in range(4)),
+            negatives=tuple(
+                make_case(f"n{i}", f"took item {i} by force", "263", "robbery")
+                for i in range(4)
+            ),
+            negative_similarity={},
+        )
+        questions = make_quiz(confusable, LABELS, num_options=4, seed=1)
+        universe, rendered = len(LABELS.articles) * len(LABELS.charges), len(calls)
+        assert len(questions) == 8
+        assert 0 < rendered <= universe + 2 * len(questions) + 1
 
 
 class TestClassifyOutcome:
