@@ -15,7 +15,7 @@ import re
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .agents import Backend, ChatRequest, Transcript, complete
+from .agents import Backend, ChatRequest, Transcript, complete, render_template
 from .corpus import LabelSpace
 from .fol import (
     FolRule,
@@ -34,7 +34,6 @@ from .prompts import (
     REPAIR_RULE,
     SYSTEM_LEGAL_ANALYST,
     grammar_text,
-    render_template,
 )
 from .quiz import QuizResult, ReasoningRecord, format_options
 

@@ -18,17 +18,15 @@ from __future__ import annotations
 import json
 import logging
 import zlib
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Protocol, Sequence
 
 import numpy as np
 
-from .corpus import LabelSpace, LegalCase
+from .corpus import SUBTASKS, LabelSpace, LegalCase
 
 logger = logging.getLogger(__name__)
-
-SUBTASKS = ("article", "charge", "prison_term")
 
 
 class CandidateProvider(Protocol):
@@ -48,11 +46,7 @@ class ProviderNotTrainedError(RuntimeError):
 def _gold_label(case: LegalCase, subtask: str) -> str:
     if case.judgment is None:
         raise ValueError(f"case {case.case_id} has no judgment")
-    return {
-        "article": case.judgment.article_id,
-        "charge": case.judgment.charge_id,
-        "prison_term": case.judgment.prison_term_bucket,
-    }[subtask]
+    return case.judgment.label(subtask)
 
 
 class CharNgramPerceptron:
@@ -71,11 +65,6 @@ class CharNgramPerceptron:
         self.hash_dim = hash_dim
         self.epochs = epochs
         self._weights: dict[str, np.ndarray] = {}
-        self._label_lists = {
-            "article": list(labels.articles),
-            "charge": list(labels.charges),
-            "prison_term": list(labels.prison_terms),
-        }
 
     @property
     def trained(self) -> bool:
@@ -99,7 +88,7 @@ class CharNgramPerceptron:
         features = [self._features(case.fact_text) for case in cases]
         steps = self.epochs * len(cases)
         for subtask in SUBTASKS:
-            label_list = self._label_lists[subtask]
+            label_list = self.labels.of(subtask)
             index = {label: i for i, label in enumerate(label_list)}
             y = [index[_gold_label(case, subtask)] for case in cases]
             n_labels = len(label_list)
@@ -130,7 +119,7 @@ class CharNgramPerceptron:
         margins = self._weights[subtask][:, idx] @ vals
         return {
             label: float(margins[i])
-            for i, label in enumerate(self._label_lists[subtask])
+            for i, label in enumerate(self.labels.of(subtask))
         }
 
     # -- persistence: per subtask, the non-zero weight columns and their
@@ -148,11 +137,7 @@ class CharNgramPerceptron:
             "hash_dim": self.hash_dim,
             "ngram_sizes": list(self.ngram_sizes),
             "epochs": self.epochs,
-            "labels": {
-                "articles": list(self.labels.articles),
-                "charges": list(self.labels.charges),
-                "prison_terms": list(self.labels.prison_terms),
-            },
+            "labels": asdict(self.labels),
             "weights": weights,
         }
         Path(path).write_text(json.dumps(payload) + "\n", encoding="utf-8")
@@ -162,13 +147,8 @@ class CharNgramPerceptron:
         """Reads the sparse artifact, and also the older dense one whose
         weights are full hash_dim-wide rows."""
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
-        labels = LabelSpace(
-            articles=tuple(payload["labels"]["articles"]),
-            charges=tuple(payload["labels"]["charges"]),
-            prison_terms=tuple(payload["labels"]["prison_terms"]),
-        )
         provider = cls(
-            labels,
+            LabelSpace.from_dict(payload["labels"]),
             ngram_sizes=tuple(payload["ngram_sizes"]),
             hash_dim=payload["hash_dim"],
             epochs=payload["epochs"],
@@ -177,7 +157,7 @@ class CharNgramPerceptron:
             if isinstance(stored, list):
                 provider._weights[subtask] = np.asarray(stored, dtype=np.float64)
                 continue
-            n_labels = len(provider._label_lists[subtask])
+            n_labels = len(provider.labels.of(subtask))
             w = np.zeros((n_labels, provider.hash_dim))
             w[:, stored["columns"]] = np.asarray(stored["rows"], dtype=np.float64)
             provider._weights[subtask] = w

@@ -1,5 +1,9 @@
 """Case corpus handling: loading, validation, splitting, and precedent grouping.
 
+This module also owns the judgment label model: the three subtasks, and which
+`Judgment` field and `LabelSpace` list each one reads. Other modules ask
+`Judgment.label` and `LabelSpace.of` rather than naming the fields.
+
 Cases arrive as line-delimited JSON. Field names differ between corpora, so
 loading takes a schema mapping logical field -> dotted path into each record.
 Malformed lines are collected into a rejects report instead of aborting the
@@ -13,7 +17,7 @@ import json
 import logging
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
@@ -28,12 +32,31 @@ DEFAULT_SCHEMA = {
     "prison_term_bucket": "meta.term_bucket",
 }
 
+# Each judgment subtask, in prediction order, with the Judgment field that
+# holds its label and the LabelSpace list of labels it chooses among.
+_SUBTASK_FIELDS = {
+    "article": ("article_id", "articles"),
+    "charge": ("charge_id", "charges"),
+    "prison_term": ("prison_term_bucket", "prison_terms"),
+}
+SUBTASKS = tuple(_SUBTASK_FIELDS)
+
+
+def _subtask_fields(subtask: str) -> tuple[str, str]:
+    if subtask not in _SUBTASK_FIELDS:
+        raise ValueError(f"unknown subtask {subtask!r}")
+    return _SUBTASK_FIELDS[subtask]
+
 
 @dataclass(frozen=True)
 class Judgment:
     article_id: str
     charge_id: str
     prison_term_bucket: str
+
+    def label(self, subtask: str) -> str:
+        """This judgment's label for `subtask`."""
+        return getattr(self, _subtask_fields(subtask)[0])
 
 
 @dataclass(frozen=True)
@@ -63,6 +86,15 @@ class LabelSpace:
             values = getattr(self, name)
             if len(set(values)) != len(values):
                 raise ValueError(f"duplicate entries in {name}")
+
+    def of(self, subtask: str) -> tuple[str, ...]:
+        """The labels `subtask` chooses among."""
+        return getattr(self, _subtask_fields(subtask)[1])
+
+    @classmethod
+    def from_dict(cls, data: dict) -> "LabelSpace":
+        """Inverse of `dataclasses.asdict`: {articles, charges, prison_terms}."""
+        return cls(*(tuple(str(v) for v in data[f.name]) for f in fields(cls)))
 
 
 @dataclass(frozen=True)
@@ -258,9 +290,4 @@ def label_space(cases: Iterable[LegalCase]) -> LabelSpace:
 
 def load_label_space(path: str | Path) -> LabelSpace:
     """Label space from a dataset metadata file {articles, charges, prison_terms}."""
-    data = json.loads(Path(path).read_text(encoding="utf-8"))
-    return LabelSpace(
-        articles=tuple(str(a) for a in data["articles"]),
-        charges=tuple(str(c) for c in data["charges"]),
-        prison_terms=tuple(str(t) for t in data["prison_terms"]),
-    )
+    return LabelSpace.from_dict(json.loads(Path(path).read_text(encoding="utf-8")))

@@ -13,14 +13,14 @@ from __future__ import annotations
 
 import logging
 import re
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from dataclasses import dataclass, replace
+from typing import Optional
 
-from .agents import AgentError, Backend, ChatRequest, Transcript, complete
-from .candidates import SUBTASKS, CandidateList, CandidateProvider, candidate_labels
-from .corpus import LabelSpace
+from .agents import AgentError, Backend, ChatRequest, Transcript, complete, render_template
+from .candidates import CandidateList, CandidateProvider, candidate_labels
+from .corpus import SUBTASKS, LabelSpace
 from .fol import ArticleCharge, ArticleTerm, FolRule, render_rule
-from .prompts import ABSTRACT_FACT, EXAM_CHECK, SYSTEM_LEGAL_ANALYST, render_template
+from .prompts import ABSTRACT_FACT, EXAM_CHECK, SYSTEM_LEGAL_ANALYST
 from .quiz import derive_rng
 from .rule_init import RuleSet
 
@@ -144,14 +144,6 @@ def _rule_pool(
     return pool
 
 
-def _labels_for_subtask(labels: LabelSpace, subtask: str) -> Sequence[str]:
-    return {
-        "article": labels.articles,
-        "charge": labels.charges,
-        "prison_term": labels.prison_terms,
-    }[subtask]
-
-
 def predict_case(
     case_id: str,
     fact_text: str,
@@ -216,7 +208,7 @@ def _predict_subtask(
 
     remaining = [
         label
-        for label in _labels_for_subtask(labels, subtask)
+        for label in labels.of(subtask)
         if label in pool and label not in candidate_labels_ordered
     ]
     rng = derive_rng(seed, "fallback", case_id, subtask)
@@ -264,13 +256,5 @@ def examine_case(
         transcript=transcript,
     )
     if used_abstract:
-        prediction = Prediction(
-            case_id=prediction.case_id,
-            article_id=prediction.article_id,
-            charge_id=prediction.charge_id,
-            prison_term_bucket=prediction.prison_term_bucket,
-            rationale=prediction.rationale,
-            used_fallback=prediction.used_fallback,
-            used_abstract=True,
-        )
+        prediction = replace(prediction, used_abstract=True)
     return prediction

@@ -150,15 +150,6 @@ def consequent_from_key(key: str) -> Consequent:
     return Article(parts["article"])
 
 
-def consequent_subtask(consequent: Consequent) -> str:
-    """The label dimension a quiz over this consequent discriminates."""
-    if isinstance(consequent, Article):
-        return "article"
-    if isinstance(consequent, ArticleCharge):
-        return "charge"
-    return "prison_term"
-
-
 # ---------------------------------------------------------------------------
 # Rules
 

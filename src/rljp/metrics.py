@@ -11,8 +11,7 @@ import json
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .candidates import SUBTASKS
-from .corpus import LabelSpace
+from .corpus import SUBTASKS, Judgment, LabelSpace
 
 
 @dataclass(frozen=True)
@@ -43,15 +42,11 @@ class AlignmentError(ValueError):
 
 
 def _labels_of(record, subtask: str) -> str:
-    # accepts Prediction objects, corpus Judgments carried on cases, or dicts
+    # accepts Prediction objects, corpus Judgments carried on cases, or dicts;
+    # a Prediction carries the same three label fields as a Judgment
     if isinstance(record, dict):
         return str(record[subtask])
-    attr = {
-        "article": "article_id",
-        "charge": "charge_id",
-        "prison_term": "prison_term_bucket",
-    }[subtask]
-    return getattr(record, attr)
+    return Judgment.label(record, subtask)
 
 
 def compute_subtask_metrics(
@@ -120,11 +115,7 @@ def compute_metrics(
         if macro_over_full_label_space:
             if labels is None:
                 raise ValueError("macro_over_full_label_space requires labels")
-            universe = {
-                "article": labels.articles,
-                "charge": labels.charges,
-                "prison_term": labels.prison_terms,
-            }[subtask]
+            universe = labels.of(subtask)
         subtasks[subtask] = compute_subtask_metrics(
             [_labels_of(g, subtask) for g in gold],
             [_labels_of(p, subtask) for p in predictions],

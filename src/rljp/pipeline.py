@@ -64,7 +64,7 @@ from .fol import (
     Provenance,
 )
 from .metrics import compute_metrics, report_as_json, report_as_table
-from .quiz import make_quiz
+from .quiz import case_label, make_quiz
 from .rule_init import RuleSet, init_all_rules
 
 logger = logging.getLogger(__name__)
@@ -156,6 +156,7 @@ class PipelineRun:
         }
         self.transcript = Transcript(self.run_dir / "transcript.jsonl")
         self._cases: Optional[dict[str, LegalCase]] = None
+        self._labels: Optional[LabelSpace] = None
 
     def _agent_for(self, stage: Optional[str]):
         """Stage-routed agent backend; one instance per distinct spec."""
@@ -272,11 +273,17 @@ class PipelineRun:
             self._cases = {case.case_id: case for case in cases}
         return self._cases
 
-    def _load_labels(self) -> LabelSpace:
-        labels_path = self.config["data"]["labels_path"]
-        if labels_path:
-            return load_label_space(labels_path)
-        return label_space(self.cases.values())
+    @property
+    def labels(self) -> LabelSpace:
+        """data.labels_path, or else the labels of cases.valid.jsonl; read once per run."""
+        if self._labels is None:
+            labels_path = self.config["data"]["labels_path"]
+            self._labels = (
+                load_label_space(labels_path)
+                if labels_path
+                else label_space(self.cases.values())
+            )
+        return self._labels
 
     def _load_split(self) -> DatasetSplit:
         payload = json.loads(self.path("split.json").read_text(encoding="utf-8"))
@@ -384,7 +391,9 @@ def _ingest(run: PipelineRun) -> None:
                 }
             handle.write(json.dumps(row, ensure_ascii=False) + "\n")
     write_rejects_report(run.path("rejects.jsonl"), rejects)
-    run._cases = None  # cases.valid.jsonl was rewritten; reparse on next use
+    # cases.valid.jsonl was rewritten; reparse it and its labels on next use
+    run._cases = None
+    run._labels = None
 
 
 def _split(run: PipelineRun) -> None:
@@ -419,7 +428,7 @@ def _init_rules(run: PipelineRun) -> None:
         groups,
         targets,
         run._agent_for("init-rules"),
-        run._load_labels(),
+        run.labels,
         transcript=run.transcript,
         temperature=run.config["optimization"]["temperature"],
         k=run.config["data"]["precedent_k"],
@@ -438,8 +447,8 @@ def _build_confusable(run: PipelineRun) -> None:
     payload = {}
     for target in targets:
         key = consequent_key(target)
-        positives = [c for c in train if _matches(c, target)]
-        others = [c for c in train if not _matches(c, target)]
+        positives = [c for c in train if case_label(c, target) == target]
+        others = [c for c in train if case_label(c, target) != target]
         if not positives or not others:
             logger.warning("target %s has no positives or no others; skipped", key)
             continue
@@ -466,7 +475,7 @@ def _build_confusable(run: PipelineRun) -> None:
 
 
 def _optimize(run: PipelineRun) -> list[Path]:
-    labels = run._load_labels()
+    labels = run.labels
     init_rules = run._load_ruleset("rules_init.json")
     confusable_sets = run._load_confusable()
     opt_config = run.config["optimization"]
@@ -537,7 +546,7 @@ def _optimize(run: PipelineRun) -> list[Path]:
 def _train_candidates(run: PipelineRun) -> None:
     exam = run.config["examination"]
     provider = CharNgramPerceptron(
-        run._load_labels(),
+        run.labels,
         ngram_sizes=tuple(exam["ngram_sizes"]),
         hash_dim=exam["hash_dim"],
         epochs=exam["epochs"],
@@ -547,7 +556,7 @@ def _train_candidates(run: PipelineRun) -> None:
 
 
 def _examine(run: PipelineRun) -> None:
-    labels = run._load_labels()
+    labels = run.labels
     split = run._load_split()
     rules = run._load_ruleset("rules_optimized.json")
     provider = CharNgramPerceptron.load(run.path("candidates.json"))
@@ -596,9 +605,7 @@ def _evaluate(run: PipelineRun) -> None:
     report = compute_metrics(
         predictions,
         gold,
-        case_ids_predictions=pred_ids,
-        case_ids_gold=pred_ids,
-        labels=run._load_labels(),
+        labels=run.labels,
         macro_over_full_label_space=run.config["metrics"]["macro_over_full_label_space"],
     )
     run.path("metrics.json").write_text(report_as_json(report), encoding="utf-8")
@@ -670,22 +677,6 @@ def run_pipeline(
 
 # ---------------------------------------------------------------------------
 # helpers
-
-
-def _matches(case: LegalCase, target: Consequent) -> bool:
-    if case.judgment is None:
-        return False
-    if isinstance(target, ArticleCharge):
-        return (
-            case.judgment.article_id == target.article_id
-            and case.judgment.charge_id == target.charge_id
-        )
-    if isinstance(target, ArticleTerm):
-        return (
-            case.judgment.article_id == target.article_id
-            and case.judgment.prison_term_bucket == target.prison_term_bucket
-        )
-    return case.judgment.article_id == target.article_id
 
 
 def _slice_embeddings(embeddings, cases, row_of):

@@ -8,7 +8,7 @@ errors back against it.
 
 from __future__ import annotations
 
-from .agents import PromptTemplate, render_template  # noqa: F401  (re-exported)
+from .agents import PromptTemplate
 from .fol import GRAMMAR_HELP
 
 SYSTEM_LEGAL_ANALYST = (

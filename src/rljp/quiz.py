@@ -18,7 +18,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .agents import Backend, ChatRequest, Transcript, complete
+from .agents import Backend, ChatRequest, Transcript, complete, render_template
 from .confusable import ConfusableSet
 from .corpus import LabelSpace, LegalCase
 from .fol import (
@@ -30,7 +30,7 @@ from .fol import (
     render_consequent,
     render_rule,
 )
-from .prompts import QUIZ_QUESTION, SYSTEM_LEGAL_ANALYST, render_template
+from .prompts import QUIZ_QUESTION, SYSTEM_LEGAL_ANALYST
 
 logger = logging.getLogger(__name__)
 

@@ -14,7 +14,7 @@ import re
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from .agents import Backend, ChatRequest, Transcript, complete
+from .agents import Backend, ChatRequest, Transcript, complete, render_template
 from .cacl import parse_and_check_rule
 from .corpus import LabelSpace, LegalCase
 from .fol import (
@@ -32,7 +32,6 @@ from .prompts import (
     SUMMARIZE_CIRCUMSTANCES,
     SYSTEM_LEGAL_ANALYST,
     grammar_text,
-    render_template,
 )
 
 logger = logging.getLogger(__name__)
@@ -86,9 +85,6 @@ class RuleSet:
 
     def add(self, rule: FolRule) -> None:
         self.rules[consequent_key(rule.target)] = rule
-
-    def for_target(self, target: Consequent) -> Optional[FolRule]:
-        return self.rules.get(consequent_key(target))
 
 
 def _precedents_text(precedents: Sequence[LegalCase]) -> str:
@@ -304,7 +300,12 @@ def init_all_rules(
             continue
         try:
             rule = init_rule_for_target(
-                target, precedents, agent, labels, transcript=transcript
+                target,
+                precedents,
+                agent,
+                labels,
+                transcript=transcript,
+                temperature=temperature,
             )
         except Exception as exc:
             ruleset.failures[consequent_key(target)] = str(exc)

@@ -133,7 +133,7 @@ def _dense_train(provider, cases):
     features = np.stack([_dense_features(provider, case.fact_text) for case in cases])
     weights = {}
     for subtask in SUBTASKS:
-        label_list = provider._label_lists[subtask]
+        label_list = provider.labels.of(subtask)
         index = {label: i for i, label in enumerate(label_list)}
         y = np.array([index[_gold_label(case, subtask)] for case in cases])
         n_labels = len(label_list)

@@ -1,16 +1,21 @@
 import json
 import math
 import random
+from dataclasses import asdict
 
 import pytest
 
 from helpers import make_case
 from rljp.corpus import (
+    SUBTASKS,
     CorpusError,
+    Judgment,
+    LabelSpace,
     LegalCase,
     group_precedents,
     label_space,
     load_cases,
+    load_label_space,
     long_subset,
     split_dataset,
     write_rejects_report,
@@ -213,8 +218,35 @@ class TestLabelSpace:
         labels = label_space([])
         assert labels.articles == () and labels.charges == () and labels.prison_terms == ()
 
+    def test_from_dict_reads_the_labels_file_and_inverts_asdict(self, fixture_dir):
+        path = fixture_dir / "labels.json"
+        labels = LabelSpace.from_dict(json.loads(path.read_text(encoding="utf-8")))
+        assert labels == load_label_space(path)
+        assert LabelSpace.from_dict(asdict(labels)) == labels
+
     def test_fact_length_invariant(self):
         with pytest.raises(ValueError):
             LegalCase(case_id="x", fact_text="abc", fact_length=5)
         with pytest.raises(ValueError):
             LegalCase(case_id="x", fact_text="")
+
+
+class TestSubtaskLabels:
+    JUDGMENT = Judgment("264", "theft", "b0")
+    LABELS = LabelSpace(("264", "263"), ("theft", "robbery", "fraud"), ("b0",))
+
+    def test_subtasks_name_the_judgment_fields(self):
+        named = {
+            "article": (self.JUDGMENT.article_id, self.LABELS.articles),
+            "charge": (self.JUDGMENT.charge_id, self.LABELS.charges),
+            "prison_term": (self.JUDGMENT.prison_term_bucket, self.LABELS.prison_terms),
+        }
+        assert SUBTASKS == tuple(named)
+        for subtask in SUBTASKS:
+            assert (self.JUDGMENT.label(subtask), self.LABELS.of(subtask)) == named[subtask]
+
+    def test_unknown_subtask_rejected(self):
+        with pytest.raises(ValueError, match="unknown subtask"):
+            self.JUDGMENT.label("sentence")
+        with pytest.raises(ValueError, match="unknown subtask"):
+            self.LABELS.of("sentence")

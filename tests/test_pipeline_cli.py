@@ -282,6 +282,21 @@ class TestResume:
         )
         assert manifest["usage"]["output_units"] == sum(e["output_units"] for e in entries)
 
+    def test_run_all_reads_the_label_file_once(
+        self, fixture_config_path, tmp_path, monkeypatch
+    ):
+        calls = []
+        load_label_space = pipeline_mod.load_label_space
+
+        def counted(path):
+            calls.append(path)
+            return load_label_space(path)
+
+        monkeypatch.setattr(pipeline_mod, "load_label_space", counted)
+        args = ["--config", fixture_config_path, "--run-dir", tmp_path / "run"]
+        assert run_cli(["run-all", *args]) == 0
+        assert len(calls) == 1
+
     def test_mock_flag_runs_offline(self, fixture_config_path, tmp_path):
         run_dir = tmp_path / "run"
         code = run_cli(

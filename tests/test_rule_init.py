@@ -194,3 +194,15 @@ class TestInitAllRules:
 
         for rule in ruleset.rules.values():
             assert validate_rule(rule, LABELS) == []
+
+    def test_temperature_reaches_every_init_call(self):
+        targets = [self._target("264", "theft")]
+        script = {
+            f"init/summarize/{KEY}": SIX_LINES,
+            f"init/symbols/{KEY}": SYMBOLS_OK,
+            f"init/rule/{KEY}": RULE_OK,
+        }
+        backend = ScriptedBackend(script)
+        init_all_rules(self._groups(), targets, backend, LABELS, temperature=0.2)
+        assert len(backend.calls) == 3
+        assert [call.temperature for call in backend.calls] == [0.2] * 3
