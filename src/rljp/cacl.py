@@ -18,6 +18,8 @@ from typing import Optional, Sequence
 from .agents import Backend, ChatRequest, Transcript, complete, render_template
 from .corpus import LabelSpace
 from .fol import (
+    GRAMMAR_HELP,
+    Consequent,
     FolRule,
     Provenance,
     RuleSyntaxError,
@@ -33,7 +35,6 @@ from .prompts import (
     CACL_SYNTHESIZE,
     REPAIR_RULE,
     SYSTEM_LEGAL_ANALYST,
-    grammar_text,
 )
 from .quiz import QuizResult, ReasoningRecord, format_options
 
@@ -249,6 +250,64 @@ def parse_and_check_rule(
     return rule
 
 
+def request_rule(
+    prompt: str,
+    agent: Backend,
+    labels: LabelSpace,
+    *,
+    tag: str,
+    rule_id: str,
+    version: int,
+    provenance: Provenance,
+    target: Consequent,
+    what: str,
+    error: type[Exception],
+    transcript: Optional[Transcript],
+    temperature: float,
+    max_repairs: int,
+) -> FolRule:
+    """Ask for a rule concluding `target`, then repair it if need be.
+
+    A reply that fails parse_and_check_rule is answered with up to
+    `max_repairs` REPAIR_RULE prompts quoting the error; if the last repair
+    fails too, raises `error` saying "<what> failed after ...".
+    """
+    last_error = ""
+    for attempt in range(1 + max_repairs):
+        response = complete(
+            ChatRequest(
+                system_text=SYSTEM_LEGAL_ANALYST,
+                user_text=prompt,
+                temperature=temperature,
+                tag=tag,
+            ),
+            agent,
+            transcript=transcript,
+        )
+        try:
+            return parse_and_check_rule(
+                response.text,
+                rule_id=rule_id,
+                version=version,
+                provenance=provenance,
+                labels=labels,
+                required_consequent=target,
+            )
+        except ValueError as exc:
+            last_error = str(exc)
+            logger.info("%s rejected (%s); repair %d/%d", what, exc, attempt + 1, max_repairs)
+            prompt = render_template(
+                REPAIR_RULE,
+                {
+                    "error": last_error,
+                    "previous": response.text,
+                    "grammar": GRAMMAR_HELP,
+                    "consequent": render_consequent(target),
+                },
+            )
+    raise error(f"{what} failed after {max_repairs} repairs: {last_error}")
+
+
 def apply_direction(
     rule: FolRule,
     direction: OptimizationDirection,
@@ -267,51 +326,31 @@ def apply_direction(
     validation, or consequent-drift failures trigger up to `max_repairs`
     repair prompts quoting the error, then CaclError.
     """
-    base_prompt = render_template(
+    prompt = render_template(
         CACL_REWRITE,
         {
             "rule": render_rule(rule),
             "keep": direction.keep,
             "improve": direction.improve,
-            "grammar": grammar_text(),
+            "grammar": GRAMMAR_HELP,
             "consequent": render_consequent(rule.target),
         },
     )
-    prompt = base_prompt
-    last_error = ""
-    for attempt in range(1 + max_repairs):
-        response = complete(
-            ChatRequest(
-                system_text=SYSTEM_LEGAL_ANALYST,
-                user_text=prompt,
-                temperature=temperature,
-                tag=f"{tag_prefix}/rewrite",
-            ),
-            agent,
-            transcript=transcript,
-        )
-        try:
-            return parse_and_check_rule(
-                response.text,
-                rule_id=child_rule_id,
-                version=rule.version + 1,
-                provenance=Provenance("optimized", parent_rule_id=rule.rule_id),
-                labels=labels,
-                required_consequent=rule.target,
-            )
-        except (RuleSyntaxError, ValueError) as exc:
-            last_error = str(exc)
-            logger.info("rewrite rejected (%s); repair %d/%d", exc, attempt + 1, max_repairs)
-            prompt = render_template(
-                REPAIR_RULE,
-                {
-                    "error": last_error,
-                    "previous": response.text,
-                    "grammar": grammar_text(),
-                    "consequent": render_consequent(rule.target),
-                },
-            )
-    raise CaclError(f"rewrite failed after {max_repairs} repairs: {last_error}")
+    return request_rule(
+        prompt,
+        agent,
+        labels,
+        tag=f"{tag_prefix}/rewrite",
+        rule_id=child_rule_id,
+        version=rule.version + 1,
+        provenance=Provenance("optimized", parent_rule_id=rule.rule_id),
+        target=rule.target,
+        what="rewrite",
+        error=CaclError,
+        transcript=transcript,
+        temperature=temperature,
+        max_repairs=max_repairs,
+    )
 
 
 def optimize_rule(

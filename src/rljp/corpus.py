@@ -237,26 +237,23 @@ def group_precedents(
     cases: Iterable[LegalCase],
     mode: str,
     k: int,
-) -> dict[tuple[str, str], list[LegalCase]]:
-    """Group judged cases by (article, charge) or (article, prison_term).
+) -> dict[tuple[str, ...], list[LegalCase]]:
+    """Group judged cases by their labels for the subtasks `mode` names.
 
-    Each group keeps the first k cases in input order; empty groups are never
-    emitted. `mode` is "article+charge" or "article+prison_term".
+    `mode` joins subtasks with "+", e.g. "article+charge" groups by
+    (article, charge). Each group keeps the first k cases in input order;
+    empty groups are never emitted.
     """
-    if mode not in ("article+charge", "article+prison_term"):
+    subtasks = mode.split("+")
+    if any(subtask not in _SUBTASK_FIELDS for subtask in subtasks):
         raise CorpusError(f"unknown precedent mode {mode!r}")
     if k < 1:
         raise CorpusError("k must be >= 1")
-    groups: dict[tuple[str, str], list[LegalCase]] = {}
+    groups: dict[tuple[str, ...], list[LegalCase]] = {}
     for case in cases:
         if case.judgment is None:
             raise CorpusError(f"case {case.case_id} has no judgment")
-        second = (
-            case.judgment.charge_id
-            if mode == "article+charge"
-            else case.judgment.prison_term_bucket
-        )
-        key = (case.judgment.article_id, second)
+        key = tuple(case.judgment.label(subtask) for subtask in subtasks)
         bucket = groups.setdefault(key, [])
         if len(bucket) < k:
             bucket.append(case)

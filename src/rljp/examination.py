@@ -19,7 +19,7 @@ from typing import Optional
 from .agents import AgentError, Backend, ChatRequest, Transcript, complete, render_template
 from .candidates import CandidateList, CandidateProvider, candidate_labels
 from .corpus import SUBTASKS, LabelSpace
-from .fol import ArticleCharge, ArticleTerm, FolRule, render_rule
+from .fol import FolRule, consequent_labels, render_rule
 from .prompts import ABSTRACT_FACT, EXAM_CHECK, SYSTEM_LEGAL_ANALYST
 from .quiz import derive_rng
 from .rule_init import RuleSet
@@ -119,25 +119,20 @@ def _rule_pool(
 ) -> dict[str, FolRule]:
     """label -> rule eligible for this subtask, narrowed by predicted article.
 
-    For the article subtask, a label is supported by any rule whose consequent
-    names it. For charge/term, the pool is the (article, label) rules sharing
-    the predicted article; if that article has none, all rules of the kind
-    stay eligible.
+    A rule supports the label its consequent names for the subtask. The pool
+    keeps the rules whose article is the predicted one (every rule while no
+    article is predicted, as for the article subtask itself); if that article
+    has none, all rules naming the subtask stay eligible.
     """
     pool: dict[str, FolRule] = {}
     widened: dict[str, FolRule] = {}
     for rule in rules.rules.values():
-        target = rule.target
-        if subtask == "article":
-            pool.setdefault(target.article_id, rule)
-        elif subtask == "charge" and isinstance(target, ArticleCharge):
-            widened.setdefault(target.charge_id, rule)
-            if article is None or target.article_id == article:
-                pool.setdefault(target.charge_id, rule)
-        elif subtask == "prison_term" and isinstance(target, ArticleTerm):
-            widened.setdefault(target.prison_term_bucket, rule)
-            if article is None or target.article_id == article:
-                pool.setdefault(target.prison_term_bucket, rule)
+        named = consequent_labels(rule.target)
+        if subtask not in named:
+            continue
+        widened.setdefault(named[subtask], rule)
+        if article is None or named["article"] == article:
+            pool.setdefault(named[subtask], rule)
     if not pool and widened:
         logger.info("no %s rules under article %s; widening pool", subtask, article)
         return widened

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Iterator, Optional, Union
+from typing import ClassVar, Iterator, Optional, Union
 
 __all__ = [
     "Var",
@@ -33,7 +33,6 @@ __all__ = [
     "RuleSyntaxError",
     "Violation",
     "parse_rule",
-    "parse_antecedent",
     "render_rule",
     "render_antecedent",
     "render_consequent",
@@ -109,11 +108,17 @@ AstNode = Union[Quantifier, Connective, PredicateAtom]
 
 # ---------------------------------------------------------------------------
 # Consequents
+#
+# A consequent names one label per subtask (corpus.SUBTASKS), one field each.
+# This module alone decides which subtasks each kind names and how each
+# subtask is spelled in keys, rule text and messages.
 
 
 @dataclass(frozen=True)
 class Article:
     article_id: str
+
+    subtasks: ClassVar[tuple[str, ...]] = ("article",)
 
 
 @dataclass(frozen=True)
@@ -121,33 +126,57 @@ class ArticleCharge:
     article_id: str
     charge_id: str
 
+    subtasks: ClassVar[tuple[str, ...]] = ("article", "charge")
+
 
 @dataclass(frozen=True)
 class ArticleTerm:
     article_id: str
     prison_term_bucket: str
 
+    subtasks: ClassVar[tuple[str, ...]] = ("article", "prison_term")
+
 
 Consequent = Union[Article, ArticleCharge, ArticleTerm]
+
+_KIND_OF_SUBTASKS = {kind.subtasks: kind for kind in (Article, ArticleCharge, ArticleTerm)}
+
+
+@dataclass(frozen=True)
+class _Spelling:
+    key: str  # name in consequent keys: article=264,charge=theft
+    keyword: str  # rule-text keyword: ARTICLE(264) CHARGE(theft)
+    noun: str  # in validation messages: unknown charge theft
+
+
+_SPELLINGS = {
+    "article": _Spelling("article", "ARTICLE", "article"),
+    "charge": _Spelling("charge", "CHARGE", "charge"),
+    "prison_term": _Spelling("term", "TERM", "prison term"),
+}
+_SUBTASK_OF_KEY = {spelling.key: subtask for subtask, spelling in _SPELLINGS.items()}
+_SUBTASK_OF_KEYWORD = {spelling.keyword: subtask for subtask, spelling in _SPELLINGS.items()}
+
+
+def consequent_labels(consequent: Consequent) -> dict[str, str]:
+    """{subtask: label} for each subtask the consequent names, in field order."""
+    # a dataclass instance's __dict__ holds its fields in declaration order
+    return dict(zip(consequent.subtasks, vars(consequent).values()))
 
 
 def consequent_key(consequent: Consequent) -> str:
     """Stable string key for a consequent, used in stores and node ids."""
-    if isinstance(consequent, Article):
-        return f"article={consequent.article_id}"
-    if isinstance(consequent, ArticleCharge):
-        return f"article={consequent.article_id},charge={consequent.charge_id}"
-    return f"article={consequent.article_id},term={consequent.prison_term_bucket}"
+    return ",".join(
+        f"{_SPELLINGS[subtask].key}={label}"
+        for subtask, label in consequent_labels(consequent).items()
+    )
 
 
 def consequent_from_key(key: str) -> Consequent:
     """Inverse of consequent_key."""
-    parts = dict(item.split("=", 1) for item in key.split(","))
-    if "charge" in parts:
-        return ArticleCharge(parts["article"], parts["charge"])
-    if "term" in parts:
-        return ArticleTerm(parts["article"], parts["term"])
-    return Article(parts["article"])
+    parts = [item.split("=", 1) for item in key.split(",")]
+    kind = _KIND_OF_SUBTASKS[tuple(_SUBTASK_OF_KEY[name] for name, _ in parts)]
+    return kind(*(label for _, label in parts))
 
 
 # ---------------------------------------------------------------------------
@@ -182,7 +211,7 @@ class FolRule:
 # ---------------------------------------------------------------------------
 # Tokenizer
 
-KEYWORDS = {"FORALL", "EXISTS", "AND", "OR", "NOT", "ARTICLE", "CHARGE", "TERM"}
+KEYWORDS = {"FORALL", "EXISTS", "AND", "OR", "NOT", *_SUBTASK_OF_KEYWORD}
 
 _TOKEN_RE = re.compile(
     r"""
@@ -351,23 +380,24 @@ class _Parser:
         raise AssertionError("unreachable")
 
     def parse_consequent(self) -> Consequent:
-        self._expect("ARTICLE")
-        self._expect("LPAREN")
-        article = self.parse_label()
-        self._expect("RPAREN")
-        if self.current.kind == "CHARGE":
-            self._advance()
+        subtasks: tuple[str, ...] = ()
+        labels: list[str] = []
+        while True:
+            # keywords that extend the subtasks read so far toward some kind
+            n = len(subtasks)
+            following = {
+                _SPELLINGS[named[n]].keyword
+                for named in _KIND_OF_SUBTASKS
+                if len(named) > n and named[:n] == subtasks
+            }
+            if self.current.kind not in following:
+                if subtasks in _KIND_OF_SUBTASKS:
+                    return _KIND_OF_SUBTASKS[subtasks](*labels)
+                self._fail(following)
+            subtasks += (_SUBTASK_OF_KEYWORD[self._advance().kind],)
             self._expect("LPAREN")
-            charge = self.parse_label()
+            labels.append(self.parse_label())
             self._expect("RPAREN")
-            return ArticleCharge(article, charge)
-        if self.current.kind == "TERM":
-            self._advance()
-            self._expect("LPAREN")
-            term = self.parse_label()
-            self._expect("RPAREN")
-            return ArticleTerm(article, term)
-        return Article(article)
 
     def parse_label(self) -> str:
         tok = self.current
@@ -388,15 +418,6 @@ def _unquote(text: str) -> str:
 
 def _quote(value: str) -> str:
     return '"' + value.replace("\\", "\\\\").replace('"', '\\"') + '"'
-
-
-def parse_antecedent(text: str) -> AstNode:
-    """Parse just the quantified expression part (no arrow, no consequent)."""
-    parser = _Parser(text)
-    node = parser.parse_quantified()
-    if parser.current.kind != "EOF":
-        parser._fail({"EOF"})
-    return node
 
 
 def parse_rule(
@@ -463,16 +484,9 @@ def _render_label(label: str) -> str:
 
 
 def render_consequent(consequent: Consequent) -> str:
-    if isinstance(consequent, Article):
-        return f"ARTICLE({_render_label(consequent.article_id)})"
-    if isinstance(consequent, ArticleCharge):
-        return (
-            f"ARTICLE({_render_label(consequent.article_id)})"
-            f" CHARGE({_render_label(consequent.charge_id)})"
-        )
-    return (
-        f"ARTICLE({_render_label(consequent.article_id)})"
-        f" TERM({_render_label(consequent.prison_term_bucket)})"
+    return " ".join(
+        f"{_SPELLINGS[subtask].keyword}({_render_label(label)})"
+        for subtask, label in consequent_labels(consequent).items()
     )
 
 
@@ -495,27 +509,16 @@ def validate_rule(rule: FolRule, labels) -> list[Violation]:
     """Check label membership, variable binding, and predicate arity consistency.
 
     Returns a (possibly empty) list of violations; never raises. `labels` is a
-    corpus.LabelSpace or anything exposing articles/charges/prison_terms lists.
+    corpus.LabelSpace: each label of the consequent must be in
+    `labels.of(subtask)`.
     """
     violations: list[Violation] = []
 
-    target = rule.target
-    if target.article_id not in set(labels.articles):
-        violations.append(
-            Violation("unknown-label", f"unknown article {target.article_id}")
-        )
-    if isinstance(target, ArticleCharge) and target.charge_id not in set(labels.charges):
-        violations.append(
-            Violation("unknown-label", f"unknown charge {target.charge_id}")
-        )
-    if isinstance(target, ArticleTerm) and target.prison_term_bucket not in set(
-        labels.prison_terms
-    ):
-        violations.append(
-            Violation(
-                "unknown-label", f"unknown prison term {target.prison_term_bucket}"
+    for subtask, label in consequent_labels(rule.target).items():
+        if label not in labels.of(subtask):
+            violations.append(
+                Violation("unknown-label", f"unknown {_SPELLINGS[subtask].noun} {label}")
             )
-        )
 
     arities: dict[str, int] = {}
     conflicted: set[str] = set()

@@ -72,6 +72,10 @@ logger = logging.getLogger(__name__)
 # stands for the corpus named by config data.cases_path among a stage's inputs
 CORPUS = "data.cases_path"
 
+# the consequent kinds that get rules; precedents.json has one section of
+# precedent groups per kind, named by its subtasks joined with "+"
+RULE_KINDS = (ArticleCharge, ArticleTerm)
+
 
 class StageError(RuntimeError):
     def __init__(self, stage: str, message: str):
@@ -323,7 +327,6 @@ class PipelineRun:
                     "kind": rule.provenance.kind,
                     "parent_rule_id": rule.provenance.parent_rule_id,
                 },
-                "created_at": self.manifest["created_at"],
             }
             if weights is not None and key in weights:
                 rows[key]["weight"] = weights[key]
@@ -332,20 +335,18 @@ class PipelineRun:
             json.dumps(payload, indent=2, ensure_ascii=False) + "\n", encoding="utf-8"
         )
 
-    def _load_precedents(
-        self,
-    ) -> tuple[list[Consequent], dict[tuple[str, str], list[LegalCase]]]:
-        """Targets (charge pairs, then term pairs, each sorted) and their
-        precedent groups keyed by (article, charge or term)."""
+    def _load_precedents(self) -> tuple[list[Consequent], dict[Consequent, list[LegalCase]]]:
+        """Targets (one section per RULE_KINDS entry, each sorted) and their
+        precedent groups."""
         payload = json.loads(self.path("precedents.json").read_text(encoding="utf-8"))
         targets: list[Consequent] = []
-        groups: dict[tuple[str, str], list[LegalCase]] = {}
-        modes = (("article+charge", ArticleCharge), ("article+prison_term", ArticleTerm))
-        for mode, kind in modes:
-            for key in sorted(payload[mode]):
-                article, second = key.split("|", 1)
-                targets.append(kind(article, second))
-                groups[(article, second)] = [self.cases[i] for i in payload[mode][key]]
+        groups: dict[Consequent, list[LegalCase]] = {}
+        for kind in RULE_KINDS:
+            section = payload["+".join(kind.subtasks)]
+            for key in sorted(section):
+                target = kind(*key.split("|", len(kind.subtasks) - 1))
+                targets.append(target)
+                groups[target] = [self.cases[i] for i in section[key]]
         return targets, groups
 
     def _load_confusable(self) -> dict[str, ConfusableSet]:
@@ -412,10 +413,11 @@ def _group_precedents(run: PipelineRun) -> None:
     split = run._load_split()
     k = run.config["data"]["precedent_k"]
     payload = {}
-    for mode in ("article+charge", "article+prison_term"):
+    for kind in RULE_KINDS:
+        mode = "+".join(kind.subtasks)
         groups = group_precedents(split.train, mode, k)
         payload[mode] = {
-            f"{a}|{b}": [c.case_id for c in cases] for (a, b), cases in sorted(groups.items())
+            "|".join(labels): [c.case_id for c in cases] for labels, cases in sorted(groups.items())
         }
     run.path("precedents.json").write_text(
         json.dumps(payload, indent=2, ensure_ascii=False) + "\n", encoding="utf-8"

@@ -9,7 +9,6 @@ errors back against it.
 from __future__ import annotations
 
 from .agents import PromptTemplate
-from .fol import GRAMMAR_HELP
 
 SYSTEM_LEGAL_ANALYST = (
     "You are a careful legal analyst. Follow the requested output format "
@@ -166,6 +165,3 @@ ABSTRACT_FACT = PromptTemplate(
     required_slots=frozenset({"limit", "fact"}),
 )
 
-
-def grammar_text() -> str:
-    return GRAMMAR_HELP

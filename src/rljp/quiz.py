@@ -10,6 +10,7 @@ label, on a positive/negative case respectively.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import logging
 import random
 import re
@@ -21,15 +22,7 @@ from typing import Optional, Sequence
 from .agents import Backend, ChatRequest, Transcript, complete, render_template
 from .confusable import ConfusableSet
 from .corpus import LabelSpace, LegalCase
-from .fol import (
-    Article,
-    ArticleCharge,
-    ArticleTerm,
-    Consequent,
-    FolRule,
-    render_consequent,
-    render_rule,
-)
+from .fol import Consequent, FolRule, render_consequent, render_rule
 from .prompts import QUIZ_QUESTION, SYSTEM_LEGAL_ANALYST
 
 logger = logging.getLogger(__name__)
@@ -49,20 +42,14 @@ def case_label(case: LegalCase, kind_of: Consequent) -> Consequent:
     """The case's gold label projected onto the target's consequent kind."""
     if case.judgment is None:
         raise ValueError(f"case {case.case_id} has no judgment")
-    j = case.judgment
-    if isinstance(kind_of, Article):
-        return Article(j.article_id)
-    if isinstance(kind_of, ArticleCharge):
-        return ArticleCharge(j.article_id, j.charge_id)
-    return ArticleTerm(j.article_id, j.prison_term_bucket)
+    return type(kind_of)(*(case.judgment.label(s) for s in kind_of.subtasks))
 
 
 def _label_universe(labels: LabelSpace, kind_of: Consequent) -> list[Consequent]:
-    if isinstance(kind_of, Article):
-        return [Article(a) for a in labels.articles]
-    if isinstance(kind_of, ArticleCharge):
-        return [ArticleCharge(a, c) for a in labels.articles for c in labels.charges]
-    return [ArticleTerm(a, t) for a in labels.articles for t in labels.prison_terms]
+    return [
+        type(kind_of)(*combo)
+        for combo in itertools.product(*(labels.of(s) for s in kind_of.subtasks))
+    ]
 
 
 @dataclass(frozen=True)

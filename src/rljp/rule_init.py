@@ -15,23 +15,21 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from .agents import Backend, ChatRequest, Transcript, complete, render_template
-from .cacl import parse_and_check_rule
+from .cacl import request_rule
 from .corpus import LabelSpace, LegalCase
 from .fol import (
+    GRAMMAR_HELP,
     Consequent,
     FolRule,
     Provenance,
-    RuleSyntaxError,
     consequent_key,
     render_consequent,
 )
 from .prompts import (
     CONSTRUCT_RULE,
     DEFINE_SYMBOLS,
-    REPAIR_RULE,
     SUMMARIZE_CIRCUMSTANCES,
     SYSTEM_LEGAL_ANALYST,
-    grammar_text,
 )
 
 logger = logging.getLogger(__name__)
@@ -231,55 +229,34 @@ def init_rule_for_target(
         factors, target, agent, transcript=transcript, temperature=temperature,
         max_repairs=max_repairs,
     )
-    base_prompt = render_template(
+    prompt = render_template(
         CONSTRUCT_RULE,
         {
             "target": render_consequent(target),
             "symbols": symbols.as_text(),
-            "grammar": grammar_text(),
+            "grammar": GRAMMAR_HELP,
             "consequent": render_consequent(target),
         },
     )
-    prompt = base_prompt
-    rule_id = f"{consequent_key(target)}/0/0"
-    last_error = ""
-    for attempt in range(1 + max_repairs):
-        response = complete(
-            ChatRequest(
-                system_text=SYSTEM_LEGAL_ANALYST,
-                user_text=prompt,
-                temperature=temperature,
-                tag=f"init/rule/{consequent_key(target)}",
-            ),
-            agent,
-            transcript=transcript,
-        )
-        try:
-            return parse_and_check_rule(
-                response.text,
-                rule_id=rule_id,
-                version=0,
-                provenance=Provenance("initialized"),
-                labels=labels,
-                required_consequent=target,
-            )
-        except (RuleSyntaxError, ValueError) as exc:
-            last_error = str(exc)
-            logger.info("initial rule rejected (%s); repair %d/%d", exc, attempt + 1, max_repairs)
-            prompt = render_template(
-                REPAIR_RULE,
-                {
-                    "error": last_error,
-                    "previous": response.text,
-                    "grammar": grammar_text(),
-                    "consequent": render_consequent(target),
-                },
-            )
-    raise InitError(f"rule construction failed after {max_repairs} repairs: {last_error}")
+    return request_rule(
+        prompt,
+        agent,
+        labels,
+        tag=f"init/rule/{consequent_key(target)}",
+        rule_id=f"{consequent_key(target)}/0/0",
+        version=0,
+        provenance=Provenance("initialized"),
+        target=target,
+        what="rule construction",
+        error=InitError,
+        transcript=transcript,
+        temperature=temperature,
+        max_repairs=max_repairs,
+    )
 
 
 def init_all_rules(
-    precedent_groups: dict[tuple[str, str], Sequence[LegalCase]],
+    precedent_groups: dict[Consequent, Sequence[LegalCase]],
     targets: Sequence[Consequent],
     agent: Backend,
     labels: LabelSpace,
@@ -288,12 +265,11 @@ def init_all_rules(
     temperature: float = 0.7,
     k: int = 3,
 ) -> RuleSet:
-    """Initialize one rule per target; per-target failures are reported in the
-    RuleSet, not raised."""
+    """Initialize one rule per target from its precedent group; per-target
+    failures are reported in the RuleSet, not raised."""
     ruleset = RuleSet()
     for target in targets:
-        key = _group_key(target)
-        precedents = list(precedent_groups.get(key, ()))[:k]
+        precedents = list(precedent_groups.get(target, ()))[:k]
         if not precedents:
             ruleset.failures[consequent_key(target)] = "no precedents"
             logger.warning("target %s skipped: no precedents", consequent_key(target))
@@ -313,15 +289,3 @@ def init_all_rules(
             continue
         ruleset.add(rule)
     return ruleset
-
-
-def _group_key(target: Consequent) -> tuple[str, str]:
-    from .fol import Article, ArticleCharge, ArticleTerm
-
-    if isinstance(target, ArticleCharge):
-        return (target.article_id, target.charge_id)
-    if isinstance(target, ArticleTerm):
-        return (target.article_id, target.prison_term_bucket)
-    if isinstance(target, Article):
-        raise InitError("article-only targets have no precedent grouping mode")
-    raise InitError(f"unknown target kind {target!r}")

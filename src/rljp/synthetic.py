@@ -24,15 +24,13 @@ from dataclasses import dataclass
 from pathlib import Path
 from .agents import AgentError, ChatRequest, ChatResponse
 from .fol import (
-    Article,
-    ArticleCharge,
-    ArticleTerm,
     AstNode,
     Connective,
     Consequent,
     FolRule,
     PredicateAtom,
     Quantifier,
+    consequent_labels,
     parse_rule,
     render_consequent,
 )
@@ -128,11 +126,10 @@ class SyntheticWorld:
         return next(p for p in self.profiles if p.article == article)
 
     def profile_for(self, target: Consequent) -> ChargeProfile:
-        if isinstance(target, ArticleCharge):
-            return self.by_charge(target.charge_id)
-        if isinstance(target, (ArticleTerm, Article)):
-            return self.by_article(target.article_id)
-        raise ValueError(f"unknown target {target!r}")
+        labels = consequent_labels(target)
+        if "charge" in labels:
+            return self.by_charge(labels["charge"])
+        return self.by_article(labels["article"])
 
     def root_rule_text(self, target: Consequent) -> str:
         profile = self.profile_for(target)

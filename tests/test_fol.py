@@ -1,4 +1,6 @@
+import ast
 import random
+from pathlib import Path
 
 import pytest
 
@@ -50,6 +52,19 @@ class TestParse:
         assert err.value.line == 1
         assert err.value.col == 10
         assert err.value.expected  # non-empty expected-token set
+
+    @pytest.mark.parametrize(
+        "consequent, col, expected",
+        [
+            ("CHARGE(theft)", 10, {"ARTICLE"}),
+            ("ARTICLE(264) CHARGE(theft) TERM(b1)", 37, {"EOF"}),
+            ("ARTICLE(264) TERM b1", 28, {"LPAREN"}),
+        ],
+    )
+    def test_consequent_syntax_error(self, consequent, col, expected):
+        with pytest.raises(RuleSyntaxError) as err:
+            parse_rule(f"(P()) -> {consequent}")
+        assert (err.value.col, err.value.expected) == (col, expected)
 
     def test_precedence_not_over_and_over_or(self):
         rule = parse_rule("(A() OR B() AND NOT C()) -> ARTICLE(264)")
@@ -124,6 +139,8 @@ class TestValidate:
         assert codes == {"unknown-label"}
         messages = sorted(v.message for v in validate_rule(rule, LABELS))
         assert messages == ["unknown article 9999", "unknown charge smuggling"]
+        rule = parse_rule("(P()) -> ARTICLE(264) TERM(b99)")
+        assert [v.message for v in validate_rule(rule, LABELS)] == ["unknown prison term b99"]
 
     def test_arity_conflict(self):
         rule = parse_rule("FORALL x (P(x) AND P(x, x)) -> ARTICLE(264)")
@@ -147,3 +164,23 @@ class TestValidate:
     def test_version_increment_constraint(self):
         with pytest.raises(ValueError):
             FolRule("r", Article("264"), PredicateAtom("P"), version=-1)
+
+
+def test_only_fol_branches_on_consequent_kinds():
+    """Which subtasks each consequent kind names is decided in fol.py alone;
+    other modules read consequent_labels or a kind's subtasks."""
+    kinds = {"Article", "ArticleCharge", "ArticleTerm"}
+    package = Path(__file__).resolve().parent.parent / "src" / "rljp"
+    offenders = []
+    for path in sorted(package.glob("*.py")):
+        if path.name == "fol.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance":
+                named = {
+                    getattr(n, "id", None) or getattr(n, "attr", None)
+                    for n in ast.walk(node.args[1])
+                }
+                if named & kinds:
+                    offenders.append(f"{path.name}:{node.lineno}")
+    assert offenders == []

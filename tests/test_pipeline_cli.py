@@ -24,6 +24,15 @@ def completed_run(fixture_config_path, tmp_path_factory):
     return run_dir
 
 
+@pytest.fixture(scope="module")
+def repeated_run(fixture_config_path, tmp_path_factory):
+    """A second run of the same config at the same seed."""
+    run_dir = tmp_path_factory.mktemp("repeated")
+    code = run_cli(["run-all", "--config", fixture_config_path, "--run-dir", run_dir])
+    assert code == 0
+    return run_dir
+
+
 class TestConfig:
     def test_defaults_fill_in(self, fixture_config_path):
         config = load_config(fixture_config_path)
@@ -321,7 +330,7 @@ class TestPipelineProducts:
             payload = json.loads((completed_run / name).read_text())
             assert payload["rules"]
             for row in payload["rules"].values():
-                assert {"target", "rule_text", "version", "provenance", "created_at"} <= set(row)
+                assert {"target", "rule_text", "version", "provenance"} <= set(row)
 
     def test_optimized_rules_advance_versions(self, completed_run):
         init = json.loads((completed_run / "rules_init.json").read_text())["rules"]
@@ -357,26 +366,66 @@ class TestPipelineProducts:
                 assert version == str(node["version"])
                 assert sequence.isdigit()
 
-    def test_every_artifact_is_deterministic(
-        self, completed_run, fixture_config_path, tmp_path
-    ):
-        # the manifest and transcript carry wall-clock times and latencies;
-        # the rule stores carry the run's created_at and nothing else that varies
-        run_dir = tmp_path / "run"
-        assert run_cli(["run-all", "--config", fixture_config_path, "--run-dir", run_dir]) == 0
-
+    def test_every_artifact_is_deterministic(self, completed_run, repeated_run):
+        # the manifest and transcript carry wall-clock times and latencies
         def files(root):
             return sorted(str(p.relative_to(root)) for p in root.rglob("*") if p.is_file())
 
-        names = files(run_dir)
+        names = files(repeated_run)
         assert names == files(completed_run)
         for name in names:
             if name in ("manifest.json", "transcript.jsonl"):
                 continue
-            ours, theirs = (run_dir / name).read_bytes(), (completed_run / name).read_bytes()
-            if name in ("rules_init.json", "rules_optimized.json"):
-                ours, theirs = json.loads(ours), json.loads(theirs)
-                for payload in (ours, theirs):
-                    for row in payload["rules"].values():
-                        del row["created_at"]
-            assert ours == theirs, name
+            assert (repeated_run / name).read_bytes() == (completed_run / name).read_bytes(), name
+
+    def test_identical_runs_record_identical_input_hashes(self, completed_run, repeated_run):
+        # a wall-clock time in a rule store would change the input hash of
+        # optimize (rules_init.json) and examine (rules_optimized.json)
+        def input_hashes(run_dir):
+            stages = json.loads((run_dir / "manifest.json").read_text())["stages"]
+            return {name: stage["input_hash"] for name, stage in stages.items()}
+
+        ours, theirs = input_hashes(repeated_run), input_hashes(completed_run)
+        assert {"optimize", "examine"} <= set(ours)
+        assert ours == theirs
+
+
+class TestInitRulesPrecedents:
+    def test_charge_and_term_groups_with_one_label_stay_apart(self, tmp_path):
+        # under article 264, charge "2" and term bucket "2" name different cases
+        rows = [
+            ("c1", "took a bicycle", "2", "b0"),
+            ("c2", "took a wallet", "theft", "2"),
+            ("c3", "took a phone", "2", "b0"),
+            ("c4", "took a purse", "theft", "2"),
+        ]
+        with (tmp_path / "cases.jsonl").open("w") as handle:
+            for case_id, fact, charge, term in rows:
+                meta = {"relevant_articles": ["264"], "accusation": [charge], "term_bucket": [term]}
+                handle.write(json.dumps({"case_id": case_id, "fact": fact, "meta": meta}) + "\n")
+        key = "article=264,charge=2"
+        script = {
+            f"init/summarize/{key}": "SUBJECT: adult\nBEHAVIOR: taking",
+            f"init/symbols/{key}": "VAR x: the case\nPRED Took/1: took property\nQUANT x: FORALL",
+            f"init/rule/{key}": "RULE: FORALL x (Took(x)) -> ARTICLE(264) CHARGE(2)",
+        }
+        (tmp_path / "script.json").write_text(json.dumps(script))
+        config = {
+            "data": {"cases_path": "cases.jsonl"},
+            "providers": {"agent": {"kind": "scripted", "script_path": "script.json"}},
+        }
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(config))
+        run_dir = tmp_path / "run"
+        assert run_cli(["init-rules", "--config", config_path, "--run-dir", run_dir]) == 0
+
+        precedents = json.loads((run_dir / "precedents.json").read_text())
+        assert precedents["article+charge"]["264|2"] == ["c1", "c3"]
+        assert precedents["article+prison_term"]["264|2"] == ["c2", "c4"]
+        with (run_dir / "transcript.jsonl").open() as handle:
+            entries = [json.loads(line) for line in handle]
+        (prompt,) = [e["request"]["user"] for e in entries if e["tag"] == f"init/summarize/{key}"]
+        assert "bicycle" in prompt and "phone" in prompt
+        assert "wallet" not in prompt and "purse" not in prompt
+        rules = json.loads((run_dir / "rules_init.json").read_text())["rules"]
+        assert list(rules) == [key]

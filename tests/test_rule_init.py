@@ -135,9 +135,9 @@ class TestInitRuleForTarget:
 class TestInitAllRules:
     def _groups(self):
         return {
-            ("264", "theft"): [make_case("a", "theft facts")],
-            ("263", "robbery"): [make_case("b", "robbery facts", "263", "robbery")],
-            ("266", "fraud"): [make_case("c", "fraud facts", "266", "fraud")],
+            ArticleCharge("264", "theft"): [make_case("a", "theft facts")],
+            ArticleCharge("263", "robbery"): [make_case("b", "robbery facts", "263", "robbery")],
+            ArticleCharge("266", "fraud"): [make_case("c", "fraud facts", "266", "fraud")],
         }
 
     def _target(self, article, charge):
