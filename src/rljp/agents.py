@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 import os
 import random
 import re
@@ -34,7 +35,13 @@ class AgentError(RuntimeError):
 
 
 class TransientAgentError(AgentError):
-    """Retryable failure: timeouts, 5xx, connection resets."""
+    """Retryable failure: timeouts, 5xx, connection resets.
+
+    `retry_after` is the wait in seconds the server asked for, or 0."""
+
+    def __init__(self, message: str, retry_after: float = 0.0):
+        super().__init__(message)
+        self.retry_after = retry_after
 
 
 class RefusalError(AgentError):
@@ -160,7 +167,8 @@ def complete(
     """One logical call: retries transient failures, logs, records transcript.
 
     Refusals and non-transient errors propagate immediately; transient ones
-    are retried up to policy.max_attempts with full-jitter backoff.
+    are retried up to policy.max_attempts with full-jitter backoff, waiting
+    at least as long as the failure's retry_after.
     """
     rng = rng or random.Random()
     last_error: Optional[Exception] = None
@@ -178,7 +186,7 @@ def complete(
                 exc,
             )
             if attempt + 1 < policy.max_attempts:
-                sleep(policy.delay(attempt, rng))
+                sleep(max(policy.delay(attempt, rng), exc.retry_after))
             continue
         elapsed_ms = (time.monotonic() - started) * 1000.0
         if response.latency_ms == 0.0:
@@ -261,8 +269,9 @@ class HttpBackend:
 
     Credentials come from the RLJP_API_KEY environment variable. 5xx, 429
     and transport errors surface as TransientAgentError (so complete()
-    retries), other 4xx and malformed 200 bodies as AgentError, and
-    content-filter stops as RefusalError.
+    retries, no sooner than a numeric Retry-After on 429 or 503), other 4xx
+    and malformed 200 bodies as AgentError, and content-filter stops as
+    RefusalError.
     """
 
     def __init__(
@@ -304,10 +313,11 @@ class HttpBackend:
             raise TransientAgentError(f"transport failure: {exc}") from exc
         elapsed_ms = (time.monotonic() - started) * 1000.0
         status = http_response.status_code
+        retry_after = _retry_after(http_response) if status in (429, 503) else 0.0
         if status >= 500:
-            raise TransientAgentError(f"server error {status}")
+            raise TransientAgentError(f"server error {status}", retry_after)
         if status == 429:
-            raise TransientAgentError("rate limited (429)")
+            raise TransientAgentError("rate limited (429)", retry_after)
         if status >= 400:
             raise AgentError(f"request rejected ({status}): {http_response.text[:500]}")
         try:
@@ -330,6 +340,15 @@ class HttpBackend:
             output_units=output_units,
             latency_ms=elapsed_ms,
         )
+
+
+def _retry_after(http_response) -> float:
+    """A numeric Retry-After header in seconds; 0 when absent or an HTTP date."""
+    try:
+        seconds = float(http_response.headers.get("Retry-After", ""))
+    except ValueError:
+        return 0.0
+    return seconds if 0.0 <= seconds < math.inf else 0.0
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ import re
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .agents import Backend, ChatRequest, Transcript, complete, render_template
+from .agents import Backend, Transcript, render_template
 from .corpus import LabelSpace
 from .fol import (
     GRAMMAR_HELP,
@@ -34,7 +34,7 @@ from .prompts import (
     CACL_REWRITE,
     CACL_SYNTHESIZE,
     REPAIR_RULE,
-    SYSTEM_LEGAL_ANALYST,
+    ask,
 )
 from .quiz import QuizResult, ReasoningRecord, format_options
 
@@ -110,15 +110,15 @@ _KEEP_RE = re.compile(r"KEEP:\s*(.*?)(?:\nIMPROVE:|\Z)", re.DOTALL)
 _IMPROVE_RE = re.compile(r"IMPROVE:\s*(.*)", re.DOTALL)
 
 
-def _parse_direction(text: str, *, need_keep: bool, need_improve: bool) -> Optional[tuple[str, str]]:
+def _parse_direction(text: str, *, need_keep: bool, need_improve: bool) -> tuple[str, str]:
     keep_match = _KEEP_RE.search(text)
     improve_match = _IMPROVE_RE.search(text)
     keep = keep_match.group(1).strip() if keep_match else ""
     improve = improve_match.group(1).strip() if improve_match else ""
     if need_keep and not keep:
-        return None
+        raise ValueError("no KEEP: section")
     if need_improve and not improve:
-        return None
+        raise ValueError("no IMPROVE: section")
     return keep, improve
 
 
@@ -155,17 +155,7 @@ def derive_direction(
                 ),
             },
         )
-        response = complete(
-            ChatRequest(
-                system_text=SYSTEM_LEGAL_ANALYST,
-                user_text=prompt,
-                temperature=temperature,
-                tag=tag,
-            ),
-            agent,
-            transcript=transcript,
-        )
-        return response.text.strip()
+        return ask(agent, prompt, tag=tag, temperature=temperature, transcript=transcript)
 
     keep_analysis = (
         analysis(CACL_KEEP, triplet.positives, f"{tag_prefix}/keep")
@@ -182,27 +172,16 @@ def derive_direction(
         CACL_SYNTHESIZE,
         {"keep_analysis": keep_analysis, "improve_analysis": improve_analysis},
     )
-    request = ChatRequest(
-        system_text=SYSTEM_LEGAL_ANALYST,
-        user_text=synthesis_prompt,
-        temperature=temperature,
-        tag=f"{tag_prefix}/synthesize",
-    )
-    parsed = None
-    for attempt in range(2):
-        response = complete(request, agent, transcript=transcript)
-        parsed = _parse_direction(
-            response.text,
-            need_keep=bool(triplet.positives),
-            need_improve=bool(triplet.negatives),
+    try:
+        keep, improve = ask(
+            agent, synthesis_prompt, tag=f"{tag_prefix}/synthesize", temperature=temperature,
+            transcript=transcript, attempts=2,
+            parse=lambda text: _parse_direction(
+                text, need_keep=bool(triplet.positives), need_improve=bool(triplet.negatives)
+            ),
         )
-        if parsed is not None:
-            break
-        if attempt == 0:
-            logger.info("unparsable synthesis; re-asking")
-    if parsed is None:
-        raise CaclError("synthesis reply unparsable after re-ask")
-    keep, improve = parsed
+    except ValueError as exc:
+        raise CaclError("synthesis reply unparsable after re-ask") from exc
     if not triplet.positives:
         keep = "none identified"
     if not triplet.negatives:
@@ -272,40 +251,26 @@ def request_rule(
     `max_repairs` REPAIR_RULE prompts quoting the error; if the last repair
     fails too, raises `error` saying "<what> failed after ...".
     """
-    last_error = ""
-    for attempt in range(1 + max_repairs):
-        response = complete(
-            ChatRequest(
-                system_text=SYSTEM_LEGAL_ANALYST,
-                user_text=prompt,
-                temperature=temperature,
-                tag=tag,
-            ),
-            agent,
-            transcript=transcript,
-        )
-        try:
-            return parse_and_check_rule(
-                response.text,
-                rule_id=rule_id,
-                version=version,
-                provenance=provenance,
-                labels=labels,
+    try:
+        return ask(
+            agent, prompt, tag=tag, temperature=temperature, transcript=transcript,
+            attempts=1 + max_repairs,
+            parse=lambda text: parse_and_check_rule(
+                text, rule_id=rule_id, version=version, provenance=provenance, labels=labels,
                 required_consequent=target,
-            )
-        except ValueError as exc:
-            last_error = str(exc)
-            logger.info("%s rejected (%s); repair %d/%d", what, exc, attempt + 1, max_repairs)
-            prompt = render_template(
+            ),
+            follow_up=lambda reply, error: render_template(
                 REPAIR_RULE,
                 {
-                    "error": last_error,
-                    "previous": response.text,
+                    "error": str(error),
+                    "previous": reply,
                     "grammar": GRAMMAR_HELP,
                     "consequent": render_consequent(target),
                 },
-            )
-    raise error(f"{what} failed after {max_repairs} repairs: {last_error}")
+            ),
+        )
+    except ValueError as exc:
+        raise error(f"{what} failed after {max_repairs} repairs: {exc}") from exc
 
 
 def apply_direction(

@@ -41,6 +41,10 @@ _SUBTASK_FIELDS = {
 }
 SUBTASKS = tuple(_SUBTASK_FIELDS)
 
+# characters that join labels in stored keys: "," in fol.consequent_key and
+# "|" in the precedents.json group keys; a label holding one cannot round-trip
+_KEY_SEPARATORS = ",|"
+
 
 def _subtask_fields(subtask: str) -> tuple[str, str]:
     if subtask not in _SUBTASK_FIELDS:
@@ -183,6 +187,13 @@ def load_cases(
             judgment = None
             present = [v is not None for v in (article, charge, term)]
             if all(present):
+                clash = next(
+                    (v for v in (article, charge, term) if any(s in v for s in _KEY_SEPARATORS)),
+                    None,
+                )
+                if clash is not None:
+                    sink.append(RejectedLine(lineno, f"label {clash!r} holds a key separator"))
+                    continue
                 judgment = Judgment(article, charge, term)
             elif any(present):
                 sink.append(RejectedLine(lineno, "incomplete judgment labels"))

@@ -16,11 +16,11 @@ import re
 from dataclasses import dataclass, replace
 from typing import Optional
 
-from .agents import AgentError, Backend, ChatRequest, Transcript, complete, render_template
+from .agents import AgentError, Backend, Transcript, render_template
 from .candidates import CandidateList, CandidateProvider, candidate_labels
 from .corpus import SUBTASKS, LabelSpace
 from .fol import FolRule, consequent_labels, render_rule
-from .prompts import ABSTRACT_FACT, EXAM_CHECK, SYSTEM_LEGAL_ANALYST
+from .prompts import ABSTRACT_FACT, EXAM_CHECK, ask
 from .quiz import derive_rng
 from .rule_init import RuleSet
 
@@ -60,17 +60,7 @@ def maybe_abstract(
         ABSTRACT_FACT, {"limit": str(threshold), "fact": fact_text}
     )
     try:
-        response = complete(
-            ChatRequest(
-                system_text=SYSTEM_LEGAL_ANALYST,
-                user_text=prompt,
-                temperature=0.0,
-                tag=tag,
-            ),
-            agent,
-            transcript=transcript,
-        )
-        abstract = response.text.strip()
+        abstract = ask(agent, prompt, tag=tag, transcript=transcript)
     except AgentError as exc:
         logger.warning("abstract failed (%s); hard-truncating fact", exc)
         return fact_text[:threshold], True
@@ -81,6 +71,13 @@ def maybe_abstract(
 
 
 _YESNO_RE = re.compile(r"Answer:\s*(YES|NO)\b", re.IGNORECASE)
+
+
+def _verdict(text: str) -> bool:
+    match = _YESNO_RE.search(text)
+    if match is None:
+        raise ValueError("no YES/NO answer")
+    return match.group(1).upper() == "YES"
 
 
 def _antecedent_holds(
@@ -94,24 +91,10 @@ def _antecedent_holds(
         EXAM_CHECK, {"rule": render_rule(rule), "fact": fact_text}
     )
     try:
-        response = complete(
-            ChatRequest(
-                system_text=SYSTEM_LEGAL_ANALYST,
-                user_text=prompt,
-                temperature=0.0,
-                tag=tag,
-            ),
-            agent,
-            transcript=transcript,
-        )
-    except AgentError as exc:
+        return ask(agent, prompt, tag=tag, transcript=transcript, parse=_verdict)
+    except (AgentError, ValueError) as exc:
         logger.warning("antecedent check %s failed (%s); treating as NO", tag, exc)
         return False
-    match = _YESNO_RE.search(response.text)
-    if match is None:
-        logger.warning("unparsable antecedent check reply for %s; treating as NO", tag)
-        return False
-    return match.group(1).upper() == "YES"
 
 
 def _rule_pool(

@@ -69,8 +69,10 @@ from .rule_init import RuleSet, init_all_rules
 
 logger = logging.getLogger(__name__)
 
-# stands for the corpus named by config data.cases_path among a stage's inputs
+# stand for the files named by config data.cases_path and data.labels_path
+# among a stage's inputs; an unset labels_path is no input
 CORPUS = "data.cases_path"
+LABELS = "data.labels_path"
 
 # the consequent kinds that get rules; precedents.json has one section of
 # precedent groups per kind, named by its subtasks joined with "+"
@@ -89,7 +91,8 @@ class ChecksumError(StageError):
 
 @dataclass(frozen=True)
 class Stage:
-    """One row of the stage table; file names other than CORPUS are in the run dir."""
+    """One row of the stage table; file names other than CORPUS and LABELS are
+    in the run dir."""
 
     inputs: tuple[str, ...]
     config_sections: tuple[str, ...]
@@ -179,10 +182,17 @@ class PipelineRun:
         recorded outputs) stays itself."""
         return self.run_dir / name
 
-    def _input_path(self, name: str) -> Path:
-        if name == CORPUS:
-            return Path(self.config["data"]["cases_path"])
-        return self.path(name)
+    def _input_paths(self, names: tuple[str, ...]) -> list[Path]:
+        """The named inputs' paths; LABELS is left out while labels_path is unset."""
+        data = self.config["data"]
+        markers = {CORPUS: data["cases_path"], LABELS: data["labels_path"]}
+        paths = []
+        for name in names:
+            if name not in markers:
+                paths.append(self.path(name))
+            elif markers[name]:
+                paths.append(Path(markers[name]))
+        return paths
 
     def tree_path(self, target_key: str) -> Path:
         safe = "".join(c if c.isalnum() or c in "=,_-" else "-" for c in target_key)
@@ -215,7 +225,7 @@ class PipelineRun:
 
     def _execute(self, name: str) -> None:
         stage = STAGE_TABLE[name]
-        inputs = [self._input_path(input_name) for input_name in stage.inputs]
+        inputs = self._input_paths(stage.inputs)
         for path in inputs:
             if not path.exists():
                 raise StageError(name, f"missing input artifact {path}")
@@ -378,7 +388,7 @@ class PipelineRun:
 def _ingest(run: PipelineRun) -> None:
     data = run.config["data"]
     rejects: list[RejectedLine] = []
-    cases = load_cases(run._input_path(CORPUS), data["schema"], rejects=rejects)
+    cases = load_cases(data["cases_path"], data["schema"], rejects=rejects)
     if not cases:
         raise ValueError("no valid cases ingested")
     with run.path("cases.valid.jsonl").open("w", encoding="utf-8") as handle:
@@ -624,7 +634,7 @@ STAGE_TABLE: dict[str, Stage] = {
         ("cases.valid.jsonl", "split.json"), ("data",), ("precedents.json",), _group_precedents
     ),
     "init-rules": Stage(
-        ("cases.valid.jsonl", "precedents.json"),
+        ("cases.valid.jsonl", "precedents.json", LABELS),
         ("data", "optimization", "providers"),
         ("rules_init.json",),
         _init_rules,
@@ -636,25 +646,25 @@ STAGE_TABLE: dict[str, Stage] = {
         _build_confusable,
     ),
     "optimize": Stage(
-        ("cases.valid.jsonl", "rules_init.json", "confusable.json"),
+        ("cases.valid.jsonl", "rules_init.json", "confusable.json", LABELS),
         ("quiz", "optimization", "providers"),
         ("rules_optimized.json",),
         _optimize,
     ),
     "train-candidates": Stage(
-        ("cases.valid.jsonl", "split.json"),
+        ("cases.valid.jsonl", "split.json", LABELS),
         ("data", "examination"),
         ("candidates.json",),
         _train_candidates,
     ),
     "examine": Stage(
-        ("cases.valid.jsonl", "split.json", "rules_optimized.json", "candidates.json"),
+        ("cases.valid.jsonl", "split.json", "rules_optimized.json", "candidates.json", LABELS),
         ("examination", "providers"),
         ("predictions.jsonl",),
         _examine,
     ),
     "evaluate": Stage(
-        ("cases.valid.jsonl", "split.json", "predictions.jsonl"),
+        ("cases.valid.jsonl", "split.json", "predictions.jsonl", LABELS),
         ("metrics",),
         ("metrics.json", "metrics.txt"),
         _evaluate,

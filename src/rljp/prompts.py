@@ -1,14 +1,22 @@
-"""Prompt templates for every agent-facing stage.
+"""Prompt templates for every agent-facing stage, and the one conversation
+turn that sends them.
 
 Each template states its output contract explicitly (labeled lines, headed
 sections, or a single RULE: line) because downstream parsers depend on it.
 Rule-emitting templates embed the rule grammar so repair loops can quote
-errors back against it.
+errors back against it. Every stage talks to its agent through `ask`.
 """
 
 from __future__ import annotations
 
-from .agents import PromptTemplate
+import logging
+from typing import Callable, Optional, TypeVar
+
+from .agents import Backend, ChatRequest, PromptTemplate, Transcript, complete
+
+logger = logging.getLogger(__name__)
+
+T = TypeVar("T")
 
 SYSTEM_LEGAL_ANALYST = (
     "You are a careful legal analyst. Follow the requested output format "
@@ -59,6 +67,15 @@ CONSTRUCT_RULE = PromptTemplate(
         "RULE: <the rule>"
     ),
     required_slots=frozenset({"target", "symbols", "grammar", "consequent"}),
+)
+
+REPAIR_SYMBOLS = PromptTemplate(
+    name="repair-symbols",
+    body=(
+        "{{prompt}}\n\nYour previous reply was rejected: {{error}}\n"
+        "Emit the corrected symbol list only."
+    ),
+    required_slots=frozenset({"prompt", "error"}),
 )
 
 REPAIR_RULE = PromptTemplate(
@@ -165,3 +182,36 @@ ABSTRACT_FACT = PromptTemplate(
     required_slots=frozenset({"limit", "fact"}),
 )
 
+
+def ask(
+    agent: Backend,
+    prompt: str,
+    *,
+    tag: str,
+    temperature: float = 0.0,
+    transcript: Optional[Transcript] = None,
+    parse: Callable[[str], T] = str.strip,
+    attempts: int = 1,
+    follow_up: Optional[Callable[[str, ValueError], str]] = None,
+) -> T:
+    """One conversation turn: send `prompt` under SYSTEM_LEGAL_ANALYST and
+    return `parse(reply)`.
+
+    A reply that `parse` rejects with ValueError is answered by another send,
+    up to `attempts` sends in all; the next prompt is `follow_up(reply,
+    error)`, or the same prompt without a follow-up. The last rejection
+    propagates.
+    """
+    def send(text: str) -> str:
+        request = ChatRequest(SYSTEM_LEGAL_ANALYST, text, temperature=temperature, tag=tag)
+        return complete(request, agent, transcript=transcript).text
+
+    for attempt in range(1, attempts):
+        reply = send(prompt)
+        try:
+            return parse(reply)
+        except ValueError as error:
+            logger.info("%s: reply rejected (%s); re-ask %d/%d", tag, error, attempt, attempts - 1)
+            if follow_up is not None:
+                prompt = follow_up(reply, error)
+    return parse(send(prompt))

@@ -19,11 +19,11 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .agents import Backend, ChatRequest, Transcript, complete, render_template
+from .agents import Backend, Transcript, render_template
 from .confusable import ConfusableSet
 from .corpus import LabelSpace, LegalCase
 from .fol import Consequent, FolRule, render_consequent, render_rule
-from .prompts import QUIZ_QUESTION, SYSTEM_LEGAL_ANALYST
+from .prompts import QUIZ_QUESTION, ask
 
 logger = logging.getLogger(__name__)
 
@@ -180,6 +180,10 @@ _ANSWER_RE = re.compile(r"Answer:\s*([A-Za-z])\b")
 _REASONING_RE = re.compile(r"Reasoning:\s*(.*?)(?:\nAnswer:|\Z)", re.DOTALL)
 
 
+class _Malformed(ValueError):
+    """A quiz reply naming no option; args are its (letter or None, reasoning)."""
+
+
 def parse_quiz_answer(text: str) -> tuple[Optional[str], str]:
     """Extract (letter, reasoning) from a quiz reply; letter None if absent."""
     matches = _ANSWER_RE.findall(text)
@@ -226,7 +230,7 @@ def run_quiz(
         raise ValueError("no questions to run")
     rule_text = render_rule(rule)
 
-    def ask(question: QuizQuestion) -> ReasoningRecord:
+    def answer(question: QuizQuestion) -> ReasoningRecord:
         prompt = render_template(
             QUIZ_QUESTION,
             {
@@ -235,25 +239,21 @@ def run_quiz(
                 "options": format_options(question),
             },
         )
-        request = ChatRequest(
-            system_text=SYSTEM_LEGAL_ANALYST,
-            user_text=prompt,
-            temperature=temperature,
-            tag=f"{tag_prefix}/{question.case_id}",
-        )
-        letter: Optional[str] = None
-        reasoning = ""
+
+        def parse(text: str) -> tuple[Optional[str], str]:
+            letter, reasoning = parse_quiz_answer(text)
+            if letter is None or question.option_label(letter) is None:
+                raise _Malformed(letter, reasoning)
+            return letter, reasoning
+
         malformed = False
-        for attempt in range(2):
-            response = complete(request, agent, transcript=transcript)
-            letter, reasoning = parse_quiz_answer(response.text)
-            if letter is not None and question.option_label(letter) is not None:
-                break
-            if attempt == 0:
-                logger.info(
-                    "unparsable quiz answer for %s; re-asking", question.case_id
-                )
-        if letter is None or question.option_label(letter) is None:
+        try:
+            letter, reasoning = ask(
+                agent, prompt, tag=f"{tag_prefix}/{question.case_id}", temperature=temperature,
+                transcript=transcript, parse=parse, attempts=2,
+            )
+        except _Malformed as exc:
+            letter, reasoning = exc.args
             malformed = True
             logger.warning("malformed quiz answer for %s after re-ask", question.case_id)
         outcome = classify_outcome(question, letter)
@@ -268,9 +268,9 @@ def run_quiz(
 
     if concurrency > 1:
         with ThreadPoolExecutor(max_workers=concurrency) as pool:
-            records = list(pool.map(ask, questions))
+            records = list(pool.map(answer, questions))
     else:
-        records = [ask(question) for question in questions]
+        records = [answer(question) for question in questions]
     return build_quiz_result(records)
 
 

@@ -14,7 +14,7 @@ import re
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from .agents import Backend, ChatRequest, Transcript, complete, render_template
+from .agents import Backend, Transcript, render_template
 from .cacl import request_rule
 from .corpus import LabelSpace, LegalCase
 from .fol import (
@@ -28,8 +28,9 @@ from .fol import (
 from .prompts import (
     CONSTRUCT_RULE,
     DEFINE_SYMBOLS,
+    REPAIR_SYMBOLS,
     SUMMARIZE_CIRCUMSTANCES,
-    SYSTEM_LEGAL_ANALYST,
+    ask,
 )
 
 logger = logging.getLogger(__name__)
@@ -92,6 +93,21 @@ def _precedents_text(precedents: Sequence[LegalCase]) -> str:
     )
 
 
+def _parse_circumstances(text: str) -> CircumstanceFactors:
+    values: dict[str, str] = {}
+    for line in text.splitlines():
+        if ":" not in line:
+            continue
+        heading, _, value = line.partition(":")
+        heading = heading.strip().upper()
+        if heading in FACTOR_FIELDS and value.strip():
+            values[FACTOR_FIELDS[heading]] = value.strip()
+    for heading, attr in FACTOR_FIELDS.items():
+        if attr not in values:
+            logger.info("circumstance field %s missing; set unspecified", heading)
+    return CircumstanceFactors(**values)
+
+
 def summarize_circumstances(
     precedents: Sequence[LegalCase],
     target: Consequent,
@@ -109,28 +125,10 @@ def summarize_circumstances(
         SUMMARIZE_CIRCUMSTANCES,
         {"target": render_consequent(target), "precedents": _precedents_text(precedents)},
     )
-    response = complete(
-        ChatRequest(
-            system_text=SYSTEM_LEGAL_ANALYST,
-            user_text=prompt,
-            temperature=temperature,
-            tag=f"init/summarize/{consequent_key(target)}",
-        ),
-        agent,
-        transcript=transcript,
+    return ask(
+        agent, prompt, tag=f"init/summarize/{consequent_key(target)}", temperature=temperature,
+        transcript=transcript, parse=_parse_circumstances,
     )
-    values: dict[str, str] = {}
-    for line in response.text.splitlines():
-        if ":" not in line:
-            continue
-        heading, _, value = line.partition(":")
-        heading = heading.strip().upper()
-        if heading in FACTOR_FIELDS and value.strip():
-            values[FACTOR_FIELDS[heading]] = value.strip()
-    for heading, attr in FACTOR_FIELDS.items():
-        if attr not in values:
-            logger.info("circumstance field %s missing; set unspecified", heading)
-    return CircumstanceFactors(**values)
 
 
 _VAR_RE = re.compile(r"^VAR\s+([A-Za-z_]\w*)\s*:\s*(.+)$")
@@ -181,33 +179,20 @@ def define_symbols(
 ) -> SymbolTable:
     """Step 2: elicit VAR/PRED/QUANT lines; duplicates or an empty table get
     up to two repair prompts, then InitError."""
-    base_prompt = render_template(
+    prompt = render_template(
         DEFINE_SYMBOLS,
         {"target": render_consequent(target), "factors": factors.as_text()},
     )
-    prompt = base_prompt
-    last_error = ""
-    for attempt in range(1 + max_repairs):
-        response = complete(
-            ChatRequest(
-                system_text=SYSTEM_LEGAL_ANALYST,
-                user_text=prompt,
-                temperature=temperature,
-                tag=f"init/symbols/{consequent_key(target)}",
+    try:
+        return ask(
+            agent, prompt, tag=f"init/symbols/{consequent_key(target)}", temperature=temperature,
+            transcript=transcript, parse=_parse_symbols, attempts=1 + max_repairs,
+            follow_up=lambda reply, error: render_template(
+                REPAIR_SYMBOLS, {"prompt": prompt, "error": str(error)}
             ),
-            agent,
-            transcript=transcript,
         )
-        try:
-            return _parse_symbols(response.text)
-        except ValueError as exc:
-            last_error = str(exc)
-            logger.info("symbol table rejected (%s); repair %d/%d", exc, attempt + 1, max_repairs)
-            prompt = (
-                f"{base_prompt}\n\nYour previous reply was rejected: {last_error}\n"
-                "Emit the corrected symbol list only."
-            )
-    raise InitError(f"symbol definition failed after {max_repairs} repairs: {last_error}")
+    except ValueError as exc:
+        raise InitError(f"symbol definition failed after {max_repairs} repairs: {exc}") from exc
 
 
 def init_rule_for_target(

@@ -22,7 +22,7 @@ import random
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from .agents import AgentError, ChatRequest, ChatResponse
+from .agents import AgentError, ChatResponse
 from .fol import (
     AstNode,
     Connective,
@@ -290,7 +290,11 @@ def antecedent_holds(node: AstNode, fact_text: str, phrases: dict[str, str]) -> 
 _RULE_SECTION_RE = re.compile(r"(?:^|\n)(?:Judgment rule|Rule|Current rule):\n(.+)")
 _FACT_SECTION_RE = re.compile(r"\nCase facts:\n(.*?)(?:\n\n|\Z)", re.DOTALL)
 _OPTION_RE = re.compile(r"^([A-Z])\)\s*(.+)$", re.MULTILINE)
+# where a prompt names its target: rule prompts, then the summary and the
+# symbols prompts
 _CONSEQUENT_RE = re.compile(r"consequent must (?:be|remain) exactly: (.+)")
+_JUDGMENT_RE = re.compile(r"received the judgment (.+?)\.\n")
+_LOGIC_FOR_RE = re.compile(r"judgment logic for (.+?)\.")
 _LIMIT_RE = re.compile(r"at most (\d+) characters")
 
 
@@ -302,7 +306,8 @@ class OracleAgent:
     def __init__(self, world: SyntheticWorld):
         self.world = world
 
-    def send(self, request: ChatRequest) -> ChatResponse:
+    def send(self, request) -> ChatResponse:
+        """Answer one agents.ChatRequest by its tag and user text."""
         tag = request.tag
         text = request.user_text
         if tag.startswith("init/summarize/"):
@@ -332,15 +337,16 @@ class OracleAgent:
 
     # -- handlers
 
-    def _target_from_prompt(self, text: str) -> Consequent:
-        match = _CONSEQUENT_RE.search(text)
-        if match is None:
-            raise AgentError("prompt does not state the required consequent")
-        dummy = parse_rule(f"FORALL x (P(x)) -> {match.group(1).strip()}")
-        return dummy.target
+    def _target(self, text: str, *patterns: re.Pattern) -> Consequent:
+        """The consequent that the first matching pattern captures."""
+        for pattern in patterns:
+            match = pattern.search(text)
+            if match is not None:
+                return parse_rule(f"FORALL x (P(x)) -> {match.group(1).strip()}").target
+        raise AgentError("cannot locate target in prompt")
 
     def _summarize(self, text: str) -> str:
-        target = self._target_from_text(text)
+        target = self._target(text, _JUDGMENT_RE, _LOGIC_FOR_RE)
         profile = self.world.profile_for(target)
         return (
             "SUBJECT: an adult acting alone\n"
@@ -351,18 +357,8 @@ class OracleAgent:
             "MENTAL_STATE: aware of the nature of the act"
         )
 
-    def _target_from_text(self, text: str) -> Consequent:
-        match = re.search(r"received the judgment (.+?)\.\n", text)
-        if match is None:
-            # symbols prompt phrasing
-            match = re.search(r"judgment logic for (.+?)\.", text)
-        if match is None:
-            raise AgentError("cannot locate target in prompt")
-        dummy = parse_rule(f"FORALL x (P(x)) -> {match.group(1).strip()}")
-        return dummy.target
-
     def _symbols(self, text: str) -> str:
-        target = self._target_from_text(text)
+        target = self._target(text, _JUDGMENT_RE, _LOGIC_FOR_RE)
         profile = self.world.profile_for(target)
         return (
             "VAR x: the case under consideration\n"
@@ -372,7 +368,7 @@ class OracleAgent:
         )
 
     def _emit_rule(self, text: str, refined: bool) -> str:
-        target = self._target_from_prompt(text)
+        target = self._target(text, _CONSEQUENT_RE)
         rule_text = (
             self.world.refined_rule_text(target)
             if refined

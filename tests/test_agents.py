@@ -175,9 +175,10 @@ class TestChatRequest:
 
 
 class FakeHttpResponse:
-    def __init__(self, status_code, payload=None, text=None):
+    def __init__(self, status_code, payload=None, text=None, headers=None):
         self.status_code = status_code
         self.text = json.dumps(payload or {}) if text is None else text
+        self.headers = requests.structures.CaseInsensitiveDict(headers or {})
 
     def json(self):
         return json.loads(self.text)
@@ -277,6 +278,37 @@ class TestHttpBackend:
         )
         assert response.text == "hello"
         assert len(session.requests) == 2
+
+    @pytest.mark.parametrize(
+        "status, header, seconds",
+        [
+            (429, "7", 7.0),
+            (503, "2.5", 2.5),
+            (503, "Wed, 21 Oct 2015 07:28:00 GMT", 0.0),
+            (503, "-1", 0.0),
+            (502, "7", 0.0),
+        ],
+    )
+    def test_numeric_retry_after_on_429_and_503(self, status, header, seconds):
+        backend, _ = self._backend([FakeHttpResponse(status, headers={"retry-after": header})])
+        with pytest.raises(TransientAgentError) as err:
+            backend.send(_request())
+        assert err.value.retry_after == seconds
+
+    def test_complete_waits_at_least_retry_after(self):
+        backend, session = self._backend(
+            [
+                FakeHttpResponse(429, headers={"Retry-After": "30"}),
+                FakeHttpResponse(503, headers={"Retry-After": "0"}),
+                FakeHttpResponse(200, _ok_payload()),
+            ]
+        )
+        sleeps: list[float] = []
+        response = complete(_request(), backend, rng=random.Random(1), sleep=sleeps.append)
+        assert response.text == "hello"
+        assert len(session.requests) == 3
+        # the second wait is plain full jitter over [0, 2) s: "0" asks for none
+        assert sleeps[0] == 30.0 and 0.0 <= sleeps[1] < 2.0
 
     @pytest.mark.parametrize(
         "response",

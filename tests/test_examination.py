@@ -159,6 +159,20 @@ class TestPredictCase:
         assert prediction.used_fallback["article"] is True
         assert prediction.prison_term_bucket == "b0"
 
+    def test_reply_without_a_verdict_is_no_and_not_re_asked(self):
+        rules = _ruleset(_rule("264", charge="theft"), _rule("264", term="b0"))
+        candidates = _candidates(["264"], ["theft"], ["b0"])
+        backend = ScriptedBackend(
+            {
+                "exam/c1/article/264": "Reasoning: unsure\nAnswer: maybe",
+                "exam/c1/charge/theft": _yes(),
+                "exam/c1/prison_term/b0": _yes(),
+            }
+        )
+        prediction = predict_case("c1", "facts", rules, candidates, LABELS, backend, seed=0)
+        assert prediction.used_fallback["article"] is True
+        assert [r.tag for r in backend.calls].count("exam/c1/article/264") == 1
+
     def test_article_narrows_charge_rule_pool(self):
         # theft rule exists under 264 and (bogus) under 263; after predicting
         # article 263 the charge check must use the 263 rule

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import shutil
 from pathlib import Path
 
 import pytest
@@ -195,6 +196,22 @@ class TestResume:
         assert all(entry["skipped"] for entry in manifest["stages"].values())
         assert list(manifest["stages"]) == list(STAGES)
         assert (moved / "transcript.jsonl").read_text().count("\n") == lines_before
+
+    def test_edited_label_file_reruns_the_stages_that_read_it(self, fixture_dir, tmp_path):
+        data = tmp_path / "data"
+        shutil.copytree(fixture_dir, data)
+        args = ["--config", data / "config.json", "--run-dir", tmp_path / "run"]
+        assert run_cli(["init-rules", *args]) == 0
+        labels_path = data / "labels.json"
+        labels = json.loads(labels_path.read_text())
+        labels["charges"].append("embezzlement")
+        labels_path.write_text(json.dumps(labels, indent=2) + "\n")
+        assert run_cli(["init-rules", *args, "--resume"]) == 0
+        manifest = json.loads((tmp_path / "run" / "manifest.json").read_text())
+        skipped = {name: entry["skipped"] for name, entry in manifest["stages"].items()}
+        assert skipped == {
+            "ingest": True, "split": True, "group-precedents": True, "init-rules": False
+        }
 
     def test_run_dir_with_dense_candidates_and_absolute_paths_resumes(
         self, completed_run, fixture_config_path, tmp_path
@@ -429,3 +446,36 @@ class TestInitRulesPrecedents:
         assert "wallet" not in prompt and "purse" not in prompt
         rules = json.loads((run_dir / "rules_init.json").read_text())["rules"]
         assert list(rules) == [key]
+
+
+class TestIngestRejects:
+    @pytest.mark.parametrize(
+        "article, charge",
+        [("264", "theft, aggravated"), ("26|4", "theft")],
+        ids=["comma-in-charge", "pipe-in-article"],
+    )
+    def test_label_with_a_key_separator_is_rejected(self, tmp_path, article, charge):
+        rows = [
+            ("c1", "took a bicycle", article, charge),
+            ("c2", "took a wallet", "264", "theft"),
+            ("c3", "took a phone", "264", "theft"),
+        ]
+        with (tmp_path / "cases.jsonl").open("w") as handle:
+            for case_id, fact, art, chg in rows:
+                meta = {"relevant_articles": [art], "accusation": [chg], "term_bucket": ["b0"]}
+                handle.write(json.dumps({"case_id": case_id, "fact": fact, "meta": meta}) + "\n")
+        (tmp_path / "script.json").write_text("{}")
+        config = {
+            "data": {"cases_path": "cases.jsonl"},
+            "providers": {"agent": {"kind": "scripted", "script_path": "script.json"}},
+        }
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(config))
+        run_dir = tmp_path / "run"
+        assert run_cli(["ingest", "--config", config_path, "--run-dir", run_dir]) == 0
+
+        rejects = [json.loads(line) for line in (run_dir / "rejects.jsonl").open()]
+        label = charge if article == "264" else article
+        assert rejects == [{"line": 1, "reason": f"label {label!r} holds a key separator"}]
+        valid = [json.loads(line)["case_id"] for line in (run_dir / "cases.valid.jsonl").open()]
+        assert valid == ["c2", "c3"]

@@ -186,6 +186,17 @@ class TestRunQuiz:
         # malformed counts against: FN on positives, FP on negatives
         assert result.fn == 2 and result.fp == 1 and result.score == 0.0
 
+    def test_malformed_record_keeps_the_last_reply(self):
+        questions = make_quiz(_confusable(), LABELS, num_options=4, seed=1)
+        script = {
+            f"quiz/{q.case_id}": ["nonsense", "Reasoning: a guess\nAnswer: Z"] for q in questions
+        }
+        result = run_quiz(self.RULE, questions, ScriptedBackend(script))
+        assert all(r.malformed for r in result.records)
+        assert {(r.predicted_letter, r.reasoning_text) for r in result.records} == {
+            ("Z", "a guess")
+        }
+
     def test_records_in_question_order_with_concurrency(self):
         questions = make_quiz(_confusable(), LABELS, num_options=4, seed=1)
         script = {

@@ -77,6 +77,21 @@ class TestDefineSymbols:
         assert "duplicate symbol name" in backend.calls[1].user_text
         assert len(table.predicates) == 2
 
+    def test_repair_prompt_quotes_the_error_under_the_first_prompt(self):
+        backend = ScriptedBackend({f"init/symbols/{KEY}": ["", "VAR x: a\nVAR x: b", ""]})
+        with pytest.raises(InitError) as err:
+            define_symbols(self.FACTORS, TARGET, backend)
+        first = backend.calls[0].user_text
+        assert [r.user_text for r in backend.calls[1:]] == [
+            f"{first}\n\nYour previous reply was rejected: no symbols parsed from reply\n"
+            "Emit the corrected symbol list only.",
+            f"{first}\n\nYour previous reply was rejected: duplicate symbol name x\n"
+            "Emit the corrected symbol list only.",
+        ]
+        assert str(err.value) == (
+            "symbol definition failed after 2 repairs: no symbols parsed from reply"
+        )
+
     def test_empty_reply_three_times_errors(self):
         backend = ScriptedBackend({f"init/symbols/{KEY}": ["", "", ""]})
         with pytest.raises(InitError, match="symbol definition failed"):
