@@ -6,7 +6,9 @@ Every logical call goes through complete(), which handles transient retries
 (exponential backoff with full jitter) and appends one line per call to the
 run transcript. Scripted mocks replay an ordered tag -> text mapping and fail
 loudly on anything unscripted, so tests pin the exact conversation a stage is
-allowed to have.
+allowed to have. fan_out() is the one place that runs agent work on threads:
+each worker makes its calls one after another, so the worker count bounds
+the calls in flight.
 """
 
 from __future__ import annotations
@@ -19,15 +21,19 @@ import random
 import re
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Optional, Protocol, Sequence, Union
+from typing import Callable, Iterable, Optional, Protocol, Sequence, TypeVar, Union
 
 import requests
 
 logger = logging.getLogger(__name__)
 
 API_KEY_ENV = "RLJP_API_KEY"
+
+T = TypeVar("T")
+R = TypeVar("R")
 
 
 class AgentError(RuntimeError):
@@ -212,6 +218,20 @@ def complete(
     raise RetriesExhaustedError(
         f"gave up on {request.tag!r} after {policy.max_attempts} attempts: {last_error}"
     )
+
+
+def fan_out(fn: Callable[[T], R], items: Iterable[T], workers: int) -> list[R]:
+    """`fn` over `items` on at most `workers` threads; results in item order.
+
+    With `workers <= 1` it is a plain loop. An exception raised by `fn`
+    propagates, the first in item order, after the items not yet started
+    are cancelled and the running ones have finished.
+    """
+    items = list(items)
+    if workers <= 1 or len(items) <= 1:
+        return [fn(item) for item in items]
+    with ThreadPoolExecutor(max_workers=min(workers, len(items))) as pool:
+        return list(pool.map(fn, items))
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ import logging
 import zlib
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Protocol, Sequence
+from typing import Optional, Protocol, Sequence
 
 import numpy as np
 
@@ -65,6 +65,10 @@ class CharNgramPerceptron:
         self.hash_dim = hash_dim
         self.epochs = epochs
         self._weights: dict[str, np.ndarray] = {}
+        # (text, features) of the last fact scored: examination scores one
+        # fact for each subtask in turn. Replaced whole, so threads sharing
+        # the provider never see a text paired with another's features.
+        self._last: Optional[tuple[str, tuple[np.ndarray, np.ndarray]]] = None
 
     @property
     def trained(self) -> bool:
@@ -115,7 +119,12 @@ class CharNgramPerceptron:
     def scores(self, fact_text: str, subtask: str) -> dict[str, float]:
         if not self.trained:
             raise ProviderNotTrainedError("candidate provider has not been trained")
-        idx, vals = self._features(fact_text)
+        last = self._last
+        if last is not None and last[0] == fact_text:
+            idx, vals = last[1]
+        else:
+            idx, vals = self._features(fact_text)
+            self._last = (fact_text, (idx, vals))
         margins = self._weights[subtask][:, idx] @ vals
         return {
             label: float(margins[i])

@@ -6,7 +6,10 @@ YES/NO antecedent check each); the first YES wins. If no candidate's rule
 fires, the remaining ruled labels are traversed in seed-determined random
 order; if nothing fires at all, the top-1 candidate is emitted with the
 fallback flag set. Subtasks run article -> charge -> prison_term, and the
-predicted article narrows which charge/term rules are eligible.
+predicted article narrows which charge/term rules are eligible. Within a
+case a rule is checked against the fact at most once: the article and charge
+subtasks both check ArticleCharge rules, and a repeat reuses the verdict
+without another call.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from __future__ import annotations
 import logging
 import re
 from dataclasses import dataclass, replace
-from typing import Optional
+from typing import Callable, Optional
 
 from .agents import AgentError, Backend, Transcript, render_template
 from .candidates import CandidateList, CandidateProvider, candidate_labels
@@ -81,15 +84,13 @@ def _verdict(text: str) -> bool:
 
 
 def _antecedent_holds(
-    rule: FolRule,
+    rule_text: str,
     fact_text: str,
     agent: Backend,
     tag: str,
     transcript: Optional[Transcript],
 ) -> bool:
-    prompt = render_template(
-        EXAM_CHECK, {"rule": render_rule(rule), "fact": fact_text}
-    )
+    prompt = render_template(EXAM_CHECK, {"rule": rule_text, "fact": fact_text})
     try:
         return ask(agent, prompt, tag=tag, transcript=transcript, parse=_verdict)
     except (AgentError, ValueError) as exc:
@@ -138,13 +139,19 @@ def predict_case(
     used_fallback: dict[str, bool] = {}
     rationales: list[str] = []
     predicted_article: Optional[str] = None
+    verdicts: dict[tuple[str, str], bool] = {}  # (rendered rule, fact) -> verdict
+
+    def holds(rule: FolRule, tag: str) -> bool:
+        key = (render_rule(rule), fact_text)
+        if key not in verdicts:
+            verdicts[key] = _antecedent_holds(*key, agent, tag, transcript)
+        return verdicts[key]
 
     for subtask in SUBTASKS:
         candidate_list = candidates[subtask]
         pool = _rule_pool(rules, subtask, predicted_article)
         label, fell_back, why = _predict_subtask(
-            case_id, fact_text, subtask, candidate_list, pool, labels, agent, seed,
-            transcript,
+            case_id, subtask, candidate_list, pool, labels, seed, holds
         )
         chosen[subtask] = label
         used_fallback[subtask] = fell_back
@@ -165,15 +172,14 @@ def predict_case(
 
 def _predict_subtask(
     case_id: str,
-    fact_text: str,
     subtask: str,
     candidate_list: CandidateList,
     pool: dict[str, FolRule],
     labels: LabelSpace,
-    agent: Backend,
     seed: int,
-    transcript: Optional[Transcript],
+    holds: Callable[[FolRule, str], bool],
 ) -> tuple[str, bool, str]:
+    """`holds(rule, tag)` checks a rule's antecedent against the case."""
     candidate_labels_ordered = [label for label, _ in candidate_list.entries]
 
     for label in candidate_labels_ordered:
@@ -181,7 +187,7 @@ def _predict_subtask(
         if rule is None:
             continue
         tag = f"exam/{case_id}/{subtask}/{label}"
-        if _antecedent_holds(rule, fact_text, agent, tag, transcript):
+        if holds(rule, tag):
             return label, False, f"rule {rule.rule_id} satisfied"
 
     remaining = [
@@ -194,12 +200,19 @@ def _predict_subtask(
     for label in remaining:
         rule = pool[label]
         tag = f"exam/{case_id}/{subtask}/{label}"
-        if _antecedent_holds(rule, fact_text, agent, tag, transcript):
+        if holds(rule, tag):
             return label, True, f"fallback rule {rule.rule_id} satisfied"
 
     if not candidate_labels_ordered:
         raise ValueError(f"no candidates for subtask {subtask}")
     return candidate_labels_ordered[0], True, "no rule satisfied"
+
+
+def score_candidates(
+    fact_text: str, provider: CandidateProvider, k: int = CANDIDATE_K_DEFAULT
+) -> dict[str, CandidateList]:
+    """The prescreener's top-k candidates of every subtask."""
+    return {subtask: candidate_labels(fact_text, subtask, provider, k=k) for subtask in SUBTASKS}
 
 
 def examine_case(
@@ -214,10 +227,12 @@ def examine_case(
     candidate_k: int = CANDIDATE_K_DEFAULT,
     abstract_threshold: int = ABSTRACT_THRESHOLD_DEFAULT,
     transcript: Optional[Transcript] = None,
+    candidates: Optional[dict[str, CandidateList]] = None,
 ) -> Prediction:
     """Candidates + optional abstraction + rule-guided prediction for one
-    case. Candidates are scored on the original fact; rules are applied to
-    the (possibly abstracted) fact."""
+    case. Candidates are scored on the original fact, unless the caller
+    scored them already; rules are applied to the (possibly abstracted)
+    fact."""
     working_fact, used_abstract = maybe_abstract(
         fact_text,
         abstract_threshold,
@@ -225,10 +240,8 @@ def examine_case(
         tag=f"abstract/{case_id}",
         transcript=transcript,
     )
-    candidates = {
-        subtask: candidate_labels(fact_text, subtask, provider, k=candidate_k)
-        for subtask in SUBTASKS
-    }
+    if candidates is None:
+        candidates = score_candidates(fact_text, provider, k=candidate_k)
     prediction = predict_case(
         case_id, working_fact, rules, candidates, labels, agent, seed,
         transcript=transcript,

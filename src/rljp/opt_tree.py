@@ -89,7 +89,6 @@ def evaluate_node(
     agent: Backend,
     *,
     transcript: Optional[Transcript] = None,
-    concurrency: int = 1,
 ) -> float:
     """Quiz the node's rule (memoized) and install its weight.
 
@@ -106,7 +105,6 @@ def evaluate_node(
         agent,
         tag_prefix=f"quiz/{node_id}",
         transcript=transcript,
-        concurrency=concurrency,
     )
     node.eval = result
     node.weight = result.score
@@ -157,7 +155,6 @@ def optimize(
     defined_score: float = DEFINED_SCORE_DEFAULT,
     max_iterations: int = MAX_ITERATIONS_DEFAULT,
     transcript: Optional[Transcript] = None,
-    concurrency: int = 1,
     store_path: Optional[str | Path] = None,
 ) -> FolRule:
     """Run the refinement loop and return the best rule found.
@@ -175,14 +172,7 @@ def optimize(
     failures = 0
     while True:
         for node_id in tree.unevaluated():
-            evaluate_node(
-                tree,
-                node_id,
-                questions,
-                agent,
-                transcript=transcript,
-                concurrency=concurrency,
-            )
+            evaluate_node(tree, node_id, questions, agent, transcript=transcript)
         if store_path is not None:
             save_tree(tree, store_path)
         if tree.max_score >= defined_score:

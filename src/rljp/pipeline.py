@@ -30,7 +30,7 @@ from typing import Callable, Optional
 
 from . import cacl as cacl_mod
 from . import opt_tree
-from .agents import Transcript
+from .agents import Transcript, fan_out
 from .candidates import CharNgramPerceptron
 from .config import build_agent, build_embedder
 from .confusable import (
@@ -51,7 +51,7 @@ from .corpus import (
     split_dataset,
     write_rejects_report,
 )
-from .examination import examine_case
+from .examination import examine_case, score_candidates
 from .fol import (
     ArticleCharge,
     ArticleTerm,
@@ -106,6 +106,25 @@ def _sha256(path: Path) -> str:
         for chunk in iter(lambda: handle.read(1 << 20), b""):
             digest.update(chunk)
     return digest.hexdigest()
+
+
+def _paths_as_digests(value, where: str):
+    """A copy of the config value at `where` in which every `*_path` that
+    names a file is that file's sha256, so a hash follows the bytes wherever
+    the files sit. CORPUS and LABELS are left out: they are hashed as inputs
+    of the stages that read them."""
+    if not isinstance(value, dict):
+        return value
+    view = {}
+    for key, item in value.items():
+        name = f"{where}.{key}"
+        if name in (CORPUS, LABELS):
+            continue
+        if key.endswith("_path") and isinstance(item, str) and Path(item).is_file():
+            view[key] = _sha256(Path(item))
+        else:
+            view[key] = _paths_as_digests(item, name)
+    return view
 
 
 def _now() -> str:
@@ -216,7 +235,9 @@ class PipelineRun:
         digest.update(str(self.config["seed"]).encode())
         for section in config_sections:
             digest.update(
-                json.dumps(self.config.get(section), sort_keys=True).encode()
+                json.dumps(
+                    _paths_as_digests(self.config.get(section), section), sort_keys=True
+                ).encode()
             )
         for path in inputs:
             digest.update(path.name.encode())
@@ -444,6 +465,7 @@ def _init_rules(run: PipelineRun) -> None:
         transcript=run.transcript,
         temperature=run.config["optimization"]["temperature"],
         k=run.config["data"]["precedent_k"],
+        concurrency=run.config["agent_concurrency"],
     )
     if not ruleset.rules:
         raise ValueError("rule initialization produced no rules")
@@ -494,12 +516,15 @@ def _optimize(run: PipelineRun) -> list[Path]:
     agent = run._agent_for("optimize")
     optimized = RuleSet()
     optimized.failures = dict(init_rules.failures)
-    weights: dict[str, float] = {}
-    tree_paths: list[Path] = []
+    keys = []
     for key in sorted(init_rules.rules):
-        if key not in confusable_sets:
+        if key in confusable_sets:
+            keys.append(key)
+        else:
             optimized.failures[key] = "no confusable set"
-            continue
+
+    def optimize_target(key: str) -> tuple[FolRule, float]:
+        """Quiz, tree and refinement loop of one target; writes its tree store."""
         conf = confusable_sets[key]
         questions = make_quiz(
             conf,
@@ -509,7 +534,6 @@ def _optimize(run: PipelineRun) -> list[Path]:
             distractors_from_negatives=run.config["quiz"]["distractors_from_negatives"],
         )
         store = run.tree_path(key)
-        tree_paths.append(store)
         tree = None
         if store.exists():
             # mid-stage resume; a store left by different inputs
@@ -544,15 +568,19 @@ def _optimize(run: PipelineRun) -> list[Path]:
             defined_score=opt_config["defined_score"],
             max_iterations=opt_config["max_iterations"],
             transcript=run.transcript,
-            concurrency=run.config["agent_concurrency"],
             store_path=store,
         )
+        return best, tree.max_score
+
+    weights: dict[str, float] = {}
+    results = fan_out(optimize_target, keys, run.config["agent_concurrency"])
+    for key, (best, weight) in zip(keys, results):
         optimized.rules[key] = best
-        weights[key] = tree.max_score
+        weights[key] = weight
     if not optimized.rules:
         raise ValueError("optimization produced no rules")
     run._dump_ruleset(optimized, "rules_optimized.json", weights=weights)
-    return tree_paths
+    return [run.tree_path(key) for key in keys]
 
 
 def _train_candidates(run: PipelineRun) -> None:
@@ -573,20 +601,35 @@ def _examine(run: PipelineRun) -> None:
     rules = run._load_ruleset("rules_optimized.json")
     provider = CharNgramPerceptron.load(run.path("candidates.json"))
     exam = run.config["examination"]
+    agent = run._agent_for("examine")
+    # scored here, not on the workers: numpy scoring on worker threads
+    # contends for the interpreter lock and made examine slower
+    candidates = [
+        score_candidates(case.fact_text, provider, k=exam["candidate_k"])
+        for case in split.test
+    ]
+
+    def examine(item: tuple[LegalCase, dict]):
+        case, case_candidates = item
+        return examine_case(
+            case.case_id,
+            case.fact_text,
+            rules,
+            provider,
+            labels,
+            agent,
+            seed=run.config["seed"],
+            candidate_k=exam["candidate_k"],
+            abstract_threshold=exam["abstract_threshold"],
+            transcript=run.transcript,
+            candidates=case_candidates,
+        )
+
+    predictions = fan_out(
+        examine, zip(split.test, candidates), run.config["agent_concurrency"]
+    )
     with run.path("predictions.jsonl").open("w", encoding="utf-8") as handle:
-        for case in split.test:
-            prediction = examine_case(
-                case.case_id,
-                case.fact_text,
-                rules,
-                provider,
-                labels,
-                run._agent_for("examine"),
-                seed=run.config["seed"],
-                candidate_k=exam["candidate_k"],
-                abstract_threshold=exam["abstract_threshold"],
-                transcript=run.transcript,
-            )
+        for prediction in predictions:
             row = {
                 "case_id": prediction.case_id,
                 "article": prediction.article_id,

@@ -15,7 +15,6 @@ import logging
 import random
 import re
 import string
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -219,12 +218,12 @@ def run_quiz(
     tag_prefix: str = "quiz",
     transcript: Optional[Transcript] = None,
     temperature: float = 0.0,
-    concurrency: int = 1,
 ) -> QuizResult:
-    """Ask the agent every question under `rule` and tally outcomes.
+    """Ask the agent every question under `rule`, one after another, and
+    tally outcomes.
 
     An unparsable reply is re-asked once under the same tag; a second failure
-    yields a malformed record. Records always come back in question order.
+    yields a malformed record. Records come back in question order.
     """
     if not questions:
         raise ValueError("no questions to run")
@@ -266,12 +265,7 @@ def run_quiz(
             malformed=malformed,
         )
 
-    if concurrency > 1:
-        with ThreadPoolExecutor(max_workers=concurrency) as pool:
-            records = list(pool.map(answer, questions))
-    else:
-        records = [answer(question) for question in questions]
-    return build_quiz_result(records)
+    return build_quiz_result([answer(question) for question in questions])
 
 
 def score(records: Sequence[ReasoningRecord]) -> float:

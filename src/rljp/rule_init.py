@@ -14,7 +14,7 @@ import re
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from .agents import Backend, Transcript, render_template
+from .agents import Backend, Transcript, fan_out, render_template
 from .cacl import request_rule
 from .corpus import LabelSpace, LegalCase
 from .fol import (
@@ -249,18 +249,20 @@ def init_all_rules(
     transcript: Optional[Transcript] = None,
     temperature: float = 0.7,
     k: int = 3,
+    concurrency: int = 1,
 ) -> RuleSet:
-    """Initialize one rule per target from its precedent group; per-target
-    failures are reported in the RuleSet, not raised."""
-    ruleset = RuleSet()
-    for target in targets:
+    """Initialize one rule per target from its precedent group, `concurrency`
+    targets at a time; per-target failures are reported in the RuleSet, in
+    target order, not raised."""
+
+    def init_one(target: Consequent) -> FolRule | str:
+        """The target's rule, or the reason it has none."""
         precedents = list(precedent_groups.get(target, ()))[:k]
         if not precedents:
-            ruleset.failures[consequent_key(target)] = "no precedents"
             logger.warning("target %s skipped: no precedents", consequent_key(target))
-            continue
+            return "no precedents"
         try:
-            rule = init_rule_for_target(
+            return init_rule_for_target(
                 target,
                 precedents,
                 agent,
@@ -269,8 +271,13 @@ def init_all_rules(
                 temperature=temperature,
             )
         except Exception as exc:
-            ruleset.failures[consequent_key(target)] = str(exc)
             logger.warning("target %s failed: %s", consequent_key(target), exc)
-            continue
-        ruleset.add(rule)
+            return str(exc)
+
+    ruleset = RuleSet()
+    for target, outcome in zip(targets, fan_out(init_one, targets, concurrency)):
+        if isinstance(outcome, str):
+            ruleset.failures[consequent_key(target)] = outcome
+        else:
+            ruleset.add(outcome)
     return ruleset

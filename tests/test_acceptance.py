@@ -434,7 +434,8 @@ def test_criterion_9_fallback_behavior():
         )
 
     rules = RuleSet()
-    for article, charge in (("264", "theft"), ("263", "robbery"), ("264", "fraud")):
+    # the article check reads the first article-264 rule, 264/fraud
+    for article, charge in (("264", "fraud"), ("264", "theft"), ("263", "robbery")):
         rules.add(rule(article, charge))
     rules.add(parse_rule("FORALL x (P(x)) -> ARTICLE(264) TERM(b0)", rule_id="term"))
     candidates = {
@@ -443,19 +444,20 @@ def test_criterion_9_fallback_behavior():
         "prison_term": CandidateList("prison_term", (("b0", 1.0),)),
     }
 
-    # scripted case 1: all candidate rules NO, the remaining ruled label YES
+    # scripted case 1: all candidate rules NO, the remaining ruled label YES;
+    # fraud's rule already held for the article, so its verdict is reused
     backend = ScriptedBackend(
         {
             "exam/c1/article/264": "Answer: YES",
             "exam/c1/charge/theft": "Answer: NO",
             "exam/c1/charge/robbery": "Answer: NO",
-            "exam/c1/charge/fraud": "Answer: YES",
             "exam/c1/prison_term/b0": "Answer: YES",
         }
     )
     prediction = predict_case("c1", "facts", rules, candidates, LABELS, backend, seed=0)
     assert prediction.charge_id == "fraud"
     assert prediction.used_fallback["charge"] is True
+    assert "exam/c1/charge/fraud" not in [call.tag for call in backend.calls]
 
     # scripted case 2: everything NO -> top-1 candidate with fallback flag
     backend = ScriptedBackend(

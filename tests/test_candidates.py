@@ -92,6 +92,27 @@ class TestCharNgramPerceptron:
         fact = "covert taking of goods number 5"
         assert loaded.scores(fact, "charge") == provider.scores(fact, "charge")
 
+    def test_one_fact_is_featurized_once_for_its_subtasks(self, monkeypatch):
+        provider = CharNgramPerceptron(self._tiny_labels(), hash_dim=2048, epochs=3)
+        provider.train(self._tiny_cases())
+        facts = ["covert taking of goods number 5", "violent seizure with force number 5"]
+
+        def alone(fact, subtask):
+            fresh = CharNgramPerceptron(self._tiny_labels(), hash_dim=2048, epochs=3)
+            fresh._weights = provider._weights
+            return fresh.scores(fact, subtask)
+
+        want = {(fact, subtask): alone(fact, subtask) for fact in facts for subtask in SUBTASKS}
+        featurized = []
+        features = provider._features
+        monkeypatch.setattr(
+            provider, "_features", lambda text: featurized.append(text) or features(text)
+        )
+        for fact in facts:
+            for subtask in SUBTASKS:
+                assert provider.scores(fact, subtask) == want[fact, subtask]
+        assert featurized == facts
+
     def test_gold_in_top_10_on_synthetic_50(self, tmp_path):
         # desk-scale check: top-10 prescreening keeps the gold label for at
         # least 90% of the training cases on a 50-case synthetic corpus

@@ -1,7 +1,7 @@
-from helpers import LABELS
-from rljp.agents import ScriptedBackend
+from helpers import LABELS, transcript_entries
+from rljp.agents import ScriptedBackend, Transcript
 from rljp.candidates import CandidateList
-from rljp.examination import maybe_abstract, predict_case
+from rljp.examination import examine_case, maybe_abstract, predict_case, score_candidates
 from rljp.fol import parse_rule
 from rljp.rule_init import RuleSet
 
@@ -86,7 +86,10 @@ class TestPredictCase:
         assert prediction.used_fallback == {
             "article": False, "charge": False, "prison_term": False,
         }
-        assert len(backend.calls) == 3
+        # the charge check reuses the article's verdict on rule 264/theft
+        assert [call.tag for call in backend.calls] == [
+            "exam/c1/article/264", "exam/c1/prison_term/b0"
+        ]
 
     def test_candidates_without_rules_are_skipped(self):
         rules = _ruleset(_rule("263", charge="robbery"), _rule("263", term="b1"))
@@ -102,15 +105,19 @@ class TestPredictCase:
         # 264/theft/b0 had no rule: skipped without an agent call
         assert prediction.article_id == "263"
         assert prediction.charge_id == "robbery"
-        assert len(backend.calls) == 3
+        # the charge check reuses the article's verdict on rule 263/robbery
+        assert [call.tag for call in backend.calls] == [
+            "exam/c1/article/263", "exam/c1/prison_term/b1"
+        ]
 
     def test_fallback_traversal_finds_ruled_label(self):
         # candidates' rules answer NO; fraud (not a candidate, but ruled
-        # under the predicted article) answers YES
+        # under the predicted article) holds: its rule is the first of
+        # article 264, so the article check already answered YES for it
         rules = _ruleset(
+            _rule("264", charge="fraud"),
             _rule("264", charge="theft"),
             _rule("263", charge="robbery"),
-            _rule("264", charge="fraud"),
             _rule("264", term="b0"),
         )
         candidates = _candidates(["264"], ["theft", "robbery"], ["b0"])
@@ -119,7 +126,6 @@ class TestPredictCase:
                 "exam/c1/article/264": _yes(),
                 "exam/c1/charge/theft": _no(),
                 "exam/c1/charge/robbery": _no(),
-                "exam/c1/charge/fraud": _yes(),
                 "exam/c1/prison_term/b0": _yes(),
             }
         )
@@ -127,6 +133,7 @@ class TestPredictCase:
         assert prediction.charge_id == "fraud"
         assert prediction.used_fallback["charge"] is True
         assert prediction.used_fallback["article"] is False
+        assert "exam/c1/charge/fraud" not in [call.tag for call in backend.calls]
 
     def test_everything_no_falls_back_to_top_candidate(self):
         rules = _ruleset(
@@ -172,6 +179,24 @@ class TestPredictCase:
         prediction = predict_case("c1", "facts", rules, candidates, LABELS, backend, seed=0)
         assert prediction.used_fallback["article"] is True
         assert [r.tag for r in backend.calls].count("exam/c1/article/264") == 1
+
+    def test_a_repeated_check_reuses_its_verdict_without_a_call(self, tmp_path):
+        # the article and charge subtasks both check ArticleCharge rules
+        rules = _ruleset(_rule("264", charge="theft"), _rule("264", term="b0"))
+        candidates = _candidates(["264"], ["theft"], ["b0"])
+        backend = ScriptedBackend(
+            {"exam/c1/article/264": _yes(), "exam/c1/prison_term/b0": _yes()}
+        )
+        transcript = Transcript(tmp_path / "transcript.jsonl")
+        prediction = predict_case(
+            "c1", "facts", rules, candidates, LABELS, backend, seed=0, transcript=transcript
+        )
+        assert (prediction.article_id, prediction.charge_id) == ("264", "theft")
+        assert "charge: rule 264/theft satisfied" in prediction.rationale
+        tags = ["exam/c1/article/264", "exam/c1/prison_term/b0"]
+        assert [call.tag for call in backend.calls] == tags
+        assert [entry["tag"] for entry in transcript_entries(transcript)] == tags
+        assert transcript.calls == 2
 
     def test_article_narrows_charge_rule_pool(self):
         # theft rule exists under 264 and (bogus) under 263; after predicting
@@ -246,5 +271,36 @@ class TestPredictCase:
             subtask = call.tag.split("/")[2]
             by_subtask[subtask] = by_subtask.get(subtask, 0) + 1
         assert by_subtask["article"] <= 3
-        assert by_subtask["charge"] <= 3
+        assert by_subtask.get("charge", 0) <= 3
         assert by_subtask["prison_term"] <= 1
+
+
+class TestExamineCase:
+    def test_given_candidates_are_not_scored_again(self):
+        rules = _ruleset(_rule("264", charge="theft"), _rule("264", term="b0"))
+        table = {
+            "article": {"264": 1.0, "263": 0.0},
+            "charge": {"theft": 1.0, "robbery": 0.0},
+            "prison_term": {"b0": 1.0, "b1": 0.0},
+        }
+
+        class Counted:
+            calls = 0
+
+            def scores(self, fact_text, subtask):
+                Counted.calls += 1
+                return dict(table[subtask])
+
+        script = {"exam/c1/article/264": _yes(), "exam/c1/prison_term/b0": _yes()}
+        scored = examine_case(
+            "c1", "facts", rules, Counted(), LABELS, ScriptedBackend(script), candidate_k=2
+        )
+        assert Counted.calls == 3
+        candidates = score_candidates("facts", Counted(), k=2)
+        Counted.calls = 0
+        given = examine_case(
+            "c1", "facts", rules, Counted(), LABELS, ScriptedBackend(script),
+            candidates=candidates,
+        )
+        assert Counted.calls == 0
+        assert given == scored

@@ -197,6 +197,41 @@ class TestResume:
         assert list(manifest["stages"]) == list(STAGES)
         assert (moved / "transcript.jsonl").read_text().count("\n") == lines_before
 
+    def test_corpus_moved_with_config_and_run_dir_resumes_with_every_stage_skipped(
+        self, fixture_dir, tmp_path
+    ):
+        built = tmp_path / "built"
+        shutil.copytree(fixture_dir, built)
+        assert run_cli(
+            ["run-all", "--config", built / "config.json", "--run-dir", built / "run"]
+        ) == 0
+        moved = tmp_path / "elsewhere" / "moved"
+        shutil.copytree(built, moved)
+        shutil.rmtree(built)
+        lines_before = (moved / "run" / "transcript.jsonl").read_text().count("\n")
+        assert run_cli(
+            ["run-all", "--config", moved / "config.json", "--run-dir", moved / "run", "--resume"]
+        ) == 0
+        manifest = json.loads((moved / "run" / "manifest.json").read_text())
+        assert {name: entry["skipped"] for name, entry in manifest["stages"].items()} == {
+            name: True for name in STAGES
+        }
+        assert (moved / "run" / "transcript.jsonl").read_text().count("\n") == lines_before
+
+    def test_edited_world_file_reruns_the_stages_that_ask_the_agent(self, fixture_dir, tmp_path):
+        data = tmp_path / "data"
+        shutil.copytree(fixture_dir, data)
+        args = ["--config", data / "config.json", "--run-dir", tmp_path / "run"]
+        assert run_cli(["init-rules", *args]) == 0
+        world_path = data / "world.json"
+        world_path.write_text(world_path.read_text() + "\n")
+        assert run_cli(["init-rules", *args, "--resume"]) == 0
+        manifest = json.loads((tmp_path / "run" / "manifest.json").read_text())
+        skipped = {name: entry["skipped"] for name, entry in manifest["stages"].items()}
+        assert skipped == {
+            "ingest": True, "split": True, "group-precedents": True, "init-rules": False
+        }
+
     def test_edited_label_file_reruns_the_stages_that_read_it(self, fixture_dir, tmp_path):
         data = tmp_path / "data"
         shutil.copytree(fixture_dir, data)

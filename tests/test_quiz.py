@@ -3,7 +3,7 @@ import random
 import pytest
 
 from helpers import LABELS, make_case
-from rljp.agents import ScriptedBackend, Transcript
+from rljp.agents import ScriptedBackend, Transcript, fan_out
 from rljp.confusable import ConfusableSet
 import rljp.quiz as quiz_mod
 from rljp.fol import ArticleCharge, parse_rule, render_consequent
@@ -198,13 +198,23 @@ class TestRunQuiz:
         }
 
     def test_records_in_question_order_with_concurrency(self):
+        # quizzes run side by side under fan_out, one per target
         questions = make_quiz(_confusable(), LABELS, num_options=4, seed=1)
-        script = {
-            f"quiz/{q.case_id}": f"Reasoning: r\nAnswer: {q.correct_letter}"
-            for q in questions
-        }
-        result = run_quiz(self.RULE, questions, ScriptedBackend(script), concurrency=4)
-        assert [r.question.case_id for r in result.records] == ["p1", "p2", "n1"]
+        prefixes = [f"quiz/t{i}" for i in range(6)]
+        backend = ScriptedBackend(
+            {
+                f"{prefix}/{q.case_id}": f"Reasoning: r\nAnswer: {q.correct_letter}"
+                for prefix in prefixes
+                for q in questions
+            }
+        )
+        results = fan_out(
+            lambda prefix: run_quiz(self.RULE, questions, backend, tag_prefix=prefix),
+            prefixes,
+            4,
+        )
+        for result in results:
+            assert [r.question.case_id for r in result.records] == ["p1", "p2", "n1"]
 
 
 class TestScore:
