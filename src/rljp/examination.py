@@ -9,7 +9,8 @@ fallback flag set. Subtasks run article -> charge -> prison_term, and the
 predicted article narrows which charge/term rules are eligible. Within a
 case a rule is checked against the fact at most once: the article and charge
 subtasks both check ArticleCharge rules, and a repeat reuses the verdict
-without another call.
+without another call. A check that failed (no reply, or no YES/NO in it) counts
+as NO and is not reused, so a repeat asks again.
 """
 
 from __future__ import annotations
@@ -89,13 +90,14 @@ def _antecedent_holds(
     agent: Backend,
     tag: str,
     transcript: Optional[Transcript],
-) -> bool:
+) -> Optional[bool]:
+    """The verdict parsed from the agent's reply; None if the check failed."""
     prompt = render_template(EXAM_CHECK, {"rule": rule_text, "fact": fact_text})
     try:
         return ask(agent, prompt, tag=tag, transcript=transcript, parse=_verdict)
     except (AgentError, ValueError) as exc:
         logger.warning("antecedent check %s failed (%s); treating as NO", tag, exc)
-        return False
+        return None
 
 
 def _rule_pool(
@@ -139,13 +141,16 @@ def predict_case(
     used_fallback: dict[str, bool] = {}
     rationales: list[str] = []
     predicted_article: Optional[str] = None
-    verdicts: dict[tuple[str, str], bool] = {}  # (rendered rule, fact) -> verdict
+    verdicts: dict[str, bool] = {}  # rendered rule -> parsed verdict
 
     def holds(rule: FolRule, tag: str) -> bool:
-        key = (render_rule(rule), fact_text)
-        if key not in verdicts:
-            verdicts[key] = _antecedent_holds(*key, agent, tag, transcript)
-        return verdicts[key]
+        rule_text = render_rule(rule)
+        if rule_text not in verdicts:
+            verdict = _antecedent_holds(rule_text, fact_text, agent, tag, transcript)
+            if verdict is None:
+                return False
+            verdicts[rule_text] = verdict
+        return verdicts[rule_text]
 
     for subtask in SUBTASKS:
         candidate_list = candidates[subtask]
@@ -219,20 +224,17 @@ def examine_case(
     case_id: str,
     fact_text: str,
     rules: RuleSet,
-    provider: CandidateProvider,
+    candidates: dict[str, CandidateList],
     labels: LabelSpace,
     agent: Backend,
     *,
     seed: int = 0,
-    candidate_k: int = CANDIDATE_K_DEFAULT,
     abstract_threshold: int = ABSTRACT_THRESHOLD_DEFAULT,
     transcript: Optional[Transcript] = None,
-    candidates: Optional[dict[str, CandidateList]] = None,
 ) -> Prediction:
-    """Candidates + optional abstraction + rule-guided prediction for one
-    case. Candidates are scored on the original fact, unless the caller
-    scored them already; rules are applied to the (possibly abstracted)
-    fact."""
+    """Optional abstraction + rule-guided prediction for one case. The
+    candidates are scored on the original fact (see `score_candidates`);
+    rules are applied to the (possibly abstracted) fact."""
     working_fact, used_abstract = maybe_abstract(
         fact_text,
         abstract_threshold,
@@ -240,8 +242,6 @@ def examine_case(
         tag=f"abstract/{case_id}",
         transcript=transcript,
     )
-    if candidates is None:
-        candidates = score_candidates(fact_text, provider, k=candidate_k)
     prediction = predict_case(
         case_id, working_fact, rules, candidates, labels, agent, seed,
         transcript=transcript,

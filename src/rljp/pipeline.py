@@ -615,14 +615,12 @@ def _examine(run: PipelineRun) -> None:
             case.case_id,
             case.fact_text,
             rules,
-            provider,
+            case_candidates,
             labels,
             agent,
             seed=run.config["seed"],
-            candidate_k=exam["candidate_k"],
             abstract_threshold=exam["abstract_threshold"],
             transcript=run.transcript,
-            candidates=case_candidates,
         )
 
     predictions = fan_out(

@@ -1,7 +1,7 @@
 from helpers import LABELS, transcript_entries
 from rljp.agents import ScriptedBackend, Transcript
 from rljp.candidates import CandidateList
-from rljp.examination import examine_case, maybe_abstract, predict_case, score_candidates
+from rljp.examination import examine_case, maybe_abstract, predict_case
 from rljp.fol import parse_rule
 from rljp.rule_init import RuleSet
 
@@ -179,6 +179,25 @@ class TestPredictCase:
         prediction = predict_case("c1", "facts", rules, candidates, LABELS, backend, seed=0)
         assert prediction.used_fallback["article"] is True
         assert [r.tag for r in backend.calls].count("exam/c1/article/264") == 1
+        # the failed check is not reused: the charge check on the same rule is sent
+        assert prediction.charge_id == "theft"
+        assert prediction.used_fallback["charge"] is False
+
+    def test_a_failed_check_is_asked_again_by_the_next_subtask(self):
+        rules = _ruleset(_rule("264", charge="theft"), _rule("264", term="b0"))
+        candidates = _candidates(["264"], ["theft"], ["b0"])
+        # the article check is unscripted -> AgentError; the charge check holds
+        backend = ScriptedBackend(
+            {"exam/c1/charge/theft": _yes(), "exam/c1/prison_term/b0": _yes()}
+        )
+        prediction = predict_case("c1", "facts", rules, candidates, LABELS, backend, seed=0)
+        assert [call.tag for call in backend.calls] == [
+            "exam/c1/article/264", "exam/c1/charge/theft", "exam/c1/prison_term/b0"
+        ]
+        assert prediction.used_fallback == {
+            "article": True, "charge": False, "prison_term": False,
+        }
+        assert prediction.charge_id == "theft"
 
     def test_a_repeated_check_reuses_its_verdict_without_a_call(self, tmp_path):
         # the article and charge subtasks both check ArticleCharge rules
@@ -276,31 +295,21 @@ class TestPredictCase:
 
 
 class TestExamineCase:
-    def test_given_candidates_are_not_scored_again(self):
+    def test_rules_are_checked_against_the_abstract_of_a_long_fact(self):
         rules = _ruleset(_rule("264", charge="theft"), _rule("264", term="b0"))
-        table = {
-            "article": {"264": 1.0, "263": 0.0},
-            "charge": {"theft": 1.0, "robbery": 0.0},
-            "prison_term": {"b0": 1.0, "b1": 0.0},
-        }
-
-        class Counted:
-            calls = 0
-
-            def scores(self, fact_text, subtask):
-                Counted.calls += 1
-                return dict(table[subtask])
-
-        script = {"exam/c1/article/264": _yes(), "exam/c1/prison_term/b0": _yes()}
-        scored = examine_case(
-            "c1", "facts", rules, Counted(), LABELS, ScriptedBackend(script), candidate_k=2
+        candidates = _candidates(["264"], ["theft"], ["b0"])
+        backend = ScriptedBackend(
+            {
+                "abstract/c1": "short abstract",
+                "exam/c1/article/264": _yes(),
+                "exam/c1/prison_term/b0": _yes(),
+            }
         )
-        assert Counted.calls == 3
-        candidates = score_candidates("facts", Counted(), k=2)
-        Counted.calls = 0
-        given = examine_case(
-            "c1", "facts", rules, Counted(), LABELS, ScriptedBackend(script),
-            candidates=candidates,
+        prediction = examine_case(
+            "c1", "x" * 50, rules, candidates, LABELS, backend, abstract_threshold=20
         )
-        assert Counted.calls == 0
-        assert given == scored
+        assert prediction.used_abstract is True
+        assert (prediction.article_id, prediction.charge_id) == ("264", "theft")
+        checks = [call for call in backend.calls if call.tag.startswith("exam/")]
+        assert all("short abstract" in call.user_text for call in checks)
+        assert all("x" * 50 not in call.user_text for call in checks)
