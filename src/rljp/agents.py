@@ -381,15 +381,6 @@ _SLOT_RE = re.compile(r"\{\{(\w+)\}\}")
 class PromptTemplate:
     name: str
     body: str
-    required_slots: frozenset[str] = frozenset()
-
-    def __post_init__(self) -> None:
-        present = set(_SLOT_RE.findall(self.body))
-        missing = self.required_slots - present
-        if missing:
-            raise ValueError(
-                f"template {self.name}: declared slots absent from body: {sorted(missing)}"
-            )
 
 
 class MissingSlotError(KeyError):
@@ -399,10 +390,6 @@ class MissingSlotError(KeyError):
 def render_template(template: PromptTemplate, bindings: dict[str, str]) -> str:
     """Substitute {{slot}} markers; bindings are inserted verbatim, never
     re-expanded."""
-    for slot in template.required_slots:
-        if slot not in bindings:
-            raise MissingSlotError(f"missing slot {slot}")
-
     pieces: list[str] = []
     last = 0
     for match in _SLOT_RE.finditer(template.body):

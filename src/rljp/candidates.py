@@ -17,13 +17,13 @@ from __future__ import annotations
 
 import json
 import logging
-import zlib
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Optional, Protocol, Sequence
 
 import numpy as np
 
+from .confusable import gram_hashes
 from .corpus import SUBTASKS, LabelSpace, LegalCase
 
 logger = logging.getLogger(__name__)
@@ -76,12 +76,8 @@ class CharNgramPerceptron:
 
     def _features(self, text: str) -> tuple[np.ndarray, np.ndarray]:
         """Sorted hashed n-gram indices of `text` and their unit-norm counts."""
-        hashes = [
-            zlib.crc32(text[i : i + n].encode("utf-8")) % self.hash_dim
-            for n in self.ngram_sizes
-            for i in range(len(text) - n + 1)
-        ]
-        idx, counts = np.unique(np.array(hashes, dtype=np.int64), return_counts=True)
+        hashes = np.array(gram_hashes(text, self.ngram_sizes), dtype=np.int64)
+        idx, counts = np.unique(hashes % self.hash_dim, return_counts=True)
         vals = counts.astype(np.float64)
         norm = np.linalg.norm(vals)
         return idx, (vals / norm if norm else vals)
@@ -153,8 +149,6 @@ class CharNgramPerceptron:
 
     @classmethod
     def load(cls, path: str | Path) -> "CharNgramPerceptron":
-        """Reads the sparse artifact, and also the older dense one whose
-        weights are full hash_dim-wide rows."""
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
         provider = cls(
             LabelSpace.from_dict(payload["labels"]),
@@ -163,9 +157,6 @@ class CharNgramPerceptron:
             epochs=payload["epochs"],
         )
         for subtask, stored in payload["weights"].items():
-            if isinstance(stored, list):
-                provider._weights[subtask] = np.asarray(stored, dtype=np.float64)
-                continue
             n_labels = len(provider.labels.of(subtask))
             w = np.zeros((n_labels, provider.hash_dim))
             w[:, stored["columns"]] = np.asarray(stored["rows"], dtype=np.float64)

@@ -31,7 +31,6 @@ DEFAULT_CONFIG: dict[str, Any] = {
     },
     "quiz": {
         "num_options": 4,
-        "distractors_from_negatives": False,
     },
     "optimization": {
         "defined_score": 0.9,
@@ -47,9 +46,6 @@ DEFAULT_CONFIG: dict[str, Any] = {
         "ngram_sizes": [1, 2, 3],
         "hash_dim": 32768,
         "epochs": 5,
-    },
-    "metrics": {
-        "macro_over_full_label_space": False,
     },
 }
 
@@ -99,6 +95,9 @@ def load_config(path: str | Path, *, seed_override: Optional[int] = None) -> dic
         config["seed"] = seed_override
     if not config["data"]["cases_path"]:
         raise ConfigError("data.cases_path is required")
+    workers = config["agent_concurrency"]
+    if isinstance(workers, bool) or not isinstance(workers, int) or workers < 1:
+        raise ConfigError(f"agent_concurrency must be an integer >= 1, not {workers!r}")
     ratios = config["data"]["ratios"]
     if len(ratios) != 3 or abs(sum(ratios) - 1.0) > 1e-9:
         raise ConfigError("data.ratios must be three fractions summing to 1")

@@ -71,6 +71,15 @@ class ConfusableSet:
         return list(self.positives) + list(self.negatives)
 
 
+def gram_hashes(text: str, ngram_sizes: Sequence[int]) -> list[int]:
+    """crc32 of each UTF-8 character n-gram of `text`, by size, then by position."""
+    return [
+        zlib.crc32(text[i : i + n].encode("utf-8"))
+        for n in ngram_sizes
+        for i in range(len(text) - n + 1)
+    ]
+
+
 class HashingEmbedder:
     """Deterministic offline embedder: character n-grams feature-hashed into a
     fixed dimension, L2-normalized.
@@ -88,26 +97,17 @@ class HashingEmbedder:
         self.dim = dim
         self.ngram_sizes = ngram_sizes
 
-    def _grams(self, text: str):
-        produced = False
-        for n in self.ngram_sizes:
-            for i in range(len(text) - n + 1):
-                produced = True
-                yield text[i : i + n]
-        if not produced:
-            yield text
-
     def embed_texts(self, texts: Sequence[str]) -> np.ndarray:
         out = np.zeros((len(texts), self.dim), dtype=np.float64)
         for row, text in enumerate(texts):
-            for gram in self._grams(text):
-                h = zlib.crc32(gram.encode("utf-8"))
+            whole = zlib.crc32(text.encode("utf-8"))
+            for h in gram_hashes(text, self.ngram_sizes) or [whole]:
                 sign = 1.0 if (h >> 31) & 1 == 0 else -1.0
                 out[row, h % self.dim] += sign
             norm = np.linalg.norm(out[row])
             if norm == 0:
                 # all-sign cancellation; pin a single deterministic bucket
-                out[row, zlib.crc32(text.encode("utf-8")) % self.dim] = 1.0
+                out[row, whole % self.dim] = 1.0
                 norm = 1.0
             out[row] /= norm
         return out

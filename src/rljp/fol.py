@@ -33,6 +33,7 @@ __all__ = [
     "RuleSyntaxError",
     "Violation",
     "parse_rule",
+    "rule_from_row",
     "render_rule",
     "render_antecedent",
     "render_consequent",
@@ -440,6 +441,18 @@ def parse_rule(
         antecedent=antecedent,
         version=version,
         provenance=provenance or Provenance("initialized"),
+    )
+
+
+def rule_from_row(row: dict) -> FolRule:
+    """The rule a stored row describes by its rule_text, rule_id, version and
+    provenance (rules_*.json entries and tree store nodes)."""
+    provenance = Provenance(row["provenance"]["kind"], row["provenance"].get("parent_rule_id"))
+    return parse_rule(
+        row["rule_text"],
+        rule_id=row["rule_id"],
+        version=row["version"],
+        provenance=provenance,
     )
 
 

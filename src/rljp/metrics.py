@@ -1,17 +1,16 @@
 """Accuracy and macro precision/recall/F1 per subtask.
 
 Conventions are pinned for cross-run comparability: zero denominators yield
-0.0, and macro averages run over the classes present in gold or predictions
-(optionally the full label space via `class_universe`).
+0.0, and macro averages run over the classes present in gold or predictions.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
-from .corpus import SUBTASKS, Judgment, LabelSpace
+from .corpus import SUBTASKS, Judgment
 
 
 @dataclass(frozen=True)
@@ -49,18 +48,10 @@ def _labels_of(record, subtask: str) -> str:
     return Judgment.label(record, subtask)
 
 
-def compute_subtask_metrics(
-    gold: Sequence[str],
-    predicted: Sequence[str],
-    class_universe: Optional[Sequence[str]] = None,
-) -> SubtaskMetrics:
+def compute_subtask_metrics(gold: Sequence[str], predicted: Sequence[str]) -> SubtaskMetrics:
     if len(gold) != len(predicted):
         raise AlignmentError("gold and predicted lengths differ")
-    classes = (
-        list(dict.fromkeys(class_universe))
-        if class_universe is not None
-        else sorted(set(gold) | set(predicted))
-    )
+    classes = sorted(set(gold) | set(predicted))
     per_class: dict[str, ClassMetrics] = {}
     for cls in classes:
         tp = sum(1 for g, p in zip(gold, predicted) if g == cls and p == cls)
@@ -87,39 +78,21 @@ def compute_subtask_metrics(
     )
 
 
-def compute_metrics(
-    predictions: Sequence,
-    gold: Sequence,
-    *,
-    case_ids_predictions: Optional[Sequence[str]] = None,
-    case_ids_gold: Optional[Sequence[str]] = None,
-    labels: Optional[LabelSpace] = None,
-    macro_over_full_label_space: bool = False,
-) -> MetricsReport:
+def compute_metrics(predictions: Sequence, gold: Sequence) -> MetricsReport:
     """Per-subtask metrics over aligned prediction/gold sequences.
 
-    When case id sequences are supplied they must match pairwise. Records may
-    be Prediction objects, Judgment objects, or dicts keyed by subtask.
+    Records may be Prediction objects, Judgment objects, or dicts keyed by
+    subtask.
     """
     if len(predictions) != len(gold):
         raise AlignmentError(
             f"{len(predictions)} predictions vs {len(gold)} gold records"
         )
-    if case_ids_predictions is not None and case_ids_gold is not None:
-        for pid, gid in zip(case_ids_predictions, case_ids_gold):
-            if pid != gid:
-                raise AlignmentError(f"case id mismatch: {pid} vs {gid}")
     subtasks: dict[str, SubtaskMetrics] = {}
     for subtask in SUBTASKS:
-        universe = None
-        if macro_over_full_label_space:
-            if labels is None:
-                raise ValueError("macro_over_full_label_space requires labels")
-            universe = labels.of(subtask)
         subtasks[subtask] = compute_subtask_metrics(
             [_labels_of(g, subtask) for g in gold],
             [_labels_of(p, subtask) for p in predictions],
-            class_universe=universe,
         )
     return MetricsReport(subtasks=subtasks, num_cases=len(gold))
 

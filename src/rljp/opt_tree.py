@@ -12,12 +12,12 @@ from __future__ import annotations
 
 import json
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Optional, Sequence
 
 from .agents import Backend, Transcript
-from .fol import Consequent, FolRule, Provenance, consequent_key, parse_rule
+from .fol import Consequent, FolRule, consequent_key, rule_from_row
 from .quiz import (
     QuizQuestion,
     QuizResult,
@@ -44,7 +44,6 @@ class RuleNode:
     node_id: str
     rule: FolRule
     parent: Optional[str] = None
-    children: list[str] = field(default_factory=list)
     weight: Optional[float] = None
     eval: Optional[QuizResult] = None
 
@@ -142,7 +141,6 @@ def expand(
         return None
     child = RuleNode(node_id=child_id, rule=child_rule, parent=node_id)
     tree.nodes[child_id] = child
-    node.children.append(child_id)
     return child_id
 
 
@@ -271,17 +269,8 @@ def load_tree(
         _sequence=payload["sequence"],
     )
     for entry in payload["nodes"]:
-        provenance = Provenance(
-            entry["provenance"]["kind"], entry["provenance"]["parent_rule_id"]
-        )
-        rule = parse_rule(
-            entry["rule_text"],
-            rule_id=entry["rule_id"],
-            version=entry["version"],
-            provenance=provenance,
-        )
         node = RuleNode(
-            node_id=entry["node_id"], rule=rule, parent=entry["parent"]
+            node_id=entry["node_id"], rule=rule_from_row(entry), parent=entry["parent"]
         )
         if entry["weight"] is not None:
             records = []
@@ -304,7 +293,5 @@ def load_tree(
             node.eval = build_quiz_result(records)
             node.weight = entry["weight"]
         tree.nodes[node.node_id] = node
-        if node.parent is not None:
-            tree.nodes[node.parent].children.append(node.node_id)
     tree.root_id = payload["nodes"][0]["node_id"]
     return tree

@@ -59,9 +59,8 @@ from .fol import (
     FolRule,
     consequent_from_key,
     consequent_key,
-    parse_rule,
     render_rule,
-    Provenance,
+    rule_from_row,
 )
 from .metrics import compute_metrics, report_as_json, report_as_table
 from .quiz import case_label, make_quiz
@@ -214,7 +213,12 @@ class PipelineRun:
         return paths
 
     def tree_path(self, target_key: str) -> Path:
-        safe = "".join(c if c.isalnum() or c in "=,_-" else "-" for c in target_key)
+        """The target's tree store. Letters, digits and "=,_" name themselves;
+        any other character, "-" included, is written "-<hex code point>-", so
+        two keys never share a store."""
+        safe = "".join(
+            c if c.isalnum() or c in "=,_" else f"-{ord(c):x}-" for c in target_key
+        )
         return self.run_dir / "trees" / f"{safe}.json"
 
     # -- manifest helpers
@@ -332,16 +336,7 @@ class PipelineRun:
         payload = json.loads(self.path(filename).read_text(encoding="utf-8"))
         ruleset = RuleSet()
         for key in sorted(payload["rules"]):
-            row = payload["rules"][key]
-            provenance = Provenance(
-                row["provenance"]["kind"], row["provenance"].get("parent_rule_id")
-            )
-            ruleset.rules[key] = parse_rule(
-                row["rule_text"],
-                rule_id=row["rule_id"],
-                version=row["version"],
-                provenance=provenance,
-            )
+            ruleset.rules[key] = rule_from_row(payload["rules"][key])
         ruleset.failures = dict(payload.get("failures", {}))
         return ruleset
 
@@ -531,7 +526,6 @@ def _optimize(run: PipelineRun) -> list[Path]:
             labels,
             num_options=run.config["quiz"]["num_options"],
             seed=run.config["seed"],
-            distractors_from_negatives=run.config["quiz"]["distractors_from_negatives"],
         )
         store = run.tree_path(key)
         tree = None
@@ -655,12 +649,7 @@ def _evaluate(run: PipelineRun) -> None:
             )
             pred_ids.append(row["case_id"])
     gold = [gold_by_id[i] for i in pred_ids]
-    report = compute_metrics(
-        predictions,
-        gold,
-        labels=run.labels,
-        macro_over_full_label_space=run.config["metrics"]["macro_over_full_label_space"],
-    )
+    report = compute_metrics(predictions, gold)
     run.path("metrics.json").write_text(report_as_json(report), encoding="utf-8")
     run.path("metrics.txt").write_text(report_as_table(report), encoding="utf-8")
 
@@ -705,8 +694,8 @@ STAGE_TABLE: dict[str, Stage] = {
         _examine,
     ),
     "evaluate": Stage(
-        ("cases.valid.jsonl", "split.json", "predictions.jsonl", LABELS),
-        ("metrics",),
+        ("cases.valid.jsonl", "split.json", "predictions.jsonl"),
+        (),
         ("metrics.json", "metrics.txt"),
         _evaluate,
     ),

@@ -38,7 +38,6 @@ SUMMARIZE_CIRCUMSTANCES = PromptTemplate(
         "MENTAL_STATE: <subjective mental state>\n"
         "Write 'unspecified' for any category the cases do not establish."
     ),
-    required_slots=frozenset({"target", "precedents"}),
 )
 
 DEFINE_SYMBOLS = PromptTemplate(
@@ -53,7 +52,6 @@ DEFINE_SYMBOLS = PromptTemplate(
         "QUANT <variable name>: FORALL or EXISTS\n"
         "Names must match [A-Za-z_][A-Za-z0-9_]* and be unique."
     ),
-    required_slots=frozenset({"target", "factors"}),
 )
 
 CONSTRUCT_RULE = PromptTemplate(
@@ -66,7 +64,6 @@ CONSTRUCT_RULE = PromptTemplate(
         "Reply with a single line of the form:\n"
         "RULE: <the rule>"
     ),
-    required_slots=frozenset({"target", "symbols", "grammar", "consequent"}),
 )
 
 REPAIR_SYMBOLS = PromptTemplate(
@@ -75,7 +72,6 @@ REPAIR_SYMBOLS = PromptTemplate(
         "{{prompt}}\n\nYour previous reply was rejected: {{error}}\n"
         "Emit the corrected symbol list only."
     ),
-    required_slots=frozenset({"prompt", "error"}),
 )
 
 REPAIR_RULE = PromptTemplate(
@@ -88,7 +84,6 @@ REPAIR_RULE = PromptTemplate(
         "Reply with a single line of the form:\n"
         "RULE: <the rule>"
     ),
-    required_slots=frozenset({"error", "previous", "grammar", "consequent"}),
 )
 
 QUIZ_QUESTION = PromptTemplate(
@@ -103,7 +98,6 @@ QUIZ_QUESTION = PromptTemplate(
         "Reasoning: <your reasoning>\n"
         "Answer: <option letter>"
     ),
-    required_slots=frozenset({"rule", "fact", "options"}),
 )
 
 CACL_KEEP = PromptTemplate(
@@ -114,7 +108,6 @@ CACL_KEEP = PromptTemplate(
         "Which parts of the rule's logic made these answers correct? "
         "Name the effective predicates and connections concisely."
     ),
-    required_slots=frozenset({"rule", "records"}),
 )
 
 CACL_IMPROVE = PromptTemplate(
@@ -125,7 +118,6 @@ CACL_IMPROVE = PromptTemplate(
         "Which parts of the rule's logic caused these mistakes? Name the "
         "ineffective or missing conditions concisely."
     ),
-    required_slots=frozenset({"rule", "records"}),
 )
 
 CACL_SYNTHESIZE = PromptTemplate(
@@ -138,7 +130,6 @@ CACL_SYNTHESIZE = PromptTemplate(
         "KEEP: <logic parts to preserve>\n"
         "IMPROVE: <logic parts to change or add>"
     ),
-    required_slots=frozenset({"keep_analysis", "improve_analysis"}),
 )
 
 CACL_REWRITE = PromptTemplate(
@@ -154,7 +145,6 @@ CACL_REWRITE = PromptTemplate(
         "Reply with a single line of the form:\n"
         "RULE: <the rule>"
     ),
-    required_slots=frozenset({"rule", "keep", "improve", "grammar", "consequent"}),
 )
 
 EXAM_CHECK = PromptTemplate(
@@ -168,7 +158,6 @@ EXAM_CHECK = PromptTemplate(
         "Reasoning: <your reasoning>\n"
         "Answer: YES or NO"
     ),
-    required_slots=frozenset({"rule", "fact"}),
 )
 
 ABSTRACT_FACT = PromptTemplate(
@@ -179,7 +168,6 @@ ABSTRACT_FACT = PromptTemplate(
         "consequences, mental state) and drop redundant narrative detail.\n\n"
         "Case facts:\n{{fact}}"
     ),
-    required_slots=frozenset({"limit", "fact"}),
 )
 
 

@@ -108,24 +108,19 @@ def make_quiz(
     labels: LabelSpace,
     num_options: int = 4,
     seed: int = 0,
-    *,
-    distractors_from_negatives: bool = False,
 ) -> list[QuizQuestion]:
     """One question per confusable-set case: positives first, then negatives.
 
     Options always contain the target label and the case's gold label;
-    remaining slots are seeded uniform draws without replacement, either from
-    the label-space cross product (default) or from the negatives' own labels.
+    remaining slots are seeded uniform draws without replacement from the
+    label-space cross product.
     """
     if num_options < 2:
         raise QuizBuildError("num_options must be >= 2")
     target = confusable.target
     target_text = render_consequent(target)
 
-    if distractors_from_negatives:
-        universe = [case_label(c, target) for c in confusable.negatives]
-    else:
-        universe = _label_universe(labels, target)
+    universe = _label_universe(labels, target)
     # rendered once, deduplicated in first-seen order
     universe_texts = list(dict.fromkeys(render_consequent(label) for label in universe))
 

@@ -46,22 +46,18 @@ def _request(tag="t"):
 
 class TestTemplates:
     def test_substitution(self):
-        template = PromptTemplate("t", "Fact: {{fact}}", frozenset({"fact"}))
+        template = PromptTemplate("t", "Fact: {{fact}}")
         assert render_template(template, {"fact": "X stole a phone"}) == "Fact: X stole a phone"
 
     def test_missing_slot_names_the_slot(self):
-        template = PromptTemplate("t", "Fact: {{fact}}", frozenset({"fact"}))
+        template = PromptTemplate("t", "Fact: {{fact}}")
         with pytest.raises(KeyError, match="missing slot fact"):
             render_template(template, {})
 
     def test_no_recursive_expansion(self):
-        template = PromptTemplate("t", "A: {{a}} B: {{b}}", frozenset({"a", "b"}))
+        template = PromptTemplate("t", "A: {{a}} B: {{b}}")
         out = render_template(template, {"a": "{{b}}", "b": "x"})
         assert out == "A: {{b}} B: x"
-
-    def test_declared_slot_must_appear_in_body(self):
-        with pytest.raises(ValueError):
-            PromptTemplate("t", "no slots here", frozenset({"fact"}))
 
 
 class TestScriptedBackend:

@@ -233,18 +233,3 @@ class TestArtifactFormats:
             w = provider._weights[subtask]
             assert stored[subtask]["columns"] == np.flatnonzero(w.any(axis=0)).tolist()
             assert len(stored[subtask]["rows"]) == w.shape[0]
-
-    def test_dense_artifact_scores_equal_the_sparse_round_trip(self, trained_pair, tmp_path):
-        provider, _ = trained_pair
-        provider.save(tmp_path / "sparse.json")
-        payload = json.loads((tmp_path / "sparse.json").read_text())
-        payload["weights"] = {
-            subtask: w.tolist() for subtask, w in provider._weights.items()
-        }
-        (tmp_path / "dense.json").write_text(json.dumps(payload) + "\n")
-        sparse = CharNgramPerceptron.load(tmp_path / "sparse.json")
-        dense = CharNgramPerceptron.load(tmp_path / "dense.json")
-        for fact in ("covert taking of goods", "obtained money from the victim", ""):
-            for subtask in SUBTASKS:
-                assert dense.scores(fact, subtask) == sparse.scores(fact, subtask)
-                assert sparse.scores(fact, subtask) == provider.scores(fact, subtask)

@@ -1,5 +1,6 @@
 import math
 import random
+import zlib
 
 import numpy as np
 import pytest
@@ -64,6 +65,19 @@ class TestHashingEmbedder:
         out = embedder.embed_texts(["abcdefg", "另一个文本", "xy"])
         norms = np.linalg.norm(out, axis=1)
         assert np.allclose(norms, 1.0, atol=1e-6)
+
+    def test_rows_match_the_signed_gram_loop(self):
+        texts = ["covert taking of goods", "另一个文本", "xy", ""]
+        embedder = HashingEmbedder(dim=64, ngram_sizes=(2, 3))
+        for text, row in zip(texts, embedder.embed_texts(texts)):
+            expected = np.zeros(64)
+            grams = [text[i : i + n] for n in (2, 3) for i in range(len(text) - n + 1)]
+            for gram in grams or [text]:
+                h = zlib.crc32(gram.encode("utf-8"))
+                expected[h % 64] += -1.0 if h >> 31 else 1.0
+            if not expected.any():
+                expected[zlib.crc32(text.encode("utf-8")) % 64] = 1.0
+            assert np.array_equal(row, expected / np.linalg.norm(expected))
 
     def test_shape(self):
         cases = [make_case(f"c{i}", f"case text {i}") for i in range(3)]

@@ -3,7 +3,6 @@ import random
 
 import pytest
 
-from rljp.corpus import LabelSpace
 from rljp.metrics import (
     AlignmentError,
     compute_metrics,
@@ -127,25 +126,6 @@ class TestComputeMetrics:
     def test_length_mismatch(self):
         with pytest.raises(AlignmentError):
             compute_metrics([_triple("A")], [])
-
-    def test_case_id_mismatch(self):
-        with pytest.raises(AlignmentError, match="case id mismatch"):
-            compute_metrics(
-                [_triple("A")],
-                [_triple("A")],
-                case_ids_predictions=["x"],
-                case_ids_gold=["y"],
-            )
-
-    def test_full_label_space_macro(self):
-        labels = LabelSpace(("A", "B", "Z"), ("c",), ("t",))
-        gold = [_triple("A")]
-        pred = [_triple("A")]
-        report = compute_metrics(
-            pred, gold, labels=labels, macro_over_full_label_space=True
-        )
-        # Z never occurs: contributes zeros to the macro mean over 3 classes
-        assert report.subtasks["article"].macro_f1 == pytest.approx(1 / 3)
 
     def test_accuracy_is_mean_exact_match(self):
         gold = [_triple("A", "c1"), _triple("B", "c2")]

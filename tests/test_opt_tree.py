@@ -126,7 +126,7 @@ class TestNewTree:
         assert len(tree.nodes) == 1
         assert tree.iteration == 0
         root = tree.node(tree.root_id)
-        assert root.children == []
+        assert root.parent is None
         assert root.weight is None
         assert tree.max_pointer is None
 
@@ -184,7 +184,7 @@ class TestExpand:
         evaluate_node(tree, tree.root_id, questions, backend)
         child_id = expand(tree, tree.root_id, stub_rewrite)
         assert tree.node(child_id).parent == tree.root_id
-        assert tree.node(tree.root_id).children == [child_id]
+        assert [n.node_id for n in tree.nodes.values() if n.parent == tree.root_id] == [child_id]
         assert tree.node(child_id).rule.version == ROOT_RULE.version + 1
 
     def test_failed_rewrite_leaves_tree_unchanged(self):

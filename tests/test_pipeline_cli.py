@@ -1,4 +1,3 @@
-import hashlib
 import json
 import shutil
 from pathlib import Path
@@ -7,7 +6,6 @@ import pytest
 
 import rljp.pipeline as pipeline_mod
 from rljp.agents import ChatResponse
-from rljp.candidates import CharNgramPerceptron
 from rljp.cli import build_parser, main
 from rljp.config import ConfigError, load_config
 from rljp.pipeline import STAGES
@@ -61,6 +59,18 @@ class TestConfig:
         path = tmp_path / "bad.json"
         path.write_text("not json at all")
         assert run_cli(["run-all", "--config", path, "--run-dir", tmp_path / "r"]) == 2
+
+    @pytest.mark.parametrize("workers", ["4", 0, True])
+    def test_cli_exit_code_2_on_bad_agent_concurrency(self, fixture_dir, tmp_path, workers):
+        raw = json.loads((fixture_dir / "config.json").read_text())
+        raw["agent_concurrency"] = workers
+        raw["data"] = {"cases_path": str(fixture_dir / "cases.jsonl")}
+        raw["providers"]["agent"]["world_path"] = str(fixture_dir / "world.json")
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(raw))
+        run_dir = tmp_path / "run"
+        assert run_cli(["run-all", "--config", path, "--run-dir", run_dir]) == 2
+        assert not (run_dir / "manifest.json").exists()
 
     def test_per_stage_routing_builds_distinct_backends(self, fixture_dir, tmp_path):
         from rljp.config import build_agent
@@ -251,25 +261,17 @@ class TestResume:
     def test_run_dir_with_dense_candidates_and_absolute_paths_resumes(
         self, completed_run, fixture_config_path, tmp_path
     ):
-        # an older run dir: dense candidate weights, manifest outputs by
-        # absolute path; learned stages stay skipped and predictions match
+        # an older run dir: manifest outputs by absolute path; learned
+        # stages stay skipped and predictions match
         run_dir = tmp_path / "run"
         args = ["--config", fixture_config_path, "--run-dir", run_dir]
         assert run_cli(["train-candidates", *args]) == 0
-        candidates_path = run_dir / "candidates.json"
-        provider = CharNgramPerceptron.load(candidates_path)
-        payload = json.loads(candidates_path.read_text())
-        payload["weights"] = {s: w.tolist() for s, w in provider._weights.items()}
-        candidates_path.write_text(json.dumps(payload) + "\n")
         manifest_path = run_dir / "manifest.json"
         manifest = json.loads(manifest_path.read_text())
         for entry in manifest["stages"].values():
             entry["outputs"] = {
                 str(run_dir / name): digest for name, digest in entry["outputs"].items()
             }
-        manifest["stages"]["train-candidates"]["outputs"][str(candidates_path)] = (
-            hashlib.sha256(candidates_path.read_bytes()).hexdigest()
-        )
         manifest["artifacts"] = [str(run_dir / name) for name in manifest["artifacts"]]
         manifest_path.write_text(json.dumps(manifest))
 
@@ -417,6 +419,13 @@ class TestPipelineProducts:
                 assert target == payload["target"]
                 assert version == str(node["version"])
                 assert sequence.isdigit()
+
+    def test_tree_store_names_are_distinct_per_target(self, fixture_config_path, tmp_path):
+        run = pipeline_mod.PipelineRun(load_config(fixture_config_path), tmp_path / "run")
+        keys = ["article=264,charge=a b", "article=264,charge=a.b", "article=264,charge=a-b"]
+        assert len({run.tree_path(key) for key in keys}) == 3
+        for key in ("article=264,charge=theft", "article=348,term=lt_6m"):
+            assert run.tree_path(key) == tmp_path / "run" / "trees" / f"{key}.json"
 
     def test_every_artifact_is_deterministic(self, completed_run, repeated_run):
         # the manifest and transcript carry wall-clock times and latencies

@@ -86,14 +86,6 @@ class TestMakeQuiz:
         with pytest.raises(Exception, match="distractors"):
             make_quiz(_confusable(), tiny, num_options=4, seed=1)
 
-    def test_distractors_from_negatives_switch(self):
-        questions = make_quiz(
-            _confusable(), LABELS, num_options=2, seed=1, distractors_from_negatives=True
-        )
-        for q in questions:
-            labels = {label for _, label in q.options}
-            assert labels <= {TARGET_TEXT, "ARTICLE(263) CHARGE(robbery)"}
-
     def test_label_universe_is_rendered_once(self, monkeypatch):
         calls = []
 
