@@ -6,7 +6,7 @@ Run from the repository root:  python3 demos/02_confusable_mining.py
 
 from rljp.confusable import (
     HashingEmbedder,
-    build_confusable_set,
+    build_confusable_set_from_embeddings,
     cosine_similarity_matrix,
     embed_cases,
 )
@@ -45,8 +45,8 @@ for row_id, row in zip(sim.row_ids, sim.values):
 
 print()
 print("== confusable set for target (264, theft) ==")
-conf = build_confusable_set(
-    thefts, others, num=2, provider=embedder, target=ArticleCharge("264", "theft")
+conf = build_confusable_set_from_embeddings(
+    emb_pos, emb_oth, thefts, others, 2, target=ArticleCharge("264", "theft")
 )
 for negative in conf.negatives:
     print(

@@ -10,7 +10,7 @@ Run from the repository root:  python3 demos/03_quiz_tree_refinement.py
 from pathlib import Path
 
 from rljp.cacl import optimize_rule
-from rljp.confusable import HashingEmbedder, build_confusable_set
+from rljp.confusable import HashingEmbedder, build_confusable_set_from_embeddings, embed_cases
 from rljp.corpus import Judgment, LegalCase, load_label_space
 from rljp.fol import ArticleCharge, parse_rule, render_rule
 from rljp.opt_tree import new_tree, optimize
@@ -41,8 +41,14 @@ positives = [c for c in cases if c.judgment.charge_id == "theft"][:4]
 others = [c for c in cases if c.judgment.charge_id != "theft"]
 
 print("== quiz over the confusable set ==")
-conf = build_confusable_set(
-    positives, others, num=len(positives), provider=HashingEmbedder(), target=target
+embedder = HashingEmbedder()
+conf = build_confusable_set_from_embeddings(
+    embed_cases(positives, embedder),
+    embed_cases(others, embedder),
+    positives,
+    others,
+    len(positives),
+    target=target,
 )
 print("positives:", [c.case_id for c in conf.positives])
 print("negatives:", [c.case_id for c in conf.negatives],

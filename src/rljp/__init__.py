@@ -4,46 +4,9 @@ Learns first-order-logic judgment rules from precedents, refines them on
 confusable cases via a weighted optimization tree with contrastive feedback,
 and predicts (article, charge, prison term) judgments by applying the
 optimized rules over prescreened candidate labels.
+
+The package exports nothing itself; import from its submodules, such as
+`rljp.fol` or `rljp.pipeline`.
 """
-
-from .corpus import (
-    DatasetSplit,
-    Judgment,
-    LabelSpace,
-    LegalCase,
-    group_precedents,
-    label_space,
-    load_cases,
-    long_subset,
-    split_dataset,
-)
-from .fol import (
-    Article,
-    ArticleCharge,
-    ArticleTerm,
-    FolRule,
-    parse_rule,
-    render_rule,
-    validate_rule,
-)
-
-__all__ = [
-    "Article",
-    "ArticleCharge",
-    "ArticleTerm",
-    "DatasetSplit",
-    "FolRule",
-    "Judgment",
-    "LabelSpace",
-    "LegalCase",
-    "group_precedents",
-    "label_space",
-    "load_cases",
-    "long_subset",
-    "parse_rule",
-    "render_rule",
-    "split_dataset",
-    "validate_rule",
-]
 
 __version__ = "0.1.0"

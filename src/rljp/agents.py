@@ -157,9 +157,6 @@ class Transcript:
                     handle.write(json.dumps(entry, ensure_ascii=False))
                     handle.write("\n")
 
-    def __len__(self) -> int:
-        return self.calls
-
 
 def complete(
     request: ChatRequest,

@@ -45,10 +45,6 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         config = load_config(args.config, seed_override=args.seed)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    try:
         manifest = run_pipeline(
             config,
             args.run_dir,
@@ -56,6 +52,10 @@ def main(argv: list[str] | None = None) -> int:
             resume=args.resume,
             last_stage=args.last_stage,
         )
+    except ConfigError as exc:
+        # from the file, or from building its backends before any stage runs
+        print(f"config error: {exc}", file=sys.stderr)
+        return 2
     except FileExistsError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2

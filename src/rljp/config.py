@@ -99,8 +99,8 @@ def load_config(path: str | Path, *, seed_override: Optional[int] = None) -> dic
     if isinstance(workers, bool) or not isinstance(workers, int) or workers < 1:
         raise ConfigError(f"agent_concurrency must be an integer >= 1, not {workers!r}")
     ratios = config["data"]["ratios"]
-    if len(ratios) != 3 or abs(sum(ratios) - 1.0) > 1e-9:
-        raise ConfigError("data.ratios must be three fractions summing to 1")
+    if len(ratios) != 3 or min(ratios) < 0 or abs(sum(ratios) - 1.0) > 1e-9:
+        raise ConfigError("data.ratios must be three non-negative fractions summing to 1")
     # paths are interpreted relative to the config file's directory
     base = path.parent
     for key in ("cases_path", "labels_path"):

@@ -43,6 +43,12 @@ class EmbeddingMatrix:
             bad = self.case_ids[int(np.argmin(norms))]
             raise ValueError(f"zero embedding vector for case {bad}")
 
+    def select(self, cases: Sequence[LegalCase]) -> "EmbeddingMatrix":
+        """The rows of `cases`, in their order; each case must have a row."""
+        row_of = {case_id: row for row, case_id in enumerate(self.case_ids)}
+        rows = [row_of[case.case_id] for case in cases]
+        return EmbeddingMatrix(self.vectors[rows], tuple(case.case_id for case in cases))
+
 
 @dataclass(frozen=True)
 class SimilarityMatrix:
@@ -204,27 +210,6 @@ def select_hard_negatives(
     return [by_id[case_id] for case_id, _ in chosen], dict(chosen)
 
 
-def build_confusable_set(
-    positives: Sequence[LegalCase],
-    others: Sequence[LegalCase],
-    num: int,
-    provider: EmbeddingBackend,
-    *,
-    target: Consequent,
-) -> ConfusableSet:
-    """Mine the hardest other-label cases for `positives` and assemble the
-    confusable validation set."""
-    if not positives:
-        raise ValueError("positives must be non-empty")
-    if not others:
-        raise ValueError("others must be non-empty")
-    emb_pos = embed_cases(positives, provider)
-    emb_oth = embed_cases(others, provider)
-    return build_confusable_set_from_embeddings(
-        emb_pos, emb_oth, positives, others, num, target=target
-    )
-
-
 def build_confusable_set_from_embeddings(
     emb_positives: EmbeddingMatrix,
     emb_others: EmbeddingMatrix,
@@ -234,7 +219,9 @@ def build_confusable_set_from_embeddings(
     *,
     target: Consequent,
 ) -> ConfusableSet:
-    """build_confusable_set for callers that already hold the embeddings."""
+    """Mine the hardest other-label cases for `positives` and assemble the
+    confusable validation set. Row i of `emb_positives` (`emb_others`) embeds
+    `positives[i]` (`others[i]`)."""
     similarity = cosine_similarity_matrix(emb_positives, emb_others)
     negatives, sims = select_hard_negatives(similarity, others, num)
     return ConfusableSet(

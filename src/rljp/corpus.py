@@ -68,15 +68,10 @@ class LegalCase:
     case_id: str
     fact_text: str
     judgment: Optional[Judgment] = None
-    fact_length: int = 0
 
     def __post_init__(self) -> None:
         if not self.fact_text:
             raise ValueError(f"case {self.case_id}: empty fact_text")
-        if self.fact_length == 0:
-            object.__setattr__(self, "fact_length", len(self.fact_text))
-        elif self.fact_length != len(self.fact_text):
-            raise ValueError(f"case {self.case_id}: fact_length mismatch")
 
 
 @dataclass(frozen=True)
@@ -225,10 +220,10 @@ def split_dataset(
     """Deterministic shuffle-and-slice split.
 
     Validation and test sizes are floors of their ratios; the remainder goes
-    to train. Requires at least 3 cases and ratios summing to 1.
+    to train. Requires at least 3 cases and non-negative ratios summing to 1.
     """
-    if abs(sum(ratios) - 1.0) > 1e-9:
-        raise CorpusError(f"ratios must sum to 1, got {sum(ratios)}")
+    if min(ratios) < 0 or abs(sum(ratios) - 1.0) > 1e-9:
+        raise CorpusError(f"ratios must be non-negative and sum to 1, got {list(ratios)}")
     if len(cases) < 3:
         raise CorpusError(f"need at least 3 cases to split, got {len(cases)}")
     order = list(cases)
@@ -269,17 +264,6 @@ def group_precedents(
         if len(bucket) < k:
             bucket.append(case)
     return groups
-
-
-def long_subset(cases: Sequence[LegalCase], fraction: float) -> list[LegalCase]:
-    """The ceil(fraction * n) longest cases, ties broken by case_id ascending."""
-    if not 0 < fraction <= 1:
-        raise CorpusError(f"fraction must be in (0, 1], got {fraction}")
-    if not cases:
-        return []
-    count = math.ceil(fraction * len(cases))
-    ranked = sorted(cases, key=lambda c: (-c.fact_length, c.case_id))
-    return ranked[:count]
 
 
 def label_space(cases: Iterable[LegalCase]) -> LabelSpace:

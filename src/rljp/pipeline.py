@@ -470,7 +470,6 @@ def _init_rules(run: PipelineRun) -> None:
 def _build_confusable(run: PipelineRun) -> None:
     train = list(run._load_split().train)
     embeddings = embed_cases(train, run.embedder)
-    row_of = {case_id: i for i, case_id in enumerate(embeddings.case_ids)}
     num_config = run.config["optimization"]["num_negatives"]
     targets, _ = run._load_precedents()
     payload = {}
@@ -481,11 +480,14 @@ def _build_confusable(run: PipelineRun) -> None:
         if not positives or not others:
             logger.warning("target %s has no positives or no others; skipped", key)
             continue
-        emb_pos = _slice_embeddings(embeddings, positives, row_of)
-        emb_oth = _slice_embeddings(embeddings, others, row_of)
         num = num_config if num_config else len(positives)
         conf = build_confusable_set_from_embeddings(
-            emb_pos, emb_oth, positives, others, num, target=target
+            embeddings.select(positives),
+            embeddings.select(others),
+            positives,
+            others,
+            num,
+            target=target,
         )
         payload[key] = {
             "target": key,
@@ -715,16 +717,3 @@ def run_pipeline(
     """Execute the pipeline end to end (or up to `last_stage`)."""
     run = PipelineRun(config, run_dir, mock=mock, resume=resume)
     return run.run_through(last_stage)
-
-
-# ---------------------------------------------------------------------------
-# helpers
-
-
-def _slice_embeddings(embeddings, cases, row_of):
-    import numpy as np
-
-    from .confusable import EmbeddingMatrix
-
-    rows = np.stack([embeddings.vectors[row_of[c.case_id]] for c in cases])
-    return EmbeddingMatrix(vectors=rows, case_ids=tuple(c.case_id for c in cases))

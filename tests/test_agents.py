@@ -104,7 +104,7 @@ class TestComplete:
         assert response.text == "ok"
         assert backend.calls == 3
         assert len(sleeps) == 2
-        assert len(transcript) == 1
+        assert transcript.calls == 1
         assert transcript_entries(transcript)[0]["retries"] == 2
 
     def test_exhausted_retries(self):
@@ -143,7 +143,7 @@ class TestComplete:
         transcript = Transcript(tmp_path / "transcript.jsonl")
         complete(_request("a"), backend, transcript=transcript)
         complete(_request("b"), backend, transcript=transcript)
-        assert len(transcript) == 2
+        assert transcript.calls == 2
         assert [e["tag"] for e in transcript_entries(transcript)] == ["a", "b"]
 
 
@@ -157,7 +157,7 @@ class TestTranscript:
         reopened = Transcript(path)
         assert (reopened.calls, reopened.input_units, reopened.output_units) == (2, 7, 2)
         reopened.record(_request("b"), ChatResponse("y", 3, 1), retries=0, backend="b")
-        assert (len(reopened), reopened.input_units, reopened.output_units) == (3, 10, 3)
+        assert (reopened.calls, reopened.input_units, reopened.output_units) == (3, 10, 3)
 
 
 class TestChatRequest:

@@ -120,7 +120,7 @@ class TestApplyDirection:
             child_rule_id="c1", transcript=transcript,
         )
         assert child.target == ArticleCharge("264", "theft")
-        assert len(transcript) == 2
+        assert transcript.calls == 2
         assert "consequent changed" in backend.calls[1].user_text
 
     def test_two_invalid_then_valid_is_three_calls(self):

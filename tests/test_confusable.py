@@ -10,7 +10,7 @@ from rljp.confusable import (
     ConfusableSet,
     EmbeddingMatrix,
     HashingEmbedder,
-    build_confusable_set,
+    build_confusable_set_from_embeddings,
     cosine_similarity_matrix,
     embed_cases,
     select_hard_negatives,
@@ -43,6 +43,19 @@ def brute_force_negatives(sim: np.ndarray, col_ids, num):
             best[cid] = row[top]
     ranked = sorted(best.items(), key=lambda kv: (-kv[1], kv[0]))
     return ranked[:num]
+
+
+def _mine(positives, others, num):
+    """The confusable set for (264, theft), mined over hashing embeddings."""
+    embedder = HashingEmbedder()
+    return build_confusable_set_from_embeddings(
+        embed_cases(positives, embedder),
+        embed_cases(others, embedder),
+        positives,
+        others,
+        num,
+        target=ArticleCharge("264", "theft"),
+    )
 
 
 def _matrix(rng, m, d):
@@ -84,6 +97,17 @@ class TestHashingEmbedder:
         matrix = embed_cases(cases, HashingEmbedder(dim=256))
         assert matrix.vectors.shape == (3, 256)
         assert matrix.case_ids == ("c0", "c1", "c2")
+
+    def test_select_takes_each_case_row_in_the_given_order(self):
+        cases = [make_case(f"c{i}", f"case text {i}") for i in range(4)]
+        matrix = embed_cases(cases, HashingEmbedder(dim=32))
+        picked = matrix.select([cases[3], cases[0], cases[3]])
+        assert picked.case_ids == ("c3", "c0", "c3")
+        assert np.array_equal(
+            picked.vectors, np.stack([matrix.vectors[3], matrix.vectors[0], matrix.vectors[3]])
+        )
+        with pytest.raises(KeyError):
+            matrix.select([make_case("unseen", "case text")])
 
 
 class TestCosine:
@@ -135,10 +159,7 @@ class TestBuildConfusableSet:
             make_case("o2", "zzz yyy xxx", charge="robbery"),
             make_case("o3", "qqq www eee", charge="robbery"),
         ]
-        conf = build_confusable_set(
-            positives, others, num=3, provider=HashingEmbedder(),
-            target=ArticleCharge("264", "theft"),
-        )
+        conf = _mine(positives, others, num=3)
         ids = [c.case_id for c in conf.negatives]
         assert ids[0] == "o1"
         assert len(ids) == len(set(ids))
@@ -150,30 +171,21 @@ class TestBuildConfusableSet:
             make_case("o1", "unique marker phrase one extra", charge="robbery"),
             make_case("o2", "совершенно другое содержание", charge="robbery"),
         ]
-        conf = build_confusable_set(
-            positives, others, num=1, provider=HashingEmbedder(),
-            target=ArticleCharge("264", "theft"),
-        )
+        conf = _mine(positives, others, num=1)
         assert [c.case_id for c in conf.negatives] == ["o1"]
 
     def test_insufficient_distinct_negatives_warns_and_returns_all(self, caplog):
         positives = [make_case(f"p{i}", "alpha beta gamma") for i in range(3)]
         others = [make_case("o1", "alpha beta gamma", charge="robbery")]
         with caplog.at_level("WARNING"):
-            conf = build_confusable_set(
-                positives, others, num=5, provider=HashingEmbedder(),
-                target=ArticleCharge("264", "theft"),
-            )
+            conf = _mine(positives, others, num=5)
         assert len(conf.negatives) == 1
         assert any("only 1 distinct" in r.message for r in caplog.records)
 
     def test_validation_set_is_positives_then_negatives(self):
         positives = [make_case("p1", "aaa bbb"), make_case("p2", "aaa ccc")]
         others = [make_case("o1", "aaa bbb ddd", charge="robbery")]
-        conf = build_confusable_set(
-            positives, others, num=1, provider=HashingEmbedder(),
-            target=ArticleCharge("264", "theft"),
-        )
+        conf = _mine(positives, others, num=1)
         ids = [c.case_id for c in conf.validation_cases()]
         assert ids == ["p1", "p2", "o1"]
 
@@ -199,9 +211,6 @@ class TestConfusableSetInvariants:
     def test_label_separation_holds_for_engineered_sets(self):
         positives = [make_case("p1", "alpha bravo"), make_case("p2", "alpha charlie")]
         others = [make_case(f"o{i}", f"alpha delta {i}", charge="robbery") for i in range(4)]
-        conf = build_confusable_set(
-            positives, others, num=2, provider=HashingEmbedder(),
-            target=ArticleCharge("264", "theft"),
-        )
+        conf = _mine(positives, others, num=2)
         assert all(c.judgment.charge_id != "theft" for c in conf.negatives)
         assert all(c.judgment.charge_id == "theft" for c in conf.positives)

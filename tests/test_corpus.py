@@ -16,7 +16,6 @@ from rljp.corpus import (
     label_space,
     load_cases,
     load_label_space,
-    long_subset,
     split_dataset,
     write_rejects_report,
 )
@@ -49,7 +48,6 @@ class TestLoadCases:
         cases = load_cases(path, rejects=rejects)
         assert [c.case_id for c in cases] == ["c0", "c1", "c2"]
         assert rejects == []
-        assert all(c.fact_length == len(c.fact_text) for c in cases)
 
     def test_truncated_line_is_rejected_with_line_number(self, tmp_path):
         path = tmp_path / "cases.jsonl"
@@ -63,6 +61,10 @@ class TestLoadCases:
         write_rejects_report(report, rejects)
         row = json.loads(report.read_text().strip())
         assert row["line"] == 2 and row["reason"]
+
+    def test_empty_fact_text_rejected(self):
+        with pytest.raises(ValueError, match="empty fact_text"):
+            LegalCase(case_id="x", fact_text="")
 
     def test_duplicate_case_id_is_fatal(self, tmp_path):
         path = tmp_path / "cases.jsonl"
@@ -138,6 +140,12 @@ class TestSplit:
         with pytest.raises(CorpusError):
             split_dataset(cases, (0.8, 0.1, 0.2), 0)
 
+    def test_negative_ratio_rejected(self):
+        # sums to 1, but would put every case in train and none in test
+        cases = [make_case(f"c{i}", f"f{i}") for i in range(5)]
+        with pytest.raises(CorpusError, match="non-negative"):
+            split_dataset(cases, (1.2, -0.1, -0.1), 0)
+
 
 class TestGroupPrecedents:
     def test_article_charge_grouping(self):
@@ -166,44 +174,6 @@ class TestGroupPrecedents:
         assert set(groups) == {("264", "b0"), ("264", "b1")}
 
 
-class TestLongSubset:
-    def test_top_fraction(self):
-        cases = [make_case(f"c{i:03d}", "x" * (i + 1)) for i in range(100)]
-        top = long_subset(cases, 0.05)
-        assert len(top) == 5
-        assert [c.fact_length for c in top] == [100, 99, 98, 97, 96]
-
-    def test_tie_breaks_by_case_id(self):
-        cases = [
-            make_case("b", "xxxx"),
-            make_case("a", "xxxx"),
-            make_case("c", "xxxxxxx"),
-        ]
-        top = long_subset(cases, 2 / 3)
-        assert [c.case_id for c in top] == ["c", "a"]
-
-    def test_full_fraction_is_length_sorted_permutation(self):
-        rng = random.Random(9)
-        cases = [make_case(f"c{i}", "x" * rng.randint(1, 50)) for i in range(30)]
-        everything = long_subset(cases, 1.0)
-        assert len(everything) == 30
-        lengths = [c.fact_length for c in everything]
-        assert lengths == sorted(lengths, reverse=True)
-
-    def test_unfiltered_cail_scale_top_5_percent(self):
-        # the published long-subset counts only add up at the unfiltered
-        # corpus size: 5% of 149,980 cases is 7,499, longest fact 20,397
-        n = 149980
-        lengths = [20397 if i == 0 else 20 + (i % 300) for i in range(n)]
-        cases = [make_case(f"c{i:06d}", "x" * lengths[i]) for i in range(n)]
-        top = long_subset(cases, 0.05)
-        assert len(top) == 7499
-        assert max(c.fact_length for c in top) == 20397
-
-    def test_empty_input(self):
-        assert long_subset([], 0.5) == []
-
-
 class TestLabelSpace:
     def test_first_appearance_order(self):
         cases = [
@@ -223,12 +193,6 @@ class TestLabelSpace:
         labels = LabelSpace.from_dict(json.loads(path.read_text(encoding="utf-8")))
         assert labels == load_label_space(path)
         assert LabelSpace.from_dict(asdict(labels)) == labels
-
-    def test_fact_length_invariant(self):
-        with pytest.raises(ValueError):
-            LegalCase(case_id="x", fact_text="abc", fact_length=5)
-        with pytest.raises(ValueError):
-            LegalCase(case_id="x", fact_text="")
 
 
 class TestSubtaskLabels:

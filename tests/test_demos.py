@@ -11,7 +11,7 @@ DEMOS = sorted((REPO / "demos").glob("*.py"))
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[path.name for path in DEMOS])
 def test_demo_runs(demo, tmp_path):
-    # TMPDIR keeps the run directory the full-pipeline demo makes under tmp_path
+    # TMPDIR puts the run directory the full-pipeline demo makes under tmp_path
     env = {**os.environ, "PYTHONPATH": str(REPO / "src"), "TMPDIR": str(tmp_path)}
     result = subprocess.run(
         [sys.executable, str(demo)],
@@ -22,3 +22,4 @@ def test_demo_runs(demo, tmp_path):
         timeout=120,
     )
     assert result.returncode == 0, result.stderr
+    assert not list(tmp_path.glob("rljp_demo_*")), "demo left its run directory behind"

@@ -72,6 +72,26 @@ class TestConfig:
         assert run_cli(["run-all", "--config", path, "--run-dir", run_dir]) == 2
         assert not (run_dir / "manifest.json").exists()
 
+    def test_negative_ratio_rejected(self, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text('{"data": {"cases_path": "x.jsonl", "ratios": [1.2, -0.1, -0.1]}}')
+        with pytest.raises(ConfigError, match="non-negative"):
+            load_config(path)
+
+    def test_cli_exit_code_2_on_backend_config_error(self, fixture_dir, tmp_path):
+        # --mock with an http agent and no providers.mock.agent to swap in
+        raw = {
+            "data": {"cases_path": str(fixture_dir / "cases.jsonl")},
+            "providers": {
+                "agent": {"kind": "http", "base_url": "http://localhost:9", "model": "m"}
+            },
+        }
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(raw))
+        run_dir = tmp_path / "run"
+        assert run_cli(["run-all", "--config", path, "--run-dir", run_dir, "--mock"]) == 2
+        assert not (run_dir / "manifest.json").exists()
+
     def test_per_stage_routing_builds_distinct_backends(self, fixture_dir, tmp_path):
         from rljp.config import build_agent
 

@@ -22,7 +22,7 @@ class TestAsk:
         (request,) = backend.calls
         assert (request.system_text, request.user_text) == (SYSTEM_LEGAL_ANALYST, "question")
         assert (request.temperature, request.tag) == (0.3, "t")
-        assert len(transcript) == 1
+        assert transcript.calls == 1
 
     def test_rejected_reply_is_followed_up_until_parsed(self):
         backend = ScriptedBackend({"t": ["x", "y", "42"]})

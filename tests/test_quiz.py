@@ -166,7 +166,7 @@ class TestRunQuiz:
         )
         assert result.score == 1.0
         assert not any(r.malformed for r in result.records)
-        assert len(transcript) == 2 * len(questions)
+        assert transcript.calls == 2 * len(questions)
 
     def test_garbage_twice_yields_malformed_record(self):
         questions = make_quiz(_confusable(), LABELS, num_options=4, seed=1)

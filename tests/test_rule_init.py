@@ -115,7 +115,7 @@ class TestInitRuleForTarget:
         assert rule.version == 0
         assert rule.provenance.kind == "initialized"
         assert rule.target == TARGET
-        assert len(transcript) == 3
+        assert transcript.calls == 3
 
     def test_invalid_then_valid_is_four_calls(self):
         backend = ScriptedBackend(
@@ -126,7 +126,7 @@ class TestInitRuleForTarget:
             TARGET, PRECEDENTS, backend, LABELS, transcript=transcript
         )
         assert rule.version == 0
-        assert len(transcript) == 4
+        assert transcript.calls == 4
 
     def test_term_target_keeps_term_consequent(self):
         target = ArticleTerm("264", "b1")
