@@ -33,7 +33,9 @@ def build_parser() -> argparse.ArgumentParser:
             "--resume", action="store_true", help="continue in an existing run directory"
         )
         sub.add_argument(
-            "--mock", action="store_true", help="force offline scripted/mock backends"
+            "--mock",
+            action="store_true",
+            help="use providers.mock's offline backends and no routing",
         )
     return parser
 
@@ -44,13 +46,9 @@ def main(argv: list[str] | None = None) -> int:
     )
     args = build_parser().parse_args(argv)
     try:
-        config = load_config(args.config, seed_override=args.seed)
+        config = load_config(args.config, seed_override=args.seed, mock=args.mock)
         manifest = run_pipeline(
-            config,
-            args.run_dir,
-            mock=args.mock,
-            resume=args.resume,
-            last_stage=args.last_stage,
+            config, args.run_dir, resume=args.resume, last_stage=args.last_stage
         )
     except ConfigError as exc:
         # from the file, or from building its backends before any stage runs

@@ -1,8 +1,9 @@
 """Pipeline configuration: a single JSON file with one section per concern.
 
 Every tunable named by the engine modules appears here with its default, so
-a config file only states what it overrides. Provider construction lives
-here too, including the --mock switch to offline backends.
+a config file only states what it overrides. The --mock switch is applied
+here, at load time, so the config a run records is the one it uses; the
+backends are built here too, each from one spec.
 """
 
 from __future__ import annotations
@@ -79,8 +80,14 @@ def _merge(base: dict, override: dict, path: str = "") -> dict:
     return merged
 
 
-def load_config(path: str | Path, *, seed_override: Optional[int] = None) -> dict:
-    """Parse and validate a config file against the defaults."""
+def load_config(
+    path: str | Path, *, seed_override: Optional[int] = None, mock: bool = False
+) -> dict:
+    """Parse and validate a config file against the defaults.
+
+    With `mock`, providers.mock supplies the agent (default: the configured
+    agent) and the embedder (default: hashing), and routing is emptied.
+    """
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
@@ -109,31 +116,30 @@ def load_config(path: str | Path, *, seed_override: Optional[int] = None) -> dic
             config["data"][key] = str((base / value).resolve())
     sections = [config["providers"]["agent"], config["providers"]["embedder"]]
     sections += list(config["providers"]["routing"].values())
-    mock = config["providers"]["mock"]
-    sections += [s for s in (mock.get("agent"), mock.get("embedder")) if isinstance(s, dict)]
+    offline = config["providers"]["mock"]
+    sections += [s for s in (offline.get("agent"), offline.get("embedder")) if isinstance(s, dict)]
     for section in sections:
         if section.get("world_path"):
             section["world_path"] = str((base / section["world_path"]).resolve())
         if section.get("script_path"):
             section["script_path"] = str((base / section["script_path"]).resolve())
+    if mock:
+        providers = config["providers"]
+        providers["agent"] = offline.get("agent", providers["agent"])
+        providers["embedder"] = offline.get("embedder", {"kind": "hashing"})
+        providers["routing"] = {}
+        for role in ("agent", "embedder"):
+            if providers[role].get("kind") == "http":
+                raise ConfigError(f"--mock cannot use an http {role}")
     return config
 
 
-def build_agent(config: dict, *, mock: bool = False, stage: Optional[str] = None):
-    """Agent backend per providers config.
-
-    providers.routing may override the default agent for a named stage
-    (init-rules, optimize, examine); --mock forces providers.mock.agent for
-    every stage.
-    """
+def build_agent(spec: dict):
+    """Agent backend for one spec: providers.agent, a routing entry, or
+    providers.mock.agent."""
     from .agents import HttpBackend, ScriptedBackend
     from .synthetic import OracleAgent, SyntheticWorld
 
-    spec = config["providers"]["agent"]
-    if stage is not None:
-        spec = config["providers"]["routing"].get(stage, spec)
-    if mock:
-        spec = config["providers"]["mock"].get("agent", spec)
     kind = spec.get("kind")
     if kind == "synthetic-oracle":
         world_path = spec.get("world_path")
@@ -147,8 +153,6 @@ def build_agent(config: dict, *, mock: bool = False, stage: Optional[str] = None
         script = json.loads(Path(script_path).read_text(encoding="utf-8"))
         return ScriptedBackend(script)
     if kind == "http":
-        if mock:
-            raise ConfigError("--mock cannot use an http agent")
         base_url = spec.get("base_url")
         model = spec.get("model")
         if not base_url or not model:
@@ -157,18 +161,13 @@ def build_agent(config: dict, *, mock: bool = False, stage: Optional[str] = None
     raise ConfigError(f"unknown agent kind {kind!r}")
 
 
-def build_embedder(config: dict, *, mock: bool = False):
+def build_embedder(spec: dict):
     from .confusable import HashingEmbedder, HttpEmbedder
 
-    spec = config["providers"]["embedder"]
-    if mock:
-        spec = config["providers"]["mock"].get("embedder", {"kind": "hashing"})
     kind = spec.get("kind")
     if kind == "hashing":
         return HashingEmbedder(dim=int(spec.get("dim", 256)))
     if kind == "http":
-        if mock:
-            raise ConfigError("--mock cannot use an http embedder")
         base_url = spec.get("base_url")
         model = spec.get("model")
         if not base_url or not model:

@@ -17,30 +17,6 @@ import re
 from dataclasses import dataclass, field
 from typing import ClassVar, Iterator, Optional, Union
 
-__all__ = [
-    "Var",
-    "Const",
-    "PredicateAtom",
-    "Connective",
-    "Quantifier",
-    "AstNode",
-    "Article",
-    "ArticleCharge",
-    "ArticleTerm",
-    "Consequent",
-    "Provenance",
-    "FolRule",
-    "RuleSyntaxError",
-    "Violation",
-    "parse_rule",
-    "rule_from_row",
-    "render_rule",
-    "render_antecedent",
-    "render_consequent",
-    "validate_rule",
-    "GRAMMAR_HELP",
-]
-
 GRAMMAR_HELP = """\
 rule       := quantifier* "(" expr ")" "->" consequent
 quantifier := ("FORALL" | "EXISTS") variable

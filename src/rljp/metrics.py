@@ -7,7 +7,7 @@ Conventions are pinned for cross-run comparability: zero denominators yield
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Sequence
 
 from .corpus import SUBTASKS, Judgment
@@ -32,8 +32,8 @@ class SubtaskMetrics:
 
 @dataclass(frozen=True)
 class MetricsReport:
-    subtasks: dict[str, SubtaskMetrics]
     num_cases: int
+    subtasks: dict[str, SubtaskMetrics]
 
 
 class AlignmentError(ValueError):
@@ -97,32 +97,9 @@ def compute_metrics(predictions: Sequence, gold: Sequence) -> MetricsReport:
     return MetricsReport(subtasks=subtasks, num_cases=len(gold))
 
 
-def report_as_dict(report: MetricsReport) -> dict:
-    return {
-        "num_cases": report.num_cases,
-        "subtasks": {
-            name: {
-                "accuracy": m.accuracy,
-                "macro_precision": m.macro_precision,
-                "macro_recall": m.macro_recall,
-                "macro_f1": m.macro_f1,
-                "per_class": {
-                    cls: {
-                        "precision": cm.precision,
-                        "recall": cm.recall,
-                        "f1": cm.f1,
-                        "support": cm.support,
-                    }
-                    for cls, cm in m.per_class.items()
-                },
-            }
-            for name, m in report.subtasks.items()
-        },
-    }
-
-
 def report_as_json(report: MetricsReport) -> str:
-    return json.dumps(report_as_dict(report), indent=2, ensure_ascii=False) + "\n"
+    """metrics.json: the report's fields, in their declared order."""
+    return json.dumps(asdict(report), indent=2, ensure_ascii=False) + "\n"
 
 
 def report_as_table(report: MetricsReport) -> str:

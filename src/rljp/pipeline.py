@@ -1,11 +1,12 @@
 """Resumable pipeline: nine stages from raw cases to a metrics report.
 
 The stages are the rows of one table, `STAGE_TABLE`, in run order. A row
-gives a stage's input files, the config sections its input hash covers, the
-fixed outputs it writes, and a body function over the `PipelineRun`; the
-optimize body also returns its per-target tree stores as extra outputs.
-`STAGES`, `PipelineRun.run_through` and the CLI subcommands all come from
-this table, and every stage runs through `PipelineRun._execute`.
+gives a stage's input files in the run directory, the dotted config keys its
+body reads (its only record of what it depends on), the fixed outputs it
+writes, and a body function over the `PipelineRun`; the optimize body also
+returns its per-target tree stores as extra outputs. `STAGES`,
+`PipelineRun.run_through` and the CLI subcommands all come from this table,
+and every stage runs through `PipelineRun._execute`.
 
 Every stage reads and writes plain files under the run directory and records
 its input hash plus output hashes in the manifest, by paths relative to the
@@ -13,7 +14,8 @@ run directory, so a moved run directory still resumes. On rerun a stage is
 skipped exactly when its recorded input hash still matches and all of its
 outputs are present with their recorded hashes; an output whose bytes
 changed behind the manifest's back is a checksum failure, not a silent
-rebuild.
+rebuild. Only a stage re-run under the input hash it recorded last, after a
+crash or a failure, resumes partial work: optimize reloads its tree stores.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from . import cacl as cacl_mod
 from . import opt_tree
 from .agents import Transcript, fan_out
 from .candidates import CharNgramPerceptron
-from .config import build_agent, build_embedder
+from .config import ConfigError, build_agent, build_embedder
 from .confusable import (
     ConfusableSet,
     build_confusable_set_from_embeddings,
@@ -68,11 +70,6 @@ from .rule_init import RuleSet, init_all_rules
 
 logger = logging.getLogger(__name__)
 
-# stand for the files named by config data.cases_path and data.labels_path
-# among a stage's inputs; an unset labels_path is no input
-CORPUS = "data.cases_path"
-LABELS = "data.labels_path"
-
 # the consequent kinds that get rules; precedents.json has one section of
 # precedent groups per kind, named by its subtasks joined with "+"
 RULE_KINDS = (ArticleCharge, ArticleTerm)
@@ -90,11 +87,11 @@ class ChecksumError(StageError):
 
 @dataclass(frozen=True)
 class Stage:
-    """One row of the stage table; file names other than CORPUS and LABELS are
-    in the run dir."""
+    """One row of the stage table: input files in the run dir, and the dotted
+    config keys the body reads."""
 
     inputs: tuple[str, ...]
-    config_sections: tuple[str, ...]
+    settings: tuple[str, ...]
     outputs: tuple[str, ...]
     body: Callable[[PipelineRun], Optional[list[Path]]]  # returns extra outputs
 
@@ -107,23 +104,15 @@ def _sha256(path: Path) -> str:
     return digest.hexdigest()
 
 
-def _paths_as_digests(value, where: str):
-    """A copy of the config value at `where` in which every `*_path` that
+def _paths_as_digests(key: str, value):
+    """A copy of the config value under `key` in which every `*_path` that
     names a file is that file's sha256, so a hash follows the bytes wherever
-    the files sit. CORPUS and LABELS are left out: they are hashed as inputs
-    of the stages that read them."""
-    if not isinstance(value, dict):
-        return value
-    view = {}
-    for key, item in value.items():
-        name = f"{where}.{key}"
-        if name in (CORPUS, LABELS):
-            continue
-        if key.endswith("_path") and isinstance(item, str) and Path(item).is_file():
-            view[key] = _sha256(Path(item))
-        else:
-            view[key] = _paths_as_digests(item, name)
-    return view
+    the files sit."""
+    if isinstance(value, dict):
+        return {name: _paths_as_digests(name, item) for name, item in value.items()}
+    if key.endswith("_path") and isinstance(value, str) and Path(value).is_file():
+        return _sha256(Path(value))
+    return value
 
 
 def _now() -> str:
@@ -138,14 +127,15 @@ class PipelineRun:
         config: dict,
         run_dir: str | Path,
         *,
-        mock: bool = False,
         resume: bool = False,
     ):
+        unknown = sorted(set(config["providers"]["routing"]) - set(AGENT_STAGES))
+        if unknown:
+            raise ConfigError(f"providers.routing keys {unknown} are not in {AGENT_STAGES}")
         self.config = config
         self.run_dir = Path(run_dir)
         self.run_dir.mkdir(parents=True, exist_ok=True)
         (self.run_dir / "trees").mkdir(exist_ok=True)
-        self.mock = mock
         self.manifest_path = self.run_dir / "manifest.json"
         if self.manifest_path.exists():
             if not resume:
@@ -167,30 +157,33 @@ class PipelineRun:
                 "usage": {"input_units": 0, "output_units": 0},
                 "artifacts": [],
             }
+        # built up front, so a bad spec is a config error before any stage runs
         self._agents: dict[str, object] = {}
-        self.agent = self._agent_for(None)
-        self.embedder = build_embedder(config, mock=mock)
         routed = {
             stage: getattr(self._agent_for(stage), "name", "?")
             for stage in config["providers"]["routing"]
         }
         self.manifest["providers"] = {
-            "agent": getattr(self.agent, "name", "?"),
-            "embedder": getattr(self.embedder, "name", "?"),
+            "agent": getattr(self._agent_for(None), "name", "?"),
+            "embedder": getattr(build_embedder(config["providers"]["embedder"]), "name", "?"),
             **({"routing": routed} if routed else {}),
         }
         self.transcript = Transcript(self.run_dir / "transcript.jsonl")
         self._cases: Optional[dict[str, LegalCase]] = None
         self._labels: Optional[LabelSpace] = None
+        self.resuming = False  # set by _execute before each stage body
+
+    def agent_spec(self, stage: Optional[str]) -> dict:
+        """The agent spec routed to `stage`: a stage row's `providers.agent`."""
+        providers = self.config["providers"]
+        return providers["routing"].get(stage, providers["agent"])
 
     def _agent_for(self, stage: Optional[str]):
-        """Stage-routed agent backend; one instance per distinct spec."""
-        spec = self.config["providers"]["agent"]
-        if stage is not None:
-            spec = self.config["providers"]["routing"].get(stage, spec)
+        """The agent backend of `agent_spec(stage)`; one instance per distinct spec."""
+        spec = self.agent_spec(stage)
         key = json.dumps(spec, sort_keys=True)
         if key not in self._agents:
-            self._agents[key] = build_agent(self.config, mock=self.mock, stage=stage)
+            self._agents[key] = build_agent(spec)
         return self._agents[key]
 
     # -- paths
@@ -199,18 +192,6 @@ class PipelineRun:
         """`name` under the run dir; an absolute path (as older manifests
         recorded outputs) stays itself."""
         return self.run_dir / name
-
-    def _input_paths(self, names: tuple[str, ...]) -> list[Path]:
-        """The named inputs' paths; LABELS is left out while labels_path is unset."""
-        data = self.config["data"]
-        markers = {CORPUS: data["cases_path"], LABELS: data["labels_path"]}
-        paths = []
-        for name in names:
-            if name not in markers:
-                paths.append(self.path(name))
-            elif markers[name]:
-                paths.append(Path(markers[name]))
-        return paths
 
     def tree_path(self, target_key: str) -> Path:
         """The target's tree store. Letters, digits and "=,_" name themselves;
@@ -234,28 +215,31 @@ class PipelineRun:
             encoding="utf-8",
         )
 
-    def _stage_input_hash(self, inputs: list[Path], config_sections: tuple[str, ...]) -> str:
+    def _stage_input_hash(self, name: str) -> str:
+        stage = STAGE_TABLE[name]
         digest = hashlib.sha256()
-        digest.update(str(self.config["seed"]).encode())
-        for section in config_sections:
-            digest.update(
-                json.dumps(
-                    _paths_as_digests(self.config.get(section), section), sort_keys=True
-                ).encode()
-            )
-        for path in inputs:
-            digest.update(path.name.encode())
-            digest.update(_sha256(path).encode())
+        for key in stage.settings:
+            value = self.config
+            for part in key.split("."):
+                value = value[part]
+            if key == "providers.agent":
+                value = self.agent_spec(name)
+            view = _paths_as_digests(key, value)
+            digest.update(json.dumps([key, view], sort_keys=True).encode())
+        for input_name in stage.inputs:
+            digest.update(input_name.encode())
+            digest.update(_sha256(self.path(input_name)).encode())
         return digest.hexdigest()
 
     def _execute(self, name: str) -> None:
         stage = STAGE_TABLE[name]
-        inputs = self._input_paths(stage.inputs)
-        for path in inputs:
-            if not path.exists():
-                raise StageError(name, f"missing input artifact {path}")
-        input_hash = self._stage_input_hash(inputs, stage.config_sections)
+        for input_name in stage.inputs:
+            if not self.path(input_name).exists():
+                raise StageError(name, f"missing input artifact {self.path(input_name)}")
+        input_hash = self._stage_input_hash(name)
         recorded = self.manifest["stages"].get(name)
+        # partial work left by a crash or failure holds only under the same inputs
+        self.resuming = recorded is not None and recorded.get("input_hash") == input_hash
         if recorded and recorded.get("status") == "ok" and recorded.get("input_hash") == input_hash:
             missing = [p for p in recorded["outputs"] if not self.path(p).exists()]
             if not missing:
@@ -314,9 +298,10 @@ class PipelineRun:
 
     @property
     def labels(self) -> LabelSpace:
-        """data.labels_path, or else the labels of cases.valid.jsonl; read once per run."""
+        """data.labels_path, or else the labels of cases.valid.jsonl; the file
+        is read once per run, the setting on every use."""
+        labels_path = self.config["data"]["labels_path"]
         if self._labels is None:
-            labels_path = self.config["data"]["labels_path"]
             self._labels = (
                 load_label_space(labels_path)
                 if labels_path
@@ -469,7 +454,7 @@ def _init_rules(run: PipelineRun) -> None:
 
 def _build_confusable(run: PipelineRun) -> None:
     train = list(run._load_split().train)
-    embeddings = embed_cases(train, run.embedder)
+    embeddings = embed_cases(train, build_embedder(run.config["providers"]["embedder"]))
     num_config = run.config["optimization"]["num_negatives"]
     targets, _ = run._load_precedents()
     payload = {}
@@ -531,9 +516,9 @@ def _optimize(run: PipelineRun) -> list[Path]:
         )
         store = run.tree_path(key)
         tree = None
-        if store.exists():
-            # mid-stage resume; a store left by different inputs
-            # (changed seed or confusable set) just starts over
+        if run.resuming and store.exists():
+            # resume after a crash or failure under the same input hash; a
+            # store the crash cut short starts over
             try:
                 tree = opt_tree.load_tree(store, conf.target, questions)
                 logger.info("resuming tree for %s at iteration %d", key, tree.iteration)
@@ -594,6 +579,8 @@ def _train_candidates(run: PipelineRun) -> None:
 def _examine(run: PipelineRun) -> None:
     labels = run.labels
     split = run._load_split()
+    if not split.test:
+        raise ValueError("the test split is empty; give data.ratios a larger test share")
     rules = run._load_ruleset("rules_optimized.json")
     provider = CharNgramPerceptron.load(run.path("candidates.json"))
     exam = run.config["examination"]
@@ -656,42 +643,51 @@ def _evaluate(run: PipelineRun) -> None:
     run.path("metrics.txt").write_text(report_as_table(report), encoding="utf-8")
 
 
-# Stage order is run order. A stage's input hash covers the seed, then its
-# config sections, then its inputs, each in the order listed here; reordering
-# them invalidates every existing run directory.
+# Stage order is run order. A stage's input hash covers its settings, then
+# its inputs, each in the order listed here; reordering them invalidates
+# every existing run directory.
 STAGE_TABLE: dict[str, Stage] = {
-    "ingest": Stage((CORPUS,), ("data",), ("cases.valid.jsonl", "rejects.jsonl"), _ingest),
-    "split": Stage(("cases.valid.jsonl",), ("data",), ("split.json",), _split),
+    "ingest": Stage(
+        (), ("data.cases_path", "data.schema"), ("cases.valid.jsonl", "rejects.jsonl"), _ingest
+    ),
+    "split": Stage(("cases.valid.jsonl",), ("seed", "data.ratios"), ("split.json",), _split),
     "group-precedents": Stage(
-        ("cases.valid.jsonl", "split.json"), ("data",), ("precedents.json",), _group_precedents
+        ("cases.valid.jsonl", "split.json"),
+        ("data.precedent_k",),
+        ("precedents.json",),
+        _group_precedents,
     ),
     "init-rules": Stage(
-        ("cases.valid.jsonl", "precedents.json", LABELS),
-        ("data", "optimization", "providers"),
+        ("cases.valid.jsonl", "precedents.json"),
+        ("data.labels_path", "data.precedent_k", "optimization.temperature", "providers.agent"),
         ("rules_init.json",),
         _init_rules,
     ),
     "build-confusable": Stage(
         ("cases.valid.jsonl", "split.json", "precedents.json"),
-        ("data", "optimization", "providers"),
+        ("optimization.num_negatives", "providers.embedder"),
         ("confusable.json",),
         _build_confusable,
     ),
     "optimize": Stage(
-        ("cases.valid.jsonl", "rules_init.json", "confusable.json", LABELS),
-        ("quiz", "optimization", "providers"),
+        ("cases.valid.jsonl", "rules_init.json", "confusable.json"),
+        ("data.labels_path", "seed", "quiz.num_options", "optimization.defined_score",
+         "optimization.max_iterations", "optimization.max_records_per_side",
+         "optimization.fact_truncate", "optimization.temperature", "providers.agent"),
         ("rules_optimized.json",),
         _optimize,
     ),
     "train-candidates": Stage(
-        ("cases.valid.jsonl", "split.json", LABELS),
-        ("data", "examination"),
+        ("cases.valid.jsonl", "split.json"),
+        ("data.labels_path", "examination.ngram_sizes", "examination.hash_dim",
+         "examination.epochs"),
         ("candidates.json",),
         _train_candidates,
     ),
     "examine": Stage(
-        ("cases.valid.jsonl", "split.json", "rules_optimized.json", "candidates.json", LABELS),
-        ("examination", "providers"),
+        ("cases.valid.jsonl", "split.json", "rules_optimized.json", "candidates.json"),
+        ("data.labels_path", "seed", "examination.candidate_k",
+         "examination.abstract_threshold", "providers.agent"),
         ("predictions.jsonl",),
         _examine,
     ),
@@ -704,16 +700,17 @@ STAGE_TABLE: dict[str, Stage] = {
 }
 
 STAGES = tuple(STAGE_TABLE)
+# providers.routing may name only these
+AGENT_STAGES = tuple(name for name, row in STAGE_TABLE.items() if "providers.agent" in row.settings)
 
 
 def run_pipeline(
     config: dict,
     run_dir: str | Path,
     *,
-    mock: bool = False,
     resume: bool = False,
     last_stage: str = "evaluate",
 ) -> dict:
     """Execute the pipeline end to end (or up to `last_stage`)."""
-    run = PipelineRun(config, run_dir, mock=mock, resume=resume)
+    run = PipelineRun(config, run_dir, resume=resume)
     return run.run_through(last_stage)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import shutil
 from pathlib import Path
@@ -7,8 +8,8 @@ import pytest
 import rljp.pipeline as pipeline_mod
 from rljp.agents import ChatResponse
 from rljp.cli import build_parser, main
-from rljp.config import ConfigError, load_config
-from rljp.pipeline import STAGES
+from rljp.config import _FREEFORM, DEFAULT_CONFIG, ConfigError, build_agent, load_config
+from rljp.pipeline import STAGE_TABLE, STAGES, run_pipeline
 
 
 def run_cli(args):
@@ -93,8 +94,6 @@ class TestConfig:
         assert not (run_dir / "manifest.json").exists()
 
     def test_per_stage_routing_builds_distinct_backends(self, fixture_dir, tmp_path):
-        from rljp.config import build_agent
-
         raw = json.loads((fixture_dir / "config.json").read_text())
         raw["providers"]["routing"] = {
             "optimize": {"kind": "scripted", "script_path": "script.json"}
@@ -108,12 +107,58 @@ class TestConfig:
         raw["providers"]["agent"]["world_path"] = str(fixture_dir / "world.json")
         config_path.write_text(json.dumps(raw))
         config = load_config(config_path)
-        default_agent = build_agent(config)
-        routed_agent = build_agent(config, stage="optimize")
-        assert default_agent.name == "synthetic-oracle"
-        assert routed_agent.name == "scripted"
+        run = pipeline_mod.PipelineRun(config, tmp_path / "run")
+        assert build_agent(config["providers"]["agent"]).name == "synthetic-oracle"
+        assert build_agent(run.agent_spec("optimize")).name == "scripted"
+        assert run._agent_for("optimize").name == "scripted"
         # unrouted stages keep the default
-        assert build_agent(config, stage="examine").name == "synthetic-oracle"
+        assert run.agent_spec("examine") == config["providers"]["agent"]
+        assert run._agent_for("examine").name == "synthetic-oracle"
+        assert run.manifest["providers"]["routing"] == {"optimize": "scripted"}
+
+    @pytest.mark.parametrize("stage", ["optimise", "ingest"])
+    def test_routing_key_that_names_no_agent_stage_is_rejected(
+        self, fixture_dir, tmp_path, capsys, stage
+    ):
+        data = tmp_path / "data"
+        shutil.copytree(fixture_dir, data)
+        raw = json.loads((data / "config.json").read_text())
+        raw["providers"]["routing"] = {stage: {"kind": "scripted", "script_path": "script.json"}}
+        (data / "script.json").write_text("{}")
+        (data / "config.json").write_text(json.dumps(raw))
+        run_dir = tmp_path / "run"
+        assert run_cli(["run-all", "--config", data / "config.json", "--run-dir", run_dir]) == 2
+        assert not (run_dir / "manifest.json").exists()
+        assert stage in capsys.readouterr().err
+
+    def test_mock_is_applied_at_load_time(self, fixture_dir, tmp_path):
+        data = tmp_path / "data"
+        shutil.copytree(fixture_dir, data)
+        raw = json.loads((data / "config.json").read_text())
+        raw["providers"]["routing"] = {"optimize": {"kind": "scripted", "script_path": "s.json"}}
+        raw["providers"]["mock"] = {"agent": {"kind": "scripted", "script_path": "s.json"}}
+        (data / "s.json").write_text("{}")
+        (data / "config.json").write_text(json.dumps(raw))
+        config = load_config(data / "config.json", mock=True)
+        providers = config["providers"]
+        assert providers["agent"] == {"kind": "scripted", "script_path": str(data / "s.json")}
+        assert providers["embedder"] == {"kind": "hashing"}
+        assert providers["routing"] == {}
+        run_dir = tmp_path / "run"
+        args = ["split", "--config", data / "config.json", "--run-dir", run_dir, "--mock"]
+        assert run_cli(args) == 0
+        manifest = json.loads((run_dir / "manifest.json").read_text())
+        assert manifest["config"] == config
+        assert manifest["providers"] == {"agent": "scripted", "embedder": "hashing-ngram"}
+
+    def test_mock_rejects_an_http_embedder(self, fixture_dir, tmp_path):
+        raw = json.loads((fixture_dir / "config.json").read_text())
+        raw["data"] = {"cases_path": str(fixture_dir / "cases.jsonl")}
+        raw["providers"]["mock"]["embedder"] = {"kind": "http", "base_url": "u", "model": "m"}
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(raw))
+        with pytest.raises(ConfigError, match="http embedder"):
+            load_config(path, mock=True)
 
 
 class TestRunAll:
@@ -146,6 +191,20 @@ class TestRunAll:
 
     def test_rejects_report_is_empty_for_clean_corpus(self, completed_run):
         assert (completed_run / "rejects.jsonl").read_text() == ""
+
+    def test_empty_test_split_fails_examine_naming_the_ratios(self, fixture_dir, tmp_path, capsys):
+        data = tmp_path / "data"
+        shutil.copytree(fixture_dir, data)
+        raw = json.loads((data / "config.json").read_text())
+        raw["data"]["ratios"] = [1.0, 0.0, 0.0]
+        (data / "config.json").write_text(json.dumps(raw))
+        run_dir = tmp_path / "run"
+        assert run_cli(["run-all", "--config", data / "config.json", "--run-dir", run_dir]) == 1
+        assert "data.ratios" in capsys.readouterr().err
+        stages = json.loads((run_dir / "manifest.json").read_text())["stages"]
+        assert stages["examine"]["status"] == "failed"
+        assert "evaluate" not in stages
+        assert not (run_dir / "predictions.jsonl").exists()
 
 
 class TestResume:
@@ -194,21 +253,31 @@ class TestResume:
     def test_interrupted_optimize_rebuilds_unreadable_tree(
         self, fixture_config_path, tmp_path
     ):
-        # simulate a crash mid-optimize: stage not recorded in the manifest,
-        # one tree file on disk unreadable -> stage rebuilds it, no checksum error
+        # a crash mid-optimize leaves the stage "running" under its input hash
+        # and one tree store cut short: the resume reuses the intact stores
+        # and rebuilds only the cut one, with no checksum error
         run_dir = tmp_path / "run"
-        assert run_cli(
-            ["optimize", "--config", fixture_config_path, "--run-dir", run_dir]
-        ) == 0
+        args = ["optimize", "--config", fixture_config_path, "--run-dir", run_dir]
+        assert run_cli(args) == 0
         manifest_path = run_dir / "manifest.json"
         manifest = json.loads(manifest_path.read_text())
-        del manifest["stages"]["optimize"]
+        entry = manifest["stages"]["optimize"]
+        manifest["stages"]["optimize"] = {
+            "status": "running",
+            "started_at": entry["started_at"],
+            "input_hash": entry["input_hash"],
+            "outputs": {},
+            "skipped": False,
+        }
         manifest_path.write_text(json.dumps(manifest))
         victim = sorted((run_dir / "trees").glob("*.json"))[0]
+        key = json.loads(victim.read_text())["target"]
         victim.write_text("{ not json")
-        assert run_cli(
-            ["optimize", "--config", fixture_config_path, "--run-dir", run_dir, "--resume"]
-        ) == 0
+        calls_before = len(_transcript(run_dir))
+        assert run_cli([*args, "--resume"]) == 0
+        resumed = _transcript(run_dir)[calls_before:]
+        assert resumed
+        assert {entry["tag"].split("/")[1] for entry in resumed} == {key}
         assert json.loads(victim.read_text())["max_score"] >= 0.9
 
     def test_moved_run_dir_resumes_with_every_stage_skipped(
@@ -386,6 +455,160 @@ class TestResume:
             ["split", "--config", fixture_config_path, "--run-dir", run_dir, "--mock"]
         )
         assert code == 0
+
+    def test_mock_run_resumed_without_mock_skips_every_stage(self, fixture_config_path, tmp_path):
+        # the fixture's mock backends are its own backends
+        args = ["run-all", "--config", fixture_config_path, "--run-dir", tmp_path / "run"]
+        assert run_cli([*args, "--mock"]) == 0
+        calls = len(_transcript(tmp_path / "run"))
+        assert run_cli([*args, "--resume"]) == 0
+        manifest = json.loads((tmp_path / "run" / "manifest.json").read_text())
+        assert all(entry["skipped"] for entry in manifest["stages"].values())
+        assert len(_transcript(tmp_path / "run")) == calls
+
+
+def _transcript(run_dir) -> list[dict]:
+    with (run_dir / "transcript.jsonl").open() as handle:
+        return [json.loads(line) for line in handle]
+
+
+def _resume_after_edit(fixture_dir, tmp_path, edit, *, first_args=(), prepare=None):
+    """Run the fixture, apply `edit` to its config, resume; returns the run
+    dir, the stages that re-ran, and the new agent calls."""
+    data = tmp_path / "data"
+    shutil.copytree(fixture_dir, data)
+    config_path = data / "config.json"
+
+    def rewrite(change):
+        raw = json.loads(config_path.read_text())
+        change(raw)
+        config_path.write_text(json.dumps(raw))
+
+    if prepare is not None:
+        rewrite(prepare)
+    run_dir = tmp_path / "run"
+    args = ["run-all", "--config", config_path, "--run-dir", run_dir]
+    assert run_cli([*args, *first_args]) == 0
+    calls = len(_transcript(run_dir))
+    rewrite(edit)
+    assert run_cli([*args, "--resume"]) == 0
+    manifest = json.loads((run_dir / "manifest.json").read_text())
+    rerun = {name for name, entry in manifest["stages"].items() if not entry["skipped"]}
+    return run_dir, rerun, _transcript(run_dir)[calls:]
+
+
+class TestSettingsPerRow:
+    """An edit re-runs the stages whose rows list the edited setting, and
+    the stages whose inputs then change; a tree store is reused only under
+    its stage's recorded input hash."""
+
+    def test_num_options_edit_requizzes_with_three_options(self, fixture_dir, tmp_path):
+        def edit(raw):
+            raw["quiz"] = {"num_options": 3}
+
+        run_dir, rerun, calls = _resume_after_edit(fixture_dir, tmp_path, edit)
+        assert rerun == {"optimize"}
+        assert calls and all(e["tag"].startswith(("quiz/", "cacl/")) for e in calls)
+        letters = {
+            record["correct_letter"]
+            for store in (run_dir / "trees").glob("*.json")
+            for node in json.loads(store.read_text())["nodes"]
+            for record in node["records"]
+        }
+        assert letters == {"A", "B", "C"}
+
+    def test_max_iterations_edit_leaves_init_rules_and_confusable_skipped(
+        self, fixture_dir, tmp_path
+    ):
+        def edit(raw):
+            raw["optimization"] = {"max_iterations": 4}
+
+        _, rerun, calls = _resume_after_edit(fixture_dir, tmp_path, edit)
+        assert rerun == {"optimize"}
+        assert calls and not any(e["tag"].startswith("init/") for e in calls)
+
+    def test_candidate_k_edit_leaves_train_candidates_skipped(self, fixture_dir, tmp_path):
+        def edit(raw):
+            raw["examination"] = {"candidate_k": 5}
+
+        _, rerun, _ = _resume_after_edit(fixture_dir, tmp_path, edit)
+        assert rerun == {"examine", "evaluate"}
+
+    def test_precedent_k_edit_leaves_ingest_and_split_skipped(self, fixture_dir, tmp_path):
+        def edit(raw):
+            raw["data"]["precedent_k"] = 2
+
+        _, rerun, _ = _resume_after_edit(fixture_dir, tmp_path, edit)
+        assert rerun == {"group-precedents", "init-rules", "build-confusable"}
+
+    def test_dropping_mock_reruns_the_stages_that_ask_the_agent(self, fixture_dir, tmp_path):
+        def prepare(raw):
+            # a mock world with other bytes but the same answers
+            raw["providers"]["mock"]["agent"]["world_path"] = "mock_world.json"
+            world = (tmp_path / "data" / "world.json").read_text()
+            (tmp_path / "data" / "mock_world.json").write_text(world + "\n")
+
+        _, rerun, calls = _resume_after_edit(
+            fixture_dir, tmp_path, lambda raw: None, first_args=["--mock"], prepare=prepare
+        )
+        assert rerun == {"init-rules", "optimize", "examine"}
+        assert calls
+
+
+class ConfigReads:
+    """A view of a config that records each settable key read through it."""
+
+    SETTABLE = frozenset(
+        f"{section}.{key}" if isinstance(values, dict) else section
+        for section, values in DEFAULT_CONFIG.items()
+        for key in (values if isinstance(values, dict) else [None])
+    )
+
+    def __init__(self, config: dict, reads: set, prefix: str = ""):
+        self._config, self._reads, self._prefix = config, reads, prefix
+
+    def __getitem__(self, key):
+        name = self._prefix + key
+        if name in self.SETTABLE:
+            self._reads.add(name)
+            return self._config[key]
+        return ConfigReads(self._config[key], self._reads, name + ".")
+
+
+class TestStageSettings:
+    def test_settable_keys_are_the_default_config_leaves(self):
+        assert len(ConfigReads.SETTABLE) == 23
+        assert set(_FREEFORM) <= ConfigReads.SETTABLE
+
+    def test_each_body_reads_exactly_its_row_settings(
+        self, fixture_config_path, tmp_path, monkeypatch
+    ):
+        # run.labels reads data.labels_path on every use though it reads the
+        # file once, and build-confusable builds its embedder in its body, so
+        # every stage that uses either shows the read
+        reads = {name: set() for name in STAGES}
+
+        def recording(name, body):
+            def wrapped(run):
+                config, run.config = run.config, ConfigReads(run.config, reads[name])
+                try:
+                    return body(run)
+                finally:
+                    run.config = config
+
+            return wrapped
+
+        for name, row in STAGE_TABLE.items():
+            wrapped = dataclasses.replace(row, body=recording(name, row.body))
+            monkeypatch.setitem(STAGE_TABLE, name, wrapped)
+        run_pipeline(load_config(fixture_config_path), tmp_path / "run")
+        for name, row in STAGE_TABLE.items():
+            seen = {
+                "providers.agent" if key == "providers.routing" else key
+                for key in reads[name] - {"agent_concurrency"}
+            }
+            assert seen == set(row.settings), name
+            assert len(row.settings) == len(seen), name
 
 
 class TestPipelineProducts:
