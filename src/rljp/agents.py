@@ -1,14 +1,14 @@
 """Chat-completion abstraction: remote OpenAI-compatible backends, scripted
-mocks for deterministic offline runs, retry with backoff, and prompt
-templates.
+mocks for deterministic offline runs, retry with backoff, and the rendering
+of prompt templates, which are plain strings with {{slot}} markers.
 
 Every logical call goes through complete(), which handles transient retries
-(exponential backoff with full jitter) and appends one line per call to the
-run transcript. Scripted mocks replay an ordered tag -> text mapping and fail
-loudly on anything unscripted, so tests pin the exact conversation a stage is
-allowed to have. fan_out() is the one place that runs agent work on threads:
-each worker makes its calls one after another, so the worker count bounds
-the calls in flight.
+(exponential backoff with full jitter, in `retry`, which the HTTP embedder
+shares) and appends one line per call to the run transcript. Scripted mocks
+replay an ordered tag -> text mapping and fail loudly on anything unscripted,
+so tests pin the exact conversation a stage is allowed to have. fan_out() is
+the one place that runs agent work on threads: each worker makes its calls
+one after another, so the worker count bounds the calls in flight.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import re
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable, Iterable, Optional, Protocol, Sequence, TypeVar, Union
 
@@ -158,6 +158,38 @@ class Transcript:
                     handle.write("\n")
 
 
+def retry(
+    call: Callable[[], T],
+    tag: str,
+    *,
+    policy: RetryPolicy,
+    rng: Optional[random.Random] = None,
+    sleep: Callable[[float], None] = time.sleep,
+) -> tuple[T, int]:
+    """`call()` and the number of retries it took.
+
+    A TransientAgentError is retried up to policy.max_attempts attempts in
+    all, with full-jitter backoff and at least the failure's retry_after in
+    between; any other error propagates at once.
+    """
+    rng = rng or random.Random()
+    last_error: Optional[Exception] = None
+    for attempt in range(policy.max_attempts):
+        try:
+            return call(), attempt
+        except TransientAgentError as exc:
+            last_error = exc
+            logger.warning(
+                "transient failure on %s (attempt %d/%d): %s",
+                tag, attempt + 1, policy.max_attempts, exc,
+            )
+            if attempt + 1 < policy.max_attempts:
+                sleep(max(policy.delay(attempt, rng), exc.retry_after))
+    raise RetriesExhaustedError(
+        f"gave up on {tag!r} after {policy.max_attempts} attempts: {last_error}"
+    )
+
+
 def complete(
     request: ChatRequest,
     provider: Backend,
@@ -167,54 +199,28 @@ def complete(
     rng: Optional[random.Random] = None,
     sleep: Callable[[float], None] = time.sleep,
 ) -> ChatResponse:
-    """One logical call: retries transient failures, logs, records transcript.
+    """One logical call: retries transient failures (see `retry`), logs,
+    records transcript. Refusals and non-transient errors propagate
+    immediately."""
 
-    Refusals and non-transient errors propagate immediately; transient ones
-    are retried up to policy.max_attempts with full-jitter backoff, waiting
-    at least as long as the failure's retry_after.
-    """
-    rng = rng or random.Random()
-    last_error: Optional[Exception] = None
-    for attempt in range(policy.max_attempts):
+    def send() -> ChatResponse:
         started = time.monotonic()
-        try:
-            response = provider.send(request)
-        except TransientAgentError as exc:
-            last_error = exc
-            logger.warning(
-                "transient failure on %s (attempt %d/%d): %s",
-                request.tag,
-                attempt + 1,
-                policy.max_attempts,
-                exc,
-            )
-            if attempt + 1 < policy.max_attempts:
-                sleep(max(policy.delay(attempt, rng), exc.retry_after))
-            continue
-        elapsed_ms = (time.monotonic() - started) * 1000.0
+        response = provider.send(request)
         if response.latency_ms == 0.0:
-            response = ChatResponse(
-                text=response.text,
-                input_units=response.input_units,
-                output_units=response.output_units,
-                latency_ms=elapsed_ms,
-            )
-        logger.debug(
-            "call %s ok in %.1fms (retries=%d, in=%d, out=%d)",
-            request.tag,
-            response.latency_ms,
-            attempt,
-            response.input_units,
-            response.output_units,
-        )
-        if transcript is not None:
-            transcript.record(
-                request, response, retries=attempt, backend=getattr(provider, "name", "?")
-            )
+            elapsed_ms = (time.monotonic() - started) * 1000.0
+            response = replace(response, latency_ms=elapsed_ms)
         return response
-    raise RetriesExhaustedError(
-        f"gave up on {request.tag!r} after {policy.max_attempts} attempts: {last_error}"
+
+    response, retries = retry(send, request.tag, policy=policy, rng=rng, sleep=sleep)
+    logger.debug(
+        "call %s ok in %.1fms (retries=%d, in=%d, out=%d)",
+        request.tag, response.latency_ms, retries, response.input_units, response.output_units,
     )
+    if transcript is not None:
+        transcript.record(
+            request, response, retries=retries, backend=getattr(provider, "name", "?")
+        )
+    return response
 
 
 def fan_out(fn: Callable[[T], R], items: Iterable[T], workers: int) -> list[R]:
@@ -278,17 +284,17 @@ class ScriptedBackend:
 
 
 # ---------------------------------------------------------------------------
-# OpenAI-compatible HTTP backend
+# OpenAI-compatible HTTP clients
 
 
-class HttpBackend:
-    """Chat-completions client for any OpenAI-compatible endpoint.
+class HttpClient:
+    """Session, bearer key and base URL of an OpenAI-compatible endpoint, and
+    the one POST that classifies its failures.
 
     Credentials come from the RLJP_API_KEY environment variable. 5xx, 429
-    and transport errors surface as TransientAgentError (so complete()
-    retries, no sooner than a numeric Retry-After on 429 or 503), other 4xx
-    and malformed 200 bodies as AgentError, and content-filter stops as
-    RefusalError.
+    and transport errors surface as TransientAgentError (so `retry` retries,
+    no sooner than a numeric Retry-After on 429 or 503), other 4xx and
+    unparsable bodies as AgentError.
     """
 
     def __init__(
@@ -307,6 +313,36 @@ class HttpBackend:
         self.api_key = api_key if api_key is not None else os.environ.get(API_KEY_ENV, "")
         self.name = f"http:{model}"
 
+    def post(self, path: str, payload: dict):
+        """The parsed JSON body of a POST of `payload` to `path`."""
+        try:
+            http_response = self.session.post(
+                f"{self.base_url}/{path}",
+                json=payload,
+                headers={"Authorization": f"Bearer {self.api_key}"},
+                timeout=self.timeout,
+            )
+        except requests.RequestException as exc:
+            raise TransientAgentError(f"transport failure: {exc}") from exc
+        status = http_response.status_code
+        retry_after = _retry_after(http_response) if status in (429, 503) else 0.0
+        if status >= 500:
+            raise TransientAgentError(f"server error {status}", retry_after)
+        if status == 429:
+            raise TransientAgentError("rate limited (429)", retry_after)
+        if status >= 400:
+            raise AgentError(f"request rejected ({status}): {http_response.text[:500]}")
+        try:
+            return http_response.json()
+        except ValueError as exc:
+            raise AgentError(f"malformed response body: {exc!r}") from exc
+
+
+class HttpBackend(HttpClient):
+    """Chat-completions client. Besides `HttpClient`'s failures, a malformed
+    200 body is an AgentError and a content-filter stop a RefusalError;
+    `complete` times the call."""
+
     def send(self, request: ChatRequest) -> ChatResponse:
         payload = {
             "model": self.model,
@@ -317,28 +353,8 @@ class HttpBackend:
             "temperature": request.temperature,
             "max_tokens": request.max_output_length,
         }
-        headers = {"Authorization": f"Bearer {self.api_key}"}
-        started = time.monotonic()
+        body = self.post("chat/completions", payload)
         try:
-            http_response = self.session.post(
-                f"{self.base_url}/chat/completions",
-                json=payload,
-                headers=headers,
-                timeout=self.timeout,
-            )
-        except requests.RequestException as exc:
-            raise TransientAgentError(f"transport failure: {exc}") from exc
-        elapsed_ms = (time.monotonic() - started) * 1000.0
-        status = http_response.status_code
-        retry_after = _retry_after(http_response) if status in (429, 503) else 0.0
-        if status >= 500:
-            raise TransientAgentError(f"server error {status}", retry_after)
-        if status == 429:
-            raise TransientAgentError("rate limited (429)", retry_after)
-        if status >= 400:
-            raise AgentError(f"request rejected ({status}): {http_response.text[:500]}")
-        try:
-            body = http_response.json()
             choice = body["choices"][0]
             refused = choice.get("finish_reason") == "content_filter"
             text = None if refused else choice["message"]["content"]
@@ -351,12 +367,7 @@ class HttpBackend:
             raise RefusalError("provider content filter")
         if not isinstance(text, str):
             raise AgentError(f"malformed response body: content is {type(text).__name__}")
-        return ChatResponse(
-            text=text,
-            input_units=input_units,
-            output_units=output_units,
-            latency_ms=elapsed_ms,
-        )
+        return ChatResponse(text=text, input_units=input_units, output_units=output_units)
 
 
 def _retry_after(http_response) -> float:
@@ -369,32 +380,26 @@ def _retry_after(http_response) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Prompt templates
+# Prompt template rendering
 
 _SLOT_RE = re.compile(r"\{\{(\w+)\}\}")
-
-
-@dataclass(frozen=True)
-class PromptTemplate:
-    name: str
-    body: str
 
 
 class MissingSlotError(KeyError):
     pass
 
 
-def render_template(template: PromptTemplate, bindings: dict[str, str]) -> str:
-    """Substitute {{slot}} markers; bindings are inserted verbatim, never
-    re-expanded."""
+def render_template(template: str, bindings: dict[str, str]) -> str:
+    """Substitute the {{slot}} markers of `template`; bindings are inserted
+    verbatim, never re-expanded."""
     pieces: list[str] = []
     last = 0
-    for match in _SLOT_RE.finditer(template.body):
+    for match in _SLOT_RE.finditer(template):
         slot = match.group(1)
         if slot not in bindings:
             raise MissingSlotError(f"missing slot {slot}")
-        pieces.append(template.body[last : match.start()])
+        pieces.append(template[last : match.start()])
         pieces.append(str(bindings[slot]))
         last = match.end()
-    pieces.append(template.body[last:])
+    pieces.append(template[last:])
     return "".join(pieces)

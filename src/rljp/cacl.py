@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import logging
 import re
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .agents import Backend, Transcript, render_template
@@ -46,30 +45,6 @@ MAX_RECORDS_PER_SIDE_DEFAULT = 20
 
 class CaclError(RuntimeError):
     """Unrecoverable failure while deriving or applying a direction."""
-
-
-@dataclass(frozen=True)
-class ContrastTriplet:
-    anchor: FolRule
-    positives: tuple[ReasoningRecord, ...]  # TP and TN
-    negatives: tuple[ReasoningRecord, ...]  # FP and FN
-
-
-@dataclass(frozen=True)
-class OptimizationDirection:
-    keep: str
-    improve: str
-
-    def __post_init__(self) -> None:
-        if not self.keep or not self.improve:
-            raise ValueError("both direction fields must be non-empty")
-
-
-def build_triplet(rule: FolRule, result: QuizResult) -> ContrastTriplet:
-    """Partition the result's records into correct and incorrect experience."""
-    positives = tuple(r for r in result.records if r.outcome in ("TP", "TN"))
-    negatives = tuple(r for r in result.records if r.outcome in ("FP", "FN"))
-    return ContrastTriplet(anchor=rule, positives=positives, negatives=negatives)
 
 
 def _format_record(record: ReasoningRecord, fact_truncate: int) -> str:
@@ -123,7 +98,8 @@ def _parse_direction(text: str, *, need_keep: bool, need_improve: bool) -> tuple
 
 
 def derive_direction(
-    triplet: ContrastTriplet,
+    rule: FolRule,
+    result: QuizResult,
     agent: Backend,
     *,
     tag_prefix: str = "cacl",
@@ -131,18 +107,21 @@ def derive_direction(
     temperature: float = 0.7,
     fact_truncate: int = FACT_TRUNCATE_DEFAULT,
     max_records_per_side: int = MAX_RECORDS_PER_SIDE_DEFAULT,
-) -> OptimizationDirection:
-    """Derive (keep, improve) from the triplet.
+) -> tuple[str, str]:
+    """Derive the (keep, improve) direction from the quiz's correct (TP/TN)
+    and incorrect (FP/FN) records.
 
     Analysis calls for an empty side are skipped and that field forced to
     "none identified". The synthesis reply must carry the KEEP:/IMPROVE:
     sections required by the non-empty sides; one re-ask, then CaclError.
     """
-    if not triplet.positives and not triplet.negatives:
-        raise CaclError("triplet has no records on either side")
-    rule_text = render_rule(triplet.anchor)
+    correct = [r for r in result.records if r.outcome in ("TP", "TN")]
+    incorrect = [r for r in result.records if r.outcome in ("FP", "FN")]
+    if not correct and not incorrect:
+        raise CaclError("quiz result has no records on either side")
+    rule_text = render_rule(rule)
 
-    def analysis(template, records, tag):
+    def analysis(template, records, tag, *, rank_by_similarity):
         prompt = render_template(
             template,
             {
@@ -151,20 +130,20 @@ def derive_direction(
                     records,
                     cap=max_records_per_side,
                     fact_truncate=fact_truncate,
-                    rank_by_similarity=template is CACL_IMPROVE,
+                    rank_by_similarity=rank_by_similarity,
                 ),
             },
         )
         return ask(agent, prompt, tag=tag, temperature=temperature, transcript=transcript)
 
     keep_analysis = (
-        analysis(CACL_KEEP, triplet.positives, f"{tag_prefix}/keep")
-        if triplet.positives
+        analysis(CACL_KEEP, correct, f"{tag_prefix}/keep", rank_by_similarity=False)
+        if correct
         else "none identified"
     )
     improve_analysis = (
-        analysis(CACL_IMPROVE, triplet.negatives, f"{tag_prefix}/improve")
-        if triplet.negatives
+        analysis(CACL_IMPROVE, incorrect, f"{tag_prefix}/improve", rank_by_similarity=True)
+        if incorrect
         else "none identified"
     )
 
@@ -177,16 +156,12 @@ def derive_direction(
             agent, synthesis_prompt, tag=f"{tag_prefix}/synthesize", temperature=temperature,
             transcript=transcript, attempts=2,
             parse=lambda text: _parse_direction(
-                text, need_keep=bool(triplet.positives), need_improve=bool(triplet.negatives)
+                text, need_keep=bool(correct), need_improve=bool(incorrect)
             ),
         )
     except ValueError as exc:
         raise CaclError("synthesis reply unparsable after re-ask") from exc
-    if not triplet.positives:
-        keep = "none identified"
-    if not triplet.negatives:
-        improve = "none identified"
-    return OptimizationDirection(keep=keep, improve=improve)
+    return (keep if correct else "none identified", improve if incorrect else "none identified")
 
 
 _RULE_LINE_RE = re.compile(r"RULE:\s*(.+)", re.DOTALL)
@@ -275,7 +250,8 @@ def request_rule(
 
 def apply_direction(
     rule: FolRule,
-    direction: OptimizationDirection,
+    keep: str,
+    improve: str,
     agent: Backend,
     labels: LabelSpace,
     *,
@@ -285,7 +261,8 @@ def apply_direction(
     temperature: float = 0.7,
     max_repairs: int = 2,
 ) -> FolRule:
-    """Rewrite the rule along the direction into a child rule.
+    """Rewrite the rule into a child rule that preserves `keep` and changes
+    `improve`.
 
     The child keeps the parent's consequent and gets version parent+1; parse,
     validation, or consequent-drift failures trigger up to `max_repairs`
@@ -295,8 +272,8 @@ def apply_direction(
         CACL_REWRITE,
         {
             "rule": render_rule(rule),
-            "keep": direction.keep,
-            "improve": direction.improve,
+            "keep": keep,
+            "improve": improve,
             "grammar": GRAMMAR_HELP,
             "consequent": render_consequent(rule.target),
         },
@@ -331,10 +308,10 @@ def optimize_rule(
     fact_truncate: int = FACT_TRUNCATE_DEFAULT,
     max_records_per_side: int = MAX_RECORDS_PER_SIDE_DEFAULT,
 ) -> FolRule:
-    """Full refinement step: triplet -> direction -> rewritten child rule."""
-    triplet = build_triplet(rule, result)
-    direction = derive_direction(
-        triplet,
+    """Full refinement step: quiz records -> direction -> rewritten child rule."""
+    keep, improve = derive_direction(
+        rule,
+        result,
         agent,
         tag_prefix=tag_prefix,
         transcript=transcript,
@@ -344,7 +321,8 @@ def optimize_rule(
     )
     return apply_direction(
         rule,
-        direction,
+        keep,
+        improve,
         agent,
         labels,
         child_rule_id=child_rule_id,

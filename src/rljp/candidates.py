@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import json
 import logging
-from dataclasses import asdict, dataclass
+from dataclasses import asdict
 from pathlib import Path
 from typing import Optional, Protocol, Sequence
 
@@ -31,12 +31,6 @@ logger = logging.getLogger(__name__)
 
 class CandidateProvider(Protocol):
     def scores(self, fact_text: str, subtask: str) -> dict[str, float]: ...
-
-
-@dataclass(frozen=True)
-class CandidateList:
-    subtask: str
-    entries: tuple[tuple[str, float], ...]  # (label, score), score non-increasing
 
 
 class ProviderNotTrainedError(RuntimeError):
@@ -169,11 +163,11 @@ def candidate_labels(
     subtask: str,
     provider: CandidateProvider,
     k: int = 10,
-) -> CandidateList:
-    """Top-k labels by provider score; ties resolve by label-space order."""
+) -> tuple[str, ...]:
+    """The top-k labels by provider score, best first; ties resolve by
+    label-space order."""
     if subtask not in SUBTASKS:
         raise ValueError(f"unknown subtask {subtask!r}")
     scored = provider.scores(fact_text, subtask)
-    order = {label: i for i, label in enumerate(scored)}
-    ranked = sorted(scored.items(), key=lambda item: (-item[1], order[item[0]]))
-    return CandidateList(subtask=subtask, entries=tuple(ranked[:k]))
+    # a stable sort: tied labels keep the provider's (label-space) order
+    return tuple(sorted(scored, key=lambda label: -scored[label])[:k])

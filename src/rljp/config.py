@@ -65,7 +65,21 @@ _FREEFORM = {
 }
 
 
+def _fits(default, value) -> bool:
+    """Whether `value` has the type of `default`. An int fits a float, a bool
+    fits only a bool, and anything fits None; each element of a list must fit
+    the default's first element."""
+    if default is None:
+        return True
+    if isinstance(default, list):
+        return isinstance(value, list) and all(_fits(default[0], item) for item in value)
+    if isinstance(default, float) and not isinstance(value, bool):
+        return isinstance(value, (int, float))
+    return type(value) is type(default)
+
+
 def _merge(base: dict, override: dict, path: str = "") -> dict:
+    """`base` with `override`'s values, each of which must fit its default."""
     merged = copy.deepcopy(base)
     for key, value in override.items():
         where = f"{path}.{key}" if path else key
@@ -75,9 +89,24 @@ def _merge(base: dict, override: dict, path: str = "") -> dict:
             merged[key] = copy.deepcopy(value)
         elif isinstance(merged[key], dict) and isinstance(value, dict):
             merged[key] = _merge(merged[key], value, where)
-        else:
+        elif _fits(merged[key], value):
             merged[key] = value
+        else:
+            raise ConfigError(
+                f"{where} must have the type of its default {merged[key]!r}, not {value!r}"
+            )
     return merged
+
+
+def _resolve_paths(section: dict, base: Path, path: str = "") -> None:
+    """Resolve every non-empty `*_path` string under `section` against `base`,
+    in place; data.schema is left as it is."""
+    for key, value in section.items():
+        where = f"{path}.{key}" if path else key
+        if isinstance(value, dict) and where != "data.schema":
+            _resolve_paths(value, base, where)
+        elif key.endswith("_path") and isinstance(value, str) and value:
+            section[key] = str((base / value).resolve())
 
 
 def load_config(
@@ -102,29 +131,16 @@ def load_config(
         config["seed"] = seed_override
     if not config["data"]["cases_path"]:
         raise ConfigError("data.cases_path is required")
-    workers = config["agent_concurrency"]
-    if isinstance(workers, bool) or not isinstance(workers, int) or workers < 1:
-        raise ConfigError(f"agent_concurrency must be an integer >= 1, not {workers!r}")
+    if config["agent_concurrency"] < 1:
+        raise ConfigError(f"agent_concurrency must be >= 1, not {config['agent_concurrency']}")
     ratios = config["data"]["ratios"]
     if len(ratios) != 3 or min(ratios) < 0 or abs(sum(ratios) - 1.0) > 1e-9:
         raise ConfigError("data.ratios must be three non-negative fractions summing to 1")
     # paths are interpreted relative to the config file's directory
-    base = path.parent
-    for key in ("cases_path", "labels_path"):
-        value = config["data"][key]
-        if value:
-            config["data"][key] = str((base / value).resolve())
-    sections = [config["providers"]["agent"], config["providers"]["embedder"]]
-    sections += list(config["providers"]["routing"].values())
-    offline = config["providers"]["mock"]
-    sections += [s for s in (offline.get("agent"), offline.get("embedder")) if isinstance(s, dict)]
-    for section in sections:
-        if section.get("world_path"):
-            section["world_path"] = str((base / section["world_path"]).resolve())
-        if section.get("script_path"):
-            section["script_path"] = str((base / section["script_path"]).resolve())
+    _resolve_paths(config, path.parent)
     if mock:
         providers = config["providers"]
+        offline = providers["mock"]
         providers["agent"] = offline.get("agent", providers["agent"])
         providers["embedder"] = offline.get("embedder", {"kind": "hashing"})
         providers["routing"] = {}

@@ -12,14 +12,19 @@ from __future__ import annotations
 import logging
 import zlib
 from dataclasses import dataclass
+from functools import partial
 from typing import Protocol, Sequence
 
 import numpy as np
 
+from .agents import AgentError, HttpClient, RetryPolicy, retry
 from .corpus import LegalCase
 from .fol import Consequent
 
 logger = logging.getLogger(__name__)
+
+# texts per /embeddings request; OpenAI's endpoint takes at most 2048
+EMBED_BATCH = 64
 
 
 class EmbeddingBackend(Protocol):
@@ -119,32 +124,33 @@ class HashingEmbedder:
         return out
 
 
-class HttpEmbedder:
-    """OpenAI-compatible /embeddings endpoint client."""
+class HttpEmbedder(HttpClient):
+    """OpenAI-compatible /embeddings endpoint client. It posts the texts
+    EMBED_BATCH at a time, and retries each batch under `policy` as
+    `complete` retries a chat call."""
 
-    def __init__(self, base_url: str, model: str, *, session=None, timeout: float = 60.0):
-        import os
+    policy = RetryPolicy()
 
-        import requests
-
-        from .agents import API_KEY_ENV
-
-        self.base_url = base_url.rstrip("/")
-        self.model = model
-        self.timeout = timeout
-        self.session = session or requests.Session()
-        self.api_key = os.environ.get(API_KEY_ENV, "")
-        self.name = f"http:{model}"
+    def _embed_batch(self, batch: list[str]) -> list[list[float]]:
+        body = self.post("embeddings", {"model": self.model, "input": batch})
+        try:
+            rows = [row["embedding"] for row in sorted(body["data"], key=lambda row: row["index"])]
+        except (LookupError, TypeError) as exc:
+            raise AgentError(f"malformed response body: {exc!r}") from exc
+        if len(rows) != len(batch):
+            raise AgentError(f"malformed response body: {len(rows)} rows for {len(batch)} texts")
+        return rows
 
     def embed_texts(self, texts: Sequence[str]) -> np.ndarray:
-        response = self.session.post(
-            f"{self.base_url}/embeddings",
-            json={"model": self.model, "input": list(texts)},
-            headers={"Authorization": f"Bearer {self.api_key}"},
-            timeout=self.timeout,
-        )
-        response.raise_for_status()
-        rows = [item["embedding"] for item in response.json()["data"]]
+        rows: list[list[float]] = []
+        for start in range(0, len(texts), EMBED_BATCH):
+            batch = list(texts[start : start + EMBED_BATCH])
+            embedded, _ = retry(
+                partial(self._embed_batch, batch),
+                f"embeddings[{start}:{start + len(batch)}]",
+                policy=self.policy,
+            )
+            rows += embedded
         return np.asarray(rows, dtype=np.float64)
 
 

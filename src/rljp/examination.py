@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 from .agents import AgentError, Backend, Transcript, render_template
-from .candidates import CandidateList, CandidateProvider, candidate_labels
+from .candidates import CandidateProvider, candidate_labels
 from .corpus import SUBTASKS, LabelSpace
 from .fol import FolRule, consequent_labels, render_rule
 from .prompts import ABSTRACT_FACT, EXAM_CHECK, ask
@@ -129,7 +129,7 @@ def predict_case(
     case_id: str,
     fact_text: str,
     rules: RuleSet,
-    candidates: dict[str, CandidateList],
+    candidates: dict[str, tuple[str, ...]],
     labels: LabelSpace,
     agent: Backend,
     seed: int = 0,
@@ -153,10 +153,9 @@ def predict_case(
         return verdicts[rule_text]
 
     for subtask in SUBTASKS:
-        candidate_list = candidates[subtask]
         pool = _rule_pool(rules, subtask, predicted_article)
         label, fell_back, why = _predict_subtask(
-            case_id, subtask, candidate_list, pool, labels, seed, holds
+            case_id, subtask, candidates[subtask], pool, labels, seed, holds
         )
         chosen[subtask] = label
         used_fallback[subtask] = fell_back
@@ -178,16 +177,15 @@ def predict_case(
 def _predict_subtask(
     case_id: str,
     subtask: str,
-    candidate_list: CandidateList,
+    ordered: tuple[str, ...],
     pool: dict[str, FolRule],
     labels: LabelSpace,
     seed: int,
     holds: Callable[[FolRule, str], bool],
 ) -> tuple[str, bool, str]:
-    """`holds(rule, tag)` checks a rule's antecedent against the case."""
-    candidate_labels_ordered = [label for label, _ in candidate_list.entries]
-
-    for label in candidate_labels_ordered:
+    """`ordered` is the subtask's candidates, best first; `holds(rule, tag)`
+    checks a rule's antecedent against the case."""
+    for label in ordered:
         rule = pool.get(label)
         if rule is None:
             continue
@@ -198,7 +196,7 @@ def _predict_subtask(
     remaining = [
         label
         for label in labels.of(subtask)
-        if label in pool and label not in candidate_labels_ordered
+        if label in pool and label not in ordered
     ]
     rng = derive_rng(seed, "fallback", case_id, subtask)
     rng.shuffle(remaining)
@@ -208,14 +206,14 @@ def _predict_subtask(
         if holds(rule, tag):
             return label, True, f"fallback rule {rule.rule_id} satisfied"
 
-    if not candidate_labels_ordered:
+    if not ordered:
         raise ValueError(f"no candidates for subtask {subtask}")
-    return candidate_labels_ordered[0], True, "no rule satisfied"
+    return ordered[0], True, "no rule satisfied"
 
 
 def score_candidates(
     fact_text: str, provider: CandidateProvider, k: int = CANDIDATE_K_DEFAULT
-) -> dict[str, CandidateList]:
+) -> dict[str, tuple[str, ...]]:
     """The prescreener's top-k candidates of every subtask."""
     return {subtask: candidate_labels(fact_text, subtask, provider, k=k) for subtask in SUBTASKS}
 
@@ -224,7 +222,7 @@ def examine_case(
     case_id: str,
     fact_text: str,
     rules: RuleSet,
-    candidates: dict[str, CandidateList],
+    candidates: dict[str, tuple[str, ...]],
     labels: LabelSpace,
     agent: Backend,
     *,

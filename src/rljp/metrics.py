@@ -40,14 +40,6 @@ class AlignmentError(ValueError):
     pass
 
 
-def _labels_of(record, subtask: str) -> str:
-    # accepts Prediction objects, corpus Judgments carried on cases, or dicts;
-    # a Prediction carries the same three label fields as a Judgment
-    if isinstance(record, dict):
-        return str(record[subtask])
-    return Judgment.label(record, subtask)
-
-
 def compute_subtask_metrics(gold: Sequence[str], predicted: Sequence[str]) -> SubtaskMetrics:
     if len(gold) != len(predicted):
         raise AlignmentError("gold and predicted lengths differ")
@@ -78,12 +70,8 @@ def compute_subtask_metrics(gold: Sequence[str], predicted: Sequence[str]) -> Su
     )
 
 
-def compute_metrics(predictions: Sequence, gold: Sequence) -> MetricsReport:
-    """Per-subtask metrics over aligned prediction/gold sequences.
-
-    Records may be Prediction objects, Judgment objects, or dicts keyed by
-    subtask.
-    """
+def compute_metrics(predictions: Sequence[Judgment], gold: Sequence[Judgment]) -> MetricsReport:
+    """Per-subtask metrics over aligned predicted and gold judgments."""
     if len(predictions) != len(gold):
         raise AlignmentError(
             f"{len(predictions)} predictions vs {len(gold)} gold records"
@@ -91,8 +79,8 @@ def compute_metrics(predictions: Sequence, gold: Sequence) -> MetricsReport:
     subtasks: dict[str, SubtaskMetrics] = {}
     for subtask in SUBTASKS:
         subtasks[subtask] = compute_subtask_metrics(
-            [_labels_of(g, subtask) for g in gold],
-            [_labels_of(p, subtask) for p in predictions],
+            [g.label(subtask) for g in gold],
+            [p.label(subtask) for p in predictions],
         )
     return MetricsReport(subtasks=subtasks, num_cases=len(gold))
 

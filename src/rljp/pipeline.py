@@ -633,9 +633,7 @@ def _evaluate(run: PipelineRun) -> None:
     with run.path("predictions.jsonl").open("r", encoding="utf-8") as handle:
         for line in handle:
             row = json.loads(line)
-            predictions.append(
-                {"article": row["article"], "charge": row["charge"], "prison_term": row["term"]}
-            )
+            predictions.append(Judgment(row["article"], row["charge"], row["term"]))
             pred_ids.append(row["case_id"])
     gold = [gold_by_id[i] for i in pred_ids]
     report = compute_metrics(predictions, gold)

@@ -35,46 +35,12 @@ from .prompts import (
 
 logger = logging.getLogger(__name__)
 
-FACTOR_FIELDS = {
-    "SUBJECT": "subject_category",
-    "VICTIM": "victim_category",
-    "TIME_LOCATION": "time_location",
-    "BEHAVIOR": "behavior",
-    "CONSEQUENCES": "consequences",
-    "MENTAL_STATE": "mental_state",
-}
+# the six circumstance headings, in prompt order
+FACTOR_FIELDS = ("SUBJECT", "VICTIM", "TIME_LOCATION", "BEHAVIOR", "CONSEQUENCES", "MENTAL_STATE")
 
 
 class InitError(RuntimeError):
     pass
-
-
-@dataclass(frozen=True)
-class CircumstanceFactors:
-    subject_category: str = "unspecified"
-    victim_category: str = "unspecified"
-    time_location: str = "unspecified"
-    behavior: str = "unspecified"
-    consequences: str = "unspecified"
-    mental_state: str = "unspecified"
-
-    def as_text(self) -> str:
-        return "\n".join(
-            f"{heading}: {getattr(self, attr)}" for heading, attr in FACTOR_FIELDS.items()
-        )
-
-
-@dataclass(frozen=True)
-class SymbolTable:
-    variables: tuple[dict, ...]  # {name, denotes}
-    predicates: tuple[dict, ...]  # {name, arity, meaning}
-    quantifiers: dict[str, str]  # variable -> "FORALL" | "EXISTS"
-
-    def as_text(self) -> str:
-        lines = [f"VAR {v['name']}: {v['denotes']}" for v in self.variables]
-        lines += [f"PRED {p['name']}/{p['arity']}: {p['meaning']}" for p in self.predicates]
-        lines += [f"QUANT {name}: {kind}" for name, kind in self.quantifiers.items()]
-        return "\n".join(lines)
 
 
 @dataclass
@@ -93,19 +59,19 @@ def _precedents_text(precedents: Sequence[LegalCase]) -> str:
     )
 
 
-def _parse_circumstances(text: str) -> CircumstanceFactors:
+def _parse_circumstances(text: str) -> str:
+    """The six "HEADING: value" lines, in FACTOR_FIELDS order; a heading the
+    reply lacks, or leaves empty, is "unspecified"."""
     values: dict[str, str] = {}
     for line in text.splitlines():
-        if ":" not in line:
-            continue
         heading, _, value = line.partition(":")
         heading = heading.strip().upper()
-        if heading in FACTOR_FIELDS and value.strip():
-            values[FACTOR_FIELDS[heading]] = value.strip()
-    for heading, attr in FACTOR_FIELDS.items():
-        if attr not in values:
+        if value.strip() and heading in FACTOR_FIELDS:
+            values[heading] = value.strip()
+    for heading in FACTOR_FIELDS:
+        if heading not in values:
             logger.info("circumstance field %s missing; set unspecified", heading)
-    return CircumstanceFactors(**values)
+    return "\n".join(f"{h}: {values.get(h, 'unspecified')}" for h in FACTOR_FIELDS)
 
 
 def summarize_circumstances(
@@ -115,10 +81,10 @@ def summarize_circumstances(
     *,
     transcript: Optional[Transcript] = None,
     temperature: float = 0.7,
-) -> CircumstanceFactors:
-    """Step 1: one agent call summarizing the six circumstance categories.
-
-    Missing or unlabeled categories come back as "unspecified"."""
+) -> str:
+    """Step 1: one agent call summarizing the six circumstance categories, as
+    "HEADING: value" lines. Missing or unlabeled categories come back as
+    "unspecified"."""
     if not precedents:
         raise InitError("no precedents to summarize")
     prompt = render_template(
@@ -136,52 +102,50 @@ _PRED_RE = re.compile(r"^PRED\s+([A-Za-z_]\w*)\s*/\s*(\d+)\s*:\s*(.+)$")
 _QUANT_RE = re.compile(r"^QUANT\s+([A-Za-z_]\w*)\s*:\s*(FORALL|EXISTS)\s*$")
 
 
-def _parse_symbols(text: str) -> SymbolTable:
-    variables: list[dict] = []
-    predicates: list[dict] = []
+def _parse_symbols(text: str) -> str:
+    """The reply's VAR lines, then its PRED lines, then its QUANT lines, each
+    rewritten in canonical form. A repeated VAR/PRED name is an error; a later
+    QUANT for a variable replaces the earlier one in place."""
+    variables: list[str] = []
+    predicates: list[str] = []
     quantifiers: dict[str, str] = {}
     names: set[str] = set()
+
+    def declare(name: str) -> None:
+        if name in names:
+            raise ValueError(f"duplicate symbol name {name}")
+        names.add(name)
+
     for raw in text.splitlines():
         line = raw.strip()
-        if not line:
-            continue
         if m := _VAR_RE.match(line):
-            name = m.group(1)
-            if name in names:
-                raise ValueError(f"duplicate symbol name {name}")
-            names.add(name)
-            variables.append({"name": name, "denotes": m.group(2).strip()})
+            declare(m.group(1))
+            variables.append(f"VAR {m.group(1)}: {m.group(2).strip()}")
         elif m := _PRED_RE.match(line):
-            name = m.group(1)
-            if name in names:
-                raise ValueError(f"duplicate symbol name {name}")
-            names.add(name)
-            predicates.append(
-                {"name": name, "arity": int(m.group(2)), "meaning": m.group(3).strip()}
-            )
+            declare(m.group(1))
+            predicates.append(f"PRED {m.group(1)}/{int(m.group(2))}: {m.group(3).strip()}")
         elif m := _QUANT_RE.match(line):
-            quantifiers[m.group(1)] = m.group(2)
+            quantifiers[m.group(1)] = f"QUANT {m.group(1)}: {m.group(2)}"
     if not variables and not predicates:
         raise ValueError("no symbols parsed from reply")
-    return SymbolTable(
-        variables=tuple(variables), predicates=tuple(predicates), quantifiers=quantifiers
-    )
+    return "\n".join(variables + predicates + list(quantifiers.values()))
 
 
 def define_symbols(
-    factors: CircumstanceFactors,
+    factors: str,
     target: Consequent,
     agent: Backend,
     *,
     transcript: Optional[Transcript] = None,
     temperature: float = 0.7,
     max_repairs: int = 2,
-) -> SymbolTable:
-    """Step 2: elicit VAR/PRED/QUANT lines; duplicates or an empty table get
-    up to two repair prompts, then InitError."""
+) -> str:
+    """Step 2: elicit VAR/PRED/QUANT lines for the summarized `factors`;
+    duplicates or an empty table get up to two repair prompts, then
+    InitError."""
     prompt = render_template(
         DEFINE_SYMBOLS,
-        {"target": render_consequent(target), "factors": factors.as_text()},
+        {"target": render_consequent(target), "factors": factors},
     )
     try:
         return ask(
@@ -218,7 +182,7 @@ def init_rule_for_target(
         CONSTRUCT_RULE,
         {
             "target": render_consequent(target),
-            "symbols": symbols.as_text(),
+            "symbols": symbols,
             "grammar": GRAMMAR_HELP,
             "consequent": render_consequent(target),
         },

@@ -16,6 +16,7 @@ from helpers import LABELS, make_case, random_rule, transcript_entries
 from rljp.agents import ScriptedBackend, Transcript
 from rljp.cacl import optimize_rule
 from rljp.cli import main as cli_main
+from rljp.corpus import Judgment
 from rljp.confusable import EmbeddingMatrix, cosine_similarity_matrix, select_hard_negatives
 from rljp.fol import parse_rule, render_rule, validate_rule
 from rljp.quiz import OUTCOMES, ReasoningRecord, build_quiz_result, score
@@ -348,19 +349,17 @@ def test_criterion_6_metrics_oracle():
         # force absent-class / zero-division situations in some trials
         gold_pool = label_pool if trial % 3 else label_pool[:1]
         gold = [
-            {"article": rng.choice(gold_pool), "charge": rng.choice(label_pool),
-             "prison_term": rng.choice(label_pool)}
+            Judgment(rng.choice(gold_pool), rng.choice(label_pool), rng.choice(label_pool))
             for _ in range(n)
         ]
         pred = [
-            {"article": rng.choice(label_pool), "charge": rng.choice(label_pool),
-             "prison_term": rng.choice(label_pool)}
+            Judgment(rng.choice(label_pool), rng.choice(label_pool), rng.choice(label_pool))
             for _ in range(n)
         ]
         report = compute_metrics(pred, gold)
         for subtask in ("article", "charge", "prison_term"):
-            g = [row[subtask] for row in gold]
-            p = [row[subtask] for row in pred]
+            g = [row.label(subtask) for row in gold]
+            p = [row.label(subtask) for row in pred]
             classes = sorted(set(g) | set(p))
             per_class, macro, accuracy = oracle_confusion(g, p, classes)
             m = report.subtasks[subtask]
@@ -423,7 +422,6 @@ def test_criterion_8_end_to_end_efficacy(fixture_config_path, tmp_path_factory):
 
 def test_criterion_9_fallback_behavior():
     started = time.perf_counter()
-    from rljp.candidates import CandidateList
     from rljp.examination import predict_case
     from rljp.rule_init import RuleSet
 
@@ -439,9 +437,9 @@ def test_criterion_9_fallback_behavior():
         rules.add(rule(article, charge))
     rules.add(parse_rule("FORALL x (P(x)) -> ARTICLE(264) TERM(b0)", rule_id="term"))
     candidates = {
-        "article": CandidateList("article", (("264", 1.0),)),
-        "charge": CandidateList("charge", (("theft", 1.0), ("robbery", 0.9))),
-        "prison_term": CandidateList("prison_term", (("b0", 1.0),)),
+        "article": ("264",),
+        "charge": ("theft", "robbery"),
+        "prison_term": ("b0",),
     }
 
     # scripted case 1: all candidate rules NO, the remaining ruled label YES;

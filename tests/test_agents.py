@@ -10,7 +10,6 @@ from rljp.agents import (
     ChatRequest,
     ChatResponse,
     HttpBackend,
-    PromptTemplate,
     Refusal,
     RefusalError,
     RetriesExhaustedError,
@@ -46,16 +45,16 @@ def _request(tag="t"):
 
 class TestTemplates:
     def test_substitution(self):
-        template = PromptTemplate("t", "Fact: {{fact}}")
+        template = "Fact: {{fact}}"
         assert render_template(template, {"fact": "X stole a phone"}) == "Fact: X stole a phone"
 
     def test_missing_slot_names_the_slot(self):
-        template = PromptTemplate("t", "Fact: {{fact}}")
+        template = "Fact: {{fact}}"
         with pytest.raises(KeyError, match="missing slot fact"):
             render_template(template, {})
 
     def test_no_recursive_expansion(self):
-        template = PromptTemplate("t", "A: {{a}} B: {{b}}")
+        template = "A: {{a}} B: {{b}}"
         out = render_template(template, {"a": "{{b}}", "b": "x"})
         assert out == "A: {{b}} B: x"
 

@@ -1,18 +1,18 @@
+import re
+
 import pytest
 
 from helpers import LABELS
 from rljp.agents import ScriptedBackend, Transcript
 from rljp.cacl import (
     CaclError,
-    OptimizationDirection,
     apply_direction,
-    build_triplet,
     derive_direction,
     extract_rule_text,
     optimize_rule,
 )
 from rljp.fol import ArticleCharge, parse_rule, render_rule
-from rljp.quiz import build_quiz_result
+from rljp.quiz import QuizResult, build_quiz_result
 from test_quiz import _record
 
 RULE = parse_rule(
@@ -25,20 +25,39 @@ def _result(outcomes):
     return build_quiz_result([_record(o) for o in outcomes])
 
 
-class TestBuildTriplet:
+def _outcomes_in(prompt):
+    return re.findall(r"\[(TP|TN|FP|FN)\]", prompt)
+
+
+ANALYSES = {
+    "cacl/keep": "keeps",
+    "cacl/improve": "improves",
+    "cacl/synthesize": "KEEP: a\nIMPROVE: b",
+}
+
+
+class TestContrastSides:
+    """derive_direction splits the quiz records into the triplet's correct
+    (TP/TN) and incorrect (FP/FN) sides around the anchor rule."""
+
     def test_partition(self):
-        triplet = build_triplet(RULE, _result(["TP", "FP", "TN", "FN"]))
-        assert [r.outcome for r in triplet.positives] == ["TP", "TN"]
-        assert [r.outcome for r in triplet.negatives] == ["FP", "FN"]
-        assert len(triplet.positives) + len(triplet.negatives) == 4
+        backend = ScriptedBackend(ANALYSES)
+        derive_direction(RULE, _result(["TP", "FP", "TN", "FN"]), backend)
+        keep_prompt, improve_prompt = (call.user_text for call in backend.calls[:2])
+        assert _outcomes_in(keep_prompt) == ["TP", "TN"]
+        assert sorted(_outcomes_in(improve_prompt)) == ["FN", "FP"]
+        assert len(_outcomes_in(keep_prompt)) + len(_outcomes_in(improve_prompt)) == 4
 
     def test_all_correct_leaves_negatives_empty(self):
-        triplet = build_triplet(RULE, _result(["TP", "TN", "TP"]))
-        assert triplet.negatives == ()
+        backend = ScriptedBackend(ANALYSES)
+        _, improve = derive_direction(RULE, _result(["TP", "TN", "TP"]), backend)
+        assert [call.tag for call in backend.calls] == ["cacl/keep", "cacl/synthesize"]
+        assert improve == "none identified"
 
     def test_anchor_is_the_rule(self):
-        triplet = build_triplet(RULE, _result(["TP"]))
-        assert triplet.anchor is RULE
+        backend = ScriptedBackend(ANALYSES)
+        derive_direction(RULE, _result(["TP"]), backend)
+        assert f"Current rule:\n{render_rule(RULE)}\n" in backend.calls[0].user_text
 
 
 class TestDeriveDirection:
@@ -50,10 +69,9 @@ class TestDeriveDirection:
                 "cacl/synthesize": "KEEP: theft predicate\nIMPROVE: add force exclusion",
             }
         )
-        triplet = build_triplet(RULE, _result(["TP", "FP"]))
-        direction = derive_direction(triplet, backend)
-        assert direction.keep == "theft predicate"
-        assert direction.improve == "add force exclusion"
+        keep, improve = derive_direction(RULE, _result(["TP", "FP"]), backend)
+        assert keep == "theft predicate"
+        assert improve == "add force exclusion"
         assert len(backend.calls) == 3
 
     def test_empty_negatives_skips_improve_call(self):
@@ -63,10 +81,9 @@ class TestDeriveDirection:
                 "cacl/synthesize": "KEEP: everything\nIMPROVE: nothing obvious",
             }
         )
-        triplet = build_triplet(RULE, _result(["TP", "TN"]))
-        direction = derive_direction(triplet, backend)
+        _, improve = derive_direction(RULE, _result(["TP", "TN"]), backend)
         assert len(backend.calls) == 2
-        assert direction.improve == "none identified"
+        assert improve == "none identified"
 
     def test_garbage_synthesis_twice_errors(self):
         backend = ScriptedBackend(
@@ -76,19 +93,17 @@ class TestDeriveDirection:
                 "cacl/synthesize": ["garbage", "more garbage"],
             }
         )
-        triplet = build_triplet(RULE, _result(["TP", "FP"]))
         with pytest.raises(CaclError, match="unparsable"):
-            derive_direction(triplet, backend)
+            derive_direction(RULE, _result(["TP", "FP"]), backend)
 
     def test_empty_triplet_rejected(self):
-        triplet = build_triplet(RULE, build_quiz_result([_record("TP")]))
-        empty = type(triplet)(anchor=RULE, positives=(), negatives=())
+        empty = QuizResult(records=(), tp=0, tn=0, fp=0, fn=0, score=0.0)
         with pytest.raises(CaclError):
-            derive_direction(empty, ScriptedBackend({}))
+            derive_direction(RULE, empty, ScriptedBackend({}))
 
 
 class TestApplyDirection:
-    DIRECTION = OptimizationDirection(keep="theft predicate", improve="add not-force")
+    DIRECTION = ("theft predicate", "add not-force")
 
     def test_valid_rewrite_becomes_child(self):
         backend = ScriptedBackend(
@@ -98,7 +113,7 @@ class TestApplyDirection:
             }
         )
         child = apply_direction(
-            RULE, self.DIRECTION, backend, LABELS, child_rule_id="article=264,charge=theft/1/1"
+            RULE, *self.DIRECTION, backend, LABELS, child_rule_id="article=264,charge=theft/1/1"
         )
         assert child.version == RULE.version + 1
         assert child.target == RULE.target
@@ -116,7 +131,7 @@ class TestApplyDirection:
         )
         transcript = Transcript()
         child = apply_direction(
-            RULE, self.DIRECTION, backend, LABELS,
+            RULE, *self.DIRECTION, backend, LABELS,
             child_rule_id="c1", transcript=transcript,
         )
         assert child.target == ArticleCharge("264", "theft")
@@ -133,7 +148,7 @@ class TestApplyDirection:
                 ]
             }
         )
-        child = apply_direction(RULE, self.DIRECTION, backend, LABELS, child_rule_id="c1")
+        child = apply_direction(RULE, *self.DIRECTION, backend, LABELS, child_rule_id="c1")
         assert len(backend.calls) == 3
         assert render_rule(child) == "FORALL x (Theft(x)) -> ARTICLE(264) CHARGE(theft)"
 
@@ -142,7 +157,7 @@ class TestApplyDirection:
             {"cacl/rewrite": ["bad"] * 3}
         )
         with pytest.raises(CaclError, match="rewrite failed"):
-            apply_direction(RULE, self.DIRECTION, backend, LABELS, child_rule_id="c1")
+            apply_direction(RULE, *self.DIRECTION, backend, LABELS, child_rule_id="c1")
 
 
 class TestOptimizeRule:

@@ -27,19 +27,19 @@ class TestCandidateLabels:
     def test_single_hot_label_first(self):
         provider = FixedScorer({"a": 0.0, "b": 1.0, "c": 0.0})
         ranked = candidate_labels("fact", "charge", provider, k=2)
-        assert ranked.entries[0] == ("b", 1.0)
-        assert len(ranked.entries) == 2
+        assert ranked[0] == "b"
+        assert len(ranked) == 2
 
     def test_k_larger_than_label_count_returns_all(self):
         provider = FixedScorer({"a": 0.2, "b": 0.1})
         ranked = candidate_labels("fact", "charge", provider, k=10)
-        assert [label for label, _ in ranked.entries] == ["a", "b"]
+        assert list(ranked) == ["a", "b"]
 
     def test_ties_resolve_by_label_order(self):
         provider = FixedScorer({"z_first": 0.5, "a_second": 0.5})
         ranked = candidate_labels("fact", "charge", provider, k=2)
         # insertion order of the scores dict is the label order
-        assert [label for label, _ in ranked.entries] == ["z_first", "a_second"]
+        assert list(ranked) == ["z_first", "a_second"]
 
     def test_unknown_subtask(self):
         with pytest.raises(ValueError):
@@ -48,7 +48,7 @@ class TestCandidateLabels:
     def test_scores_non_increasing(self):
         provider = FixedScorer({"a": 0.1, "b": 0.9, "c": 0.5})
         ranked = candidate_labels("fact", "charge", provider, k=3)
-        scores = [s for _, s in ranked.entries]
+        scores = [provider.table[label] for label in ranked]
         assert scores == sorted(scores, reverse=True)
 
 
@@ -128,12 +128,7 @@ class TestCharNgramPerceptron:
         ):
             hits = 0
             for case in cases:
-                top10 = {
-                    label
-                    for label, _ in candidate_labels(
-                        case.fact_text, subtask, provider, k=10
-                    ).entries
-                }
+                top10 = set(candidate_labels(case.fact_text, subtask, provider, k=10))
                 hits += gold_of(case) in top10
             assert hits / len(cases) >= 0.9, subtask
 
@@ -219,9 +214,7 @@ class TestSparseEqualsDense:
             for subtask in SUBTASKS:
                 ours = candidate_labels(case.fact_text, subtask, provider, k=10)
                 theirs = candidate_labels(case.fact_text, subtask, dense, k=10)
-                assert [label for label, _ in ours.entries] == [
-                    label for label, _ in theirs.entries
-                ], (case.case_id, subtask)
+                assert ours == theirs, (case.case_id, subtask)
 
 
 class TestArtifactFormats:

@@ -6,16 +6,19 @@ import numpy as np
 import pytest
 
 from helpers import make_case
+from rljp.agents import AgentError, RetryPolicy, TransientAgentError
 from rljp.confusable import (
     ConfusableSet,
     EmbeddingMatrix,
     HashingEmbedder,
+    HttpEmbedder,
     build_confusable_set_from_embeddings,
     cosine_similarity_matrix,
     embed_cases,
     select_hard_negatives,
 )
 from rljp.fol import ArticleCharge
+from test_agents import FakeHttpResponse, FakeSession
 
 
 def brute_force_cosine(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -214,3 +217,62 @@ class TestConfusableSetInvariants:
         conf = _mine(positives, others, num=2)
         assert all(c.judgment.charge_id != "theft" for c in conf.negatives)
         assert all(c.judgment.charge_id == "theft" for c in conf.positives)
+
+
+class TestHttpEmbedder:
+    @staticmethod
+    def _rows(texts, start=0):
+        # rows in reverse order: the client must restore input order by index
+        return {
+            "data": [
+                {"index": i, "embedding": [float(start + i), 1.0]}
+                for i in reversed(range(len(texts)))
+            ]
+        }
+
+    def _embedder(self, responses):
+        session = FakeSession(responses)
+        embedder = HttpEmbedder("https://models.example/v1", "embed-model", session=session)
+        embedder.policy = RetryPolicy(base_delay=0.0)
+        return embedder, session
+
+    def test_150_texts_are_three_posts_with_rows_in_input_order(self):
+        texts = [f"fact {i}" for i in range(150)]
+        batches = [texts[0:64], texts[64:128], texts[128:150]]
+        embedder, session = self._embedder(
+            [FakeHttpResponse(200, self._rows(batch, 64 * i)) for i, batch in enumerate(batches)]
+        )
+        vectors = embedder.embed_texts(texts)
+        assert [sent["json"]["input"] for sent in session.requests] == batches
+        assert session.requests[0]["url"] == "https://models.example/v1/embeddings"
+        assert vectors.shape == (150, 2)
+        assert vectors[:, 0].tolist() == [float(i) for i in range(150)]
+
+    def test_rate_limit_then_success_is_one_retry(self):
+        embedder, session = self._embedder(
+            [FakeHttpResponse(429), FakeHttpResponse(200, self._rows(["a", "b"]))]
+        )
+        assert embedder.embed_texts(["a", "b"]).shape == (2, 2)
+        assert len(session.requests) == 2
+
+    def test_client_error_is_not_retried(self):
+        embedder, session = self._embedder([FakeHttpResponse(400, {"error": "bad"})])
+        with pytest.raises(AgentError, match="rejected") as err:
+            embedder.embed_texts(["a"])
+        assert not isinstance(err.value, TransientAgentError)
+        assert len(session.requests) == 1
+
+    @pytest.mark.parametrize(
+        "response",
+        [
+            FakeHttpResponse(200, text="<html>gateway</html>"),
+            FakeHttpResponse(200, {"data": [{"embedding": [1.0]}]}),
+            FakeHttpResponse(200, {"data": [{"index": 0, "embedding": [1.0]}]}),
+        ],
+        ids=["not-json", "no-index", "too-few-rows"],
+    )
+    def test_malformed_body_is_an_agent_error(self, response):
+        embedder, session = self._embedder([response])
+        with pytest.raises(AgentError, match="malformed"):
+            embedder.embed_texts(["a", "b"])
+        assert len(session.requests) == 1

@@ -1,6 +1,5 @@
 from helpers import LABELS, transcript_entries
 from rljp.agents import ScriptedBackend, Transcript
-from rljp.candidates import CandidateList
 from rljp.examination import examine_case, maybe_abstract, predict_case
 from rljp.fol import parse_rule
 from rljp.rule_init import RuleSet
@@ -24,13 +23,10 @@ def _rule(article, charge=None, term=None, pred="P"):
 
 
 def _candidates(article_order, charge_order, term_order):
-    def entries(labels):
-        return tuple((label, 1.0 - 0.1 * i) for i, label in enumerate(labels))
-
     return {
-        "article": CandidateList("article", entries(article_order)),
-        "charge": CandidateList("charge", entries(charge_order)),
-        "prison_term": CandidateList("prison_term", entries(term_order)),
+        "article": tuple(article_order),
+        "charge": tuple(charge_order),
+        "prison_term": tuple(term_order),
     }
 
 

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from rljp.corpus import Judgment
 from rljp.metrics import (
     AlignmentError,
     compute_metrics,
@@ -36,7 +37,7 @@ def oracle_confusion(gold, pred, classes):
 
 
 def _triple(article, charge="c", term="t"):
-    return {"article": article, "charge": charge, "prison_term": term}
+    return Judgment(article, charge, term)
 
 
 class TestSubtaskMetrics:
@@ -100,8 +101,8 @@ class TestComputeMetrics:
             ]
             report = compute_metrics(pred, gold)
             for subtask in ("article", "charge", "prison_term"):
-                g = [row[subtask] for row in gold]
-                p = [row[subtask] for row in pred]
+                g = [row.label(subtask) for row in gold]
+                p = [row.label(subtask) for row in pred]
                 classes = sorted(set(g) | set(p))
                 per_class, macro, accuracy = oracle_confusion(g, p, classes)
                 m = report.subtasks[subtask]

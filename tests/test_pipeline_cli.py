@@ -8,7 +8,16 @@ import pytest
 import rljp.pipeline as pipeline_mod
 from rljp.agents import ChatResponse
 from rljp.cli import build_parser, main
-from rljp.config import _FREEFORM, DEFAULT_CONFIG, ConfigError, build_agent, load_config
+from rljp.agents import HttpBackend
+from rljp.config import (
+    _FREEFORM,
+    DEFAULT_CONFIG,
+    ConfigError,
+    build_agent,
+    build_embedder,
+    load_config,
+)
+from rljp.confusable import HttpEmbedder
 from rljp.pipeline import STAGE_TABLE, STAGES, run_pipeline
 
 
@@ -72,6 +81,68 @@ class TestConfig:
         run_dir = tmp_path / "run"
         assert run_cli(["run-all", "--config", path, "--run-dir", run_dir]) == 2
         assert not (run_dir / "manifest.json").exists()
+
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [
+            ("data", "ratios", "0.8"),
+            ("data", "ratios", [0.8, "0.1", 0.1]),
+            ("data", "precedent_k", "3"),
+            ("optimization", "defined_score", "0.9"),
+        ],
+    )
+    def test_cli_exit_code_2_on_setting_of_wrong_type(
+        self, fixture_dir, tmp_path, capsys, section, key, value
+    ):
+        raw = json.loads((fixture_dir / "config.json").read_text())
+        raw["data"] = {"cases_path": str(fixture_dir / "cases.jsonl")}
+        raw["providers"]["agent"]["world_path"] = str(fixture_dir / "world.json")
+        raw.setdefault(section, {})[key] = value
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(raw))
+        run_dir = tmp_path / "run"
+        assert run_cli(["run-all", "--config", path, "--run-dir", run_dir]) == 2
+        assert not (run_dir / "manifest.json").exists()
+        assert f"{section}.{key} must have the type of its default" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "override, fits",
+        [
+            ({"optimization": {"defined_score": 1}}, True),
+            ({"data": {"cases_path": "x.jsonl", "ratios": [1, 0, 0]}}, True),
+            ({"optimization": {"num_negatives": 12}}, True),
+            ({"quiz": {"num_options": True}}, False),
+            ({"quiz": {"num_options": 4.0}}, False),
+            ({"examination": {"ngram_sizes": [1, 2.5]}}, False),
+            ({"quiz": 4}, False),
+        ],
+    )
+    def test_a_setting_must_fit_its_default(self, tmp_path, override, fits):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"data": {"cases_path": "x.jsonl"}, **override}))
+        if fits:
+            load_config(path)
+        else:
+            with pytest.raises(ConfigError, match="type of its default"):
+                load_config(path)
+
+    def test_every_path_setting_is_resolved_against_the_config_dir(self, tmp_path):
+        raw = {
+            "data": {"cases_path": "c.jsonl", "schema": {"fact_path": "fact"}},
+            "providers": {
+                "embedder": {"kind": "hashing", "vocab_path": "v.txt"},
+                "routing": {"optimize": {"kind": "scripted", "script_path": "s.json"}},
+            },
+        }
+        (tmp_path / "config.json").write_text(json.dumps(raw))
+        config = load_config(tmp_path / "config.json")
+        assert config["data"]["cases_path"] == str(tmp_path / "c.jsonl")
+        assert config["data"]["labels_path"] is None
+        assert config["data"]["schema"] == {"fact_path": "fact"}
+        assert config["providers"]["embedder"]["vocab_path"] == str(tmp_path / "v.txt")
+        assert config["providers"]["routing"]["optimize"]["script_path"] == str(
+            tmp_path / "s.json"
+        )
 
     def test_negative_ratio_rejected(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -159,6 +230,35 @@ class TestConfig:
         path.write_text(json.dumps(raw))
         with pytest.raises(ConfigError, match="http embedder"):
             load_config(path, mock=True)
+
+
+class TestBackendBuilders:
+    @pytest.mark.parametrize(
+        "spec, message",
+        [
+            ({"kind": "synthetic-oracle"}, "requires world_path"),
+            ({"kind": "scripted", "script_path": ""}, "requires script_path"),
+            ({"kind": "http", "base_url": "http://localhost:9"}, "http agent requires"),
+        ],
+    )
+    def test_agent_spec_missing_a_field(self, spec, message):
+        with pytest.raises(ConfigError, match=message):
+            build_agent(spec)
+
+    def test_http_agent(self):
+        backend = build_agent({"kind": "http", "base_url": "http://localhost:9", "model": "m"})
+        assert isinstance(backend, HttpBackend)
+        assert backend.name == "http:m"
+
+    def test_http_embedder(self):
+        with pytest.raises(ConfigError, match="http embedder requires"):
+            build_embedder({"kind": "http", "model": "m"})
+        embedder = build_embedder({"kind": "http", "base_url": "http://localhost:9", "model": "m"})
+        assert isinstance(embedder, HttpEmbedder)
+
+    def test_unknown_embedder_kind(self):
+        with pytest.raises(ConfigError, match="unknown embedder kind 'dense'"):
+            build_embedder({"kind": "dense"})
 
 
 class TestRunAll:
@@ -609,6 +709,41 @@ class TestStageSettings:
             }
             assert seen == set(row.settings), name
             assert len(row.settings) == len(seen), name
+
+
+    def test_each_body_touches_exactly_its_row_files(
+        self, fixture_config_path, tmp_path, monkeypatch
+    ):
+        # the parsed cases and labels are dropped before each body, so a body
+        # that uses them reads cases.valid.jsonl itself; tree stores are named
+        # through tree_path, not path, and are not row files
+        touched: dict[str, set] = {name: set() for name in STAGES}
+        current: list[str] = []
+        path = pipeline_mod.PipelineRun.path
+
+        def recording_path(run, name):
+            if current:
+                touched[current[-1]].add(name)
+            return path(run, name)
+
+        def recording(name, body):
+            def wrapped(run):
+                run._cases = run._labels = None
+                current.append(name)
+                try:
+                    return body(run)
+                finally:
+                    current.pop()
+
+            return wrapped
+
+        monkeypatch.setattr(pipeline_mod.PipelineRun, "path", recording_path)
+        for name, row in STAGE_TABLE.items():
+            wrapped = dataclasses.replace(row, body=recording(name, row.body))
+            monkeypatch.setitem(STAGE_TABLE, name, wrapped)
+        run_pipeline(load_config(fixture_config_path), tmp_path / "run")
+        for name, row in STAGE_TABLE.items():
+            assert touched[name] == set(row.inputs) | set(row.outputs), name
 
 
 class TestPipelineProducts:

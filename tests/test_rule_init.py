@@ -4,8 +4,8 @@ from helpers import LABELS, make_case
 from rljp.agents import ScriptedBackend, Transcript
 from rljp.fol import ArticleCharge, ArticleTerm, consequent_key
 from rljp.rule_init import (
-    CircumstanceFactors,
     InitError,
+    _parse_symbols,
     define_symbols,
     init_all_rules,
     init_rule_for_target,
@@ -39,18 +39,18 @@ PRECEDENTS = [make_case(f"p{i}", f"precedent facts {i}") for i in range(3)]
 class TestSummarize:
     def test_six_labeled_lines(self):
         backend = ScriptedBackend({f"init/summarize/{KEY}": SIX_LINES})
-        factors = summarize_circumstances(PRECEDENTS, TARGET, backend)
-        assert factors.subject_category == "adult offender"
-        assert factors.mental_state == "intentional"
+        factors = summarize_circumstances(PRECEDENTS, TARGET, backend).splitlines()
+        assert factors[0] == "SUBJECT: adult offender"
+        assert factors[5] == "MENTAL_STATE: intentional"
 
     def test_missing_victim_line_becomes_unspecified(self):
         partial = "\n".join(
             line for line in SIX_LINES.splitlines() if not line.startswith("VICTIM")
         )
         backend = ScriptedBackend({f"init/summarize/{KEY}": partial})
-        factors = summarize_circumstances(PRECEDENTS, TARGET, backend)
-        assert factors.victim_category == "unspecified"
-        assert factors.behavior == "taking property covertly"
+        factors = summarize_circumstances(PRECEDENTS, TARGET, backend).splitlines()
+        assert factors[1] == "VICTIM: unspecified"
+        assert factors[3] == "BEHAVIOR: taking property covertly"
 
     def test_empty_precedents_rejected(self):
         with pytest.raises(InitError):
@@ -58,14 +58,32 @@ class TestSummarize:
 
 
 class TestDefineSymbols:
-    FACTORS = CircumstanceFactors(behavior="taking property")
+    FACTORS = (
+        "SUBJECT: unspecified\nVICTIM: unspecified\nTIME_LOCATION: unspecified\n"
+        "BEHAVIOR: taking property\nCONSEQUENCES: unspecified\nMENTAL_STATE: unspecified"
+    )
+
+    @staticmethod
+    def _kinds(table):
+        return [line.split()[0] for line in table.splitlines()]
 
     def test_parses_table(self):
         backend = ScriptedBackend({f"init/symbols/{KEY}": SYMBOLS_OK})
         table = define_symbols(self.FACTORS, TARGET, backend)
-        assert len(table.predicates) == 2
-        assert len(table.variables) == 1
-        assert table.quantifiers == {"x": "FORALL"}
+        assert self._kinds(table).count("PRED") == 2
+        assert self._kinds(table).count("VAR") == 1
+        assert [line for line in table.splitlines() if line.startswith("QUANT")] == [
+            "QUANT x: FORALL"
+        ]
+
+    def test_symbol_lines_are_normalized(self):
+        reply = (
+            "QUANT y: EXISTS\n  PRED  Took / 02 :  took it  \nVAR x :  the case \n"
+            "chatter\nQUANT x: EXISTS\nQUANT y: FORALL"
+        )
+        assert _parse_symbols(reply) == (
+            "VAR x: the case\nPRED Took/2: took it\nQUANT y: FORALL\nQUANT x: EXISTS"
+        )
 
     def test_duplicate_name_triggers_one_repair(self):
         duplicated = "VAR x: a\nPRED x/1: conflicts with the variable"
@@ -75,7 +93,7 @@ class TestDefineSymbols:
         table = define_symbols(self.FACTORS, TARGET, backend)
         assert len(backend.calls) == 2
         assert "duplicate symbol name" in backend.calls[1].user_text
-        assert len(table.predicates) == 2
+        assert self._kinds(table).count("PRED") == 2
 
     def test_repair_prompt_quotes_the_error_under_the_first_prompt(self):
         backend = ScriptedBackend({f"init/symbols/{KEY}": ["", "VAR x: a\nVAR x: b", ""]})
