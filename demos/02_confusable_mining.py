@@ -38,9 +38,9 @@ print("positives:", emb_pos.vectors.shape, "others:", emb_oth.vectors.shape)
 print()
 print("== cosine similarity matrix (rows: thefts, cols: others) ==")
 sim = cosine_similarity_matrix(emb_pos, emb_oth)
-header = "      " + "  ".join(f"{c:>6}" for c in sim.col_ids)
+header = "      " + "  ".join(f"{c:>6}" for c in emb_oth.case_ids)
 print(header)
-for row_id, row in zip(sim.row_ids, sim.values):
+for row_id, row in zip(emb_pos.case_ids, sim):
     print(f"{row_id:>4}  " + "  ".join(f"{v:6.3f}" for v in row))
 
 print()

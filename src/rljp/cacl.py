@@ -58,7 +58,7 @@ def _format_record(record: ReasoningRecord, fact_truncate: int) -> str:
         f"Fact: {fact}\n"
         f"Options:\n{format_options(record.question)}\n"
         f"Reasoning: {record.reasoning_text}\n"
-        f"Correct option: {record.correct_letter}\n"
+        f"Correct option: {record.question.correct_letter}\n"
         f"Predicted option: {predicted} [{record.outcome}]"
     )
 

@@ -65,6 +65,17 @@ _FREEFORM = {
 }
 
 
+# int settings and the least value each takes; num_negatives may also be null
+_FLOORS = {
+    "agent_concurrency": 1,
+    "quiz.num_options": 2,
+    "optimization.num_negatives": 1,
+    "examination.abstract_threshold": 1,
+    "examination.hash_dim": 1,
+    "examination.epochs": 1,
+}
+
+
 def _fits(default, value) -> bool:
     """Whether `value` has the type of `default`. An int fits a float, a bool
     fits only a bool, and anything fits None; each element of a list must fit
@@ -129,11 +140,17 @@ def load_config(
     config = _merge(DEFAULT_CONFIG, raw)
     if seed_override is not None:
         config["seed"] = seed_override
-    if not config["data"]["cases_path"]:
-        raise ConfigError("data.cases_path is required")
-    if config["agent_concurrency"] < 1:
-        raise ConfigError(f"agent_concurrency must be >= 1, not {config['agent_concurrency']}")
-    ratios = config["data"]["ratios"]
+    data = config["data"]
+    if not isinstance(data["cases_path"], str) or not data["cases_path"]:
+        raise ConfigError(f"data.cases_path must be a non-empty string, not {data['cases_path']!r}")
+    if not isinstance(data["labels_path"], (str, type(None))):
+        raise ConfigError(f"data.labels_path must be null or a string, not {data['labels_path']!r}")
+    for where, floor in _FLOORS.items():
+        section, _, key = where.rpartition(".")
+        value = config[section][key] if section else config[key]
+        if value is not None and (type(value) is not int or value < floor):
+            raise ConfigError(f"{where} must be an integer of at least {floor}, not {value!r}")
+    ratios = data["ratios"]
     if len(ratios) != 3 or min(ratios) < 0 or abs(sum(ratios) - 1.0) > 1e-9:
         raise ConfigError("data.ratios must be three non-negative fractions summing to 1")
     # paths are interpreted relative to the config file's directory

@@ -43,6 +43,10 @@ class EmbeddingMatrix:
             raise ValueError("vectors must be a non-degenerate 2-D array")
         if self.vectors.shape[0] != len(self.case_ids):
             raise ValueError("row count must match case_ids")
+        finite = np.isfinite(self.vectors).all(axis=1)
+        if not finite.all():
+            bad = self.case_ids[int(np.argmin(finite))]
+            raise ValueError(f"non-finite embedding vector for case {bad}")
         norms = np.linalg.norm(self.vectors, axis=1)
         if np.any(norms == 0):
             bad = self.case_ids[int(np.argmin(norms))]
@@ -53,21 +57,6 @@ class EmbeddingMatrix:
         row_of = {case_id: row for row, case_id in enumerate(self.case_ids)}
         rows = [row_of[case.case_id] for case in cases]
         return EmbeddingMatrix(self.vectors[rows], tuple(case.case_id for case in cases))
-
-
-@dataclass(frozen=True)
-class SimilarityMatrix:
-    values: np.ndarray  # (m, n), entries in [-1, 1]
-    row_ids: tuple[str, ...]
-    col_ids: tuple[str, ...]
-
-    def __post_init__(self) -> None:
-        if self.values.shape != (len(self.row_ids), len(self.col_ids)):
-            raise ValueError("matrix shape must match id lists")
-        if self.values.size and (
-            self.values.max() > 1 + 1e-9 or self.values.min() < -1 - 1e-9
-        ):
-            raise ValueError("cosine values outside [-1, 1]")
 
 
 @dataclass(frozen=True)
@@ -174,34 +163,33 @@ def embed_cases(
 
 def cosine_similarity_matrix(
     targets: EmbeddingMatrix, others: EmbeddingMatrix
-) -> SimilarityMatrix:
-    """Pairwise cosine similarity between target rows and other rows."""
+) -> np.ndarray:
+    """Pairwise cosine similarity between target rows and other rows, an
+    (m, n) array clipped to [-1, 1]."""
     if targets.vectors.shape[1] != others.vectors.shape[1]:
         raise ValueError(
             f"dimension mismatch: {targets.vectors.shape[1]} vs {others.vectors.shape[1]}"
         )
     t = targets.vectors / np.linalg.norm(targets.vectors, axis=1, keepdims=True)
     o = others.vectors / np.linalg.norm(others.vectors, axis=1, keepdims=True)
-    values = np.clip(t @ o.T, -1.0, 1.0)
-    return SimilarityMatrix(
-        values=values, row_ids=targets.case_ids, col_ids=others.case_ids
-    )
+    return np.clip(t @ o.T, -1.0, 1.0)
 
 
 def select_hard_negatives(
-    similarity: SimilarityMatrix,
+    similarity: np.ndarray,
     others: Sequence[LegalCase],
     num: int,
 ) -> tuple[list[LegalCase], dict[str, float]]:
-    """Per positive row, take the most-similar other case; dedup keeping the
-    highest similarity; keep the top `num` by (similarity desc, case_id asc)."""
+    """Per positive row, take the most-similar other case (column j is
+    `others[j]`); dedup keeping the highest similarity; keep the top `num` by
+    (similarity desc, case_id asc)."""
     if num < 1:
         raise ValueError("num must be >= 1")
     by_id = {case.case_id: case for case in others}
     best: dict[str, float] = {}
-    for row in similarity.values:
+    for row in similarity:
         col = int(np.argmax(row))  # ties: first column in input order
-        case_id = similarity.col_ids[col]
+        case_id = others[col].case_id
         value = float(row[col])
         if case_id not in best or value > best[case_id]:
             best[case_id] = value

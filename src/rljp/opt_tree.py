@@ -12,19 +12,14 @@ from __future__ import annotations
 
 import json
 import logging
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Optional, Sequence
 
 from .agents import Backend, Transcript
-from .fol import Consequent, FolRule, consequent_key, rule_from_row
-from .quiz import (
-    QuizQuestion,
-    QuizResult,
-    ReasoningRecord,
-    build_quiz_result,
-    run_quiz,
-)
+from .fol import Consequent, FolRule, consequent_key, render_rule, rule_from_row
+from .quiz import OUTCOMES, QuizQuestion, QuizResult, ReasoningRecord, run_quiz
 
 logger = logging.getLogger(__name__)
 
@@ -44,27 +39,31 @@ class RuleNode:
     node_id: str
     rule: FolRule
     parent: Optional[str] = None
-    weight: Optional[float] = None
     eval: Optional[QuizResult] = None
+
+    @property
+    def weight(self) -> Optional[float]:
+        """The quiz score, or None before evaluation."""
+        return None if self.eval is None else self.eval.score
 
 
 @dataclass
 class OptimizationTree:
     target: Consequent
     nodes: dict[str, RuleNode]
-    root_id: str
     max_score: float = 0.0
     max_pointer: Optional[str] = None
     iteration: int = 0
     _sequence: int = 0
 
+    @property
+    def root_id(self) -> str:
+        return next(iter(self.nodes))
+
     def node(self, node_id: str) -> RuleNode:
         if node_id not in self.nodes:
             raise TreeError(f"unknown node {node_id}")
         return self.nodes[node_id]
-
-    def unevaluated(self) -> list[str]:
-        return [nid for nid, node in self.nodes.items() if node.eval is None]
 
     def next_node_id(self, version: int) -> str:
         node_id = f"{consequent_key(self.target)}/{version}/{self._sequence}"
@@ -74,10 +73,9 @@ class OptimizationTree:
 
 def new_tree(initial: FolRule) -> OptimizationTree:
     """A tree holding just the (unevaluated) initial rule."""
-    tree = OptimizationTree(target=initial.target, nodes={}, root_id="")
+    tree = OptimizationTree(target=initial.target, nodes={})
     root_id = tree.next_node_id(initial.version)
     tree.nodes[root_id] = RuleNode(node_id=root_id, rule=initial)
-    tree.root_id = root_id
     return tree
 
 
@@ -89,15 +87,14 @@ def evaluate_node(
     *,
     transcript: Optional[Transcript] = None,
 ) -> float:
-    """Quiz the node's rule (memoized) and install its weight.
+    """Quiz the node's rule (memoized) and return its weight.
 
     A cached node costs zero agent calls. The max pointer advances only on
     weight > max_score.
     """
     node = tree.node(node_id)
     if node.eval is not None:
-        assert node.weight is not None
-        return node.weight
+        return node.eval.score
     result = run_quiz(
         node.rule,
         questions,
@@ -106,11 +103,11 @@ def evaluate_node(
         transcript=transcript,
     )
     node.eval = result
-    node.weight = result.score
-    if result.score > tree.max_score or tree.max_pointer is None:
-        tree.max_score = result.score
+    weight = result.score
+    if weight > tree.max_score or tree.max_pointer is None:
+        tree.max_score = weight
         tree.max_pointer = node_id
-    return result.score
+    return weight
 
 
 def select_best(tree: OptimizationTree) -> str:
@@ -169,7 +166,7 @@ def optimize(
         raise TreeError("tree has no root")
     failures = 0
     while True:
-        for node_id in tree.unevaluated():
+        for node_id in [nid for nid, node in tree.nodes.items() if node.eval is None]:
             evaluate_node(tree, node_id, questions, agent, transcript=transcript)
         if store_path is not None:
             save_tree(tree, store_path)
@@ -201,41 +198,39 @@ def optimize(
 # best node without re-issuing a single quiz call.
 
 
-def save_tree(tree: OptimizationTree, path: str | Path) -> None:
-    from .fol import render_rule
+def _node_row(node: RuleNode) -> dict:
+    records = node.eval.records if node.eval else ()
+    counts = Counter(r.outcome for r in records)
+    return {
+        "node_id": node.node_id,
+        "parent": node.parent,
+        "rule_text": render_rule(node.rule),
+        "rule_id": node.rule.rule_id,
+        "provenance": {
+            "kind": node.rule.provenance.kind,
+            "parent_rule_id": node.rule.provenance.parent_rule_id,
+        },
+        "version": node.rule.version,
+        "weight": node.weight,
+        **{outcome.lower(): counts[outcome] if node.eval else None for outcome in OUTCOMES},
+        "records": [
+            {
+                "case_id": r.question.case_id,
+                "correct_letter": r.question.correct_letter,
+                "predicted_letter": r.predicted_letter,
+                "outcome": r.outcome,
+                "malformed": r.malformed,
+                "reasoning": r.reasoning_text,
+            }
+            for r in records
+        ],
+    }
 
+
+def save_tree(tree: OptimizationTree, path: str | Path) -> None:
     payload = {
         "target": consequent_key(tree.target),
-        "nodes": [
-            {
-                "node_id": node.node_id,
-                "parent": node.parent,
-                "rule_text": render_rule(node.rule),
-                "rule_id": node.rule.rule_id,
-                "provenance": {
-                    "kind": node.rule.provenance.kind,
-                    "parent_rule_id": node.rule.provenance.parent_rule_id,
-                },
-                "version": node.rule.version,
-                "weight": node.weight,
-                "tp": node.eval.tp if node.eval else None,
-                "tn": node.eval.tn if node.eval else None,
-                "fp": node.eval.fp if node.eval else None,
-                "fn": node.eval.fn if node.eval else None,
-                "records": [
-                    {
-                        "case_id": r.question.case_id,
-                        "correct_letter": r.correct_letter,
-                        "predicted_letter": r.predicted_letter,
-                        "outcome": r.outcome,
-                        "malformed": r.malformed,
-                        "reasoning": r.reasoning_text,
-                    }
-                    for r in (node.eval.records if node.eval else ())
-                ],
-            }
-            for node in tree.nodes.values()
-        ],
+        "nodes": [_node_row(node) for node in tree.nodes.values()],
         "max_pointer": tree.max_pointer,
         "max_score": tree.max_score,
         "iteration": tree.iteration,
@@ -262,7 +257,6 @@ def load_tree(
     tree = OptimizationTree(
         target=target,
         nodes={},
-        root_id="",
         max_score=payload["max_score"],
         max_pointer=payload["max_pointer"],
         iteration=payload["iteration"],
@@ -284,14 +278,11 @@ def load_tree(
                     ReasoningRecord(
                         question=question,
                         reasoning_text=row["reasoning"],
-                        correct_letter=row["correct_letter"],
                         predicted_letter=row["predicted_letter"],
                         outcome=row["outcome"],
                         malformed=row["malformed"],
                     )
                 )
-            node.eval = build_quiz_result(records)
-            node.weight = entry["weight"]
+            node.eval = QuizResult(tuple(records))
         tree.nodes[node.node_id] = node
-    tree.root_id = payload["nodes"][0]["node_id"]
     return tree

@@ -465,7 +465,7 @@ def _build_confusable(run: PipelineRun) -> None:
         if not positives or not others:
             logger.warning("target %s has no positives or no others; skipped", key)
             continue
-        num = num_config if num_config else len(positives)
+        num = len(positives) if num_config is None else num_config
         conf = build_confusable_set_from_embeddings(
             embeddings.select(positives),
             embeddings.select(others),

@@ -79,7 +79,6 @@ class QuizQuestion:
 class ReasoningRecord:
     question: QuizQuestion
     reasoning_text: str
-    correct_letter: str
     predicted_letter: Optional[str]
     outcome: str
     malformed: bool = False
@@ -92,11 +91,16 @@ class ReasoningRecord:
 @dataclass(frozen=True)
 class QuizResult:
     records: tuple[ReasoningRecord, ...]
-    tp: int
-    tn: int
-    fp: int
-    fn: int
-    score: float
+
+    def count(self, outcome: str) -> int:
+        return sum(1 for record in self.records if record.outcome == outcome)
+
+    @property
+    def score(self) -> float:
+        """(TP+TN) / (TP+TN+FP+FN) over the records."""
+        if not self.records:
+            raise ValueError("cannot score an empty record list")
+        return (self.count("TP") + self.count("TN")) / len(self.records)
 
 
 class QuizBuildError(ValueError):
@@ -191,20 +195,6 @@ def format_options(question: QuizQuestion) -> str:
     return "\n".join(f"{letter}) {label}" for letter, label in question.options)
 
 
-def build_quiz_result(records: Sequence[ReasoningRecord]) -> QuizResult:
-    counts = {outcome: 0 for outcome in OUTCOMES}
-    for record in records:
-        counts[record.outcome] += 1
-    return QuizResult(
-        records=tuple(records),
-        tp=counts["TP"],
-        tn=counts["TN"],
-        fp=counts["FP"],
-        fn=counts["FN"],
-        score=score(records),
-    )
-
-
 def run_quiz(
     rule: FolRule,
     questions: Sequence[QuizQuestion],
@@ -254,18 +244,9 @@ def run_quiz(
         return ReasoningRecord(
             question=question,
             reasoning_text=reasoning,
-            correct_letter=question.correct_letter,
             predicted_letter=letter,
             outcome=outcome,
             malformed=malformed,
         )
 
-    return build_quiz_result([answer(question) for question in questions])
-
-
-def score(records: Sequence[ReasoningRecord]) -> float:
-    """(TP+TN) / (TP+TN+FP+FN) over the given records."""
-    if not records:
-        raise ValueError("cannot score an empty record list")
-    correct = sum(1 for r in records if r.outcome in ("TP", "TN"))
-    return correct / len(records)
+    return QuizResult(tuple(answer(question) for question in questions))

@@ -19,7 +19,7 @@ from rljp.cli import main as cli_main
 from rljp.corpus import Judgment
 from rljp.confusable import EmbeddingMatrix, cosine_similarity_matrix, select_hard_negatives
 from rljp.fol import parse_rule, render_rule, validate_rule
-from rljp.quiz import OUTCOMES, ReasoningRecord, build_quiz_result, score
+from rljp.quiz import OUTCOMES, QuizResult, ReasoningRecord
 from rljp.metrics import compute_metrics
 from test_confusable import brute_force_cosine, brute_force_negatives
 from test_metrics import oracle_confusion
@@ -156,7 +156,7 @@ def test_criterion_2_similarity_oracles():
                     rows[i] = [rng.uniform(-1, 1) for _ in range(rows.shape[1])]
         emb_a = EmbeddingMatrix(a, tuple(f"p{i:02d}" for i in range(m)))
         emb_b = EmbeddingMatrix(b, tuple(f"o{i:02d}" for i in range(n)))
-        got = cosine_similarity_matrix(emb_a, emb_b).values
+        got = cosine_similarity_matrix(emb_a, emb_b)
         want = brute_force_cosine(a, b)
         assert np.max(np.abs(got - want)) < 1e-9
 
@@ -195,15 +195,14 @@ def test_criterion_3_score_and_outcome_partition():
                 ReasoningRecord(
                     question=question,
                     reasoning_text="r",
-                    correct_letter=question.correct_letter,
                     predicted_letter=predicted,
                     outcome=outcome,
                 )
             )
         independent = sum(1 for o in outcomes if o in ("TP", "TN")) / len(outcomes)
-        assert score(records) == pytest.approx(independent, abs=1e-12)
-        result = build_quiz_result(records)
-        assert result.tp + result.tn + result.fp + result.fn == len(records)
+        result = QuizResult(tuple(records))
+        assert result.score == pytest.approx(independent, abs=1e-12)
+        assert sum(result.count(o) for o in OUTCOMES) == len(records)
         for record in records:
             assert sum(record.outcome == o for o in OUTCOMES) == 1
     _report(3, "200 record lists: score equals recount; outcomes partition", started, 5.0)
@@ -308,8 +307,8 @@ def test_criterion_5_consequent_lock(tmp_path):
                 "cacl/rewrite": [adversarial, good],
             }
         )
-        result = build_quiz_result(
-            [_make_record("TP"), _make_record("FP")]
+        result = QuizResult(
+            (_make_record("TP"), _make_record("FP"))
         )
         transcript = Transcript(tmp_path / f"transcript{trial}.jsonl")
         child = optimize_rule(
@@ -334,7 +333,6 @@ def _make_record(outcome):
     return ReasoningRecord(
         question=question,
         reasoning_text="r",
-        correct_letter=question.correct_letter,
         predicted_letter=predicted,
         outcome=outcome,
     )

@@ -12,7 +12,7 @@ from rljp.cacl import (
     optimize_rule,
 )
 from rljp.fol import ArticleCharge, parse_rule, render_rule
-from rljp.quiz import QuizResult, build_quiz_result
+from rljp.quiz import QuizResult
 from test_quiz import _record
 
 RULE = parse_rule(
@@ -22,7 +22,7 @@ RULE = parse_rule(
 
 
 def _result(outcomes):
-    return build_quiz_result([_record(o) for o in outcomes])
+    return QuizResult(tuple(_record(o) for o in outcomes))
 
 
 def _outcomes_in(prompt):
@@ -97,7 +97,7 @@ class TestDeriveDirection:
             derive_direction(RULE, _result(["TP", "FP"]), backend)
 
     def test_empty_triplet_rejected(self):
-        empty = QuizResult(records=(), tp=0, tn=0, fp=0, fn=0, score=0.0)
+        empty = QuizResult(records=())
         with pytest.raises(CaclError):
             derive_direction(RULE, empty, ScriptedBackend({}))
 

@@ -117,12 +117,12 @@ class TestCosine:
     def test_identical_unit_vectors(self):
         e = EmbeddingMatrix(np.array([[1.0, 0.0]]), ("a",))
         o = EmbeddingMatrix(np.array([[1.0, 0.0]]), ("b",))
-        assert cosine_similarity_matrix(e, o).values[0, 0] == pytest.approx(1.0)
+        assert cosine_similarity_matrix(e, o)[0, 0] == pytest.approx(1.0)
 
     def test_orthogonal(self):
         e = EmbeddingMatrix(np.array([[1.0, 0.0]]), ("a",))
         o = EmbeddingMatrix(np.array([[0.0, 1.0]]), ("b",))
-        assert cosine_similarity_matrix(e, o).values[0, 0] == pytest.approx(0.0)
+        assert cosine_similarity_matrix(e, o)[0, 0] == pytest.approx(0.0)
 
     def test_against_scalar_loop_oracle(self):
         rng = random.Random(77)
@@ -131,7 +131,7 @@ class TestCosine:
         got = cosine_similarity_matrix(
             EmbeddingMatrix(a, tuple(f"a{i}" for i in range(4))),
             EmbeddingMatrix(b, tuple(f"b{i}" for i in range(5))),
-        ).values
+        )
         want = brute_force_cosine(a, b)
         assert np.max(np.abs(got - want)) < 1e-9
 
@@ -139,7 +139,7 @@ class TestCosine:
         rng = random.Random(3)
         a = _matrix(rng, 6, 8)
         e = EmbeddingMatrix(a, tuple(f"a{i}" for i in range(6)))
-        values = cosine_similarity_matrix(e, e).values
+        values = cosine_similarity_matrix(e, e)
         assert np.allclose(np.diag(values), 1.0, atol=1e-9)
 
     def test_dimension_mismatch(self):
@@ -151,6 +151,12 @@ class TestCosine:
     def test_zero_row_rejected_by_invariant(self):
         with pytest.raises(ValueError, match="zero embedding"):
             EmbeddingMatrix(np.zeros((1, 4)), ("a",))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_row_rejected_naming_its_case(self, bad):
+        # a NaN similarity would reach confusable.json as NaN, which is not JSON
+        with pytest.raises(ValueError, match="non-finite embedding vector for case b"):
+            EmbeddingMatrix(np.array([[1.0, 0.0], [bad, 1.0]]), ("a", "b"))
 
 
 class TestBuildConfusableSet:
@@ -204,7 +210,7 @@ class TestBuildConfusableSet:
             sim = cosine_similarity_matrix(emb_pos, emb_oth)
             others = [make_case(f"o{i:02d}", "fact", charge="robbery") for i in range(n)]
             got, got_sims = select_hard_negatives(sim, others, num)
-            want = brute_force_negatives(sim.values, emb_oth.case_ids, num)
+            want = brute_force_negatives(sim, emb_oth.case_ids, num)
             assert [c.case_id for c in got] == [cid for cid, _ in want], f"trial {trial}"
             for cid, sim_value in want:
                 assert got_sims[cid] == pytest.approx(sim_value, abs=0)

@@ -18,7 +18,9 @@ from rljp.config import (
     load_config,
 )
 from rljp.confusable import HttpEmbedder
+from rljp.opt_tree import load_tree, save_tree
 from rljp.pipeline import STAGE_TABLE, STAGES, run_pipeline
+from rljp.quiz import make_quiz
 
 
 def run_cli(args):
@@ -104,6 +106,36 @@ class TestConfig:
         assert run_cli(["run-all", "--config", path, "--run-dir", run_dir]) == 2
         assert not (run_dir / "manifest.json").exists()
         assert f"{section}.{key} must have the type of its default" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [
+            ("optimization", "num_negatives", "5"),
+            ("optimization", "num_negatives", -3),
+            ("optimization", "num_negatives", 0),
+            ("optimization", "num_negatives", True),
+            ("data", "cases_path", 7),
+            ("data", "labels_path", 7),
+            ("quiz", "num_options", 1),
+            ("examination", "abstract_threshold", 0),
+            ("examination", "hash_dim", 0),
+            ("examination", "epochs", 0),
+        ],
+    )
+    def test_cli_exit_code_2_on_setting_out_of_range(
+        self, fixture_dir, tmp_path, capsys, section, key, value
+    ):
+        # rejected when the config loads, before any stage spends an agent call
+        raw = json.loads((fixture_dir / "config.json").read_text())
+        raw["data"] = {"cases_path": str(fixture_dir / "cases.jsonl")}
+        raw["providers"]["agent"]["world_path"] = str(fixture_dir / "world.json")
+        raw.setdefault(section, {})[key] = value
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(raw))
+        run_dir = tmp_path / "run"
+        assert run_cli(["run-all", "--config", path, "--run-dir", run_dir]) == 2
+        assert not (run_dir / "manifest.json").exists()
+        assert f"{section}.{key} must be" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "override, fits",
@@ -797,6 +829,29 @@ class TestPipelineProducts:
                 assert target == payload["target"]
                 assert version == str(node["version"])
                 assert sequence.isdigit()
+
+    def test_every_tree_store_round_trips_through_load_and_save(
+        self, completed_run, fixture_config_path, tmp_path
+    ):
+        # a node's weight, outcome counts and correct letters come from its records
+        run_dir = tmp_path / "run"
+        shutil.copytree(completed_run, run_dir)
+        run = pipeline_mod.PipelineRun(load_config(fixture_config_path), run_dir, resume=True)
+        stores = sorted((run_dir / "trees").glob("*.json"))
+        checked = []
+        for key, conf in run._load_confusable().items():
+            store = run.tree_path(key)
+            if not store.exists():
+                continue
+            questions = make_quiz(
+                conf, run.labels, num_options=run.config["quiz"]["num_options"],
+                seed=run.config["seed"],
+            )
+            resaved = tmp_path / "resaved.json"
+            save_tree(load_tree(store, conf.target, questions), resaved)
+            assert resaved.read_bytes() == store.read_bytes(), store.name
+            checked.append(store)
+        assert stores and sorted(checked) == stores
 
     def test_tree_store_names_are_distinct_per_target(self, fixture_config_path, tmp_path):
         run = pipeline_mod.PipelineRun(load_config(fixture_config_path), tmp_path / "run")

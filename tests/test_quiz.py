@@ -9,13 +9,12 @@ import rljp.quiz as quiz_mod
 from rljp.fol import ArticleCharge, parse_rule, render_consequent
 from rljp.quiz import (
     QuizQuestion,
+    QuizResult,
     ReasoningRecord,
-    build_quiz_result,
     classify_outcome,
     make_quiz,
     parse_quiz_answer,
     run_quiz,
-    score,
 )
 
 TARGET = ArticleCharge("264", "theft")
@@ -139,7 +138,10 @@ class TestRunQuiz:
             letter = q.correct_letter if q.is_positive else q.target_letter
             script[f"quiz/{q.case_id}"] = f"Reasoning: because\nAnswer: {letter}"
         result = run_quiz(self.RULE, questions, ScriptedBackend(script))
-        assert result.tp == 2 and result.fp == 1 and result.tn == 0 and result.fn == 0
+        assert (
+            result.count("TP") == 2 and result.count("FP") == 1
+            and result.count("TN") == 0 and result.count("FN") == 0
+        )
         assert result.score == pytest.approx(2 / 3)
 
     def test_all_correct_scores_one(self):
@@ -176,7 +178,7 @@ class TestRunQuiz:
         result = run_quiz(self.RULE, questions, ScriptedBackend(script))
         assert all(r.malformed for r in result.records)
         # malformed counts against: FN on positives, FP on negatives
-        assert result.fn == 2 and result.fp == 1 and result.score == 0.0
+        assert result.count("FN") == 2 and result.count("FP") == 1 and result.score == 0.0
 
     def test_malformed_record_keeps_the_last_reply(self):
         questions = make_quiz(_confusable(), LABELS, num_options=4, seed=1)
@@ -214,14 +216,14 @@ class TestScore:
         records = (
             [_record("TP")] * 8 + [_record("TN")] * 7 + [_record("FP")] * 3 + [_record("FN")] * 2
         )
-        assert score(records) == pytest.approx(0.75)
+        assert QuizResult(tuple(records)).score == pytest.approx(0.75)
 
     def test_all_wrong(self):
-        assert score([_record("FP"), _record("FN")]) == 0.0
+        assert QuizResult((_record("FP"), _record("FN"))).score == 0.0
 
     def test_empty_errors(self):
         with pytest.raises(ValueError):
-            score([])
+            QuizResult(()).score
 
     def test_matches_recount_oracle_on_random_lists(self):
         rng = random.Random(8)
@@ -229,9 +231,9 @@ class TestScore:
             outcomes = [rng.choice(["TP", "TN", "FP", "FN"]) for _ in range(rng.randint(1, 40))]
             records = [_record(outcome) for outcome in outcomes]
             want = sum(1 for o in outcomes if o in ("TP", "TN")) / len(outcomes)
-            assert score(records) == pytest.approx(want)
-            result = build_quiz_result(records)
-            assert result.tp + result.tn + result.fp + result.fn == len(records)
+            result = QuizResult(tuple(records))
+            assert result.score == pytest.approx(want)
+            assert sum(result.count(o) for o in ("TP", "TN", "FP", "FN")) == len(records)
 
 
 class TestParseAnswer:
@@ -260,7 +262,6 @@ def _record(outcome):
     return ReasoningRecord(
         question=question,
         reasoning_text="r",
-        correct_letter=question.correct_letter,
         predicted_letter=predicted,
         outcome=outcome,
     )
