@@ -150,6 +150,8 @@ def load_config(
         value = config[section][key] if section else config[key]
         if value is not None and (type(value) is not int or value < floor):
             raise ConfigError(f"{where} must be an integer of at least {floor}, not {value!r}")
+    if config["quiz"]["num_options"] > 26:
+        raise ConfigError("quiz.num_options must be at most 26: options are lettered A-Z")
     ratios = data["ratios"]
     if len(ratios) != 3 or min(ratios) < 0 or abs(sum(ratios) - 1.0) > 1e-9:
         raise ConfigError("data.ratios must be three non-negative fractions summing to 1")

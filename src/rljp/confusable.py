@@ -9,17 +9,19 @@ deduplicated keeping the highest similarity, and the top `num` survive.
 
 from __future__ import annotations
 
+import json
 import logging
 import zlib
 from dataclasses import dataclass
 from functools import partial
+from pathlib import Path
 from typing import Protocol, Sequence
 
 import numpy as np
 
 from .agents import AgentError, HttpClient, RetryPolicy, retry
 from .corpus import LegalCase
-from .fol import Consequent
+from .fol import Consequent, consequent_from_key
 
 logger = logging.getLogger(__name__)
 
@@ -69,6 +71,38 @@ class ConfusableSet:
     def validation_cases(self) -> list[LegalCase]:
         """V_target: positives followed by mined negatives."""
         return list(self.positives) + list(self.negatives)
+
+
+def save_confusable(path: str | Path, sets: dict[str, ConfusableSet]) -> None:
+    """confusable.json by target key; each negative's similarity is rounded to 12 places."""
+    payload = {
+        key: {
+            "target": key,
+            "positive_ids": [case.case_id for case in conf.positives],
+            "negative_ids": [case.case_id for case in conf.negatives],
+            "similarity_of_each_negative": {
+                case_id: round(sim, 12) for case_id, sim in conf.negative_similarity.items()
+            },
+        }
+        for key, conf in sets.items()
+    }
+    Path(path).write_text(
+        json.dumps(payload, indent=2, ensure_ascii=False, sort_keys=True) + "\n", encoding="utf-8"
+    )
+
+
+def load_confusable(path: str | Path, cases: dict[str, LegalCase]) -> dict[str, ConfusableSet]:
+    """The sets `save_confusable` wrote, by target key; ids are looked up in `cases`."""
+    payload = json.loads(Path(path).read_text(encoding="utf-8"))
+    return {
+        key: ConfusableSet(
+            target=consequent_from_key(key),
+            positives=tuple(cases[i] for i in row["positive_ids"]),
+            negatives=tuple(cases[i] for i in row["negative_ids"]),
+            negative_similarity=dict(row["similarity_of_each_negative"]),
+        )
+        for key, row in payload.items()
+    }
 
 
 def gram_hashes(text: str, ngram_sizes: Sequence[int]) -> list[int]:

@@ -21,6 +21,8 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
+from .fol import ArticleCharge, ArticleTerm, Consequent, consequent_labels
+
 logger = logging.getLogger(__name__)
 
 # CAIL2018-style field names; values are dotted paths into the JSON record.
@@ -40,6 +42,10 @@ _SUBTASK_FIELDS = {
     "prison_term": ("prison_term_bucket", "prison_terms"),
 }
 SUBTASKS = tuple(_SUBTASK_FIELDS)
+
+# the consequent kinds that get rules; precedents.json has one section of
+# precedent groups per kind, named by its subtasks joined with "+"
+RULE_KINDS = (ArticleCharge, ArticleTerm)
 
 # characters that join labels in stored keys: "," in fol.consequent_key and
 # "|" in the precedents.json group keys; a label holding one cannot round-trip
@@ -204,6 +210,20 @@ def load_cases(
     return cases
 
 
+def save_cases(path: str | Path, cases: Iterable[LegalCase]) -> None:
+    """One JSON line per case in DEFAULT_SCHEMA's fields, which `load_cases` reads back."""
+    with Path(path).open("w", encoding="utf-8") as handle:
+        for case in cases:
+            row = {"case_id": case.case_id, "fact": case.fact_text}
+            if case.judgment:
+                row["meta"] = {
+                    "relevant_articles": [case.judgment.article_id],
+                    "accusation": [case.judgment.charge_id],
+                    "term_bucket": [case.judgment.prison_term_bucket],
+                }
+            handle.write(json.dumps(row, ensure_ascii=False) + "\n")
+
+
 def write_rejects_report(path: str | Path, rejects: Sequence[RejectedLine]) -> None:
     """One JSON object per rejected line: {line, reason}."""
     with Path(path).open("w", encoding="utf-8") as handle:
@@ -239,6 +259,18 @@ def split_dataset(
     )
 
 
+def save_split(path: str | Path, split: DatasetSplit) -> None:
+    """split.json: the case ids of train, validation and test, in split order."""
+    payload = {part.name: [c.case_id for c in getattr(split, part.name)] for part in fields(split)}
+    Path(path).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+
+
+def load_split(path: str | Path, cases: dict[str, LegalCase]) -> DatasetSplit:
+    """The split `save_split` wrote, each id looked up in `cases`."""
+    payload = json.loads(Path(path).read_text(encoding="utf-8"))
+    return DatasetSplit(*(tuple(cases[i] for i in payload[f.name]) for f in fields(DatasetSplit)))
+
+
 def group_precedents(
     cases: Iterable[LegalCase],
     mode: str,
@@ -264,6 +296,29 @@ def group_precedents(
         if len(bucket) < k:
             bucket.append(case)
     return groups
+
+
+def save_precedents(path: str | Path, groups: dict[Consequent, Sequence[LegalCase]]) -> None:
+    """precedents.json: a section per RULE_KINDS entry of "|"-joined labels -> case ids."""
+    payload: dict[str, dict] = {"+".join(kind.subtasks): {} for kind in RULE_KINDS}
+    for target, cases in groups.items():
+        labels = "|".join(consequent_labels(target).values())
+        payload["+".join(target.subtasks)][labels] = [case.case_id for case in cases]
+    Path(path).write_text(
+        json.dumps(payload, indent=2, ensure_ascii=False) + "\n", encoding="utf-8"
+    )
+
+
+def load_precedents(
+    path: str | Path, cases: dict[str, LegalCase]
+) -> dict[Consequent, list[LegalCase]]:
+    """The groups `save_precedents` wrote, in file order; ids are looked up in `cases`."""
+    payload = json.loads(Path(path).read_text(encoding="utf-8"))
+    return {
+        kind(*labels.split("|", len(kind.subtasks) - 1)): [cases[i] for i in ids]
+        for kind in RULE_KINDS
+        for labels, ids in payload["+".join(kind.subtasks)].items()
+    }
 
 
 def label_space(cases: Iterable[LegalCase]) -> LabelSpace:

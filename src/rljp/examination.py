@@ -15,10 +15,12 @@ as NO and is not reused, so a repeat asks again.
 
 from __future__ import annotations
 
+import json
 import logging
 import re
 from dataclasses import dataclass, replace
-from typing import Callable, Optional
+from pathlib import Path
+from typing import Callable, Iterable, Optional
 
 from .agents import AgentError, Backend, Transcript, render_template
 from .candidates import CandidateProvider, candidate_labels
@@ -43,6 +45,27 @@ class Prediction:
     rationale: str
     used_fallback: dict[str, bool]
     used_abstract: bool
+
+
+# predictions.jsonl fields in row order, named as in Prediction but the labels
+_ROW_FIELDS = ("case_id", "article", "charge", "term", "used_fallback", "used_abstract",
+               "rationale")
+_ATTRIBUTE = {"article": "article_id", "charge": "charge_id", "term": "prison_term_bucket"}
+
+
+def save_predictions(path: str | Path, predictions: Iterable[Prediction]) -> None:
+    """predictions.jsonl: one JSON line per prediction, in the given order."""
+    with Path(path).open("w", encoding="utf-8") as handle:
+        for prediction in predictions:
+            row = {name: getattr(prediction, _ATTRIBUTE.get(name, name)) for name in _ROW_FIELDS}
+            handle.write(json.dumps(row, ensure_ascii=False) + "\n")
+
+
+def load_predictions(path: str | Path) -> list[Prediction]:
+    """The predictions `save_predictions` wrote, in file order."""
+    with Path(path).open("r", encoding="utf-8") as handle:
+        rows = [json.loads(line) for line in handle]
+    return [Prediction(**{_ATTRIBUTE.get(n, n): row[n] for n in _ROW_FIELDS}) for row in rows]
 
 
 def maybe_abstract(

@@ -14,7 +14,7 @@ validation, reported as violations rather than exceptions.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import ClassVar, Iterator, Optional, Union
 
 GRAMMAR_HELP = """\
@@ -420,15 +420,23 @@ def parse_rule(
     )
 
 
+def rule_row(rule: FolRule) -> dict:
+    """A rule's stored row (rules_*.json, tree stores); `rule_from_row` reads it back."""
+    return {
+        "rule_id": rule.rule_id,
+        "rule_text": render_rule(rule),
+        "version": rule.version,
+        "provenance": asdict(rule.provenance),  # {kind, parent_rule_id}
+    }
+
+
 def rule_from_row(row: dict) -> FolRule:
-    """The rule a stored row describes by its rule_text, rule_id, version and
-    provenance (rules_*.json entries and tree store nodes)."""
-    provenance = Provenance(row["provenance"]["kind"], row["provenance"].get("parent_rule_id"))
+    """The rule a stored row describes; the inverse of `rule_row`."""
     return parse_rule(
         row["rule_text"],
         rule_id=row["rule_id"],
         version=row["version"],
-        provenance=provenance,
+        provenance=Provenance(**row["provenance"]),
     )
 
 

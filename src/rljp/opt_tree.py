@@ -18,7 +18,7 @@ from pathlib import Path
 from typing import Callable, Optional, Sequence
 
 from .agents import Backend, Transcript
-from .fol import Consequent, FolRule, consequent_key, render_rule, rule_from_row
+from .fol import Consequent, FolRule, consequent_key, rule_from_row, rule_row
 from .quiz import OUTCOMES, QuizQuestion, QuizResult, ReasoningRecord, run_quiz
 
 logger = logging.getLogger(__name__)
@@ -198,19 +198,22 @@ def optimize(
 # best node without re-issuing a single quiz call.
 
 
+def tree_path(run_dir: str | Path, target_key: str) -> Path:
+    """The target's store under `run_dir`. A key character other than a letter, a digit
+    or "=,_" is written "-<hex code point>-", so two keys never share a store."""
+    safe = "".join(c if c.isalnum() or c in "=,_" else f"-{ord(c):x}-" for c in target_key)
+    return Path(run_dir) / "trees" / f"{safe}.json"
+
+
 def _node_row(node: RuleNode) -> dict:
     records = node.eval.records if node.eval else ()
     counts = Counter(r.outcome for r in records)
+    rule = rule_row(node.rule)
     return {
         "node_id": node.node_id,
         "parent": node.parent,
-        "rule_text": render_rule(node.rule),
-        "rule_id": node.rule.rule_id,
-        "provenance": {
-            "kind": node.rule.provenance.kind,
-            "parent_rule_id": node.rule.provenance.parent_rule_id,
-        },
-        "version": node.rule.version,
+        # a store lists the rule's keys in this order, not rule_row's
+        **{key: rule[key] for key in ("rule_text", "rule_id", "provenance", "version")},
         "weight": node.weight,
         **{outcome.lower(): counts[outcome] if node.eval else None for outcome in OUTCOMES},
         "records": [

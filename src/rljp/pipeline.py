@@ -8,14 +8,16 @@ returns its per-target tree stores as extra outputs. `STAGES`,
 `PipelineRun.run_through` and the CLI subcommands all come from this table,
 and every stage runs through `PipelineRun._execute`.
 
-Every stage reads and writes plain files under the run directory and records
-its input hash plus output hashes in the manifest, by paths relative to the
-run directory, so a moved run directory still resumes. On rerun a stage is
-skipped exactly when its recorded input hash still matches and all of its
-outputs are present with their recorded hashes; an output whose bytes
-changed behind the manifest's back is a checksum failure, not a silent
-rebuild. Only a stage re-run under the input hash it recorded last, after a
-crash or a failure, resumes partial work: optimize reloads its tree stores.
+Every stage reads and writes plain files under the run directory through the
+reader and writer beside each artifact's type (in `corpus`, `rule_init`,
+`confusable`, `opt_tree`, `candidates` and `examination`), which need no run.
+It records its input hash plus output hashes in the manifest, by paths
+relative to the run directory, so a moved run directory still resumes. On
+rerun a stage is skipped exactly when its recorded input hash still matches
+and all of its outputs are present with their recorded hashes; an output
+whose bytes changed behind the manifest's back is a checksum failure, not a
+silent rebuild. Only a stage re-run under the input hash it recorded last,
+after a crash or a failure, resumes partial work: optimize reloads its trees.
 """
 
 from __future__ import annotations
@@ -30,49 +32,17 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Optional
 
-from . import cacl as cacl_mod
-from . import opt_tree
+from . import cacl, confusable, corpus, examination, opt_tree, rule_init
 from .agents import Transcript, fan_out
 from .candidates import CharNgramPerceptron
 from .config import ConfigError, build_agent, build_embedder
-from .confusable import (
-    ConfusableSet,
-    build_confusable_set_from_embeddings,
-    embed_cases,
-)
-from .corpus import (
-    DatasetSplit,
-    Judgment,
-    LabelSpace,
-    LegalCase,
-    RejectedLine,
-    group_precedents,
-    label_space,
-    load_cases,
-    load_label_space,
-    split_dataset,
-    write_rejects_report,
-)
-from .examination import examine_case, score_candidates
-from .fol import (
-    ArticleCharge,
-    ArticleTerm,
-    Consequent,
-    FolRule,
-    consequent_from_key,
-    consequent_key,
-    render_rule,
-    rule_from_row,
-)
+from .corpus import Judgment, LabelSpace, LegalCase, RejectedLine
+from .fol import FolRule, consequent_key
 from .metrics import compute_metrics, report_as_json, report_as_table
 from .quiz import case_label, make_quiz
-from .rule_init import RuleSet, init_all_rules
+from .rule_init import RuleSet
 
 logger = logging.getLogger(__name__)
-
-# the consequent kinds that get rules; precedents.json has one section of
-# precedent groups per kind, named by its subtasks joined with "+"
-RULE_KINDS = (ArticleCharge, ArticleTerm)
 
 
 class StageError(RuntimeError):
@@ -193,15 +163,6 @@ class PipelineRun:
         recorded outputs) stays itself."""
         return self.run_dir / name
 
-    def tree_path(self, target_key: str) -> Path:
-        """The target's tree store. Letters, digits and "=,_" name themselves;
-        any other character, "-" included, is written "-<hex code point>-", so
-        two keys never share a store."""
-        safe = "".join(
-            c if c.isalnum() or c in "=,_" else f"-{ord(c):x}-" for c in target_key
-        )
-        return self.run_dir / "trees" / f"{safe}.json"
-
     # -- manifest helpers
 
     def _save_manifest(self) -> None:
@@ -292,7 +253,7 @@ class PipelineRun:
     def cases(self) -> dict[str, LegalCase]:
         """cases.valid.jsonl by case id, in file order; parsed once per run."""
         if self._cases is None:
-            cases = load_cases(self.path("cases.valid.jsonl"))
+            cases = corpus.load_cases(self.path("cases.valid.jsonl"))
             self._cases = {case.case_id: case for case in cases}
         return self._cases
 
@@ -303,74 +264,11 @@ class PipelineRun:
         labels_path = self.config["data"]["labels_path"]
         if self._labels is None:
             self._labels = (
-                load_label_space(labels_path)
+                corpus.load_label_space(labels_path)
                 if labels_path
-                else label_space(self.cases.values())
+                else corpus.label_space(self.cases.values())
             )
         return self._labels
-
-    def _load_split(self) -> DatasetSplit:
-        payload = json.loads(self.path("split.json").read_text(encoding="utf-8"))
-        return DatasetSplit(
-            train=tuple(self.cases[i] for i in payload["train"]),
-            validation=tuple(self.cases[i] for i in payload["validation"]),
-            test=tuple(self.cases[i] for i in payload["test"]),
-        )
-
-    def _load_ruleset(self, filename: str) -> RuleSet:
-        payload = json.loads(self.path(filename).read_text(encoding="utf-8"))
-        ruleset = RuleSet()
-        for key in sorted(payload["rules"]):
-            ruleset.rules[key] = rule_from_row(payload["rules"][key])
-        ruleset.failures = dict(payload.get("failures", {}))
-        return ruleset
-
-    def _dump_ruleset(self, ruleset: RuleSet, filename: str, *, weights=None) -> None:
-        rows = {}
-        for key in sorted(ruleset.rules):
-            rule = ruleset.rules[key]
-            rows[key] = {
-                "target": key,
-                "rule_id": rule.rule_id,
-                "rule_text": render_rule(rule),
-                "version": rule.version,
-                "provenance": {
-                    "kind": rule.provenance.kind,
-                    "parent_rule_id": rule.provenance.parent_rule_id,
-                },
-            }
-            if weights is not None and key in weights:
-                rows[key]["weight"] = weights[key]
-        payload = {"rules": rows, "failures": dict(sorted(ruleset.failures.items()))}
-        self.path(filename).write_text(
-            json.dumps(payload, indent=2, ensure_ascii=False) + "\n", encoding="utf-8"
-        )
-
-    def _load_precedents(self) -> tuple[list[Consequent], dict[Consequent, list[LegalCase]]]:
-        """Targets (one section per RULE_KINDS entry, each sorted) and their
-        precedent groups."""
-        payload = json.loads(self.path("precedents.json").read_text(encoding="utf-8"))
-        targets: list[Consequent] = []
-        groups: dict[Consequent, list[LegalCase]] = {}
-        for kind in RULE_KINDS:
-            section = payload["+".join(kind.subtasks)]
-            for key in sorted(section):
-                target = kind(*key.split("|", len(kind.subtasks) - 1))
-                targets.append(target)
-                groups[target] = [self.cases[i] for i in section[key]]
-        return targets, groups
-
-    def _load_confusable(self) -> dict[str, ConfusableSet]:
-        payload = json.loads(self.path("confusable.json").read_text(encoding="utf-8"))
-        return {
-            key: ConfusableSet(
-                target=consequent_from_key(key),
-                positives=tuple(self.cases[i] for i in row["positive_ids"]),
-                negatives=tuple(self.cases[i] for i in row["negative_ids"]),
-                negative_similarity=dict(row["similarity_of_each_negative"]),
-            )
-            for key, row in payload.items()
-        }
 
     def run_through(self, last_stage: str) -> dict:
         """Run the stage prefix ending at `last_stage`; returns the manifest."""
@@ -389,57 +287,37 @@ class PipelineRun:
 def _ingest(run: PipelineRun) -> None:
     data = run.config["data"]
     rejects: list[RejectedLine] = []
-    cases = load_cases(data["cases_path"], data["schema"], rejects=rejects)
+    cases = corpus.load_cases(data["cases_path"], data["schema"], rejects=rejects)
     if not cases:
         raise ValueError("no valid cases ingested")
-    with run.path("cases.valid.jsonl").open("w", encoding="utf-8") as handle:
-        for case in cases:
-            row = {"case_id": case.case_id, "fact": case.fact_text}
-            if case.judgment:
-                row["meta"] = {
-                    "relevant_articles": [case.judgment.article_id],
-                    "accusation": [case.judgment.charge_id],
-                    "term_bucket": [case.judgment.prison_term_bucket],
-                }
-            handle.write(json.dumps(row, ensure_ascii=False) + "\n")
-    write_rejects_report(run.path("rejects.jsonl"), rejects)
+    corpus.save_cases(run.path("cases.valid.jsonl"), cases)
+    corpus.write_rejects_report(run.path("rejects.jsonl"), rejects)
     # cases.valid.jsonl was rewritten; reparse it and its labels on next use
-    run._cases = None
-    run._labels = None
+    run._cases = run._labels = None
 
 
 def _split(run: PipelineRun) -> None:
-    split = split_dataset(
+    split = corpus.split_dataset(
         list(run.cases.values()), tuple(run.config["data"]["ratios"]), run.config["seed"]
     )
-    payload = {
-        "train": [c.case_id for c in split.train],
-        "validation": [c.case_id for c in split.validation],
-        "test": [c.case_id for c in split.test],
-    }
-    run.path("split.json").write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+    corpus.save_split(run.path("split.json"), split)
 
 
 def _group_precedents(run: PipelineRun) -> None:
-    split = run._load_split()
+    train = corpus.load_split(run.path("split.json"), run.cases).train
     k = run.config["data"]["precedent_k"]
-    payload = {}
-    for kind in RULE_KINDS:
-        mode = "+".join(kind.subtasks)
-        groups = group_precedents(split.train, mode, k)
-        payload[mode] = {
-            "|".join(labels): [c.case_id for c in cases] for labels, cases in sorted(groups.items())
-        }
-    run.path("precedents.json").write_text(
-        json.dumps(payload, indent=2, ensure_ascii=False) + "\n", encoding="utf-8"
-    )
+    groups = {}
+    for kind in corpus.RULE_KINDS:
+        by_labels = corpus.group_precedents(train, "+".join(kind.subtasks), k)
+        groups.update((kind(*labels), cases) for labels, cases in sorted(by_labels.items()))
+    corpus.save_precedents(run.path("precedents.json"), groups)
 
 
 def _init_rules(run: PipelineRun) -> None:
-    targets, groups = run._load_precedents()
-    ruleset = init_all_rules(
+    groups = corpus.load_precedents(run.path("precedents.json"), run.cases)
+    ruleset = rule_init.init_all_rules(
         groups,
-        targets,
+        list(groups),
         run._agent_for("init-rules"),
         run.labels,
         transcript=run.transcript,
@@ -449,16 +327,15 @@ def _init_rules(run: PipelineRun) -> None:
     )
     if not ruleset.rules:
         raise ValueError("rule initialization produced no rules")
-    run._dump_ruleset(ruleset, "rules_init.json")
+    rule_init.save_ruleset(run.path("rules_init.json"), ruleset)
 
 
 def _build_confusable(run: PipelineRun) -> None:
-    train = list(run._load_split().train)
-    embeddings = embed_cases(train, build_embedder(run.config["providers"]["embedder"]))
+    train = list(corpus.load_split(run.path("split.json"), run.cases).train)
+    embeddings = confusable.embed_cases(train, build_embedder(run.config["providers"]["embedder"]))
     num_config = run.config["optimization"]["num_negatives"]
-    targets, _ = run._load_precedents()
-    payload = {}
-    for target in targets:
+    sets = {}
+    for target in corpus.load_precedents(run.path("precedents.json"), run.cases):
         key = consequent_key(target)
         positives = [c for c in train if case_label(c, target) == target]
         others = [c for c in train if case_label(c, target) != target]
@@ -466,7 +343,7 @@ def _build_confusable(run: PipelineRun) -> None:
             logger.warning("target %s has no positives or no others; skipped", key)
             continue
         num = len(positives) if num_config is None else num_config
-        conf = build_confusable_set_from_embeddings(
+        sets[key] = confusable.build_confusable_set_from_embeddings(
             embeddings.select(positives),
             embeddings.select(others),
             positives,
@@ -474,30 +351,18 @@ def _build_confusable(run: PipelineRun) -> None:
             num,
             target=target,
         )
-        payload[key] = {
-            "target": key,
-            "positive_ids": [c.case_id for c in conf.positives],
-            "negative_ids": [c.case_id for c in conf.negatives],
-            "similarity_of_each_negative": {
-                case_id: round(sim, 12) for case_id, sim in conf.negative_similarity.items()
-            },
-        }
-    if not payload:
+    if not sets:
         raise ValueError("no confusable sets could be built")
-    run.path("confusable.json").write_text(
-        json.dumps(payload, indent=2, ensure_ascii=False, sort_keys=True) + "\n",
-        encoding="utf-8",
-    )
+    confusable.save_confusable(run.path("confusable.json"), sets)
 
 
 def _optimize(run: PipelineRun) -> list[Path]:
     labels = run.labels
-    init_rules = run._load_ruleset("rules_init.json")
-    confusable_sets = run._load_confusable()
+    init_rules = rule_init.load_ruleset(run.path("rules_init.json"))
+    confusable_sets = confusable.load_confusable(run.path("confusable.json"), run.cases)
     opt_config = run.config["optimization"]
     agent = run._agent_for("optimize")
-    optimized = RuleSet()
-    optimized.failures = dict(init_rules.failures)
+    optimized = RuleSet(failures=dict(init_rules.failures))
     keys = []
     for key in sorted(init_rules.rules):
         if key in confusable_sets:
@@ -514,7 +379,7 @@ def _optimize(run: PipelineRun) -> list[Path]:
             num_options=run.config["quiz"]["num_options"],
             seed=run.config["seed"],
         )
-        store = run.tree_path(key)
+        store = opt_tree.tree_path(run.run_dir, key)
         tree = None
         if run.resuming and store.exists():
             # resume after a crash or failure under the same input hash; a
@@ -528,7 +393,7 @@ def _optimize(run: PipelineRun) -> list[Path]:
             tree = opt_tree.new_tree(init_rules.rules[key])
 
         def rewrite(rule: FolRule, result, child_rule_id: str) -> FolRule:
-            return cacl_mod.optimize_rule(
+            return cacl.optimize_rule(
                 rule,
                 result,
                 agent,
@@ -553,15 +418,14 @@ def _optimize(run: PipelineRun) -> list[Path]:
         )
         return best, tree.max_score
 
-    weights: dict[str, float] = {}
     results = fan_out(optimize_target, keys, run.config["agent_concurrency"])
     for key, (best, weight) in zip(keys, results):
         optimized.rules[key] = best
-        weights[key] = weight
+        optimized.weights[key] = weight
     if not optimized.rules:
         raise ValueError("optimization produced no rules")
-    run._dump_ruleset(optimized, "rules_optimized.json", weights=weights)
-    return [run.tree_path(key) for key in keys]
+    rule_init.save_ruleset(run.path("rules_optimized.json"), optimized)
+    return [opt_tree.tree_path(run.run_dir, key) for key in keys]
 
 
 def _train_candidates(run: PipelineRun) -> None:
@@ -572,29 +436,29 @@ def _train_candidates(run: PipelineRun) -> None:
         hash_dim=exam["hash_dim"],
         epochs=exam["epochs"],
     )
-    provider.train(list(run._load_split().train))
+    provider.train(list(corpus.load_split(run.path("split.json"), run.cases).train))
     provider.save(run.path("candidates.json"))
 
 
 def _examine(run: PipelineRun) -> None:
     labels = run.labels
-    split = run._load_split()
+    split = corpus.load_split(run.path("split.json"), run.cases)
     if not split.test:
         raise ValueError("the test split is empty; give data.ratios a larger test share")
-    rules = run._load_ruleset("rules_optimized.json")
+    rules = rule_init.load_ruleset(run.path("rules_optimized.json"))
     provider = CharNgramPerceptron.load(run.path("candidates.json"))
     exam = run.config["examination"]
     agent = run._agent_for("examine")
     # scored here, not on the workers: numpy scoring on worker threads
     # contends for the interpreter lock and made examine slower
     candidates = [
-        score_candidates(case.fact_text, provider, k=exam["candidate_k"])
+        examination.score_candidates(case.fact_text, provider, k=exam["candidate_k"])
         for case in split.test
     ]
 
     def examine(item: tuple[LegalCase, dict]):
         case, case_candidates = item
-        return examine_case(
+        return examination.examine_case(
             case.case_id,
             case.fact_text,
             rules,
@@ -606,37 +470,20 @@ def _examine(run: PipelineRun) -> None:
             transcript=run.transcript,
         )
 
-    predictions = fan_out(
-        examine, zip(split.test, candidates), run.config["agent_concurrency"]
-    )
-    with run.path("predictions.jsonl").open("w", encoding="utf-8") as handle:
-        for prediction in predictions:
-            row = {
-                "case_id": prediction.case_id,
-                "article": prediction.article_id,
-                "charge": prediction.charge_id,
-                "term": prediction.prison_term_bucket,
-                "used_fallback": prediction.used_fallback,
-                "used_abstract": prediction.used_abstract,
-                "rationale": prediction.rationale,
-            }
-            handle.write(json.dumps(row, ensure_ascii=False) + "\n")
+    predictions = fan_out(examine, zip(split.test, candidates), run.config["agent_concurrency"])
+    examination.save_predictions(run.path("predictions.jsonl"), predictions)
 
 
 def _evaluate(run: PipelineRun) -> None:
-    split = run._load_split()
+    split = corpus.load_split(run.path("split.json"), run.cases)
     gold_by_id: dict[str, Judgment] = {
         case.case_id: case.judgment for case in split.test if case.judgment is not None
     }
-    predictions = []
-    pred_ids = []
-    with run.path("predictions.jsonl").open("r", encoding="utf-8") as handle:
-        for line in handle:
-            row = json.loads(line)
-            predictions.append(Judgment(row["article"], row["charge"], row["term"]))
-            pred_ids.append(row["case_id"])
-    gold = [gold_by_id[i] for i in pred_ids]
-    report = compute_metrics(predictions, gold)
+    predictions = examination.load_predictions(run.path("predictions.jsonl"))
+    report = compute_metrics(
+        [Judgment(p.article_id, p.charge_id, p.prison_term_bucket) for p in predictions],
+        [gold_by_id[p.case_id] for p in predictions],
+    )
     run.path("metrics.json").write_text(report_as_json(report), encoding="utf-8")
     run.path("metrics.txt").write_text(report_as_table(report), encoding="utf-8")
 

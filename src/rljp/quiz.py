@@ -119,8 +119,8 @@ def make_quiz(
     remaining slots are seeded uniform draws without replacement from the
     label-space cross product.
     """
-    if num_options < 2:
-        raise QuizBuildError("num_options must be >= 2")
+    if not 2 <= num_options <= len(string.ascii_uppercase):
+        raise QuizBuildError("num_options must be 2 to 26, one letter A-Z per option")
     target = confusable.target
     target_text = render_consequent(target)
 
@@ -144,8 +144,7 @@ def make_quiz(
         rng = derive_rng(seed, "quiz", case.case_id)
         option_texts = fixed + rng.sample(candidates, needed)
         rng.shuffle(option_texts)
-        letters = string.ascii_uppercase[: len(option_texts)]
-        options = tuple(zip(letters, option_texts))
+        options = tuple(zip(string.ascii_uppercase, option_texts))
         correct_letter = next(l for l, text in options if text == gold_text)
         target_letter = next(l for l, text in options if text == target_text)
         questions.append(

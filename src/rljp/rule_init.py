@@ -9,9 +9,11 @@ the other targets.
 
 from __future__ import annotations
 
+import json
 import logging
 import re
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Optional, Sequence
 
 from .agents import Backend, Transcript, fan_out, render_template
@@ -24,6 +26,8 @@ from .fol import (
     Provenance,
     consequent_key,
     render_consequent,
+    rule_from_row,
+    rule_row,
 )
 from .prompts import (
     CONSTRUCT_RULE,
@@ -47,9 +51,34 @@ class InitError(RuntimeError):
 class RuleSet:
     rules: dict[str, FolRule] = field(default_factory=dict)  # consequent_key -> rule
     failures: dict[str, str] = field(default_factory=dict)  # consequent_key -> reason
+    weights: dict[str, float] = field(default_factory=dict)  # consequent_key -> quiz score
 
     def add(self, rule: FolRule) -> None:
         self.rules[consequent_key(rule.target)] = rule
+
+
+def save_ruleset(path: str | Path, ruleset: RuleSet) -> None:
+    """rules_*.json: rule rows and any weights by sorted target key, then the sorted failures."""
+    rows = {}
+    for key in sorted(ruleset.rules):
+        rows[key] = {"target": key, **rule_row(ruleset.rules[key])}
+        if key in ruleset.weights:
+            rows[key]["weight"] = ruleset.weights[key]
+    payload = {"rules": rows, "failures": dict(sorted(ruleset.failures.items()))}
+    Path(path).write_text(
+        json.dumps(payload, indent=2, ensure_ascii=False) + "\n", encoding="utf-8"
+    )
+
+
+def load_ruleset(path: str | Path) -> RuleSet:
+    """The rule set `save_ruleset` wrote."""
+    payload = json.loads(Path(path).read_text(encoding="utf-8"))
+    rows = payload["rules"]
+    return RuleSet(
+        rules={key: rule_from_row(rows[key]) for key in sorted(rows)},
+        failures=dict(payload.get("failures", {})),
+        weights={key: row["weight"] for key, row in rows.items() if "weight" in row},
+    )
 
 
 def _precedents_text(precedents: Sequence[LegalCase]) -> str:

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+import rljp.corpus
 import rljp.pipeline as pipeline_mod
 from rljp.agents import ChatResponse
 from rljp.cli import build_parser, main
@@ -17,14 +18,75 @@ from rljp.config import (
     build_embedder,
     load_config,
 )
-from rljp.confusable import HttpEmbedder
-from rljp.opt_tree import load_tree, save_tree
+from rljp.candidates import CharNgramPerceptron
+from rljp.confusable import HttpEmbedder, load_confusable, save_confusable
+from rljp.corpus import (
+    load_cases,
+    load_label_space,
+    load_precedents,
+    load_split,
+    save_cases,
+    save_precedents,
+    save_split,
+)
+from rljp.examination import load_predictions, save_predictions
+from rljp.fol import consequent_key
+from rljp.opt_tree import load_tree, save_tree, tree_path
 from rljp.pipeline import STAGE_TABLE, STAGES, run_pipeline
 from rljp.quiz import make_quiz
+from rljp.rule_init import load_ruleset, save_ruleset
 
 
 def run_cli(args):
     return main([str(a) for a in args])
+
+
+def cases_of(run_dir):
+    return {case.case_id: case for case in load_cases(run_dir / "cases.valid.jsonl")}
+
+
+def resave_trees(run_dir, out):
+    """Each tree store through load_tree and save_tree, its quiz rebuilt as
+    the run built it: the run's recorded settings and the fixture's labels."""
+    config = json.loads((run_dir / "manifest.json").read_text())["config"]
+    labels = load_label_space(config["data"]["labels_path"])
+    (out / "trees").mkdir()
+    for key, conf in load_confusable(run_dir / "confusable.json", cases_of(run_dir)).items():
+        questions = make_quiz(
+            conf, labels, num_options=config["quiz"]["num_options"], seed=config["seed"]
+        )
+        save_tree(load_tree(tree_path(run_dir, key), conf.target, questions), tree_path(out, key))
+
+
+# each artifact that has a reader: (run dir, output dir) -> the artifact read
+# from the run dir and written under the same name in the output dir
+RESAVE = {
+    "cases.valid.jsonl": lambda run, out: save_cases(
+        out / "cases.valid.jsonl", load_cases(run / "cases.valid.jsonl")
+    ),
+    "split.json": lambda run, out: save_split(
+        out / "split.json", load_split(run / "split.json", cases_of(run))
+    ),
+    "precedents.json": lambda run, out: save_precedents(
+        out / "precedents.json", load_precedents(run / "precedents.json", cases_of(run))
+    ),
+    "rules_init.json": lambda run, out: save_ruleset(
+        out / "rules_init.json", load_ruleset(run / "rules_init.json")
+    ),
+    "rules_optimized.json": lambda run, out: save_ruleset(
+        out / "rules_optimized.json", load_ruleset(run / "rules_optimized.json")
+    ),
+    "confusable.json": lambda run, out: save_confusable(
+        out / "confusable.json", load_confusable(run / "confusable.json", cases_of(run))
+    ),
+    "candidates.json": lambda run, out: CharNgramPerceptron.load(
+        run / "candidates.json"
+    ).save(out / "candidates.json"),
+    "predictions.jsonl": lambda run, out: save_predictions(
+        out / "predictions.jsonl", load_predictions(run / "predictions.jsonl")
+    ),
+    "trees": resave_trees,
+}
 
 
 @pytest.fixture(scope="module")
@@ -117,6 +179,7 @@ class TestConfig:
             ("data", "cases_path", 7),
             ("data", "labels_path", 7),
             ("quiz", "num_options", 1),
+            ("quiz", "num_options", 27),
             ("examination", "abstract_threshold", 0),
             ("examination", "hash_dim", 0),
             ("examination", "epochs", 0),
@@ -570,13 +633,12 @@ class TestResume:
         self, fixture_config_path, tmp_path, monkeypatch
     ):
         calls = []
-        load_label_space = pipeline_mod.load_label_space
 
         def counted(path):
             calls.append(path)
             return load_label_space(path)
 
-        monkeypatch.setattr(pipeline_mod, "load_label_space", counted)
+        monkeypatch.setattr(rljp.corpus, "load_label_space", counted)
         args = ["--config", fixture_config_path, "--run-dir", tmp_path / "run"]
         assert run_cli(["run-all", *args]) == 0
         assert len(calls) == 1
@@ -830,35 +892,53 @@ class TestPipelineProducts:
                 assert version == str(node["version"])
                 assert sequence.isdigit()
 
-    def test_every_tree_store_round_trips_through_load_and_save(
-        self, completed_run, fixture_config_path, tmp_path
-    ):
-        # a node's weight, outcome counts and correct letters come from its records
-        run_dir = tmp_path / "run"
-        shutil.copytree(completed_run, run_dir)
-        run = pipeline_mod.PipelineRun(load_config(fixture_config_path), run_dir, resume=True)
-        stores = sorted((run_dir / "trees").glob("*.json"))
-        checked = []
-        for key, conf in run._load_confusable().items():
-            store = run.tree_path(key)
-            if not store.exists():
-                continue
-            questions = make_quiz(
-                conf, run.labels, num_options=run.config["quiz"]["num_options"],
-                seed=run.config["seed"],
+    @pytest.mark.parametrize("artifact", list(RESAVE))
+    def test_artifact_round_trips_byte_for_byte(self, completed_run, tmp_path, artifact):
+        # read then write reproduces the file; for tree stores, a node's
+        # weight, outcome counts and correct letters come from its records
+        RESAVE[artifact](completed_run, tmp_path)
+        written = sorted(p.relative_to(tmp_path) for p in tmp_path.rglob("*") if p.is_file())
+        assert written
+        if artifact == "trees":
+            assert written == sorted(
+                p.relative_to(completed_run) for p in (completed_run / "trees").glob("*.json")
             )
-            resaved = tmp_path / "resaved.json"
-            save_tree(load_tree(store, conf.target, questions), resaved)
-            assert resaved.read_bytes() == store.read_bytes(), store.name
-            checked.append(store)
-        assert stores and sorted(checked) == stores
+        for name in written:
+            assert (tmp_path / name).read_bytes() == (completed_run / name).read_bytes(), name
 
-    def test_tree_store_names_are_distinct_per_target(self, fixture_config_path, tmp_path):
-        run = pipeline_mod.PipelineRun(load_config(fixture_config_path), tmp_path / "run")
+    def test_a_finished_run_reads_without_its_corpus_or_config(self, fixture_dir, tmp_path):
+        corpus = tmp_path / "corpus"
+        shutil.copytree(fixture_dir, corpus)
+        run_dir = tmp_path / "run"
+        assert run_cli(["run-all", "--config", corpus / "config.json", "--run-dir", run_dir]) == 0
+        shutil.rmtree(corpus)
+
+        # only the readers run: the config, and the world file an agent is
+        # built from, went with the corpus directory
+        cases = cases_of(run_dir)
+        split = load_split(run_dir / "split.json", cases)
+        parts = (split.train, split.validation, split.test)
+        assert sorted(c.case_id for part in parts for c in part) == sorted(cases)
+        groups = load_precedents(run_dir / "precedents.json", cases)
+        assert {c.case_id for group in groups.values() for c in group} <= {
+            c.case_id for c in split.train
+        }
+        init = load_ruleset(run_dir / "rules_init.json")
+        assert set(init.rules) | set(init.failures) == {consequent_key(t) for t in groups}
+        assert not init.weights
+        sets = load_confusable(run_dir / "confusable.json", cases)
+        assert set(sets) <= set(init.rules)
+        optimized = load_ruleset(run_dir / "rules_optimized.json")
+        assert set(optimized.rules) == set(optimized.weights) == set(sets)
+        assert all(rule.version >= 1 for rule in optimized.rules.values())
+        predictions = load_predictions(run_dir / "predictions.jsonl")
+        assert [p.case_id for p in predictions] == [c.case_id for c in split.test]
+
+    def test_tree_store_names_are_distinct_per_target(self, tmp_path):
         keys = ["article=264,charge=a b", "article=264,charge=a.b", "article=264,charge=a-b"]
-        assert len({run.tree_path(key) for key in keys}) == 3
+        assert len({tree_path(tmp_path, key) for key in keys}) == 3
         for key in ("article=264,charge=theft", "article=348,term=lt_6m"):
-            assert run.tree_path(key) == tmp_path / "run" / "trees" / f"{key}.json"
+            assert tree_path(tmp_path, key) == tmp_path / "trees" / f"{key}.json"
 
     def test_every_artifact_is_deterministic(self, completed_run, repeated_run):
         # the manifest and transcript carry wall-clock times and latencies

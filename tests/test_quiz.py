@@ -85,6 +85,15 @@ class TestMakeQuiz:
         with pytest.raises(Exception, match="distractors"):
             make_quiz(_confusable(), tiny, num_options=4, seed=1)
 
+    @pytest.mark.parametrize("num_options", [1, 27])
+    def test_option_count_outside_the_letters_is_rejected(self, num_options):
+        from rljp.corpus import LabelSpace
+
+        # 6 x 5 article-charge labels: enough distractors for 27 options
+        wide = LabelSpace(tuple(map(str, range(260, 266))), tuple("vwxyz"), ("b0",))
+        with pytest.raises(quiz_mod.QuizBuildError, match="A-Z"):
+            make_quiz(_confusable(), wide, num_options=num_options, seed=1)
+
     def test_label_universe_is_rendered_once(self, monkeypatch):
         calls = []
 
