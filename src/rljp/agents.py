@@ -4,7 +4,7 @@ of prompt templates, which are plain strings with {{slot}} markers.
 
 Every logical call goes through complete(), which handles transient retries
 (exponential backoff with full jitter, in `retry`, which the HTTP embedder
-shares) and appends one line per call to the run transcript. Scripted mocks
+shares) and records one line per call in the run transcript. Scripted mocks
 replay an ordered tag -> text mapping and fail loudly on anything unscripted,
 so tests pin the exact conversation a stage is allowed to have. fan_out() is
 the one place that runs agent work on threads: each worker makes its calls
@@ -102,8 +102,11 @@ class Transcript:
     """Append-only call log; one JSON line per logical agent call.
 
     Keeps running totals of calls and usage units rather than the entries.
-    Opening an existing log seeds the totals from its lines, so a resumed run
-    still accounts for every call in the file.
+    `record` only counts a call and queues its line; `flush` appends the
+    queued lines to the file in one write. Callers flush before writing any
+    artifact that holds an answer, so a hard kill loses only lines whose
+    answers no artifact holds. Opening an existing log seeds the totals from
+    its lines, so a resumed run still accounts for every call in the file.
     """
 
     def __init__(self, path: Optional[str | Path] = None):
@@ -111,8 +114,11 @@ class Transcript:
         self.calls = 0
         self.input_units = 0
         self.output_units = 0
-        self._lock = threading.Lock()
+        self._pending: list[str] = []
+        self._lock = threading.Lock()  # counters and _pending
+        self._write_lock = threading.Lock()  # held until a flush's lines are on disk
         if self.path is not None and self.path.exists():
+            line = ""
             with self.path.open("r", encoding="utf-8") as handle:
                 for line in handle:
                     try:
@@ -122,6 +128,8 @@ class Transcript:
                         logger.warning("%s: unreadable line counted without usage", self.path)
                         entry = {}
                     self._count(entry)
+            if line and not line.endswith("\n"):
+                self._pending.append("\n")  # so the next call starts a line of its own
 
     def _count(self, entry: dict) -> None:
         self.calls += 1
@@ -150,12 +158,22 @@ class Transcript:
             "input_units": response.input_units,
             "output_units": response.output_units,
         }
+        line = json.dumps(entry, ensure_ascii=False) + "\n"
         with self._lock:
             self._count(entry)
             if self.path is not None:
+                self._pending.append(line)
+
+    def flush(self) -> None:
+        """Append every queued line to the file. When it returns, each call
+        recorded before it was made is on disk, even one that another
+        thread's concurrent flush wrote."""
+        with self._write_lock:
+            with self._lock:
+                lines, self._pending = self._pending, []
+            if lines:
                 with self.path.open("a", encoding="utf-8") as handle:
-                    handle.write(json.dumps(entry, ensure_ascii=False))
-                    handle.write("\n")
+                    handle.writelines(lines)
 
 
 def retry(

@@ -158,18 +158,25 @@ def optimize(
     defined_score or the iteration cap is reached, otherwise expand the best
     node. A failed expansion still consumes an iteration so the loop always
     terminates. The tree is persisted after every iteration when store_path
-    is given.
+    is given, each time after a flush of `transcript`.
     """
     if not questions:
         raise ValueError("questions must be non-empty")
     if not tree.nodes:
         raise TreeError("tree has no root")
+
+    def persist() -> None:
+        # every answer the store holds is in the transcript file before it
+        if store_path is not None:
+            if transcript is not None:
+                transcript.flush()
+            save_tree(tree, store_path)
+
     failures = 0
     while True:
         for node_id in [nid for nid, node in tree.nodes.items() if node.eval is None]:
             evaluate_node(tree, node_id, questions, agent, transcript=transcript)
-        if store_path is not None:
-            save_tree(tree, store_path)
+        persist()
         if tree.max_score >= defined_score:
             break
         if tree.iteration >= max_iterations:
@@ -178,8 +185,7 @@ def optimize(
         if child_id is None:
             failures += 1
         tree.iteration += 1
-        if store_path is not None:
-            save_tree(tree, store_path)
+        persist()
     if failures and tree.max_score < defined_score:
         logger.warning(
             "optimization for %s ended with %d failed expansions; returning current best",

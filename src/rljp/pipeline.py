@@ -166,6 +166,7 @@ class PipelineRun:
     # -- manifest helpers
 
     def _save_manifest(self) -> None:
+        self.transcript.flush()  # so agent_calls is the file's line count
         self.manifest["agent_calls"] = self.transcript.calls
         self.manifest["usage"] = {
             "input_units": self.transcript.input_units,
@@ -231,21 +232,24 @@ class PipelineRun:
             entry["status"] = "failed"
             entry["error"] = str(exc)
             entry["finished_at"] = _now()
-            self._save_manifest()
             if isinstance(exc, StageError):
                 raise
             raise StageError(name, str(exc)) from exc
-        outputs = [self.path(output) for output in stage.outputs] + extra_outputs
-        entry["outputs"] = {
-            p.relative_to(self.run_dir).as_posix(): _sha256(p) for p in outputs
-        }
-        for path_str in entry["outputs"]:
-            if path_str not in self.manifest["artifacts"]:
-                self.manifest["artifacts"].append(path_str)
-        entry["status"] = "ok"
-        entry["finished_at"] = _now()
-        entry["elapsed_s"] = round(time.monotonic() - started, 3)
-        self._save_manifest()
+        else:
+            outputs = [self.path(output) for output in stage.outputs] + extra_outputs
+            entry["outputs"] = {
+                p.relative_to(self.run_dir).as_posix(): _sha256(p) for p in outputs
+            }
+            for path_str in entry["outputs"]:
+                if path_str not in self.manifest["artifacts"]:
+                    self.manifest["artifacts"].append(path_str)
+            entry["status"] = "ok"
+            entry["finished_at"] = _now()
+            entry["elapsed_s"] = round(time.monotonic() - started, 3)
+        finally:
+            # also after a KeyboardInterrupt: the body's calls reach the
+            # transcript file and the manifest counts them
+            self._save_manifest()
 
     # -- shared loading (stages re-read artifacts rather than carry state)
 
@@ -458,7 +462,7 @@ def _examine(run: PipelineRun) -> None:
 
     def examine(item: tuple[LegalCase, dict]):
         case, case_candidates = item
-        return examination.examine_case(
+        prediction = examination.examine_case(
             case.case_id,
             case.fact_text,
             rules,
@@ -469,6 +473,8 @@ def _examine(run: PipelineRun) -> None:
             abstract_threshold=exam["abstract_threshold"],
             transcript=run.transcript,
         )
+        run.transcript.flush()  # the case's answers reach disk before predictions.jsonl
+        return prediction
 
     predictions = fan_out(examine, zip(split.test, candidates), run.config["agent_concurrency"])
     examination.save_predictions(run.path("predictions.jsonl"), predictions)

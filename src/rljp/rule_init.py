@@ -266,6 +266,9 @@ def init_all_rules(
         except Exception as exc:
             logger.warning("target %s failed: %s", consequent_key(target), exc)
             return str(exc)
+        finally:
+            if transcript is not None:
+                transcript.flush()  # this target's answers reach disk before its rule
 
     ruleset = RuleSet()
     for target, outcome in zip(targets, fan_out(init_one, targets, concurrency)):

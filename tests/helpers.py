@@ -106,5 +106,6 @@ def make_case(case_id: str, fact: str, article="264", charge="theft", term="b0")
 
 def transcript_entries(transcript) -> list[dict]:
     """The JSON lines a file-backed Transcript has written, in order."""
+    transcript.flush()
     with transcript.path.open("r", encoding="utf-8") as handle:
         return [json.loads(line) for line in handle]

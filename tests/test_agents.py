@@ -151,6 +151,7 @@ class TestTranscript:
         path = tmp_path / "transcript.jsonl"
         first = Transcript(path)
         first.record(_request("a"), ChatResponse("x", 7, 2), retries=0, backend="b")
+        first.flush()
         with path.open("a", encoding="utf-8") as handle:
             handle.write('{"tag": "cut short\n')
         reopened = Transcript(path)

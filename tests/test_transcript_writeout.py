@@ -1,0 +1,268 @@
+"""When transcript lines reach disk.
+
+`Transcript.record` only queues a call's line; the pipeline writes the queue
+out before each artifact that holds an answer (a tree store, a rule file,
+the predictions) and with every manifest save. These tests pin that order,
+the accounting after a failed or interrupted stage, and a hard kill followed
+by `--resume`.
+"""
+
+import json
+import os
+import signal
+import subprocess
+import sys
+import threading
+import time
+from collections import Counter
+from pathlib import Path
+
+import pytest
+
+import rljp.pipeline as pipeline_mod
+from rljp import examination, opt_tree, rule_init
+from rljp.agents import ChatRequest, ChatResponse, RefusalError, Transcript
+from rljp.cli import main
+from rljp.config import load_config
+from rljp.fol import consequent_key
+from rljp.pipeline import StageError, run_pipeline
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+class Tapped:
+    """Passes each call to `inner` once `fault(request)` has let it through,
+    and logs the tag of every answered call in `answered`."""
+
+    def __init__(self, inner, answered, fault):
+        self.inner = inner
+        self.name = inner.name
+        self.answered = answered
+        self.fault = fault
+
+    def send(self, request):
+        self.fault(request)
+        response = self.inner.send(request)
+        self.answered.append(request.tag)
+        return response
+
+
+def tap(monkeypatch, fault=lambda request: None) -> list[str]:
+    """The tags every backend the run builds answers, in answer order."""
+    answered: list[str] = []
+    build_agent = pipeline_mod.build_agent
+    monkeypatch.setattr(
+        pipeline_mod, "build_agent", lambda spec: Tapped(build_agent(spec), answered, fault)
+    )
+    return answered
+
+
+def disk_tags(run_dir: Path) -> Counter:
+    """The tag of each readable line of the run's transcript file."""
+    tags = Counter()
+    if not (run_dir / "transcript.jsonl").exists():
+        return tags
+    with (run_dir / "transcript.jsonl").open(encoding="utf-8") as handle:
+        for line in handle:
+            try:
+                tags[json.loads(line)["tag"]] += 1
+            except json.JSONDecodeError:
+                pass  # a line a kill cut short
+    return tags
+
+
+def line_count(run_dir: Path) -> int:
+    with (run_dir / "transcript.jsonl").open(encoding="utf-8") as handle:
+        return sum(1 for _ in handle)
+
+
+def agent_calls(run_dir: Path) -> int:
+    return json.loads((run_dir / "manifest.json").read_text(encoding="utf-8"))["agent_calls"]
+
+
+def test_every_answer_is_on_disk_before_the_artifact_that_holds_it(
+    fixture_config_path, tmp_path, monkeypatch
+):
+    answered = tap(monkeypatch)
+    run_dir = tmp_path / "run"
+    writes: Counter = Counter()
+    problems: list[str] = []
+
+    def check(artifact: str, prefixes: tuple[str, ...] = ("",)) -> None:
+        # a failed assertion on a worker thread would only fail the stage
+        held = Counter(tag for tag in list(answered) if tag.startswith(prefixes))
+        missing = held - disk_tags(run_dir)
+        if missing:
+            problems.append(f"{artifact} written before {sorted(missing)[:3]} reached disk")
+        writes[artifact if prefixes == ("",) else "trees"] += 1
+
+    save_tree = opt_tree.save_tree
+
+    def checked_save_tree(tree, path):
+        key = consequent_key(tree.target)
+        check(Path(path).name, (f"quiz/{key}/", f"cacl/{key}/"))
+        save_tree(tree, path)
+
+    save_ruleset = rule_init.save_ruleset
+
+    def checked_save_ruleset(path, ruleset):
+        check(Path(path).name)
+        save_ruleset(path, ruleset)
+
+    save_predictions = examination.save_predictions
+
+    def checked_save_predictions(path, predictions):
+        check(Path(path).name)
+        save_predictions(path, predictions)
+
+    monkeypatch.setattr(opt_tree, "save_tree", checked_save_tree)
+    monkeypatch.setattr(rule_init, "save_ruleset", checked_save_ruleset)
+    monkeypatch.setattr(examination, "save_predictions", checked_save_predictions)
+    run_pipeline(load_config(fixture_config_path), run_dir)
+    assert problems == []
+    assert writes["rules_init.json"] == writes["rules_optimized.json"] == 1
+    assert writes["predictions.jsonl"] == 1
+    assert writes["trees"] >= 2 * len(list((run_dir / "trees").glob("*.json"))) > 0
+    assert agent_calls(run_dir) == line_count(run_dir) == len(answered)
+
+
+@pytest.mark.parametrize("fault", [RefusalError, KeyboardInterrupt])
+@pytest.mark.parametrize("workers", [1, 4])
+def test_a_stage_cut_short_leaves_every_answered_call_on_disk(
+    fixture_config_path, tmp_path, monkeypatch, fault, workers
+):
+    quizzed: Counter = Counter()  # quiz calls per node
+    failed: list[str] = []
+    lock = threading.Lock()
+
+    def fail_one_node_midway(request):
+        # the third question of a node quizzed after the 40th quiz call: the
+        # node's first two answers are queued, and no tree store holds them
+        if request.tag.startswith("quiz/"):
+            with lock:
+                node = request.tag.rsplit("/", 1)[0]
+                quizzed[node] += 1
+                if quizzed.total() > 40 and quizzed[node] == 3 and not failed:
+                    failed.append(node)
+                    raise fault("injected")
+
+    answered = tap(monkeypatch, fail_one_node_midway)
+    run_dir = tmp_path / "run"
+    config = load_config(fixture_config_path)
+    config["agent_concurrency"] = workers
+    with pytest.raises(StageError if fault is RefusalError else KeyboardInterrupt):
+        run_pipeline(config, run_dir)
+    assert failed
+    assert Counter(answered) == disk_tags(run_dir)
+    assert agent_calls(run_dir) == line_count(run_dir) == len(answered)
+    status = json.loads((run_dir / "manifest.json").read_text())["stages"]["optimize"]["status"]
+    assert status == ("failed" if fault is RefusalError else "running")
+
+
+def read_store(path: Path):
+    """(name, payload) of a tree store, or None for one a write has not finished."""
+    try:
+        return path.name, json.loads(path.read_text(encoding="utf-8"))
+    except json.JSONDecodeError:
+        return None
+
+
+def test_a_killed_run_resumes_to_the_fresh_outputs_with_every_call_counted(
+    fixture_config_path, tmp_path
+):
+    run_dir = tmp_path / "killed"
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    args = ["run-all", "--config", str(fixture_config_path), "--run-dir", str(run_dir)]
+    process = subprocess.Popen(
+        [sys.executable, "-m", "rljp.cli", *args],
+        env=env,
+        stdout=subprocess.DEVNULL,
+        stderr=subprocess.DEVNULL,
+    )
+    try:
+        deadline = time.monotonic() + 120
+        while True:
+            assert process.poll() is None, "the run ended before its first tree store"
+            assert time.monotonic() < deadline, "no tree store within 120 s"
+            # stopped, the files are exactly what a kill would leave
+            process.send_signal(signal.SIGSTOP)
+            os.waitpid(process.pid, os.WUNTRACED)
+            stores = dict(filter(None, map(read_store, run_dir.glob("trees/*.json"))))
+            if stores:
+                break
+            process.send_signal(signal.SIGCONT)
+            time.sleep(0.002)
+    finally:
+        process.kill()
+        process.wait()
+
+    on_disk = disk_tags(run_dir)
+    for name, payload in stores.items():
+        quizzed = Counter(
+            f"quiz/{node['node_id']}/{record['case_id']}"
+            for node in payload["nodes"]
+            for record in node["records"]
+        )
+        assert not quizzed - on_disk, name
+        children = sum(node["parent"] is not None for node in payload["nodes"])
+        assert children <= on_disk[f"cacl/{payload['target']}/rewrite"], name
+
+    assert main([*args, "--resume"]) == 0
+    assert agent_calls(run_dir) == line_count(run_dir)
+    fresh = tmp_path / "fresh"
+    assert main([*args[:3], "--run-dir", str(fresh)]) == 0
+    for name in ("predictions.jsonl", "metrics.json"):
+        assert (run_dir / name).read_bytes() == (fresh / name).read_bytes(), name
+    trees = sorted(path.name for path in (fresh / "trees").iterdir())
+    assert sorted(path.name for path in (run_dir / "trees").iterdir()) == trees
+    for name in trees:
+        assert (run_dir / "trees" / name).read_bytes() == (fresh / "trees" / name).read_bytes()
+
+
+def test_a_line_cut_short_is_ended_before_the_next_call(tmp_path):
+    path = tmp_path / "transcript.jsonl"
+    first = Transcript(path)
+    first.record(ChatRequest("s", "u", tag="a"), ChatResponse("x"), retries=0, backend="b")
+    first.flush()
+    with path.open("a", encoding="utf-8") as handle:
+        handle.write('{"tag": "cut')
+    reopened = Transcript(path)
+    reopened.record(ChatRequest("s", "u", tag="b"), ChatResponse("y"), retries=0, backend="b")
+    reopened.flush()
+    lines = path.read_text(encoding="utf-8").splitlines()
+    assert len(lines) == reopened.calls == 3
+    assert json.loads(lines[-1])["tag"] == "b"
+
+
+def test_concurrent_records_and_flushes_lose_no_line(tmp_path):
+    # more threads than cores and a short switch interval, so a line lost
+    # between the queue swap and the write, or a flush that returns before
+    # another flush has written its caller's lines, would show
+    path = tmp_path / "transcript.jsonl"
+    transcript = Transcript(path)
+    problems: list[str] = []
+
+    def worker(index: int) -> None:
+        for batch in range(10):
+            tags = [f"w{index}/{batch}/{call}" for call in range(5)]
+            for tag in tags:
+                transcript.record(ChatRequest("s", "u", tag=tag), ChatResponse("y"), retries=0,
+                                  backend="b")
+            transcript.flush()
+            on_disk = {json.loads(line)["tag"] for line in path.read_text().splitlines()}
+            problems.extend(tag for tag in tags if tag not in on_disk)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(i,)) for i in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+            assert not thread.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    assert problems == []
+    lines = path.read_text().splitlines()
+    assert len(lines) == len({json.loads(line)["tag"] for line in lines}) == transcript.calls == 400
