@@ -68,18 +68,20 @@ class CharNgramPerceptron:
     def trained(self) -> bool:
         return bool(self._weights)
 
-    def _features(self, text: str) -> tuple[np.ndarray, np.ndarray]:
-        """Sorted hashed n-gram indices of `text` and their unit-norm counts."""
-        hashes = np.array(gram_hashes(text, self.ngram_sizes), dtype=np.int64)
-        idx, counts = np.unique(hashes % self.hash_dim, return_counts=True)
-        vals = counts.astype(np.float64)
-        norm = np.linalg.norm(vals)
-        return idx, (vals / norm if norm else vals)
+    def _features(self, texts: Sequence[str]) -> list[tuple[np.ndarray, np.ndarray]]:
+        """Per text, its sorted hashed n-gram indices and their unit-norm counts."""
+        features = []
+        for hashes in gram_hashes(texts, self.ngram_sizes):
+            idx, counts = np.unique(hashes % self.hash_dim, return_counts=True)
+            vals = counts.astype(np.float64)
+            norm = np.linalg.norm(vals)
+            features.append((idx, vals / norm if norm else vals))
+        return features
 
     def train(self, cases: Sequence[LegalCase]) -> None:
         if not cases:
             raise ValueError("no training cases")
-        features = [self._features(case.fact_text) for case in cases]
+        features = self._features([case.fact_text for case in cases])
         steps = self.epochs * len(cases)
         for subtask in SUBTASKS:
             label_list = self.labels.of(subtask)
@@ -113,7 +115,7 @@ class CharNgramPerceptron:
         if last is not None and last[0] == fact_text:
             idx, vals = last[1]
         else:
-            idx, vals = self._features(fact_text)
+            idx, vals = self._features([fact_text])[0]
             self._last = (fact_text, (idx, vals))
         margins = self._weights[subtask][:, idx] @ vals
         return {

@@ -150,6 +150,9 @@ def load_config(
         value = config[section][key] if section else config[key]
         if value is not None and (type(value) is not int or value < floor):
             raise ConfigError(f"{where} must be an integer of at least {floor}, not {value!r}")
+    sizes = config["examination"]["ngram_sizes"]
+    if not sizes or min(sizes) < 1:
+        raise ConfigError(f"examination.ngram_sizes must be sizes of at least 1, not {sizes!r}")
     if config["quiz"]["num_options"] > 26:
         raise ConfigError("quiz.num_options must be at most 26: options are lettered A-Z")
     ratios = data["ratios"]

@@ -27,6 +27,10 @@ logger = logging.getLogger(__name__)
 
 # texts per /embeddings request; OpenAI's endpoint takes at most 2048
 EMBED_BATCH = 64
+# characters whose n-grams `gram_hashes` hashes in one numpy pass; 8192 ran the
+# kernel about a third faster but left the agent-latency benchmark's peak RSS
+# 1.4 MB higher (BENCH_18.json, 2-vCPU x86-64 VM)
+GRAM_CHUNK = 1 << 11
 
 
 class EmbeddingBackend(Protocol):
@@ -105,13 +109,73 @@ def load_confusable(path: str | Path, cases: dict[str, LegalCase]) -> dict[str, 
     }
 
 
-def gram_hashes(text: str, ngram_sizes: Sequence[int]) -> list[int]:
-    """crc32 of each UTF-8 character n-gram of `text`, by size, then by position."""
-    return [
-        zlib.crc32(text[i : i + n].encode("utf-8"))
-        for n in ngram_sizes
-        for i in range(len(text) - n + 1)
-    ]
+def _crc32_table() -> np.ndarray:
+    """zlib's CRC-32 lookup table (reflected polynomial 0xEDB88320)."""
+    table = np.arange(256, dtype=np.uint32)
+    for _ in range(8):
+        table = np.where(table & 1, (table >> 1) ^ np.uint32(0xEDB88320), table >> 1)
+    return table
+
+
+_CRC32_TABLE = _crc32_table()
+# a UTF-8 lead byte's marker bits, by the character's continuation-byte count
+_UTF8_LEAD = np.array([0x00, 0xC0, 0xE0, 0xF0], dtype=np.uint32)
+
+
+def _utf8_planes(text: str, length: int) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Per character of `text`, zero-padded to `length`: its number of UTF-8
+    continuation bytes, and plane j holding its byte j."""
+    codes = np.zeros(length, dtype=np.uint32)
+    codes[: len(text)] = np.frombuffer(text.encode("utf-32-le"), dtype=np.uint32)
+    tail = (codes >= 0x80).astype(np.uint32) + (codes >= 0x800) + (codes >= 0x10000)
+    planes = [(codes >> 6 * tail) | _UTF8_LEAD[tail]]
+    for j in range(1, int(tail.max(initial=0)) + 1):
+        planes.append(0x80 | ((codes >> 6 * (tail - np.minimum(tail, j))) & 0x3F))
+    return tail, planes
+
+
+def gram_hashes(texts: Sequence[str], ngram_sizes: Sequence[int]) -> list[np.ndarray]:
+    """Per text, the crc32 of each UTF-8 character n-gram, by size, then by
+    position: `[zlib.crc32(text[i:i+n].encode("utf-8")) for n in ngram_sizes
+    for i in range(len(text) - n + 1)]` as an int64 array.
+
+    Table-driven CRC-32 runs over every window of the joined batch at once,
+    GRAM_CHUNK window starts per pass, so numpy's temporaries stay the same
+    size however many texts there are. It takes one step per UTF-8 byte of
+    each window's next character, masked where that character has fewer
+    bytes; the state after n - 1 characters continues to n, and a window
+    that would cross into the next text is dropped.
+    """
+    sizes = tuple(ngram_sizes)
+    if any(n < 1 for n in sizes):
+        raise ValueError(f"n-gram sizes must be positive, got {sizes}")
+    lengths = np.array([len(text) for text in texts], dtype=np.int64)
+    ends = np.cumsum(lengths)
+    # grams per (text, size), and where each run starts in the flat output
+    counts = np.maximum(lengths[:, None] - np.array(sizes, dtype=np.int64) + 1, 0)
+    offsets = np.concatenate([[0], np.cumsum(counts.sum(axis=1))])
+    first = offsets[:-1, None] + np.cumsum(counts, axis=1) - counts
+    out = np.empty(offsets[-1], dtype=np.int64)
+    joined = "".join(texts)
+    longest = max(sizes, default=1)
+    for chunk in range(0, len(joined), GRAM_CHUNK):
+        span = min(GRAM_CHUNK, len(joined) - chunk)
+        tail, planes = _utf8_planes(joined[chunk : chunk + span + longest - 1], span + longest - 1)
+        start = np.arange(chunk, chunk + span)
+        owner = np.searchsorted(ends, start, side="right")
+        room = ends[owner] - start  # characters from the window's start to its text's end
+        at = lengths[owner] - room  # the window's start within its text
+        state = np.full(span, 0xFFFFFFFF, dtype=np.uint32)
+        for k in range(longest):
+            for j, plane in enumerate(planes):
+                # every character has byte 0; byte j only one with j or more continuations
+                step = _CRC32_TABLE[(state ^ plane[k : k + span]) & 0xFF] ^ (state >> 8)
+                state = step if j == 0 else np.where(tail[k : k + span] >= j, step, state)
+            for s, n in enumerate(sizes):
+                if n == k + 1:
+                    keep = room >= n
+                    out[first[owner[keep], s] + at[keep]] = state[keep] ^ 0xFFFFFFFF
+    return [out[lo:hi] for lo, hi in zip(offsets[:-1], offsets[1:])]
 
 
 class HashingEmbedder:
@@ -133,11 +197,13 @@ class HashingEmbedder:
 
     def embed_texts(self, texts: Sequence[str]) -> np.ndarray:
         out = np.zeros((len(texts), self.dim), dtype=np.float64)
-        for row, text in enumerate(texts):
+        for row, (text, hashes) in enumerate(zip(texts, gram_hashes(texts, self.ngram_sizes))):
             whole = zlib.crc32(text.encode("utf-8"))
-            for h in gram_hashes(text, self.ngram_sizes) or [whole]:
-                sign = 1.0 if (h >> 31) & 1 == 0 else -1.0
-                out[row, h % self.dim] += sign
+            if not hashes.size:
+                hashes = np.array([whole])
+            # the signed counts are small integers, so summing them is exact
+            signs = np.where(hashes >> 31, -1.0, 1.0)
+            out[row] = np.bincount(hashes % self.dim, weights=signs, minlength=self.dim)
             norm = np.linalg.norm(out[row])
             if norm == 0:
                 # all-sign cancellation; pin a single deterministic bucket

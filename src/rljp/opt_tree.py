@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import logging
+import os
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
@@ -245,9 +246,20 @@ def save_tree(tree: OptimizationTree, path: str | Path) -> None:
         "iteration": tree.iteration,
         "sequence": tree._sequence,
     }
-    Path(path).write_text(
-        json.dumps(payload, ensure_ascii=False, indent=2) + "\n", encoding="utf-8"
-    )
+    write_atomically(path, json.dumps(payload, ensure_ascii=False, indent=2) + "\n")
+
+
+def write_atomically(path: str | Path, text: str) -> None:
+    """Write `text` to the sibling `<name>.tmp`, then rename it over `path`, so a
+    write that fails or is killed partway leaves the previous file whole."""
+    path = Path(path)
+    partial = path.with_name(path.name + ".tmp")
+    try:
+        partial.write_text(text, encoding="utf-8")
+        os.replace(partial, path)
+    except BaseException:
+        partial.unlink(missing_ok=True)
+        raise
 
 
 def load_tree(

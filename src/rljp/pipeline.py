@@ -172,9 +172,8 @@ class PipelineRun:
             "input_units": self.transcript.input_units,
             "output_units": self.transcript.output_units,
         }
-        self.manifest_path.write_text(
-            json.dumps(self.manifest, indent=2, ensure_ascii=False) + "\n",
-            encoding="utf-8",
+        opt_tree.write_atomically(
+            self.manifest_path, json.dumps(self.manifest, indent=2, ensure_ascii=False) + "\n"
         )
 
     def _stage_input_hash(self, name: str) -> str:

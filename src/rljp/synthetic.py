@@ -305,6 +305,9 @@ class OracleAgent:
 
     def __init__(self, world: SyntheticWorld):
         self.world = world
+        # parsed rules by rule text: a run's quiz and exam prompts quote few
+        # rules; threads racing on one text only parse it twice
+        self._rules: dict[str, FolRule] = {}
 
     def send(self, request) -> ChatResponse:
         """Answer one agents.ChatRequest by its tag and user text."""
@@ -381,7 +384,10 @@ class OracleAgent:
         fact_match = _FACT_SECTION_RE.search(text)
         if rule_match is None or fact_match is None:
             raise AgentError("prompt lacks rule or fact section")
-        rule = parse_rule(rule_match.group(1).strip())
+        rule_text = rule_match.group(1).strip()
+        rule = self._rules.get(rule_text)
+        if rule is None:
+            rule = self._rules[rule_text] = parse_rule(rule_text)
         return rule, fact_match.group(1).strip()
 
     def _quiz(self, text: str) -> str:

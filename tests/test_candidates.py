@@ -106,7 +106,7 @@ class TestCharNgramPerceptron:
         featurized = []
         features = provider._features
         monkeypatch.setattr(
-            provider, "_features", lambda text: featurized.append(text) or features(text)
+            provider, "_features", lambda texts: featurized.extend(texts) or features(texts)
         )
         for fact in facts:
             for subtask in SUBTASKS:
@@ -190,8 +190,8 @@ class TestSparseEqualsDense:
     def test_features_match_the_dense_vector(self, corpus_120):
         cases, labels = corpus_120
         provider = CharNgramPerceptron(labels)
-        for text in [case.fact_text for case in cases[:20]] + ["", "a", "aaaa 盗窃"]:
-            idx, vals = provider._features(text)
+        texts = [case.fact_text for case in cases[:20]] + ["", "a", "aaaa 盗窃", "𝄞 😀 𠀋 notes"]
+        for text, (idx, vals) in zip(texts, provider._features(texts)):
             dense = _dense_features(provider, text)
             assert list(idx) == sorted(set(idx.tolist()))
             assert np.array_equal(dense[idx], vals)

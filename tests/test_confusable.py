@@ -5,9 +5,11 @@ import zlib
 import numpy as np
 import pytest
 
+import rljp.confusable as confusable_mod
 from helpers import make_case
 from rljp.agents import AgentError, RetryPolicy, TransientAgentError
 from rljp.confusable import (
+    GRAM_CHUNK,
     ConfusableSet,
     EmbeddingMatrix,
     HashingEmbedder,
@@ -15,6 +17,7 @@ from rljp.confusable import (
     build_confusable_set_from_embeddings,
     cosine_similarity_matrix,
     embed_cases,
+    gram_hashes,
     select_hard_negatives,
 )
 from rljp.fol import ArticleCharge
@@ -70,6 +73,59 @@ def _matrix(rng, m, d):
     return rows
 
 
+def gram_loop(text, sizes):
+    """The per-gram reference: one zlib.crc32 call per n-gram."""
+    return [
+        zlib.crc32(text[i : i + n].encode("utf-8"))
+        for n in sizes
+        for i in range(len(text) - n + 1)
+    ]
+
+
+# characters of 1, 2, 3 and 4 UTF-8 bytes
+ALPHABET = "ab 7.é©ßж盗窃文😀𝄞𠀋"
+
+
+class TestGramHashes:
+    @pytest.mark.parametrize("sizes", [(1,), (3,), (1, 2, 3), (2, 4)])
+    def test_each_text_matches_the_per_gram_loop(self, sizes):
+        rng = random.Random(sum(sizes))
+        for _ in range(40):
+            texts = [
+                "".join(rng.choice(ALPHABET) for _ in range(rng.choice([0, 1, 2, 3, 4, 9, 60])))
+                for _ in range(rng.randint(0, 6))
+            ]
+            got = gram_hashes(texts, sizes)
+            assert len(got) == len(texts)
+            for text, hashes in zip(texts, got):
+                assert hashes.dtype == np.int64
+                assert hashes.tolist() == gram_loop(text, sizes), (text, sizes)
+
+    @pytest.mark.parametrize("sizes", [(1,), (3,), (1, 2, 3), (2, 4)])
+    def test_a_text_hashes_alike_alone_and_across_a_chunk_edge(self, sizes):
+        text = "盗窃 a 😀𝄞 é" * 3
+        alone = gram_hashes([text], sizes)[0].tolist()
+        assert alone == gram_loop(text, sizes)
+        for edge in range(len(text) + 1):
+            # the filler ends `edge` characters before the first chunk does,
+            # so the chunk edge falls that far into `text`
+            filler = "x" * (GRAM_CHUNK - edge)
+            batch = gram_hashes([filler, text, "tail"], sizes)
+            assert batch[1].tolist() == alone, edge
+            assert batch[2].tolist() == gram_loop("tail", sizes)
+
+    def test_small_chunks_change_no_hash(self, monkeypatch):
+        texts = ["", "ab", "盗窃文😀", "x", "𝄞é" * 5, "covert taking"]
+        whole = [h.tolist() for h in gram_hashes(texts, (1, 2, 3))]
+        for chunk in (1, 2, 3, 7):
+            monkeypatch.setattr(confusable_mod, "GRAM_CHUNK", chunk)
+            assert [h.tolist() for h in gram_hashes(texts, (1, 2, 3))] == whole, chunk
+
+    def test_sizes_must_be_positive(self):
+        with pytest.raises(ValueError, match="positive"):
+            gram_hashes(["text"], (0, 3))
+
+
 class TestHashingEmbedder:
     def test_identical_texts_identical_rows(self):
         embedder = HashingEmbedder()
@@ -83,7 +139,7 @@ class TestHashingEmbedder:
         assert np.allclose(norms, 1.0, atol=1e-6)
 
     def test_rows_match_the_signed_gram_loop(self):
-        texts = ["covert taking of goods", "另一个文本", "xy", ""]
+        texts = ["covert taking of goods", "另一个文本", "xy", "", "𝄞 notes 😀 and 𠀋"]
         embedder = HashingEmbedder(dim=64, ngram_sizes=(2, 3))
         for text, row in zip(texts, embedder.embed_texts(texts)):
             expected = np.zeros(64)

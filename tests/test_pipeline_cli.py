@@ -1,6 +1,8 @@
 import dataclasses
+import errno
 import json
 import shutil
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -183,6 +185,8 @@ class TestConfig:
             ("examination", "abstract_threshold", 0),
             ("examination", "hash_dim", 0),
             ("examination", "epochs", 0),
+            ("examination", "ngram_sizes", [0, 3]),
+            ("examination", "ngram_sizes", []),
         ],
     )
     def test_cli_exit_code_2_on_setting_out_of_range(
@@ -474,6 +478,59 @@ class TestResume:
         assert resumed
         assert {entry["tag"].split("/")[1] for entry in resumed} == {key}
         assert json.loads(victim.read_text())["max_score"] >= 0.9
+
+    def test_a_write_cut_short_keeps_the_previous_store_and_manifest(
+        self, fixture_config_path, tmp_path, monkeypatch, completed_run
+    ):
+        # a write that fails once its file is open (a full disk; a kill acts
+        # alike) hits a tree store's second save, made after its first
+        # expansion, and then the manifest save that records the failed stage
+        run_dir = tmp_path / "run"
+        config = load_config(fixture_config_path)
+        config["agent_concurrency"] = 1
+        write_text = Path.write_text
+        writes = Counter()
+        cut: list[Path] = []
+
+        def cut_short(path, data, *args, **kwargs):
+            writes[path] += 1
+            if (path.parent.name == "trees" and writes[path] == 2 and not cut) or (
+                len(cut) == 1 and path.name.startswith("manifest.json")
+            ):
+                cut.append(path)
+                write_text(path, data[: len(data) // 2], *args, **kwargs)
+                raise OSError(errno.ENOSPC, "injected: no space left on device")
+            return write_text(path, data, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "write_text", cut_short)
+        with pytest.raises(OSError, match="injected"):
+            run_pipeline(config, run_dir)
+        monkeypatch.undo()
+        assert len(cut) == 2
+        manifest = json.loads((run_dir / "manifest.json").read_text())
+        assert manifest["stages"]["optimize"]["status"] == "running"
+        stores = list((run_dir / "trees").iterdir())
+        assert len(stores) == 1 and stores[0].suffix == ".json"
+        payload = json.loads(stores[0].read_text())
+        assert payload["iteration"] == 0
+        key = payload["target"]
+        quizzed = {
+            f"quiz/{node['node_id']}/{record['case_id']}"
+            for node in payload["nodes"]
+            for record in node["records"]
+        }
+        asked = {e["tag"] for e in _transcript(run_dir) if e["tag"].startswith(f"quiz/{key}/")}
+        assert asked == quizzed != set()
+
+        calls_before = len(_transcript(run_dir))
+        run_pipeline(config, run_dir, resume=True)
+        resumed = {
+            e["tag"]
+            for e in _transcript(run_dir)[calls_before:]
+            if e["tag"].startswith(f"quiz/{key}/")
+        }
+        assert resumed and not resumed & quizzed
+        assert stores[0].read_bytes() == tree_path(completed_run, key).read_bytes()
 
     def test_moved_run_dir_resumes_with_every_stage_skipped(
         self, fixture_config_path, tmp_path

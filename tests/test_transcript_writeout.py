@@ -249,7 +249,12 @@ def test_concurrent_records_and_flushes_lose_no_line(tmp_path):
                 transcript.record(ChatRequest("s", "u", tag=tag), ChatResponse("y"), retries=0,
                                   backend="b")
             transcript.flush()
-            on_disk = {json.loads(line)["tag"] for line in path.read_text().splitlines()}
+            # another thread's flush may be writing the last line as this reads
+            on_disk = {
+                json.loads(line)["tag"]
+                for line in path.read_text().splitlines(keepends=True)
+                if line.endswith("\n")
+            }
             problems.extend(tag for tag in tags if tag not in on_disk)
 
     interval = sys.getswitchinterval()
