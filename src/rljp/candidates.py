@@ -6,11 +6,10 @@ n-grams and their L2-normalised counts. Training and scoring only touch the
 weight columns at those indices, and the averaged weights come in closed
 form (each update weighted by the steps left after it) rather than by
 summing the whole matrix after every step. The saved artifact keeps, per
-subtask, only the weight columns that are non-zero.
+subtask, only the weight columns that are non-zero. A batch of facts is
+featurized in one pass and ranked for every subtask at once.
 
-This stands in for the heavyweight neural prescreener; anything exposing
-scores(fact, subtask) can replace it (the examination module only consumes
-the protocol).
+This stands in for the heavyweight neural prescreener.
 """
 
 from __future__ import annotations
@@ -19,7 +18,7 @@ import json
 import logging
 from dataclasses import asdict
 from pathlib import Path
-from typing import Optional, Protocol, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -27,10 +26,6 @@ from .confusable import gram_hashes
 from .corpus import SUBTASKS, LabelSpace, LegalCase
 
 logger = logging.getLogger(__name__)
-
-
-class CandidateProvider(Protocol):
-    def scores(self, fact_text: str, subtask: str) -> dict[str, float]: ...
 
 
 class ProviderNotTrainedError(RuntimeError):
@@ -59,14 +54,6 @@ class CharNgramPerceptron:
         self.hash_dim = hash_dim
         self.epochs = epochs
         self._weights: dict[str, np.ndarray] = {}
-        # (text, features) of the last fact scored: examination scores one
-        # fact for each subtask in turn. Replaced whole, so threads sharing
-        # the provider never see a text paired with another's features.
-        self._last: Optional[tuple[str, tuple[np.ndarray, np.ndarray]]] = None
-
-    @property
-    def trained(self) -> bool:
-        return bool(self._weights)
 
     def _features(self, texts: Sequence[str]) -> list[tuple[np.ndarray, np.ndarray]]:
         """Per text, its sorted hashed n-gram indices and their unit-norm counts."""
@@ -108,20 +95,33 @@ class CharNgramPerceptron:
             self._weights[subtask] = accum / steps
         logger.info("candidate provider trained on %d cases", len(cases))
 
-    def scores(self, fact_text: str, subtask: str) -> dict[str, float]:
-        if not self.trained:
+    def scores(self, fact_texts: Sequence[str]) -> dict[str, np.ndarray]:
+        """Per subtask, the margins of each text (a row) for each label (a
+        column, in label-space order)."""
+        if not self._weights:
             raise ProviderNotTrainedError("candidate provider has not been trained")
-        last = self._last
-        if last is not None and last[0] == fact_text:
-            idx, vals = last[1]
-        else:
-            idx, vals = self._features([fact_text])[0]
-            self._last = (fact_text, (idx, vals))
-        margins = self._weights[subtask][:, idx] @ vals
+        features = self._features(fact_texts)
         return {
-            label: float(margins[i])
-            for i, label in enumerate(self.labels.of(subtask))
+            subtask: np.array([self._weights[subtask][:, idx] @ vals for idx, vals in features])
+            for subtask in SUBTASKS
         }
+
+    def top_labels(self, fact_texts: Sequence[str], k: int) -> list[dict[str, tuple[str, ...]]]:
+        """Per text, each subtask's k best-scored labels, best first; tied
+        labels keep label-space order."""
+        if k < 1:
+            raise ValueError(f"k must be at least 1, not {k}")
+        ranked = {
+            subtask: np.argsort(-margins, axis=1, kind="stable")[:, :k]
+            for subtask, margins in self.scores(fact_texts).items()
+        }
+        return [
+            {
+                subtask: tuple(self.labels.of(subtask)[i] for i in order[row])
+                for subtask, order in ranked.items()
+            }
+            for row in range(len(fact_texts))
+        ]
 
     # -- persistence: per subtask, the non-zero weight columns and their
     # values as flat lists (label-major), which keeps the artifact diffable
@@ -159,17 +159,3 @@ class CharNgramPerceptron:
             provider._weights[subtask] = w
         return provider
 
-
-def candidate_labels(
-    fact_text: str,
-    subtask: str,
-    provider: CandidateProvider,
-    k: int = 10,
-) -> tuple[str, ...]:
-    """The top-k labels by provider score, best first; ties resolve by
-    label-space order."""
-    if subtask not in SUBTASKS:
-        raise ValueError(f"unknown subtask {subtask!r}")
-    scored = provider.scores(fact_text, subtask)
-    # a stable sort: tied labels keep the provider's (label-space) order
-    return tuple(sorted(scored, key=lambda label: -scored[label])[:k])

@@ -68,8 +68,13 @@ _FREEFORM = {
 # int settings and the least value each takes; num_negatives may also be null
 _FLOORS = {
     "agent_concurrency": 1,
+    "data.precedent_k": 1,
     "quiz.num_options": 2,
+    "optimization.max_iterations": 0,
     "optimization.num_negatives": 1,
+    "optimization.max_records_per_side": 1,
+    "optimization.fact_truncate": 1,
+    "examination.candidate_k": 1,
     "examination.abstract_threshold": 1,
     "examination.hash_dim": 1,
     "examination.epochs": 1,

@@ -1,12 +1,12 @@
 """Final judgment prediction: prescreened candidates, optional fact
 abstraction, and rule-guided label selection with fallback traversal.
 
-Per subtask the candidates are checked in order against their rules (one
-YES/NO antecedent check each); the first YES wins. If no candidate's rule
-fires, the remaining ruled labels are traversed in seed-determined random
-order; if nothing fires at all, the top-1 candidate is emitted with the
-fallback flag set. Subtasks run article -> charge -> prison_term, and the
-predicted article narrows which charge/term rules are eligible. Within a
+Per subtask the candidates that have a rule are checked in order (one YES/NO
+antecedent check each), then the remaining ruled labels in seed-determined
+random order; the first YES wins, and a label that is not a candidate sets
+the fallback flag. If nothing fires at all, the top-1 candidate is emitted
+with the fallback flag set. Subtasks run article -> charge -> prison_term, and
+the predicted article narrows which charge/term rules are eligible. Within a
 case a rule is checked against the fact at most once: the article and charge
 subtasks both check ArticleCharge rules, and a repeat reuses the verdict
 without another call. A check that failed (no reply, or no YES/NO in it) counts
@@ -18,12 +18,11 @@ from __future__ import annotations
 import json
 import logging
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Optional
 
 from .agents import AgentError, Backend, Transcript, render_template
-from .candidates import CandidateProvider, candidate_labels
 from .corpus import SUBTASKS, LabelSpace
 from .fol import FolRule, consequent_labels, render_rule
 from .prompts import ABSTRACT_FACT, EXAM_CHECK, ask
@@ -33,7 +32,6 @@ from .rule_init import RuleSet
 logger = logging.getLogger(__name__)
 
 ABSTRACT_THRESHOLD_DEFAULT = 4000
-CANDIDATE_K_DEFAULT = 10
 
 
 @dataclass(frozen=True)
@@ -107,22 +105,6 @@ def _verdict(text: str) -> bool:
     return match.group(1).upper() == "YES"
 
 
-def _antecedent_holds(
-    rule_text: str,
-    fact_text: str,
-    agent: Backend,
-    tag: str,
-    transcript: Optional[Transcript],
-) -> Optional[bool]:
-    """The verdict parsed from the agent's reply; None if the check failed."""
-    prompt = render_template(EXAM_CHECK, {"rule": rule_text, "fact": fact_text})
-    try:
-        return ask(agent, prompt, tag=tag, transcript=transcript, parse=_verdict)
-    except (AgentError, ValueError) as exc:
-        logger.warning("antecedent check %s failed (%s); treating as NO", tag, exc)
-        return None
-
-
 def _rule_pool(
     rules: RuleSet, subtask: str, article: Optional[str]
 ) -> dict[str, FolRule]:
@@ -148,18 +130,24 @@ def _rule_pool(
     return pool
 
 
-def predict_case(
+def examine_case(
     case_id: str,
     fact_text: str,
     rules: RuleSet,
     candidates: dict[str, tuple[str, ...]],
     labels: LabelSpace,
     agent: Backend,
-    seed: int = 0,
     *,
+    seed: int = 0,
+    abstract_threshold: int = ABSTRACT_THRESHOLD_DEFAULT,
     transcript: Optional[Transcript] = None,
 ) -> Prediction:
-    """Predict the full judgment triple for one case."""
+    """Predict the full judgment triple for one case. The candidates were
+    ranked on the original fact; rules are checked against the fact, or
+    against its abstract when it is longer than `abstract_threshold`."""
+    fact_text, used_abstract = maybe_abstract(
+        fact_text, abstract_threshold, agent, tag=f"abstract/{case_id}", transcript=transcript
+    )
     chosen: dict[str, str] = {}
     used_fallback: dict[str, bool] = {}
     rationales: list[str] = []
@@ -167,12 +155,17 @@ def predict_case(
     verdicts: dict[str, bool] = {}  # rendered rule -> parsed verdict
 
     def holds(rule: FolRule, tag: str) -> bool:
+        """The rule's verdict on the fact; a failed check is NO and not kept."""
         rule_text = render_rule(rule)
         if rule_text not in verdicts:
-            verdict = _antecedent_holds(rule_text, fact_text, agent, tag, transcript)
-            if verdict is None:
+            prompt = render_template(EXAM_CHECK, {"rule": rule_text, "fact": fact_text})
+            try:
+                verdicts[rule_text] = ask(
+                    agent, prompt, tag=tag, transcript=transcript, parse=_verdict
+                )
+            except (AgentError, ValueError) as exc:
+                logger.warning("antecedent check %s failed (%s); treating as NO", tag, exc)
                 return False
-            verdicts[rule_text] = verdict
         return verdicts[rule_text]
 
     for subtask in SUBTASKS:
@@ -193,7 +186,7 @@ def predict_case(
         prison_term_bucket=chosen["prison_term"],
         rationale="; ".join(rationales),
         used_fallback=used_fallback,
-        used_abstract=False,
+        used_abstract=used_abstract,
     )
 
 
@@ -208,65 +201,15 @@ def _predict_subtask(
 ) -> tuple[str, bool, str]:
     """`ordered` is the subtask's candidates, best first; `holds(rule, tag)`
     checks a rule's antecedent against the case."""
-    for label in ordered:
-        rule = pool.get(label)
-        if rule is None:
-            continue
-        tag = f"exam/{case_id}/{subtask}/{label}"
-        if holds(rule, tag):
-            return label, False, f"rule {rule.rule_id} satisfied"
-
-    remaining = [
-        label
-        for label in labels.of(subtask)
-        if label in pool and label not in ordered
-    ]
-    rng = derive_rng(seed, "fallback", case_id, subtask)
-    rng.shuffle(remaining)
-    for label in remaining:
+    remaining = [label for label in labels.of(subtask) if label in pool and label not in ordered]
+    derive_rng(seed, "fallback", case_id, subtask).shuffle(remaining)
+    for label in [*(label for label in ordered if label in pool), *remaining]:
         rule = pool[label]
-        tag = f"exam/{case_id}/{subtask}/{label}"
-        if holds(rule, tag):
-            return label, True, f"fallback rule {rule.rule_id} satisfied"
+        if holds(rule, f"exam/{case_id}/{subtask}/{label}"):
+            fell_back = label not in ordered
+            why = f"rule {rule.rule_id} satisfied"
+            return label, fell_back, f"fallback {why}" if fell_back else why
 
     if not ordered:
         raise ValueError(f"no candidates for subtask {subtask}")
     return ordered[0], True, "no rule satisfied"
-
-
-def score_candidates(
-    fact_text: str, provider: CandidateProvider, k: int = CANDIDATE_K_DEFAULT
-) -> dict[str, tuple[str, ...]]:
-    """The prescreener's top-k candidates of every subtask."""
-    return {subtask: candidate_labels(fact_text, subtask, provider, k=k) for subtask in SUBTASKS}
-
-
-def examine_case(
-    case_id: str,
-    fact_text: str,
-    rules: RuleSet,
-    candidates: dict[str, tuple[str, ...]],
-    labels: LabelSpace,
-    agent: Backend,
-    *,
-    seed: int = 0,
-    abstract_threshold: int = ABSTRACT_THRESHOLD_DEFAULT,
-    transcript: Optional[Transcript] = None,
-) -> Prediction:
-    """Optional abstraction + rule-guided prediction for one case. The
-    candidates are scored on the original fact (see `score_candidates`);
-    rules are applied to the (possibly abstracted) fact."""
-    working_fact, used_abstract = maybe_abstract(
-        fact_text,
-        abstract_threshold,
-        agent,
-        tag=f"abstract/{case_id}",
-        transcript=transcript,
-    )
-    prediction = predict_case(
-        case_id, working_fact, rules, candidates, labels, agent, seed,
-        transcript=transcript,
-    )
-    if used_abstract:
-        prediction = replace(prediction, used_abstract=True)
-    return prediction

@@ -4,8 +4,8 @@ Nodes are rule versions; a node's weight is its quiz score, memoized so a
 rule is never re-evaluated. Each iteration evaluates whatever is new, stops
 once the best weight reaches the threshold or the iteration cap, and
 otherwise expands the current best node with one refined child. The max
-pointer moves only on strict improvement, so the first achiever of a weight
-survives ties.
+pointer is derived: the first node, in insertion order, of the highest
+weight, so the first achiever of a weight survives ties.
 """
 
 from __future__ import annotations
@@ -52,14 +52,25 @@ class RuleNode:
 class OptimizationTree:
     target: Consequent
     nodes: dict[str, RuleNode]
-    max_score: float = 0.0
-    max_pointer: Optional[str] = None
     iteration: int = 0
     _sequence: int = 0
 
     @property
     def root_id(self) -> str:
         return next(iter(self.nodes))
+
+    @property
+    def max_pointer(self) -> Optional[str]:
+        """The first node, in insertion order, of the highest weight; None
+        before any evaluation."""
+        evaluated = [node for node in self.nodes.values() if node.eval is not None]
+        return max(evaluated, key=lambda node: node.weight).node_id if evaluated else None
+
+    @property
+    def max_score(self) -> float:
+        """The max-pointer node's weight, or 0.0 before any evaluation."""
+        pointer = self.max_pointer
+        return 0.0 if pointer is None else self.nodes[pointer].weight
 
     def node(self, node_id: str) -> RuleNode:
         if node_id not in self.nodes:
@@ -90,8 +101,7 @@ def evaluate_node(
 ) -> float:
     """Quiz the node's rule (memoized) and return its weight.
 
-    A cached node costs zero agent calls. The max pointer advances only on
-    weight > max_score.
+    A cached node costs zero agent calls.
     """
     node = tree.node(node_id)
     if node.eval is not None:
@@ -104,18 +114,15 @@ def evaluate_node(
         transcript=transcript,
     )
     node.eval = result
-    weight = result.score
-    if weight > tree.max_score or tree.max_pointer is None:
-        tree.max_score = weight
-        tree.max_pointer = node_id
-    return weight
+    return result.score
 
 
 def select_best(tree: OptimizationTree) -> str:
     """The max-pointer node (earliest achiever among equal weights)."""
-    if tree.max_pointer is None:
+    pointer = tree.max_pointer
+    if pointer is None:
         raise TreeError("no evaluated nodes")
-    return tree.max_pointer
+    return pointer
 
 
 def expand(
@@ -278,8 +285,6 @@ def load_tree(
     tree = OptimizationTree(
         target=target,
         nodes={},
-        max_score=payload["max_score"],
-        max_pointer=payload["max_pointer"],
         iteration=payload["iteration"],
         _sequence=payload["sequence"],
     )

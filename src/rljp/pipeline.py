@@ -39,7 +39,7 @@ from .config import ConfigError, build_agent, build_embedder
 from .corpus import Judgment, LabelSpace, LegalCase, RejectedLine
 from .fol import FolRule, consequent_key
 from .metrics import compute_metrics, report_as_json, report_as_table
-from .quiz import case_label, make_quiz
+from .quiz import case_label, label_universe, make_quiz
 from .rule_init import RuleSet
 
 logger = logging.getLogger(__name__)
@@ -307,6 +307,16 @@ def _split(run: PipelineRun) -> None:
 
 
 def _group_precedents(run: PipelineRun) -> None:
+    # a quiz draws its options from its target kind's label universe; checked
+    # here, a stage before the first agent call
+    num_options = run.config["quiz"]["num_options"]
+    for kind in corpus.RULE_KINDS:
+        size = len(label_universe(run.labels, kind))
+        if size < num_options:
+            raise ValueError(
+                f"quiz.num_options is {num_options}, but the label space has only "
+                f"{size} {'+'.join(kind.subtasks)} labels to draw options from"
+            )
     train = corpus.load_split(run.path("split.json"), run.cases).train
     k = run.config["data"]["precedent_k"]
     groups = {}
@@ -452,12 +462,9 @@ def _examine(run: PipelineRun) -> None:
     provider = CharNgramPerceptron.load(run.path("candidates.json"))
     exam = run.config["examination"]
     agent = run._agent_for("examine")
-    # scored here, not on the workers: numpy scoring on worker threads
-    # contends for the interpreter lock and made examine slower
-    candidates = [
-        examination.score_candidates(case.fact_text, provider, k=exam["candidate_k"])
-        for case in split.test
-    ]
+    # ranked here in one batch, not on the workers: numpy scoring on worker
+    # threads contends for the interpreter lock and made examine slower
+    candidates = provider.top_labels([case.fact_text for case in split.test], exam["candidate_k"])
 
     def examine(item: tuple[LegalCase, dict]):
         case, case_candidates = item
@@ -503,7 +510,7 @@ STAGE_TABLE: dict[str, Stage] = {
     "split": Stage(("cases.valid.jsonl",), ("seed", "data.ratios"), ("split.json",), _split),
     "group-precedents": Stage(
         ("cases.valid.jsonl", "split.json"),
-        ("data.precedent_k",),
+        ("data.labels_path", "data.precedent_k", "quiz.num_options"),
         ("precedents.json",),
         _group_precedents,
     ),

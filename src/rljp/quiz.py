@@ -44,11 +44,10 @@ def case_label(case: LegalCase, kind_of: Consequent) -> Consequent:
     return type(kind_of)(*(case.judgment.label(s) for s in kind_of.subtasks))
 
 
-def _label_universe(labels: LabelSpace, kind_of: Consequent) -> list[Consequent]:
-    return [
-        type(kind_of)(*combo)
-        for combo in itertools.product(*(labels.of(s) for s in kind_of.subtasks))
-    ]
+def label_universe(labels: LabelSpace, kind: type[Consequent]) -> list[Consequent]:
+    """Every label of `kind` the label space can form: the labels a quiz on a
+    target of that kind draws its options from."""
+    return [kind(*combo) for combo in itertools.product(*(labels.of(s) for s in kind.subtasks))]
 
 
 @dataclass(frozen=True)
@@ -124,7 +123,7 @@ def make_quiz(
     target = confusable.target
     target_text = render_consequent(target)
 
-    universe = _label_universe(labels, target)
+    universe = label_universe(labels, type(target))
     # rendered once, deduplicated in first-seen order
     universe_texts = list(dict.fromkeys(render_consequent(label) for label in universe))
 

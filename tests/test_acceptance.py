@@ -420,7 +420,7 @@ def test_criterion_8_end_to_end_efficacy(fixture_config_path, tmp_path_factory):
 
 def test_criterion_9_fallback_behavior():
     started = time.perf_counter()
-    from rljp.examination import predict_case
+    from rljp.examination import examine_case
     from rljp.rule_init import RuleSet
 
     def rule(article, charge):
@@ -450,7 +450,7 @@ def test_criterion_9_fallback_behavior():
             "exam/c1/prison_term/b0": "Answer: YES",
         }
     )
-    prediction = predict_case("c1", "facts", rules, candidates, LABELS, backend, seed=0)
+    prediction = examine_case("c1", "facts", rules, candidates, LABELS, backend, seed=0)
     assert prediction.charge_id == "fraud"
     assert prediction.used_fallback["charge"] is True
     assert "exam/c1/charge/fraud" not in [call.tag for call in backend.calls]
@@ -465,7 +465,7 @@ def test_criterion_9_fallback_behavior():
             "exam/c2/prison_term/b0": "Answer: NO",
         }
     )
-    prediction = predict_case("c2", "facts", rules, candidates, LABELS, backend, seed=0)
+    prediction = examine_case("c2", "facts", rules, candidates, LABELS, backend, seed=0)
     assert prediction.article_id == "264"
     assert prediction.charge_id == "theft"
     assert all(prediction.used_fallback.values())

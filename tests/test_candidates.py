@@ -9,46 +9,56 @@ from rljp.candidates import (
     CharNgramPerceptron,
     ProviderNotTrainedError,
     _gold_label,
-    candidate_labels,
 )
 from rljp.corpus import LabelSpace, load_cases, load_label_space
 from rljp.synthetic import write_corpus
 
 
-class FixedScorer:
-    def __init__(self, table):
-        self.table = table
-
-    def scores(self, fact_text, subtask):
-        return dict(self.table)
+def fixed_scorer(table):
+    """A prescreener whose charge margins are in proportion to `table` for
+    any non-empty fact: each label's weights are its table value in every
+    column, and a fact's feature values are positive."""
+    labels = LabelSpace(("264",), tuple(table), ("b0",))
+    provider = CharNgramPerceptron(labels, hash_dim=64)
+    for subtask in SUBTASKS:
+        values = [table[label] for label in labels.of(subtask)] if subtask == "charge" else [0.0]
+        provider._weights[subtask] = np.repeat(np.array(values)[:, None], 64, axis=1)
+    return provider
 
 
 class TestCandidateLabels:
     def test_single_hot_label_first(self):
-        provider = FixedScorer({"a": 0.0, "b": 1.0, "c": 0.0})
-        ranked = candidate_labels("fact", "charge", provider, k=2)
-        assert ranked[0] == "b"
-        assert len(ranked) == 2
+        provider = fixed_scorer({"a": 0.0, "b": 1.0, "c": 0.0})
+        [ranked] = provider.top_labels(["fact"], k=2)
+        assert ranked["charge"][0] == "b"
+        assert len(ranked["charge"]) == 2
 
     def test_k_larger_than_label_count_returns_all(self):
-        provider = FixedScorer({"a": 0.2, "b": 0.1})
-        ranked = candidate_labels("fact", "charge", provider, k=10)
-        assert list(ranked) == ["a", "b"]
+        provider = fixed_scorer({"a": 0.2, "b": 0.1})
+        [ranked] = provider.top_labels(["fact"], k=10)
+        assert ranked == {"article": ("264",), "charge": ("a", "b"), "prison_term": ("b0",)}
 
     def test_ties_resolve_by_label_order(self):
-        provider = FixedScorer({"z_first": 0.5, "a_second": 0.5})
-        ranked = candidate_labels("fact", "charge", provider, k=2)
-        # insertion order of the scores dict is the label order
-        assert list(ranked) == ["z_first", "a_second"]
+        provider = fixed_scorer({"z_first": 0.5, "a_second": 0.5})
+        [ranked] = provider.top_labels(["fact"], k=2)
+        # the label space lists z_first first
+        assert ranked["charge"] == ("z_first", "a_second")
+        # enough tied labels that an unstable sort would reorder some; they
+        # tie at 0.0, as labels the perceptron never updated do (equal non-zero
+        # weight rows may differ in the last bit after the matrix product)
+        tied = [f"t{i:02d}" for i in range(80, 0, -1)]
+        table = {**dict.fromkeys(tied[:40], 0.0), "hot": 0.9, **dict.fromkeys(tied[40:], 0.0)}
+        [ranked] = fixed_scorer(table).top_labels(["fact"], k=len(table))
+        assert ranked["charge"] == ("hot", *tied)
 
-    def test_unknown_subtask(self):
-        with pytest.raises(ValueError):
-            candidate_labels("fact", "verdict", FixedScorer({}), k=1)
+    def test_k_below_one_is_rejected(self):
+        with pytest.raises(ValueError, match="k must be at least 1"):
+            fixed_scorer({"a": 0.1}).top_labels(["fact"], k=0)
 
     def test_scores_non_increasing(self):
-        provider = FixedScorer({"a": 0.1, "b": 0.9, "c": 0.5})
-        ranked = candidate_labels("fact", "charge", provider, k=3)
-        scores = [provider.table[label] for label in ranked]
+        table = {"a": 0.1, "b": 0.9, "c": 0.5}
+        [ranked] = fixed_scorer(table).top_labels(["fact"], k=3)
+        scores = [table[label] for label in ranked["charge"]]
         assert scores == sorted(scores, reverse=True)
 
 
@@ -74,44 +84,38 @@ class TestCharNgramPerceptron:
     def test_untrained_provider_errors(self):
         provider = CharNgramPerceptron(self._tiny_labels())
         with pytest.raises(ProviderNotTrainedError):
-            provider.scores("fact", "charge")
+            provider.scores(["fact"])
 
     def test_learns_separable_charges(self):
         provider = CharNgramPerceptron(self._tiny_labels(), hash_dim=4096, epochs=5)
         provider.train(self._tiny_cases())
-        theft_scores = provider.scores("covert taking of goods number 99", "charge")
-        assert theft_scores["theft"] > theft_scores["robbery"]
-        robbery_scores = provider.scores("violent seizure with force number 99", "charge")
-        assert robbery_scores["robbery"] > robbery_scores["theft"]
+        facts = ["covert taking of goods number 99", "violent seizure with force number 99"]
+        # a row per fact, a column per charge: theft, robbery
+        (theft, robbery) = provider.scores(facts)["charge"]
+        assert theft[0] > theft[1]
+        assert robbery[1] > robbery[0]
 
     def test_save_load_reproduces_scores(self, tmp_path):
         provider = CharNgramPerceptron(self._tiny_labels(), hash_dim=2048, epochs=3)
         provider.train(self._tiny_cases())
         provider.save(tmp_path / "provider.json")
         loaded = CharNgramPerceptron.load(tmp_path / "provider.json")
-        fact = "covert taking of goods number 5"
-        assert loaded.scores(fact, "charge") == provider.scores(fact, "charge")
+        facts = ["covert taking of goods number 5", "violent seizure with force number 5"]
+        ours, theirs = loaded.scores(facts), provider.scores(facts)
+        assert all(np.array_equal(ours[subtask], theirs[subtask]) for subtask in SUBTASKS)
 
-    def test_one_fact_is_featurized_once_for_its_subtasks(self, monkeypatch):
+    def test_a_batch_is_featurized_in_one_call(self, monkeypatch):
         provider = CharNgramPerceptron(self._tiny_labels(), hash_dim=2048, epochs=3)
         provider.train(self._tiny_cases())
         facts = ["covert taking of goods number 5", "violent seizure with force number 5"]
-
-        def alone(fact, subtask):
-            fresh = CharNgramPerceptron(self._tiny_labels(), hash_dim=2048, epochs=3)
-            fresh._weights = provider._weights
-            return fresh.scores(fact, subtask)
-
-        want = {(fact, subtask): alone(fact, subtask) for fact in facts for subtask in SUBTASKS}
-        featurized = []
+        alone = [provider.top_labels([fact], k=2)[0] for fact in facts]
+        calls = []
         features = provider._features
         monkeypatch.setattr(
-            provider, "_features", lambda texts: featurized.extend(texts) or features(texts)
+            provider, "_features", lambda texts: calls.append(list(texts)) or features(texts)
         )
-        for fact in facts:
-            for subtask in SUBTASKS:
-                assert provider.scores(fact, subtask) == want[fact, subtask]
-        assert featurized == facts
+        assert provider.top_labels(facts, k=2) == alone
+        assert calls == [facts]
 
     def test_gold_in_top_10_on_synthetic_50(self, tmp_path):
         # desk-scale check: top-10 prescreening keeps the gold label for at
@@ -121,15 +125,11 @@ class TestCharNgramPerceptron:
         labels = load_label_space(tmp_path / "labels.json")
         provider = CharNgramPerceptron(labels)
         provider.train(cases)
-        for subtask, gold_of in (
-            ("article", lambda c: c.judgment.article_id),
-            ("charge", lambda c: c.judgment.charge_id),
-            ("prison_term", lambda c: c.judgment.prison_term_bucket),
-        ):
-            hits = 0
-            for case in cases:
-                top10 = set(candidate_labels(case.fact_text, subtask, provider, k=10))
-                hits += gold_of(case) in top10
+        ranked = provider.top_labels([case.fact_text for case in cases], k=10)
+        for subtask in SUBTASKS:
+            hits = sum(
+                _gold_label(case, subtask) in top10[subtask] for case, top10 in zip(cases, ranked)
+            )
             assert hits / len(cases) >= 0.9, subtask
 
 
@@ -210,11 +210,10 @@ class TestSparseEqualsDense:
     def test_top_10_rankings_are_equal(self, corpus_120, trained_pair):
         cases, _ = corpus_120
         provider, dense = trained_pair
-        for case in cases:
-            for subtask in SUBTASKS:
-                ours = candidate_labels(case.fact_text, subtask, provider, k=10)
-                theirs = candidate_labels(case.fact_text, subtask, dense, k=10)
-                assert ours == theirs, (case.case_id, subtask)
+        facts = [case.fact_text for case in cases]
+        ours, theirs = provider.top_labels(facts, k=10), dense.top_labels(facts, k=10)
+        for case, mine, other in zip(cases, ours, theirs):
+            assert mine == other, case.case_id
 
 
 class TestArtifactFormats:

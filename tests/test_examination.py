@@ -1,7 +1,13 @@
+import random
+
+import pytest
+
+import rljp.examination as examination
 from helpers import LABELS, transcript_entries
-from rljp.agents import ScriptedBackend, Transcript
-from rljp.examination import examine_case, maybe_abstract, predict_case
+from rljp.agents import AgentError, ChatResponse, ScriptedBackend, Transcript
+from rljp.examination import examine_case, maybe_abstract
 from rljp.fol import parse_rule
+from rljp.quiz import derive_rng
 from rljp.rule_init import RuleSet
 
 
@@ -75,7 +81,7 @@ class TestPredictCase:
                 "exam/c1/prison_term/b0": _yes(),
             }
         )
-        prediction = predict_case("c1", "facts", rules, candidates, LABELS, backend, seed=0)
+        prediction = examine_case("c1", "facts", rules, candidates, LABELS, backend, seed=0)
         assert prediction.article_id == "264"
         assert prediction.charge_id == "theft"
         assert prediction.prison_term_bucket == "b0"
@@ -97,7 +103,7 @@ class TestPredictCase:
                 "exam/c1/prison_term/b1": _yes(),
             }
         )
-        prediction = predict_case("c1", "facts", rules, candidates, LABELS, backend, seed=0)
+        prediction = examine_case("c1", "facts", rules, candidates, LABELS, backend, seed=0)
         # 264/theft/b0 had no rule: skipped without an agent call
         assert prediction.article_id == "263"
         assert prediction.charge_id == "robbery"
@@ -125,7 +131,7 @@ class TestPredictCase:
                 "exam/c1/prison_term/b0": _yes(),
             }
         )
-        prediction = predict_case("c1", "facts", rules, candidates, LABELS, backend, seed=0)
+        prediction = examine_case("c1", "facts", rules, candidates, LABELS, backend, seed=0)
         assert prediction.charge_id == "fraud"
         assert prediction.used_fallback["charge"] is True
         assert prediction.used_fallback["article"] is False
@@ -145,7 +151,7 @@ class TestPredictCase:
             "exam/c1/charge/robbery": _no(),
             "exam/c1/prison_term/b0": _no(),
         }
-        prediction = predict_case("c1", "facts", rules, candidates, LABELS, ScriptedBackend(script), seed=0)
+        prediction = examine_case("c1", "facts", rules, candidates, LABELS, ScriptedBackend(script), seed=0)
         assert prediction.article_id == "264"  # top-1 candidate
         assert prediction.charge_id == "theft"
         assert prediction.used_fallback == {
@@ -158,7 +164,7 @@ class TestPredictCase:
         candidates = _candidates(["264"], ["theft"], ["b0"])
         # only the term check is scripted; article/charge checks fail -> NO
         backend = ScriptedBackend({"exam/c1/prison_term/b0": _yes()})
-        prediction = predict_case("c1", "facts", rules, candidates, LABELS, backend, seed=0)
+        prediction = examine_case("c1", "facts", rules, candidates, LABELS, backend, seed=0)
         assert prediction.used_fallback["article"] is True
         assert prediction.prison_term_bucket == "b0"
 
@@ -172,7 +178,7 @@ class TestPredictCase:
                 "exam/c1/prison_term/b0": _yes(),
             }
         )
-        prediction = predict_case("c1", "facts", rules, candidates, LABELS, backend, seed=0)
+        prediction = examine_case("c1", "facts", rules, candidates, LABELS, backend, seed=0)
         assert prediction.used_fallback["article"] is True
         assert [r.tag for r in backend.calls].count("exam/c1/article/264") == 1
         # the failed check is not reused: the charge check on the same rule is sent
@@ -186,7 +192,7 @@ class TestPredictCase:
         backend = ScriptedBackend(
             {"exam/c1/charge/theft": _yes(), "exam/c1/prison_term/b0": _yes()}
         )
-        prediction = predict_case("c1", "facts", rules, candidates, LABELS, backend, seed=0)
+        prediction = examine_case("c1", "facts", rules, candidates, LABELS, backend, seed=0)
         assert [call.tag for call in backend.calls] == [
             "exam/c1/article/264", "exam/c1/charge/theft", "exam/c1/prison_term/b0"
         ]
@@ -203,7 +209,7 @@ class TestPredictCase:
             {"exam/c1/article/264": _yes(), "exam/c1/prison_term/b0": _yes()}
         )
         transcript = Transcript(tmp_path / "transcript.jsonl")
-        prediction = predict_case(
+        prediction = examine_case(
             "c1", "facts", rules, candidates, LABELS, backend, seed=0, transcript=transcript
         )
         assert (prediction.article_id, prediction.charge_id) == ("264", "theft")
@@ -230,7 +236,7 @@ class TestPredictCase:
                 "exam/c1/prison_term/b1": _yes(),
             }
         )
-        prediction = predict_case("c1", "facts", rules, candidates, LABELS, backend, seed=0)
+        prediction = examine_case("c1", "facts", rules, candidates, LABELS, backend, seed=0)
         assert prediction.charge_id == "theft"
         charge_call = next(c for c in backend.calls if c.tag == "exam/c1/charge/theft")
         assert "P263" in charge_call.user_text
@@ -253,10 +259,10 @@ class TestPredictCase:
             "exam/c1/charge/assault": _yes(),
             "exam/c1/prison_term/b0": _yes(),
         }
-        first = predict_case(
+        first = examine_case(
             "c1", "facts", rules, candidates, LABELS, ScriptedBackend(dict(script)), seed=9
         )
-        second = predict_case(
+        second = examine_case(
             "c1", "facts", rules, candidates, LABELS, ScriptedBackend(dict(script)), seed=9
         )
         assert first == second
@@ -280,7 +286,7 @@ class TestPredictCase:
             "exam/c1/prison_term/b0": _no(),
         }
         backend = ScriptedBackend(script)
-        predict_case("c1", "facts", rules, candidates, LABELS, backend, seed=0)
+        examine_case("c1", "facts", rules, candidates, LABELS, backend, seed=0)
         by_subtask = {}
         for call in backend.calls:
             subtask = call.tag.split("/")[2]
@@ -309,3 +315,78 @@ class TestExamineCase:
         checks = [call for call in backend.calls if call.tag.startswith("exam/")]
         assert all("short abstract" in call.user_text for call in checks)
         assert all("x" * 50 not in call.user_text for call in checks)
+
+
+def _two_loop_predict_subtask(case_id, subtask, ordered, pool, labels, seed, holds):
+    """The subtask loop as two loops, the shape it had before: the
+    candidates that have a rule in order, then the remaining ruled labels in
+    seeded order."""
+    for label in ordered:
+        rule = pool.get(label)
+        if rule is None:
+            continue
+        if holds(rule, f"exam/{case_id}/{subtask}/{label}"):
+            return label, False, f"rule {rule.rule_id} satisfied"
+    remaining = [label for label in labels.of(subtask) if label in pool and label not in ordered]
+    derive_rng(seed, "fallback", case_id, subtask).shuffle(remaining)
+    for label in remaining:
+        rule = pool[label]
+        if holds(rule, f"exam/{case_id}/{subtask}/{label}"):
+            return label, True, f"fallback rule {rule.rule_id} satisfied"
+    if not ordered:
+        raise ValueError(f"no candidates for subtask {subtask}")
+    return ordered[0], True, "no rule satisfied"
+
+
+class VerdictBackend:
+    """Answers each exam tag YES or NO, or fails it, from a fixed table."""
+
+    name = "verdicts"
+
+    def __init__(self, verdicts):
+        self.verdicts = verdicts
+        self.tags = []
+
+    def send(self, request):
+        self.tags.append(request.tag)
+        verdict = self.verdicts[request.tag]
+        if verdict == "failed":
+            raise AgentError("refused")
+        return ChatResponse(text=f"Reasoning: scripted\nAnswer: {verdict}", latency_ms=0.0)
+
+
+class TestOneLoopMatchesTwoLoops:
+    @pytest.mark.parametrize("seed", range(40))
+    def test_predictions_and_checks_are_equal(self, seed, monkeypatch):
+        rng = random.Random(seed)
+        rules = _ruleset(
+            *(
+                _rule(article, **{kind: label}, pred=rng.choice(["P", "Q"]))
+                for article in LABELS.articles
+                for kind, pool in (("charge", LABELS.charges), ("term", LABELS.prison_terms))
+                for label in pool
+                if rng.random() < 0.3
+            )
+        )
+        candidates = {
+            subtask: tuple(rng.sample(LABELS.of(subtask), rng.randint(1, len(LABELS.of(subtask)))))
+            for subtask in ("article", "charge", "prison_term")
+        }
+        verdicts = {
+            f"exam/c{seed}/{subtask}/{label}": rng.choice(["YES", "NO", "failed"])
+            for subtask in ("article", "charge", "prison_term")
+            for label in LABELS.of(subtask)
+        }
+
+        def examine(backend):
+            return examine_case(
+                f"c{seed}", "facts", rules, candidates, LABELS, backend, seed=seed
+            )
+
+        with monkeypatch.context() as patch:
+            patch.setattr(examination, "_predict_subtask", _two_loop_predict_subtask)
+            two_loops = VerdictBackend(verdicts)
+            want = examine(two_loops)
+        one_loop = VerdictBackend(verdicts)
+        assert examine(one_loop) == want
+        assert one_loop.tags == two_loops.tags

@@ -8,9 +8,8 @@ import time
 import pytest
 
 import rljp.pipeline as pipeline_mod
-from helpers import LABELS, make_case, transcript_entries
+from helpers import transcript_entries
 from rljp.agents import AgentError, ChatRequest, ScriptedBackend, Transcript, complete, fan_out
-from rljp.candidates import SUBTASKS, CharNgramPerceptron
 from rljp.config import load_config
 from rljp.pipeline import StageError, run_pipeline
 
@@ -82,17 +81,6 @@ class TestSharedStateUnderFanOut:
         assert sorted(e["request"]["user"] for e in entries) == sorted(
             f"prompt {i}" for i in range(n)
         )
-
-    def test_shared_prescreener_scores_each_fact_as_alone(self, fast_switching):
-        provider = CharNgramPerceptron(LABELS, hash_dim=1024, epochs=2)
-        provider.train(
-            [make_case(f"c{i}", f"fact number {i} " * (i + 1)) for i in range(4)]
-            + [make_case(f"r{i}", f"other fact {i} " * (i + 1), "263", "robbery") for i in range(4)]
-        )
-        facts = [f"probe {i} " * (i % 5 + 1) for i in range(40)]
-        want = [[provider.scores(fact, s) for s in SUBTASKS] for fact in facts]
-        got = fan_out(lambda fact: [provider.scores(fact, s) for s in SUBTASKS], facts, 8)
-        assert got == want
 
 
 class CountingBackend:

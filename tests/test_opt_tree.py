@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from helpers import LABELS, make_case
@@ -11,6 +13,7 @@ from rljp.opt_tree import (
     load_tree,
     new_tree,
     optimize,
+    save_tree,
     select_best,
 )
 from rljp.quiz import make_quiz
@@ -163,6 +166,21 @@ class TestEvaluateNode:
         evaluate_node(tree, child_id, questions, backend2)
         assert tree.max_pointer == tree.root_id
 
+    def test_pointer_is_the_first_node_of_the_highest_weight(self):
+        # derived from the nodes in insertion order, not from evaluation order
+        questions = ten_questions()
+        tree = new_tree(ROOT_RULE)
+        backend = ScriptedBackend(answers_for_weight(questions, tree.root_id, 0.7))
+        evaluate_node(tree, tree.root_id, questions, backend)
+        child_id = expand(tree, tree.root_id, stub_rewrite)
+        root = tree.node(tree.root_id)
+        root_eval, root.eval = root.eval, None
+        backend2 = ScriptedBackend(answers_for_weight(questions, child_id, 0.7))
+        evaluate_node(tree, child_id, questions, backend2)
+        assert (tree.max_pointer, tree.max_score) == (child_id, 0.7)
+        root.eval = root_eval
+        assert (tree.max_pointer, tree.max_score) == (tree.root_id, 0.7)
+
 
 class TestSelectBest:
     def test_highest_weight_wins(self):
@@ -293,6 +311,19 @@ class TestPersistence:
         )
         assert best_b.rule_id == straight_best.rule_id
         assert tree_b.max_score == straight_tree.max_score
+
+    def test_load_derives_the_best_node_and_save_writes_it(self, tmp_path):
+        store = tmp_path / "tree.json"
+        tree, _, _, _ = run_scripted_optimize([0.5, 0.8], 0.8, 5, store_path=store)
+        written = store.read_text()
+        payload = json.loads(written)
+        assert (payload["max_pointer"], payload["max_score"]) == (tree.max_pointer, 0.8)
+        payload["max_pointer"], payload["max_score"] = tree.root_id, 0.5
+        store.write_text(json.dumps(payload, ensure_ascii=False, indent=2) + "\n")
+        loaded = load_tree(store, TARGET, ten_questions())
+        assert (loaded.max_pointer, loaded.max_score) == (tree.max_pointer, 0.8)
+        save_tree(loaded, store)
+        assert store.read_text() == written
 
     def test_wrong_target_rejected(self, tmp_path):
         store = tmp_path / "tree.json"

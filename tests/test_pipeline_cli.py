@@ -37,6 +37,7 @@ from rljp.opt_tree import load_tree, save_tree, tree_path
 from rljp.pipeline import STAGE_TABLE, STAGES, run_pipeline
 from rljp.quiz import make_quiz
 from rljp.rule_init import load_ruleset, save_ruleset
+from rljp.synthetic import write_corpus
 
 
 def run_cli(args):
@@ -182,6 +183,13 @@ class TestConfig:
             ("data", "labels_path", 7),
             ("quiz", "num_options", 1),
             ("quiz", "num_options", 27),
+            ("data", "precedent_k", 0),
+            ("optimization", "max_iterations", -1),
+            ("optimization", "max_records_per_side", 0),
+            ("optimization", "fact_truncate", 0),
+            ("examination", "candidate_k", 0),
+            ("examination", "candidate_k", -1),
+            ("examination", "candidate_k", -9),
             ("examination", "abstract_threshold", 0),
             ("examination", "hash_dim", 0),
             ("examination", "epochs", 0),
@@ -405,6 +413,32 @@ class TestRunAll:
         assert "evaluate" not in stages
         assert not (run_dir / "predictions.jsonl").exists()
 
+    def test_num_options_beyond_a_label_universe_fails_before_any_agent_call(
+        self, tmp_path, capsys
+    ):
+        # theft and robbery only: 2 articles x 2 charges, 2 articles x 2 terms
+        data = tmp_path / "data"
+        write_corpus(data, num_cases=120, seed=3)
+        rows = (data / "cases.jsonl").read_text().splitlines(keepends=True)
+        pair = ("theft", "robbery")
+        kept = [row for row in rows if json.loads(row)["meta"]["accusation"][0] in pair]
+        (data / "cases.jsonl").write_text("".join(kept))
+        config = {
+            "data": {"cases_path": "cases.jsonl"},
+            "providers": {"agent": {"kind": "synthetic-oracle", "world_path": "world.json"}},
+            "quiz": {"num_options": 6},
+        }
+        (data / "config.json").write_text(json.dumps(config))
+        run_dir = tmp_path / "run"
+        assert run_cli(["run-all", "--config", data / "config.json", "--run-dir", run_dir]) == 1
+        assert "quiz.num_options is 6, but the label space has only 4 article+charge" in (
+            capsys.readouterr().err
+        )
+        manifest = json.loads((run_dir / "manifest.json").read_text())
+        assert manifest["stages"]["group-precedents"]["status"] == "failed"
+        assert "init-rules" not in manifest["stages"]
+        assert manifest["agent_calls"] == 0
+
 
 class TestResume:
     def test_rerun_without_resume_flag_is_usage_error(
@@ -596,7 +630,7 @@ class TestResume:
         manifest = json.loads((tmp_path / "run" / "manifest.json").read_text())
         skipped = {name: entry["skipped"] for name, entry in manifest["stages"].items()}
         assert skipped == {
-            "ingest": True, "split": True, "group-precedents": True, "init-rules": False
+            "ingest": True, "split": True, "group-precedents": False, "init-rules": False
         }
 
     def test_run_dir_with_dense_candidates_and_absolute_paths_resumes(
@@ -758,7 +792,9 @@ class TestSettingsPerRow:
             raw["quiz"] = {"num_options": 3}
 
         run_dir, rerun, calls = _resume_after_edit(fixture_dir, tmp_path, edit)
-        assert rerun == {"optimize"}
+        # group-precedents re-checks the label universes; its precedents.json
+        # is unchanged, so init-rules is skipped
+        assert rerun == {"group-precedents", "optimize"}
         assert calls and all(e["tag"].startswith(("quiz/", "cacl/")) for e in calls)
         letters = {
             record["correct_letter"]
@@ -1041,9 +1077,11 @@ class TestInitRulesPrecedents:
             f"init/rule/{key}": "RULE: FORALL x (Took(x)) -> ARTICLE(264) CHARGE(2)",
         }
         (tmp_path / "script.json").write_text(json.dumps(script))
+        # one article, two charges and two terms: a quiz can offer two options
         config = {
             "data": {"cases_path": "cases.jsonl"},
             "providers": {"agent": {"kind": "scripted", "script_path": "script.json"}},
+            "quiz": {"num_options": 2},
         }
         config_path = tmp_path / "config.json"
         config_path.write_text(json.dumps(config))
