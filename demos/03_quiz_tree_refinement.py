@@ -9,6 +9,7 @@ Run from the repository root:  python3 demos/03_quiz_tree_refinement.py
 
 from pathlib import Path
 
+from rljp.agents import Agent
 from rljp.cacl import optimize_rule
 from rljp.confusable import HashingEmbedder, build_confusable_set_from_embeddings, embed_cases
 from rljp.corpus import Judgment, LegalCase, load_label_space
@@ -21,7 +22,7 @@ FIXTURES = Path(__file__).resolve().parent.parent / "fixtures" / "synthetic_60"
 
 world = SyntheticWorld.load(FIXTURES / "world.json")
 labels = load_label_space(FIXTURES / "labels.json")
-agent = OracleAgent(world)
+agent = Agent(OracleAgent(world))
 target = ArticleCharge("264", "theft")
 
 rows, _, _ = generate_corpus(60, seed=3)

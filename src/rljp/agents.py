@@ -2,13 +2,15 @@
 mocks for deterministic offline runs, retry with backoff, and the rendering
 of prompt templates, which are plain strings with {{slot}} markers.
 
-Every logical call goes through complete(), which handles transient retries
-(exponential backoff with full jitter, in `retry`, which the HTTP embedder
-shares) and records one line per call in the run transcript. Scripted mocks
-replay an ordered tag -> text mapping and fail loudly on anything unscripted,
-so tests pin the exact conversation a stage is allowed to have. fan_out() is
-the one place that runs agent work on threads: each worker makes its calls
-one after another, so the worker count bounds the calls in flight.
+An `Agent` pairs a backend with the transcript its calls are recorded in.
+Every logical call goes through complete(), which sends through the agent's
+backend, handles transient retries (exponential backoff with full jitter, in
+`retry`, which the HTTP embedder shares) and records one line per call in the
+agent's transcript. Scripted mocks replay an ordered tag -> text mapping and
+fail loudly on anything unscripted, so tests pin the exact conversation a
+stage is allowed to have. fan_out() is the one place that runs agent work
+on threads: each worker makes its calls one after another, so the worker
+count bounds the calls in flight.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import re
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Iterable, Optional, Protocol, Sequence, TypeVar, Union
 
@@ -176,6 +178,15 @@ class Transcript:
                     handle.writelines(lines)
 
 
+@dataclass(frozen=True)
+class Agent:
+    """A backend and the transcript its calls are recorded in; without a
+    transcript file the calls are only counted."""
+
+    backend: Backend
+    transcript: Transcript = field(default_factory=Transcript)
+
+
 def retry(
     call: Callable[[], T],
     tag: str,
@@ -210,20 +221,20 @@ def retry(
 
 def complete(
     request: ChatRequest,
-    provider: Backend,
+    agent: Agent,
     *,
-    transcript: Optional[Transcript] = None,
     policy: RetryPolicy = RetryPolicy(),
     rng: Optional[random.Random] = None,
     sleep: Callable[[float], None] = time.sleep,
 ) -> ChatResponse:
-    """One logical call: retries transient failures (see `retry`), logs,
-    records transcript. Refusals and non-transient errors propagate
-    immediately."""
+    """One logical call through `agent.backend`: retries transient failures
+    (see `retry`), logs, records it in `agent.transcript`. Refusals and
+    non-transient errors propagate immediately."""
+    backend = agent.backend
 
     def send() -> ChatResponse:
         started = time.monotonic()
-        response = provider.send(request)
+        response = backend.send(request)
         if response.latency_ms == 0.0:
             elapsed_ms = (time.monotonic() - started) * 1000.0
             response = replace(response, latency_ms=elapsed_ms)
@@ -234,10 +245,9 @@ def complete(
         "call %s ok in %.1fms (retries=%d, in=%d, out=%d)",
         request.tag, response.latency_ms, retries, response.input_units, response.output_units,
     )
-    if transcript is not None:
-        transcript.record(
-            request, response, retries=retries, backend=getattr(provider, "name", "?")
-        )
+    agent.transcript.record(
+        request, response, retries=retries, backend=getattr(backend, "name", "?")
+    )
     return response
 
 

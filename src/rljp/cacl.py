@@ -12,9 +12,9 @@ from __future__ import annotations
 
 import logging
 import re
-from typing import Optional, Sequence
+from typing import Sequence
 
-from .agents import Backend, Transcript, render_template
+from .agents import Agent, render_template
 from .corpus import LabelSpace
 from .fol import (
     GRAMMAR_HELP,
@@ -100,10 +100,9 @@ def _parse_direction(text: str, *, need_keep: bool, need_improve: bool) -> tuple
 def derive_direction(
     rule: FolRule,
     result: QuizResult,
-    agent: Backend,
+    agent: Agent,
     *,
     tag_prefix: str = "cacl",
-    transcript: Optional[Transcript] = None,
     temperature: float = 0.7,
     fact_truncate: int = FACT_TRUNCATE_DEFAULT,
     max_records_per_side: int = MAX_RECORDS_PER_SIDE_DEFAULT,
@@ -134,7 +133,7 @@ def derive_direction(
                 ),
             },
         )
-        return ask(agent, prompt, tag=tag, temperature=temperature, transcript=transcript)
+        return ask(agent, prompt, tag=tag, temperature=temperature)
 
     keep_analysis = (
         analysis(CACL_KEEP, correct, f"{tag_prefix}/keep", rank_by_similarity=False)
@@ -154,7 +153,7 @@ def derive_direction(
     try:
         keep, improve = ask(
             agent, synthesis_prompt, tag=f"{tag_prefix}/synthesize", temperature=temperature,
-            transcript=transcript, attempts=2,
+            attempts=2,
             parse=lambda text: _parse_direction(
                 text, need_keep=bool(correct), need_improve=bool(incorrect)
             ),
@@ -206,7 +205,7 @@ def parse_and_check_rule(
 
 def request_rule(
     prompt: str,
-    agent: Backend,
+    agent: Agent,
     labels: LabelSpace,
     *,
     tag: str,
@@ -216,7 +215,6 @@ def request_rule(
     target: Consequent,
     what: str,
     error: type[Exception],
-    transcript: Optional[Transcript],
     temperature: float,
     max_repairs: int,
 ) -> FolRule:
@@ -228,8 +226,7 @@ def request_rule(
     """
     try:
         return ask(
-            agent, prompt, tag=tag, temperature=temperature, transcript=transcript,
-            attempts=1 + max_repairs,
+            agent, prompt, tag=tag, temperature=temperature, attempts=1 + max_repairs,
             parse=lambda text: parse_and_check_rule(
                 text, rule_id=rule_id, version=version, provenance=provenance, labels=labels,
                 required_consequent=target,
@@ -252,12 +249,11 @@ def apply_direction(
     rule: FolRule,
     keep: str,
     improve: str,
-    agent: Backend,
+    agent: Agent,
     labels: LabelSpace,
     *,
     child_rule_id: str,
     tag_prefix: str = "cacl",
-    transcript: Optional[Transcript] = None,
     temperature: float = 0.7,
     max_repairs: int = 2,
 ) -> FolRule:
@@ -289,7 +285,6 @@ def apply_direction(
         target=rule.target,
         what="rewrite",
         error=CaclError,
-        transcript=transcript,
         temperature=temperature,
         max_repairs=max_repairs,
     )
@@ -298,12 +293,11 @@ def apply_direction(
 def optimize_rule(
     rule: FolRule,
     result: QuizResult,
-    agent: Backend,
+    agent: Agent,
     labels: LabelSpace,
     *,
     child_rule_id: str,
     tag_prefix: str = "cacl",
-    transcript: Optional[Transcript] = None,
     temperature: float = 0.7,
     fact_truncate: int = FACT_TRUNCATE_DEFAULT,
     max_records_per_side: int = MAX_RECORDS_PER_SIDE_DEFAULT,
@@ -314,7 +308,6 @@ def optimize_rule(
         result,
         agent,
         tag_prefix=tag_prefix,
-        transcript=transcript,
         temperature=temperature,
         fact_truncate=fact_truncate,
         max_records_per_side=max_records_per_side,
@@ -327,6 +320,5 @@ def optimize_rule(
         labels,
         child_rule_id=child_rule_id,
         tag_prefix=tag_prefix,
-        transcript=transcript,
         temperature=temperature,
     )

@@ -101,8 +101,12 @@ class CharNgramPerceptron:
         if not self._weights:
             raise ProviderNotTrainedError("candidate provider has not been trained")
         features = self._features(fact_texts)
+        # a row-wise sum, not a BLAS mat-vec: the mat-vec can round equal
+        # weight rows differently, and tied labels must stay tied
         return {
-            subtask: np.array([self._weights[subtask][:, idx] @ vals for idx, vals in features])
+            subtask: np.array(
+                [(self._weights[subtask][:, idx] * vals).sum(axis=1) for idx, vals in features]
+            )
             for subtask in SUBTASKS
         }
 

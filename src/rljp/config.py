@@ -158,6 +158,9 @@ def load_config(
     sizes = config["examination"]["ngram_sizes"]
     if not sizes or min(sizes) < 1:
         raise ConfigError(f"examination.ngram_sizes must be sizes of at least 1, not {sizes!r}")
+    temperature = config["optimization"]["temperature"]
+    if not temperature >= 0:  # NaN too
+        raise ConfigError(f"optimization.temperature must be at least 0, not {temperature!r}")
     if config["quiz"]["num_options"] > 26:
         raise ConfigError("quiz.num_options must be at most 26: options are lettered A-Z")
     ratios = data["ratios"]

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Optional
 
-from .agents import AgentError, Backend, Transcript, render_template
+from .agents import Agent, AgentError, render_template
 from .corpus import SUBTASKS, LabelSpace
 from .fol import FolRule, consequent_labels, render_rule
 from .prompts import ABSTRACT_FACT, EXAM_CHECK, ask
@@ -69,10 +69,9 @@ def load_predictions(path: str | Path) -> list[Prediction]:
 def maybe_abstract(
     fact_text: str,
     threshold: int,
-    agent: Backend,
+    agent: Agent,
     *,
     tag: str = "abstract",
-    transcript: Optional[Transcript] = None,
 ) -> tuple[str, bool]:
     """Return the fact unchanged when short enough; otherwise an agent
     abstract hard-capped at the threshold (or a plain truncation if the agent
@@ -85,7 +84,7 @@ def maybe_abstract(
         ABSTRACT_FACT, {"limit": str(threshold), "fact": fact_text}
     )
     try:
-        abstract = ask(agent, prompt, tag=tag, transcript=transcript)
+        abstract = ask(agent, prompt, tag=tag)
     except AgentError as exc:
         logger.warning("abstract failed (%s); hard-truncating fact", exc)
         return fact_text[:threshold], True
@@ -136,17 +135,16 @@ def examine_case(
     rules: RuleSet,
     candidates: dict[str, tuple[str, ...]],
     labels: LabelSpace,
-    agent: Backend,
+    agent: Agent,
     *,
     seed: int = 0,
     abstract_threshold: int = ABSTRACT_THRESHOLD_DEFAULT,
-    transcript: Optional[Transcript] = None,
 ) -> Prediction:
     """Predict the full judgment triple for one case. The candidates were
     ranked on the original fact; rules are checked against the fact, or
     against its abstract when it is longer than `abstract_threshold`."""
     fact_text, used_abstract = maybe_abstract(
-        fact_text, abstract_threshold, agent, tag=f"abstract/{case_id}", transcript=transcript
+        fact_text, abstract_threshold, agent, tag=f"abstract/{case_id}"
     )
     chosen: dict[str, str] = {}
     used_fallback: dict[str, bool] = {}
@@ -160,9 +158,7 @@ def examine_case(
         if rule_text not in verdicts:
             prompt = render_template(EXAM_CHECK, {"rule": rule_text, "fact": fact_text})
             try:
-                verdicts[rule_text] = ask(
-                    agent, prompt, tag=tag, transcript=transcript, parse=_verdict
-                )
+                verdicts[rule_text] = ask(agent, prompt, tag=tag, parse=_verdict)
             except (AgentError, ValueError) as exc:
                 logger.warning("antecedent check %s failed (%s); treating as NO", tag, exc)
                 return False

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Optional, Sequence
 
-from .agents import Backend, Transcript
+from .agents import Agent
 from .fol import Consequent, FolRule, consequent_key, rule_from_row, rule_row
 from .quiz import OUTCOMES, QuizQuestion, QuizResult, ReasoningRecord, run_quiz
 
@@ -95,9 +95,7 @@ def evaluate_node(
     tree: OptimizationTree,
     node_id: str,
     questions: Sequence[QuizQuestion],
-    agent: Backend,
-    *,
-    transcript: Optional[Transcript] = None,
+    agent: Agent,
 ) -> float:
     """Quiz the node's rule (memoized) and return its weight.
 
@@ -106,13 +104,7 @@ def evaluate_node(
     node = tree.node(node_id)
     if node.eval is not None:
         return node.eval.score
-    result = run_quiz(
-        node.rule,
-        questions,
-        agent,
-        tag_prefix=f"quiz/{node_id}",
-        transcript=transcript,
-    )
+    result = run_quiz(node.rule, questions, agent, tag_prefix=f"quiz/{node_id}")
     node.eval = result
     return result.score
 
@@ -152,12 +144,11 @@ def expand(
 def optimize(
     tree: OptimizationTree,
     questions: Sequence[QuizQuestion],
-    agent: Backend,
+    agent: Agent,
     *,
     rewrite: RewriteFn,
     defined_score: float = DEFINED_SCORE_DEFAULT,
     max_iterations: int = MAX_ITERATIONS_DEFAULT,
-    transcript: Optional[Transcript] = None,
     store_path: Optional[str | Path] = None,
 ) -> FolRule:
     """Run the refinement loop and return the best rule found.
@@ -166,7 +157,7 @@ def optimize(
     defined_score or the iteration cap is reached, otherwise expand the best
     node. A failed expansion still consumes an iteration so the loop always
     terminates. The tree is persisted after every iteration when store_path
-    is given, each time after a flush of `transcript`.
+    is given, each time after a flush of the agent's transcript.
     """
     if not questions:
         raise ValueError("questions must be non-empty")
@@ -176,14 +167,13 @@ def optimize(
     def persist() -> None:
         # every answer the store holds is in the transcript file before it
         if store_path is not None:
-            if transcript is not None:
-                transcript.flush()
+            agent.transcript.flush()
             save_tree(tree, store_path)
 
     failures = 0
     while True:
         for node_id in [nid for nid, node in tree.nodes.items() if node.eval is None]:
-            evaluate_node(tree, node_id, questions, agent, transcript=transcript)
+            evaluate_node(tree, node_id, questions, agent)
         persist()
         if tree.max_score >= defined_score:
             break

@@ -33,7 +33,7 @@ from pathlib import Path
 from typing import Callable, Optional
 
 from . import cacl, confusable, corpus, examination, opt_tree, rule_init
-from .agents import Transcript, fan_out
+from .agents import Agent, Transcript, fan_out
 from .candidates import CharNgramPerceptron
 from .config import ConfigError, build_agent, build_embedder
 from .corpus import Judgment, LabelSpace, LegalCase, RejectedLine
@@ -127,18 +127,18 @@ class PipelineRun:
                 "usage": {"input_units": 0, "output_units": 0},
                 "artifacts": [],
             }
+        self.transcript = Transcript(self.run_dir / "transcript.jsonl")
         # built up front, so a bad spec is a config error before any stage runs
-        self._agents: dict[str, object] = {}
+        self._agents: dict[str, Agent] = {}
         routed = {
-            stage: getattr(self._agent_for(stage), "name", "?")
+            stage: getattr(self._agent_for(stage).backend, "name", "?")
             for stage in config["providers"]["routing"]
         }
         self.manifest["providers"] = {
-            "agent": getattr(self._agent_for(None), "name", "?"),
+            "agent": getattr(self._agent_for(None).backend, "name", "?"),
             "embedder": getattr(build_embedder(config["providers"]["embedder"]), "name", "?"),
             **({"routing": routed} if routed else {}),
         }
-        self.transcript = Transcript(self.run_dir / "transcript.jsonl")
         self._cases: Optional[dict[str, LegalCase]] = None
         self._labels: Optional[LabelSpace] = None
         self.resuming = False  # set by _execute before each stage body
@@ -148,12 +148,13 @@ class PipelineRun:
         providers = self.config["providers"]
         return providers["routing"].get(stage, providers["agent"])
 
-    def _agent_for(self, stage: Optional[str]):
-        """The agent backend of `agent_spec(stage)`; one instance per distinct spec."""
+    def _agent_for(self, stage: Optional[str]) -> Agent:
+        """The backend of `agent_spec(stage)`, recording into the run's
+        transcript; one Agent per distinct spec."""
         spec = self.agent_spec(stage)
         key = json.dumps(spec, sort_keys=True)
         if key not in self._agents:
-            self._agents[key] = build_agent(spec)
+            self._agents[key] = Agent(build_agent(spec), self.transcript)
         return self._agents[key]
 
     # -- paths
@@ -330,12 +331,9 @@ def _init_rules(run: PipelineRun) -> None:
     groups = corpus.load_precedents(run.path("precedents.json"), run.cases)
     ruleset = rule_init.init_all_rules(
         groups,
-        list(groups),
         run._agent_for("init-rules"),
         run.labels,
-        transcript=run.transcript,
         temperature=run.config["optimization"]["temperature"],
-        k=run.config["data"]["precedent_k"],
         concurrency=run.config["agent_concurrency"],
     )
     if not ruleset.rules:
@@ -413,7 +411,6 @@ def _optimize(run: PipelineRun) -> list[Path]:
                 labels,
                 child_rule_id=child_rule_id,
                 tag_prefix=f"cacl/{key}",
-                transcript=run.transcript,
                 temperature=opt_config["temperature"],
                 fact_truncate=opt_config["fact_truncate"],
                 max_records_per_side=opt_config["max_records_per_side"],
@@ -426,7 +423,6 @@ def _optimize(run: PipelineRun) -> list[Path]:
             rewrite=rewrite,
             defined_score=opt_config["defined_score"],
             max_iterations=opt_config["max_iterations"],
-            transcript=run.transcript,
             store_path=store,
         )
         return best, tree.max_score
@@ -477,9 +473,8 @@ def _examine(run: PipelineRun) -> None:
             agent,
             seed=run.config["seed"],
             abstract_threshold=exam["abstract_threshold"],
-            transcript=run.transcript,
         )
-        run.transcript.flush()  # the case's answers reach disk before predictions.jsonl
+        agent.transcript.flush()  # the case's answers reach disk before predictions.jsonl
         return prediction
 
     predictions = fan_out(examine, zip(split.test, candidates), run.config["agent_concurrency"])
@@ -516,7 +511,7 @@ STAGE_TABLE: dict[str, Stage] = {
     ),
     "init-rules": Stage(
         ("cases.valid.jsonl", "precedents.json"),
-        ("data.labels_path", "data.precedent_k", "optimization.temperature", "providers.agent"),
+        ("data.labels_path", "optimization.temperature", "providers.agent"),
         ("rules_init.json",),
         _init_rules,
     ),

@@ -5,7 +5,8 @@ turn that sends them. A template is a plain string whose {{slot}} markers
 Each template states its output contract explicitly (labeled lines, headed
 sections, or a single RULE: line) because downstream parsers depend on it.
 Rule-emitting templates embed the rule grammar so repair loops can quote
-errors back against it. Every stage talks to its agent through `ask`.
+errors back against it. Every stage talks to its agent through `ask`, which
+records each call in the agent's transcript.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 import logging
 from typing import Callable, Optional, TypeVar
 
-from .agents import Backend, ChatRequest, Transcript, complete
+from .agents import Agent, ChatRequest, complete
 
 logger = logging.getLogger(__name__)
 
@@ -137,12 +138,11 @@ ABSTRACT_FACT = (
 
 
 def ask(
-    agent: Backend,
+    agent: Agent,
     prompt: str,
     *,
     tag: str,
     temperature: float = 0.0,
-    transcript: Optional[Transcript] = None,
     parse: Callable[[str], T] = str.strip,
     attempts: int = 1,
     follow_up: Optional[Callable[[str, ValueError], str]] = None,
@@ -157,7 +157,7 @@ def ask(
     """
     def send(text: str) -> str:
         request = ChatRequest(SYSTEM_LEGAL_ANALYST, text, temperature=temperature, tag=tag)
-        return complete(request, agent, transcript=transcript).text
+        return complete(request, agent).text
 
     for attempt in range(1, attempts):
         reply = send(prompt)

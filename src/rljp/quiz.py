@@ -18,7 +18,7 @@ import string
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .agents import Backend, Transcript, render_template
+from .agents import Agent, render_template
 from .confusable import ConfusableSet
 from .corpus import LabelSpace, LegalCase
 from .fol import Consequent, FolRule, render_consequent, render_rule
@@ -196,11 +196,9 @@ def format_options(question: QuizQuestion) -> str:
 def run_quiz(
     rule: FolRule,
     questions: Sequence[QuizQuestion],
-    agent: Backend,
+    agent: Agent,
     *,
     tag_prefix: str = "quiz",
-    transcript: Optional[Transcript] = None,
-    temperature: float = 0.0,
 ) -> QuizResult:
     """Ask the agent every question under `rule`, one after another, and
     tally outcomes.
@@ -231,8 +229,7 @@ def run_quiz(
         malformed = False
         try:
             letter, reasoning = ask(
-                agent, prompt, tag=f"{tag_prefix}/{question.case_id}", temperature=temperature,
-                transcript=transcript, parse=parse, attempts=2,
+                agent, prompt, tag=f"{tag_prefix}/{question.case_id}", parse=parse, attempts=2
             )
         except _Malformed as exc:
             letter, reasoning = exc.args

@@ -14,9 +14,9 @@ import logging
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Sequence
 
-from .agents import Backend, Transcript, fan_out, render_template
+from .agents import Agent, fan_out, render_template
 from .cacl import request_rule
 from .corpus import LabelSpace, LegalCase
 from .fol import (
@@ -106,9 +106,8 @@ def _parse_circumstances(text: str) -> str:
 def summarize_circumstances(
     precedents: Sequence[LegalCase],
     target: Consequent,
-    agent: Backend,
+    agent: Agent,
     *,
-    transcript: Optional[Transcript] = None,
     temperature: float = 0.7,
 ) -> str:
     """Step 1: one agent call summarizing the six circumstance categories, as
@@ -122,7 +121,7 @@ def summarize_circumstances(
     )
     return ask(
         agent, prompt, tag=f"init/summarize/{consequent_key(target)}", temperature=temperature,
-        transcript=transcript, parse=_parse_circumstances,
+        parse=_parse_circumstances,
     )
 
 
@@ -163,9 +162,8 @@ def _parse_symbols(text: str) -> str:
 def define_symbols(
     factors: str,
     target: Consequent,
-    agent: Backend,
+    agent: Agent,
     *,
-    transcript: Optional[Transcript] = None,
     temperature: float = 0.7,
     max_repairs: int = 2,
 ) -> str:
@@ -179,7 +177,7 @@ def define_symbols(
     try:
         return ask(
             agent, prompt, tag=f"init/symbols/{consequent_key(target)}", temperature=temperature,
-            transcript=transcript, parse=_parse_symbols, attempts=1 + max_repairs,
+            parse=_parse_symbols, attempts=1 + max_repairs,
             follow_up=lambda reply, error: render_template(
                 REPAIR_SYMBOLS, {"prompt": prompt, "error": str(error)}
             ),
@@ -191,21 +189,17 @@ def define_symbols(
 def init_rule_for_target(
     target: Consequent,
     precedents: Sequence[LegalCase],
-    agent: Backend,
+    agent: Agent,
     labels: LabelSpace,
     *,
-    transcript: Optional[Transcript] = None,
     temperature: float = 0.7,
     max_repairs: int = 2,
 ) -> FolRule:
     """Steps 1-3 for one target; returns a version-0 rule that parses and
     validates, or raises InitError."""
-    factors = summarize_circumstances(
-        precedents, target, agent, transcript=transcript, temperature=temperature
-    )
+    factors = summarize_circumstances(precedents, target, agent, temperature=temperature)
     symbols = define_symbols(
-        factors, target, agent, transcript=transcript, temperature=temperature,
-        max_repairs=max_repairs,
+        factors, target, agent, temperature=temperature, max_repairs=max_repairs
     )
     prompt = render_template(
         CONSTRUCT_RULE,
@@ -227,7 +221,6 @@ def init_rule_for_target(
         target=target,
         what="rule construction",
         error=InitError,
-        transcript=transcript,
         temperature=temperature,
         max_repairs=max_repairs,
     )
@@ -235,43 +228,31 @@ def init_rule_for_target(
 
 def init_all_rules(
     precedent_groups: dict[Consequent, Sequence[LegalCase]],
-    targets: Sequence[Consequent],
-    agent: Backend,
+    agent: Agent,
     labels: LabelSpace,
     *,
-    transcript: Optional[Transcript] = None,
     temperature: float = 0.7,
-    k: int = 3,
     concurrency: int = 1,
 ) -> RuleSet:
-    """Initialize one rule per target from its precedent group, `concurrency`
-    targets at a time; per-target failures are reported in the RuleSet, in
-    target order, not raised."""
+    """Initialize one rule per target of `precedent_groups` from its
+    precedents, `concurrency` targets at a time; per-target failures are
+    reported in the RuleSet, in target order, not raised."""
 
     def init_one(target: Consequent) -> FolRule | str:
         """The target's rule, or the reason it has none."""
-        precedents = list(precedent_groups.get(target, ()))[:k]
-        if not precedents:
-            logger.warning("target %s skipped: no precedents", consequent_key(target))
-            return "no precedents"
         try:
             return init_rule_for_target(
-                target,
-                precedents,
-                agent,
-                labels,
-                transcript=transcript,
-                temperature=temperature,
+                target, precedent_groups[target], agent, labels, temperature=temperature
             )
         except Exception as exc:
             logger.warning("target %s failed: %s", consequent_key(target), exc)
             return str(exc)
         finally:
-            if transcript is not None:
-                transcript.flush()  # this target's answers reach disk before its rule
+            agent.transcript.flush()  # this target's answers reach disk before its rule
 
     ruleset = RuleSet()
-    for target, outcome in zip(targets, fan_out(init_one, targets, concurrency)):
+    outcomes = fan_out(init_one, precedent_groups, concurrency)
+    for target, outcome in zip(precedent_groups, outcomes):
         if isinstance(outcome, str):
             ruleset.failures[consequent_key(target)] = outcome
         else:

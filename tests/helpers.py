@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import random
 
+from rljp.agents import Agent, ScriptedBackend, Transcript
 from rljp.corpus import Judgment, LabelSpace, LegalCase
 from rljp.fol import (
     Article,
@@ -109,3 +110,10 @@ def transcript_entries(transcript) -> list[dict]:
     transcript.flush()
     with transcript.path.open("r", encoding="utf-8") as handle:
         return [json.loads(line) for line in handle]
+
+
+def scripted(script, transcript_path=None) -> Agent:
+    """An Agent over a ScriptedBackend of `script` (its requests are in
+    `agent.backend.calls`); its transcript writes to `transcript_path` when
+    given, and otherwise only counts calls."""
+    return Agent(ScriptedBackend(script), Transcript(transcript_path))

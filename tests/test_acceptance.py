@@ -12,8 +12,7 @@ import numpy as np
 import pytest
 
 import rljp.opt_tree as opt_tree_mod
-from helpers import LABELS, make_case, random_rule, transcript_entries
-from rljp.agents import ScriptedBackend, Transcript
+from helpers import LABELS, make_case, random_rule, scripted, transcript_entries
 from rljp.cacl import optimize_rule
 from rljp.cli import main as cli_main
 from rljp.corpus import Judgment
@@ -238,7 +237,7 @@ def test_criterion_4_tree_invariants(tmp_path, monkeypatch):
         best = opt_tree_mod.optimize(
             tree,
             questions,
-            ScriptedBackend(dict(script)),
+            scripted(dict(script)),
             rewrite=stub_rewrite,
             defined_score=threshold,
             max_iterations=max_iterations,
@@ -265,13 +264,13 @@ def test_criterion_4_tree_invariants(tmp_path, monkeypatch):
             half_store = tmp_path / f"half_{trial}.json"
             tree_half = opt_tree_mod.new_tree(ROOT_RULE)
             opt_tree_mod.optimize(
-                tree_half, questions, ScriptedBackend(dict(script)),
+                tree_half, questions, scripted(dict(script)),
                 rewrite=stub_rewrite, defined_score=threshold,
                 max_iterations=max(0, max_iterations - 1), store_path=half_store,
             )
             resumed = opt_tree_mod.load_tree(half_store, TARGET, questions)
             resumed_best = opt_tree_mod.optimize(
-                resumed, questions, ScriptedBackend(dict(script)),
+                resumed, questions, scripted(dict(script)),
                 rewrite=stub_rewrite, defined_score=threshold,
                 max_iterations=max_iterations, store_path=half_store,
             )
@@ -299,26 +298,23 @@ def test_criterion_5_consequent_lock(tmp_path):
             f"RULE: FORALL x ((Theft(x) AND NOT UsedForce(x))) "
             f"-> ARTICLE({article}) CHARGE({charge})"
         )
-        backend = ScriptedBackend(
+        agent = scripted(
             {
                 "cacl/keep": "keep the theft predicate",
                 "cacl/improve": "stop firing on force cases",
                 "cacl/synthesize": "KEEP: theft\nIMPROVE: exclude force",
                 "cacl/rewrite": [adversarial, good],
-            }
+            },
+            tmp_path / f"transcript{trial}.jsonl",
         )
         result = QuizResult(
             (_make_record("TP"), _make_record("FP"))
         )
-        transcript = Transcript(tmp_path / f"transcript{trial}.jsonl")
-        child = optimize_rule(
-            anchor, result, backend, LABELS,
-            child_rule_id=f"child{trial}", transcript=transcript,
-        )
+        child = optimize_rule(anchor, result, agent, LABELS, child_rule_id=f"child{trial}")
         if child.target != anchor.target:
             drifted += 1
         rewrite_entries = [
-            e for e in transcript_entries(transcript) if e["tag"] == "cacl/rewrite"
+            e for e in transcript_entries(agent.transcript) if e["tag"] == "cacl/rewrite"
         ]
         if len(rewrite_entries) >= 2 and "consequent changed" in rewrite_entries[-1]["request"]["user"]:
             repairs_seen += 1
@@ -442,7 +438,7 @@ def test_criterion_9_fallback_behavior():
 
     # scripted case 1: all candidate rules NO, the remaining ruled label YES;
     # fraud's rule already held for the article, so its verdict is reused
-    backend = ScriptedBackend(
+    agent = scripted(
         {
             "exam/c1/article/264": "Answer: YES",
             "exam/c1/charge/theft": "Answer: NO",
@@ -450,13 +446,13 @@ def test_criterion_9_fallback_behavior():
             "exam/c1/prison_term/b0": "Answer: YES",
         }
     )
-    prediction = examine_case("c1", "facts", rules, candidates, LABELS, backend, seed=0)
+    prediction = examine_case("c1", "facts", rules, candidates, LABELS, agent, seed=0)
     assert prediction.charge_id == "fraud"
     assert prediction.used_fallback["charge"] is True
-    assert "exam/c1/charge/fraud" not in [call.tag for call in backend.calls]
+    assert "exam/c1/charge/fraud" not in [call.tag for call in agent.backend.calls]
 
     # scripted case 2: everything NO -> top-1 candidate with fallback flag
-    backend = ScriptedBackend(
+    agent = scripted(
         {
             "exam/c2/article/264": "Answer: NO",
             "exam/c2/charge/theft": "Answer: NO",
@@ -465,7 +461,7 @@ def test_criterion_9_fallback_behavior():
             "exam/c2/prison_term/b0": "Answer: NO",
         }
     )
-    prediction = examine_case("c2", "facts", rules, candidates, LABELS, backend, seed=0)
+    prediction = examine_case("c2", "facts", rules, candidates, LABELS, agent, seed=0)
     assert prediction.article_id == "264"
     assert prediction.charge_id == "theft"
     assert all(prediction.used_fallback.values())

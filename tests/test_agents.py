@@ -6,6 +6,7 @@ import requests
 
 from helpers import transcript_entries
 from rljp.agents import (
+    Agent,
     AgentError,
     ChatRequest,
     ChatResponse,
@@ -91,27 +92,21 @@ class TestScriptedBackend:
 class TestComplete:
     def test_two_transient_failures_then_success(self, tmp_path):
         backend = FlakyBackend(failures=2)
-        transcript = Transcript(tmp_path / "transcript.jsonl")
+        agent = Agent(backend, Transcript(tmp_path / "transcript.jsonl"))
         sleeps: list[float] = []
-        response = complete(
-            _request(),
-            backend,
-            transcript=transcript,
-            rng=random.Random(0),
-            sleep=sleeps.append,
-        )
+        response = complete(_request(), agent, rng=random.Random(0), sleep=sleeps.append)
         assert response.text == "ok"
         assert backend.calls == 3
         assert len(sleeps) == 2
-        assert transcript.calls == 1
-        assert transcript_entries(transcript)[0]["retries"] == 2
+        assert agent.transcript.calls == 1
+        assert transcript_entries(agent.transcript)[0]["retries"] == 2
 
     def test_exhausted_retries(self):
         backend = FlakyBackend(failures=99)
         with pytest.raises(RetriesExhaustedError):
             complete(
                 _request(),
-                backend,
+                Agent(backend),
                 policy=RetryPolicy(max_attempts=3),
                 rng=random.Random(0),
                 sleep=lambda _: None,
@@ -121,13 +116,13 @@ class TestComplete:
     def test_non_transient_error_is_not_retried(self):
         backend = FlakyBackend(failures=99, error=AgentError)
         with pytest.raises(AgentError):
-            complete(_request(), backend, sleep=lambda _: None)
+            complete(_request(), Agent(backend), sleep=lambda _: None)
         assert backend.calls == 1
 
     def test_refusal_is_distinct_and_not_retried(self):
         backend = ScriptedBackend({"t": Refusal("filtered")})
         with pytest.raises(RefusalError):
-            complete(_request("t"), backend, sleep=lambda _: None)
+            complete(_request("t"), Agent(backend), sleep=lambda _: None)
 
     def test_backoff_is_exponential_with_full_jitter(self):
         policy = RetryPolicy(base_delay=1.0, factor=2.0, max_attempts=5)
@@ -138,12 +133,11 @@ class TestComplete:
                 assert 0.0 <= delay <= 2.0**attempt
 
     def test_transcript_lines_match_logical_calls(self, tmp_path):
-        backend = ScriptedBackend({"a": "1", "b": "2"})
-        transcript = Transcript(tmp_path / "transcript.jsonl")
-        complete(_request("a"), backend, transcript=transcript)
-        complete(_request("b"), backend, transcript=transcript)
-        assert transcript.calls == 2
-        assert [e["tag"] for e in transcript_entries(transcript)] == ["a", "b"]
+        agent = Agent(ScriptedBackend({"a": "1", "b": "2"}), Transcript(tmp_path / "t.jsonl"))
+        complete(_request("a"), agent)
+        complete(_request("b"), agent)
+        assert agent.transcript.calls == 2
+        assert [e["tag"] for e in transcript_entries(agent.transcript)] == ["a", "b"]
 
 
 class TestTranscript:
@@ -251,13 +245,10 @@ class TestHttpBackend:
         backend, session = self._backend(
             [FakeHttpResponse(500), FakeHttpResponse(502), FakeHttpResponse(200, _ok_payload())]
         )
-        transcript = Transcript(tmp_path / "transcript.jsonl")
-        response = complete(
-            _request(), backend, transcript=transcript,
-            rng=random.Random(1), sleep=lambda _: None,
-        )
+        agent = Agent(backend, Transcript(tmp_path / "transcript.jsonl"))
+        response = complete(_request(), agent, rng=random.Random(1), sleep=lambda _: None)
         assert response.text == "hello"
-        assert transcript_entries(transcript)[0]["retries"] == 2
+        assert transcript_entries(agent.transcript)[0]["retries"] == 2
         assert len(session.requests) == 3
 
     def test_rate_limit_is_transient(self):
@@ -270,7 +261,7 @@ class TestHttpBackend:
             [FakeHttpResponse(429), FakeHttpResponse(200, _ok_payload())]
         )
         response = complete(
-            _request(), backend, rng=random.Random(1), sleep=lambda _: None
+            _request(), Agent(backend), rng=random.Random(1), sleep=lambda _: None
         )
         assert response.text == "hello"
         assert len(session.requests) == 2
@@ -300,7 +291,7 @@ class TestHttpBackend:
             ]
         )
         sleeps: list[float] = []
-        response = complete(_request(), backend, rng=random.Random(1), sleep=sleeps.append)
+        response = complete(_request(), Agent(backend), rng=random.Random(1), sleep=sleeps.append)
         assert response.text == "hello"
         assert len(session.requests) == 3
         # the second wait is plain full jitter over [0, 2) s: "0" asks for none
@@ -323,6 +314,6 @@ class TestHttpBackend:
     def test_malformed_body_is_a_non_transient_agent_error(self, response):
         backend, session = self._backend([response])
         with pytest.raises(AgentError, match="malformed") as err:
-            complete(_request(), backend, sleep=lambda _: None)
+            complete(_request(), Agent(backend), sleep=lambda _: None)
         assert not isinstance(err.value, TransientAgentError)
         assert len(session.requests) == 1

@@ -2,8 +2,7 @@ import re
 
 import pytest
 
-from helpers import LABELS
-from rljp.agents import ScriptedBackend, Transcript
+from helpers import LABELS, scripted
 from rljp.cacl import (
     CaclError,
     apply_direction,
@@ -41,52 +40,52 @@ class TestContrastSides:
     (TP/TN) and incorrect (FP/FN) sides around the anchor rule."""
 
     def test_partition(self):
-        backend = ScriptedBackend(ANALYSES)
-        derive_direction(RULE, _result(["TP", "FP", "TN", "FN"]), backend)
-        keep_prompt, improve_prompt = (call.user_text for call in backend.calls[:2])
+        agent = scripted(ANALYSES)
+        derive_direction(RULE, _result(["TP", "FP", "TN", "FN"]), agent)
+        keep_prompt, improve_prompt = (call.user_text for call in agent.backend.calls[:2])
         assert _outcomes_in(keep_prompt) == ["TP", "TN"]
         assert sorted(_outcomes_in(improve_prompt)) == ["FN", "FP"]
         assert len(_outcomes_in(keep_prompt)) + len(_outcomes_in(improve_prompt)) == 4
 
     def test_all_correct_leaves_negatives_empty(self):
-        backend = ScriptedBackend(ANALYSES)
-        _, improve = derive_direction(RULE, _result(["TP", "TN", "TP"]), backend)
-        assert [call.tag for call in backend.calls] == ["cacl/keep", "cacl/synthesize"]
+        agent = scripted(ANALYSES)
+        _, improve = derive_direction(RULE, _result(["TP", "TN", "TP"]), agent)
+        assert [call.tag for call in agent.backend.calls] == ["cacl/keep", "cacl/synthesize"]
         assert improve == "none identified"
 
     def test_anchor_is_the_rule(self):
-        backend = ScriptedBackend(ANALYSES)
-        derive_direction(RULE, _result(["TP"]), backend)
-        assert f"Current rule:\n{render_rule(RULE)}\n" in backend.calls[0].user_text
+        agent = scripted(ANALYSES)
+        derive_direction(RULE, _result(["TP"]), agent)
+        assert f"Current rule:\n{render_rule(RULE)}\n" in agent.backend.calls[0].user_text
 
 
 class TestDeriveDirection:
     def test_three_call_transcript(self):
-        backend = ScriptedBackend(
+        agent = scripted(
             {
                 "cacl/keep": "the theft predicate works",
                 "cacl/improve": "it fires on robbery too",
                 "cacl/synthesize": "KEEP: theft predicate\nIMPROVE: add force exclusion",
             }
         )
-        keep, improve = derive_direction(RULE, _result(["TP", "FP"]), backend)
+        keep, improve = derive_direction(RULE, _result(["TP", "FP"]), agent)
         assert keep == "theft predicate"
         assert improve == "add force exclusion"
-        assert len(backend.calls) == 3
+        assert len(agent.backend.calls) == 3
 
     def test_empty_negatives_skips_improve_call(self):
-        backend = ScriptedBackend(
+        agent = scripted(
             {
                 "cacl/keep": "all good",
                 "cacl/synthesize": "KEEP: everything\nIMPROVE: nothing obvious",
             }
         )
-        _, improve = derive_direction(RULE, _result(["TP", "TN"]), backend)
-        assert len(backend.calls) == 2
+        _, improve = derive_direction(RULE, _result(["TP", "TN"]), agent)
+        assert len(agent.backend.calls) == 2
         assert improve == "none identified"
 
     def test_garbage_synthesis_twice_errors(self):
-        backend = ScriptedBackend(
+        agent = scripted(
             {
                 "cacl/keep": "k",
                 "cacl/improve": "i",
@@ -94,26 +93,26 @@ class TestDeriveDirection:
             }
         )
         with pytest.raises(CaclError, match="unparsable"):
-            derive_direction(RULE, _result(["TP", "FP"]), backend)
+            derive_direction(RULE, _result(["TP", "FP"]), agent)
 
     def test_empty_triplet_rejected(self):
         empty = QuizResult(records=())
         with pytest.raises(CaclError):
-            derive_direction(RULE, empty, ScriptedBackend({}))
+            derive_direction(RULE, empty, scripted({}))
 
 
 class TestApplyDirection:
     DIRECTION = ("theft predicate", "add not-force")
 
     def test_valid_rewrite_becomes_child(self):
-        backend = ScriptedBackend(
+        agent = scripted(
             {
                 "cacl/rewrite": "RULE: FORALL x ((Theft(x) AND NOT UsedForce(x))) "
                 "-> ARTICLE(264) CHARGE(theft)"
             }
         )
         child = apply_direction(
-            RULE, *self.DIRECTION, backend, LABELS, child_rule_id="article=264,charge=theft/1/1"
+            RULE, *self.DIRECTION, agent, LABELS, child_rule_id="article=264,charge=theft/1/1"
         )
         assert child.version == RULE.version + 1
         assert child.target == RULE.target
@@ -121,7 +120,7 @@ class TestApplyDirection:
         assert child.provenance.parent_rule_id == RULE.rule_id
 
     def test_consequent_drift_triggers_repair(self):
-        backend = ScriptedBackend(
+        agent = scripted(
             {
                 "cacl/rewrite": [
                     "RULE: FORALL x (Theft(x)) -> ARTICLE(266) CHARGE(theft)",
@@ -129,17 +128,13 @@ class TestApplyDirection:
                 ]
             }
         )
-        transcript = Transcript()
-        child = apply_direction(
-            RULE, *self.DIRECTION, backend, LABELS,
-            child_rule_id="c1", transcript=transcript,
-        )
+        child = apply_direction(RULE, *self.DIRECTION, agent, LABELS, child_rule_id="c1")
         assert child.target == ArticleCharge("264", "theft")
-        assert transcript.calls == 2
-        assert "consequent changed" in backend.calls[1].user_text
+        assert agent.transcript.calls == 2
+        assert "consequent changed" in agent.backend.calls[1].user_text
 
     def test_two_invalid_then_valid_is_three_calls(self):
-        backend = ScriptedBackend(
+        agent = scripted(
             {
                 "cacl/rewrite": [
                     "RULE: FORALL x Theft(x -> ARTICLE(264) CHARGE(theft)",
@@ -148,21 +143,21 @@ class TestApplyDirection:
                 ]
             }
         )
-        child = apply_direction(RULE, *self.DIRECTION, backend, LABELS, child_rule_id="c1")
-        assert len(backend.calls) == 3
+        child = apply_direction(RULE, *self.DIRECTION, agent, LABELS, child_rule_id="c1")
+        assert len(agent.backend.calls) == 3
         assert render_rule(child) == "FORALL x (Theft(x)) -> ARTICLE(264) CHARGE(theft)"
 
     def test_exhausted_repairs_error(self):
-        backend = ScriptedBackend(
+        agent = scripted(
             {"cacl/rewrite": ["bad"] * 3}
         )
         with pytest.raises(CaclError, match="rewrite failed"):
-            apply_direction(RULE, *self.DIRECTION, backend, LABELS, child_rule_id="c1")
+            apply_direction(RULE, *self.DIRECTION, agent, LABELS, child_rule_id="c1")
 
 
 class TestOptimizeRule:
     def test_full_step(self):
-        backend = ScriptedBackend(
+        agent = scripted(
             {
                 "cacl/keep": "keeps",
                 "cacl/improve": "improves",
@@ -172,7 +167,7 @@ class TestOptimizeRule:
             }
         )
         child = optimize_rule(
-            RULE, _result(["TP", "FP"]), backend, LABELS, child_rule_id="c9"
+            RULE, _result(["TP", "FP"]), agent, LABELS, child_rule_id="c9"
         )
         assert child.rule_id == "c9"
         assert child.version == 1

@@ -44,12 +44,27 @@ class TestCandidateLabels:
         # the label space lists z_first first
         assert ranked["charge"] == ("z_first", "a_second")
         # enough tied labels that an unstable sort would reorder some; they
-        # tie at 0.0, as labels the perceptron never updated do (equal non-zero
-        # weight rows may differ in the last bit after the matrix product)
+        # tie at 0.0, as labels the perceptron never updated do
         tied = [f"t{i:02d}" for i in range(80, 0, -1)]
         table = {**dict.fromkeys(tied[:40], 0.0), "hot": 0.9, **dict.fromkeys(tied[40:], 0.0)}
         [ranked] = fixed_scorer(table).top_labels(["fact"], k=len(table))
         assert ranked["charge"] == ("hot", *tied)
+
+    def test_equal_non_zero_weight_rows_tie_on_every_fact(self):
+        # a BLAS mat-vec rounds some rows of a block differently, which split
+        # equal rows' margins for many label counts and fact lengths
+        rng = np.random.default_rng(0)
+        row = rng.normal(size=512)
+        facts = ["".join(rng.choice(list("abcdefghij"), size=n)) for n in range(5, 200, 9)]
+        for n_labels in (7, 26, 51, 102):
+            labels = LabelSpace(("264",), tuple(f"c{i:03d}" for i in range(n_labels)), ("b0",))
+            provider = CharNgramPerceptron(labels, hash_dim=512)
+            for subtask in SUBTASKS:
+                provider._weights[subtask] = np.tile(row, (len(labels.of(subtask)), 1))
+            margins = provider.scores(facts)["charge"]
+            assert (margins == margins[:, :1]).all(), n_labels
+            for ranked in provider.top_labels(facts, k=n_labels):
+                assert ranked["charge"] == labels.charges, n_labels
 
     def test_k_below_one_is_rejected(self):
         with pytest.raises(ValueError, match="k must be at least 1"):

@@ -3,8 +3,8 @@ import random
 import pytest
 
 import rljp.examination as examination
-from helpers import LABELS, transcript_entries
-from rljp.agents import AgentError, ChatResponse, ScriptedBackend, Transcript
+from helpers import LABELS, scripted, transcript_entries
+from rljp.agents import Agent, AgentError, ChatResponse
 from rljp.examination import examine_case, maybe_abstract
 from rljp.fol import parse_rule
 from rljp.quiz import derive_rng
@@ -46,23 +46,23 @@ def _no(reason="fails"):
 
 class TestMaybeAbstract:
     def test_short_fact_unchanged(self):
-        text, used = maybe_abstract("short fact", 4000, ScriptedBackend({}))
+        text, used = maybe_abstract("short fact", 4000, scripted({}))
         assert text == "short fact" and used is False
 
     def test_long_fact_abstracted(self):
-        backend = ScriptedBackend({"abstract": "a 500 char abstract"})
-        text, used = maybe_abstract("x" * 9000, 4000, backend)
+        agent = scripted({"abstract": "a 500 char abstract"})
+        text, used = maybe_abstract("x" * 9000, 4000, agent)
         assert text == "a 500 char abstract" and used is True
 
     def test_agent_failure_falls_back_to_truncation(self):
-        backend = ScriptedBackend({})  # unscripted tag -> AgentError
+        agent = scripted({})  # unscripted tag -> AgentError
         long_fact = "y" * 9000
-        text, used = maybe_abstract(long_fact, 4000, backend)
+        text, used = maybe_abstract(long_fact, 4000, agent)
         assert text == long_fact[:4000] and used is True
 
     def test_overrun_abstract_is_hard_capped(self):
-        backend = ScriptedBackend({"abstract": "z" * 5000})
-        text, used = maybe_abstract("x" * 9000, 4000, backend)
+        agent = scripted({"abstract": "z" * 5000})
+        text, used = maybe_abstract("x" * 9000, 4000, agent)
         assert len(text) == 4000 and used is True
 
 
@@ -74,14 +74,14 @@ class TestPredictCase:
             _rule("264", term="b0"),
         )
         candidates = _candidates(["264", "263"], ["theft", "robbery"], ["b0", "b1"])
-        backend = ScriptedBackend(
+        agent = scripted(
             {
                 "exam/c1/article/264": _yes(),
                 "exam/c1/charge/theft": _yes(),
                 "exam/c1/prison_term/b0": _yes(),
             }
         )
-        prediction = examine_case("c1", "facts", rules, candidates, LABELS, backend, seed=0)
+        prediction = examine_case("c1", "facts", rules, candidates, LABELS, agent, seed=0)
         assert prediction.article_id == "264"
         assert prediction.charge_id == "theft"
         assert prediction.prison_term_bucket == "b0"
@@ -89,26 +89,26 @@ class TestPredictCase:
             "article": False, "charge": False, "prison_term": False,
         }
         # the charge check reuses the article's verdict on rule 264/theft
-        assert [call.tag for call in backend.calls] == [
+        assert [call.tag for call in agent.backend.calls] == [
             "exam/c1/article/264", "exam/c1/prison_term/b0"
         ]
 
     def test_candidates_without_rules_are_skipped(self):
         rules = _ruleset(_rule("263", charge="robbery"), _rule("263", term="b1"))
         candidates = _candidates(["264", "263"], ["theft", "robbery"], ["b0", "b1"])
-        backend = ScriptedBackend(
+        agent = scripted(
             {
                 "exam/c1/article/263": _yes(),
                 "exam/c1/charge/robbery": _yes(),
                 "exam/c1/prison_term/b1": _yes(),
             }
         )
-        prediction = examine_case("c1", "facts", rules, candidates, LABELS, backend, seed=0)
+        prediction = examine_case("c1", "facts", rules, candidates, LABELS, agent, seed=0)
         # 264/theft/b0 had no rule: skipped without an agent call
         assert prediction.article_id == "263"
         assert prediction.charge_id == "robbery"
         # the charge check reuses the article's verdict on rule 263/robbery
-        assert [call.tag for call in backend.calls] == [
+        assert [call.tag for call in agent.backend.calls] == [
             "exam/c1/article/263", "exam/c1/prison_term/b1"
         ]
 
@@ -123,7 +123,7 @@ class TestPredictCase:
             _rule("264", term="b0"),
         )
         candidates = _candidates(["264"], ["theft", "robbery"], ["b0"])
-        backend = ScriptedBackend(
+        agent = scripted(
             {
                 "exam/c1/article/264": _yes(),
                 "exam/c1/charge/theft": _no(),
@@ -131,11 +131,11 @@ class TestPredictCase:
                 "exam/c1/prison_term/b0": _yes(),
             }
         )
-        prediction = examine_case("c1", "facts", rules, candidates, LABELS, backend, seed=0)
+        prediction = examine_case("c1", "facts", rules, candidates, LABELS, agent, seed=0)
         assert prediction.charge_id == "fraud"
         assert prediction.used_fallback["charge"] is True
         assert prediction.used_fallback["article"] is False
-        assert "exam/c1/charge/fraud" not in [call.tag for call in backend.calls]
+        assert "exam/c1/charge/fraud" not in [call.tag for call in agent.backend.calls]
 
     def test_everything_no_falls_back_to_top_candidate(self):
         rules = _ruleset(
@@ -151,7 +151,7 @@ class TestPredictCase:
             "exam/c1/charge/robbery": _no(),
             "exam/c1/prison_term/b0": _no(),
         }
-        prediction = examine_case("c1", "facts", rules, candidates, LABELS, ScriptedBackend(script), seed=0)
+        prediction = examine_case("c1", "facts", rules, candidates, LABELS, scripted(script), seed=0)
         assert prediction.article_id == "264"  # top-1 candidate
         assert prediction.charge_id == "theft"
         assert prediction.used_fallback == {
@@ -163,24 +163,24 @@ class TestPredictCase:
         rules = _ruleset(_rule("264", charge="theft"), _rule("264", term="b0"))
         candidates = _candidates(["264"], ["theft"], ["b0"])
         # only the term check is scripted; article/charge checks fail -> NO
-        backend = ScriptedBackend({"exam/c1/prison_term/b0": _yes()})
-        prediction = examine_case("c1", "facts", rules, candidates, LABELS, backend, seed=0)
+        agent = scripted({"exam/c1/prison_term/b0": _yes()})
+        prediction = examine_case("c1", "facts", rules, candidates, LABELS, agent, seed=0)
         assert prediction.used_fallback["article"] is True
         assert prediction.prison_term_bucket == "b0"
 
     def test_reply_without_a_verdict_is_no_and_not_re_asked(self):
         rules = _ruleset(_rule("264", charge="theft"), _rule("264", term="b0"))
         candidates = _candidates(["264"], ["theft"], ["b0"])
-        backend = ScriptedBackend(
+        agent = scripted(
             {
                 "exam/c1/article/264": "Reasoning: unsure\nAnswer: maybe",
                 "exam/c1/charge/theft": _yes(),
                 "exam/c1/prison_term/b0": _yes(),
             }
         )
-        prediction = examine_case("c1", "facts", rules, candidates, LABELS, backend, seed=0)
+        prediction = examine_case("c1", "facts", rules, candidates, LABELS, agent, seed=0)
         assert prediction.used_fallback["article"] is True
-        assert [r.tag for r in backend.calls].count("exam/c1/article/264") == 1
+        assert [r.tag for r in agent.backend.calls].count("exam/c1/article/264") == 1
         # the failed check is not reused: the charge check on the same rule is sent
         assert prediction.charge_id == "theft"
         assert prediction.used_fallback["charge"] is False
@@ -189,11 +189,11 @@ class TestPredictCase:
         rules = _ruleset(_rule("264", charge="theft"), _rule("264", term="b0"))
         candidates = _candidates(["264"], ["theft"], ["b0"])
         # the article check is unscripted -> AgentError; the charge check holds
-        backend = ScriptedBackend(
+        agent = scripted(
             {"exam/c1/charge/theft": _yes(), "exam/c1/prison_term/b0": _yes()}
         )
-        prediction = examine_case("c1", "facts", rules, candidates, LABELS, backend, seed=0)
-        assert [call.tag for call in backend.calls] == [
+        prediction = examine_case("c1", "facts", rules, candidates, LABELS, agent, seed=0)
+        assert [call.tag for call in agent.backend.calls] == [
             "exam/c1/article/264", "exam/c1/charge/theft", "exam/c1/prison_term/b0"
         ]
         assert prediction.used_fallback == {
@@ -205,19 +205,17 @@ class TestPredictCase:
         # the article and charge subtasks both check ArticleCharge rules
         rules = _ruleset(_rule("264", charge="theft"), _rule("264", term="b0"))
         candidates = _candidates(["264"], ["theft"], ["b0"])
-        backend = ScriptedBackend(
-            {"exam/c1/article/264": _yes(), "exam/c1/prison_term/b0": _yes()}
+        agent = scripted(
+            {"exam/c1/article/264": _yes(), "exam/c1/prison_term/b0": _yes()},
+            tmp_path / "transcript.jsonl",
         )
-        transcript = Transcript(tmp_path / "transcript.jsonl")
-        prediction = examine_case(
-            "c1", "facts", rules, candidates, LABELS, backend, seed=0, transcript=transcript
-        )
+        prediction = examine_case("c1", "facts", rules, candidates, LABELS, agent, seed=0)
         assert (prediction.article_id, prediction.charge_id) == ("264", "theft")
         assert "charge: rule 264/theft satisfied" in prediction.rationale
         tags = ["exam/c1/article/264", "exam/c1/prison_term/b0"]
-        assert [call.tag for call in backend.calls] == tags
-        assert [entry["tag"] for entry in transcript_entries(transcript)] == tags
-        assert transcript.calls == 2
+        assert [call.tag for call in agent.backend.calls] == tags
+        assert [entry["tag"] for entry in transcript_entries(agent.transcript)] == tags
+        assert agent.transcript.calls == 2
 
     def test_article_narrows_charge_rule_pool(self):
         # theft rule exists under 264 and (bogus) under 263; after predicting
@@ -229,16 +227,16 @@ class TestPredictCase:
         rules = _ruleset(rule_264, _rule("263", charge="robbery"), rule_263, _rule("263", term="b1"))
         # RuleSet keys by consequent; both theft rules coexist under distinct keys
         candidates = _candidates(["263"], ["theft"], ["b1"])
-        backend = ScriptedBackend(
+        agent = scripted(
             {
                 "exam/c1/article/263": _yes(),
                 "exam/c1/charge/theft": _yes(),
                 "exam/c1/prison_term/b1": _yes(),
             }
         )
-        prediction = examine_case("c1", "facts", rules, candidates, LABELS, backend, seed=0)
+        prediction = examine_case("c1", "facts", rules, candidates, LABELS, agent, seed=0)
         assert prediction.charge_id == "theft"
-        charge_call = next(c for c in backend.calls if c.tag == "exam/c1/charge/theft")
+        charge_call = next(c for c in agent.backend.calls if c.tag == "exam/c1/charge/theft")
         assert "P263" in charge_call.user_text
         assert "P264" not in charge_call.user_text
 
@@ -260,10 +258,10 @@ class TestPredictCase:
             "exam/c1/prison_term/b0": _yes(),
         }
         first = examine_case(
-            "c1", "facts", rules, candidates, LABELS, ScriptedBackend(dict(script)), seed=9
+            "c1", "facts", rules, candidates, LABELS, scripted(dict(script)), seed=9
         )
         second = examine_case(
-            "c1", "facts", rules, candidates, LABELS, ScriptedBackend(dict(script)), seed=9
+            "c1", "facts", rules, candidates, LABELS, scripted(dict(script)), seed=9
         )
         assert first == second
 
@@ -285,10 +283,10 @@ class TestPredictCase:
             "exam/c1/charge/fraud": _no(),
             "exam/c1/prison_term/b0": _no(),
         }
-        backend = ScriptedBackend(script)
-        examine_case("c1", "facts", rules, candidates, LABELS, backend, seed=0)
+        agent = scripted(script)
+        examine_case("c1", "facts", rules, candidates, LABELS, agent, seed=0)
         by_subtask = {}
-        for call in backend.calls:
+        for call in agent.backend.calls:
             subtask = call.tag.split("/")[2]
             by_subtask[subtask] = by_subtask.get(subtask, 0) + 1
         assert by_subtask["article"] <= 3
@@ -300,7 +298,7 @@ class TestExamineCase:
     def test_rules_are_checked_against_the_abstract_of_a_long_fact(self):
         rules = _ruleset(_rule("264", charge="theft"), _rule("264", term="b0"))
         candidates = _candidates(["264"], ["theft"], ["b0"])
-        backend = ScriptedBackend(
+        agent = scripted(
             {
                 "abstract/c1": "short abstract",
                 "exam/c1/article/264": _yes(),
@@ -308,11 +306,11 @@ class TestExamineCase:
             }
         )
         prediction = examine_case(
-            "c1", "x" * 50, rules, candidates, LABELS, backend, abstract_threshold=20
+            "c1", "x" * 50, rules, candidates, LABELS, agent, abstract_threshold=20
         )
         assert prediction.used_abstract is True
         assert (prediction.article_id, prediction.charge_id) == ("264", "theft")
-        checks = [call for call in backend.calls if call.tag.startswith("exam/")]
+        checks = [call for call in agent.backend.calls if call.tag.startswith("exam/")]
         assert all("short abstract" in call.user_text for call in checks)
         assert all("x" * 50 not in call.user_text for call in checks)
 
@@ -380,7 +378,7 @@ class TestOneLoopMatchesTwoLoops:
 
         def examine(backend):
             return examine_case(
-                f"c{seed}", "facts", rules, candidates, LABELS, backend, seed=seed
+                f"c{seed}", "facts", rules, candidates, LABELS, Agent(backend), seed=seed
             )
 
         with monkeypatch.context() as patch:

@@ -9,7 +9,15 @@ import pytest
 
 import rljp.pipeline as pipeline_mod
 from helpers import transcript_entries
-from rljp.agents import AgentError, ChatRequest, ScriptedBackend, Transcript, complete, fan_out
+from rljp.agents import (
+    Agent,
+    AgentError,
+    ChatRequest,
+    ScriptedBackend,
+    Transcript,
+    complete,
+    fan_out,
+)
 from rljp.config import load_config
 from rljp.pipeline import StageError, run_pipeline
 
@@ -69,15 +77,14 @@ def fast_switching():
 class TestSharedStateUnderFanOut:
     def test_transcript_keeps_every_call(self, fast_switching, tmp_path):
         n = 400
-        backend = ScriptedBackend({"t": ["ok"] * n})
-        transcript = Transcript(tmp_path / "transcript.jsonl")
+        agent = Agent(ScriptedBackend({"t": ["ok"] * n}), Transcript(tmp_path / "transcript.jsonl"))
 
         def call(i):
-            complete(ChatRequest("system", f"prompt {i}", tag="t"), backend, transcript=transcript)
+            complete(ChatRequest("system", f"prompt {i}", tag="t"), agent)
 
         fan_out(call, range(n), 8)
-        assert transcript.calls == n
-        entries = transcript_entries(transcript)
+        assert agent.transcript.calls == n
+        entries = transcript_entries(agent.transcript)
         assert sorted(e["request"]["user"] for e in entries) == sorted(
             f"prompt {i}" for i in range(n)
         )

@@ -2,8 +2,7 @@ import json
 
 import pytest
 
-from helpers import LABELS, make_case
-from rljp.agents import ScriptedBackend
+from helpers import LABELS, make_case, scripted
 from rljp.confusable import ConfusableSet
 from rljp.fol import ArticleCharge, FolRule, Provenance, parse_rule
 from rljp.opt_tree import (
@@ -114,7 +113,7 @@ def run_scripted_optimize(weights, threshold, max_iterations, store_path=None):
     best = optimize(
         tree,
         questions,
-        ScriptedBackend(script),
+        scripted(script),
         rewrite=stub_rewrite,
         defined_score=threshold,
         max_iterations=max_iterations,
@@ -138,45 +137,45 @@ class TestEvaluateNode:
     def test_memoization_issues_zero_calls(self):
         questions = ten_questions()
         tree = new_tree(ROOT_RULE)
-        backend = ScriptedBackend(answers_for_weight(questions, tree.root_id, 0.8))
-        first = evaluate_node(tree, tree.root_id, questions, backend)
-        calls_after_first = len(backend.calls)
-        second = evaluate_node(tree, tree.root_id, questions, backend)
+        agent = scripted(answers_for_weight(questions, tree.root_id, 0.8))
+        first = evaluate_node(tree, tree.root_id, questions, agent)
+        calls_after_first = len(agent.backend.calls)
+        second = evaluate_node(tree, tree.root_id, questions, agent)
         assert first == second == 0.8
-        assert len(backend.calls) == calls_after_first
+        assert len(agent.backend.calls) == calls_after_first
 
     def test_pointer_moves_on_strict_improvement(self):
         questions = ten_questions()
         tree = new_tree(ROOT_RULE)
-        backend = ScriptedBackend(answers_for_weight(questions, tree.root_id, 0.6))
-        evaluate_node(tree, tree.root_id, questions, backend)
+        agent = scripted(answers_for_weight(questions, tree.root_id, 0.6))
+        evaluate_node(tree, tree.root_id, questions, agent)
         child_id = expand(tree, tree.root_id, stub_rewrite)
-        backend2 = ScriptedBackend(answers_for_weight(questions, child_id, 0.8))
-        evaluate_node(tree, child_id, questions, backend2)
+        agent2 = scripted(answers_for_weight(questions, child_id, 0.8))
+        evaluate_node(tree, child_id, questions, agent2)
         assert tree.max_pointer == child_id
         assert tree.max_score == 0.8
 
     def test_tie_keeps_first_achiever(self):
         questions = ten_questions()
         tree = new_tree(ROOT_RULE)
-        backend = ScriptedBackend(answers_for_weight(questions, tree.root_id, 0.7))
-        evaluate_node(tree, tree.root_id, questions, backend)
+        agent = scripted(answers_for_weight(questions, tree.root_id, 0.7))
+        evaluate_node(tree, tree.root_id, questions, agent)
         child_id = expand(tree, tree.root_id, stub_rewrite)
-        backend2 = ScriptedBackend(answers_for_weight(questions, child_id, 0.7))
-        evaluate_node(tree, child_id, questions, backend2)
+        agent2 = scripted(answers_for_weight(questions, child_id, 0.7))
+        evaluate_node(tree, child_id, questions, agent2)
         assert tree.max_pointer == tree.root_id
 
     def test_pointer_is_the_first_node_of_the_highest_weight(self):
         # derived from the nodes in insertion order, not from evaluation order
         questions = ten_questions()
         tree = new_tree(ROOT_RULE)
-        backend = ScriptedBackend(answers_for_weight(questions, tree.root_id, 0.7))
-        evaluate_node(tree, tree.root_id, questions, backend)
+        agent = scripted(answers_for_weight(questions, tree.root_id, 0.7))
+        evaluate_node(tree, tree.root_id, questions, agent)
         child_id = expand(tree, tree.root_id, stub_rewrite)
         root = tree.node(tree.root_id)
         root_eval, root.eval = root.eval, None
-        backend2 = ScriptedBackend(answers_for_weight(questions, child_id, 0.7))
-        evaluate_node(tree, child_id, questions, backend2)
+        agent2 = scripted(answers_for_weight(questions, child_id, 0.7))
+        evaluate_node(tree, child_id, questions, agent2)
         assert (tree.max_pointer, tree.max_score) == (child_id, 0.7)
         root.eval = root_eval
         assert (tree.max_pointer, tree.max_score) == (tree.root_id, 0.7)
@@ -198,8 +197,8 @@ class TestExpand:
     def test_child_attached_under_parent(self):
         questions = ten_questions()
         tree = new_tree(ROOT_RULE)
-        backend = ScriptedBackend(answers_for_weight(questions, tree.root_id, 0.5))
-        evaluate_node(tree, tree.root_id, questions, backend)
+        agent = scripted(answers_for_weight(questions, tree.root_id, 0.5))
+        evaluate_node(tree, tree.root_id, questions, agent)
         child_id = expand(tree, tree.root_id, stub_rewrite)
         assert tree.node(child_id).parent == tree.root_id
         assert [n.node_id for n in tree.nodes.values() if n.parent == tree.root_id] == [child_id]
@@ -208,8 +207,8 @@ class TestExpand:
     def test_failed_rewrite_leaves_tree_unchanged(self):
         questions = ten_questions()
         tree = new_tree(ROOT_RULE)
-        backend = ScriptedBackend(answers_for_weight(questions, tree.root_id, 0.5))
-        evaluate_node(tree, tree.root_id, questions, backend)
+        agent = scripted(answers_for_weight(questions, tree.root_id, 0.5))
+        evaluate_node(tree, tree.root_id, questions, agent)
 
         def broken(rule, result, child_id):
             raise RuntimeError("rewrite exploded")
@@ -249,14 +248,14 @@ class TestOptimize:
     def test_all_expansions_failing_returns_best_with_warning(self, caplog):
         questions = ten_questions()
         tree = new_tree(ROOT_RULE)
-        backend = ScriptedBackend(answers_for_weight(questions, tree.root_id, 0.4))
+        agent = scripted(answers_for_weight(questions, tree.root_id, 0.4))
 
         def broken(rule, result, child_id):
             raise RuntimeError("always fails")
 
         with caplog.at_level("WARNING"):
             best = optimize(
-                tree, questions, backend, rewrite=broken,
+                tree, questions, agent, rewrite=broken,
                 defined_score=0.9, max_iterations=3,
             )
         assert best.rule_id == ROOT_RULE.rule_id
@@ -298,14 +297,14 @@ class TestPersistence:
         store = tmp_path / "tree.json"
         tree_a = new_tree(ROOT_RULE)
         optimize(
-            tree_a, questions, ScriptedBackend(dict(script)),
+            tree_a, questions, scripted(dict(script)),
             rewrite=stub_rewrite, defined_score=threshold, max_iterations=1,
             store_path=store,
         )
         # phase B: reload and continue to the full budget with a fresh backend
         tree_b = load_tree(store, TARGET, questions)
         best_b = optimize(
-            tree_b, questions, ScriptedBackend(dict(script)),
+            tree_b, questions, scripted(dict(script)),
             rewrite=stub_rewrite, defined_score=threshold, max_iterations=cap,
             store_path=store,
         )

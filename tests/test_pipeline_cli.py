@@ -187,6 +187,8 @@ class TestConfig:
             ("optimization", "max_iterations", -1),
             ("optimization", "max_records_per_side", 0),
             ("optimization", "fact_truncate", 0),
+            ("optimization", "temperature", -0.5),
+            ("optimization", "temperature", float("nan")),
             ("examination", "candidate_k", 0),
             ("examination", "candidate_k", -1),
             ("examination", "candidate_k", -9),
@@ -288,10 +290,10 @@ class TestConfig:
         run = pipeline_mod.PipelineRun(config, tmp_path / "run")
         assert build_agent(config["providers"]["agent"]).name == "synthetic-oracle"
         assert build_agent(run.agent_spec("optimize")).name == "scripted"
-        assert run._agent_for("optimize").name == "scripted"
+        assert run._agent_for("optimize").backend.name == "scripted"
         # unrouted stages keep the default
         assert run.agent_spec("examine") == config["providers"]["agent"]
-        assert run._agent_for("examine").name == "synthetic-oracle"
+        assert run._agent_for("examine").backend.name == "synthetic-oracle"
         assert run.manifest["providers"]["routing"] == {"optimize": "scripted"}
 
     @pytest.mark.parametrize("stage", ["optimise", "ingest"])

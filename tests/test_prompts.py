@@ -4,7 +4,8 @@ from pathlib import Path
 import pytest
 
 import rljp.prompts as prompts
-from rljp.agents import Refusal, RefusalError, ScriptedBackend, Transcript
+from helpers import scripted
+from rljp.agents import Refusal, RefusalError
 from rljp.prompts import SYSTEM_LEGAL_ANALYST, ask
 
 
@@ -14,50 +15,47 @@ def _number(text: str) -> int:
 
 class TestAsk:
     def test_one_send_under_the_system_prompt_returns_the_stripped_reply(self):
-        backend = ScriptedBackend({"t": "  an answer \n"})
-        transcript = Transcript()
-        assert ask(backend, "question", tag="t", temperature=0.3, transcript=transcript) == (
-            "an answer"
-        )
-        (request,) = backend.calls
+        agent = scripted({"t": "  an answer \n"})
+        assert ask(agent, "question", tag="t", temperature=0.3) == "an answer"
+        (request,) = agent.backend.calls
         assert (request.system_text, request.user_text) == (SYSTEM_LEGAL_ANALYST, "question")
         assert (request.temperature, request.tag) == (0.3, "t")
-        assert transcript.calls == 1
+        assert agent.transcript.calls == 1
 
     def test_rejected_reply_is_followed_up_until_parsed(self):
-        backend = ScriptedBackend({"t": ["x", "y", "42"]})
+        agent = scripted({"t": ["x", "y", "42"]})
         follow_ups = []
 
         def follow_up(reply, error):
             follow_ups.append((reply, type(error)))
             return f"not a number: {reply}"
 
-        assert ask(backend, "q", tag="t", parse=_number, attempts=3, follow_up=follow_up) == 42
-        assert [r.user_text for r in backend.calls] == ["q", "not a number: x", "not a number: y"]
+        assert ask(agent, "q", tag="t", parse=_number, attempts=3, follow_up=follow_up) == 42
+        assert [r.user_text for r in agent.backend.calls] == ["q", "not a number: x", "not a number: y"]
         assert follow_ups == [("x", ValueError), ("y", ValueError)]
 
     def test_without_follow_up_the_same_prompt_is_sent_again(self):
-        backend = ScriptedBackend({"t": ["x", "7"]})
-        assert ask(backend, "q", tag="t", parse=_number, attempts=2) == 7
-        assert [r.user_text for r in backend.calls] == ["q", "q"]
+        agent = scripted({"t": ["x", "7"]})
+        assert ask(agent, "q", tag="t", parse=_number, attempts=2) == 7
+        assert [r.user_text for r in agent.backend.calls] == ["q", "q"]
 
     def test_last_rejection_propagates_after_all_attempts(self):
-        backend = ScriptedBackend({"t": ["x", "y"]})
+        agent = scripted({"t": ["x", "y"]})
         with pytest.raises(ValueError, match="'y'"):
-            ask(backend, "q", tag="t", parse=_number, attempts=2)
-        assert len(backend.calls) == 2
+            ask(agent, "q", tag="t", parse=_number, attempts=2)
+        assert len(agent.backend.calls) == 2
 
     def test_one_attempt_does_not_re_ask(self):
-        backend = ScriptedBackend({"t": ["x", "1"]})
+        agent = scripted({"t": ["x", "1"]})
         with pytest.raises(ValueError):
-            ask(backend, "q", tag="t", parse=_number)
-        assert len(backend.calls) == 1
+            ask(agent, "q", tag="t", parse=_number)
+        assert len(agent.backend.calls) == 1
 
     def test_agent_errors_are_not_re_asked(self):
-        backend = ScriptedBackend({"t": [Refusal(), "1"]})
+        agent = scripted({"t": [Refusal(), "1"]})
         with pytest.raises(RefusalError):
-            ask(backend, "q", tag="t", parse=_number, attempts=2)
-        assert len(backend.calls) == 1
+            ask(agent, "q", tag="t", parse=_number, attempts=2)
+        assert len(agent.backend.calls) == 1
 
     def test_complete_is_looked_up_at_call_time(self, monkeypatch):
         # a tracer that rebinds prompts.complete must see every turn
@@ -69,7 +67,7 @@ class TestAsk:
             return original(request, agent, **kwargs)
 
         monkeypatch.setattr(prompts, "complete", traced)
-        ask(ScriptedBackend({"t": ["x", "1"]}), "q", tag="t", parse=_number, attempts=2)
+        ask(scripted({"t": ["x", "1"]}), "q", tag="t", parse=_number, attempts=2)
         assert seen == ["t", "t"]
 
 

@@ -2,8 +2,8 @@ import random
 
 import pytest
 
-from helpers import LABELS, make_case
-from rljp.agents import ScriptedBackend, Transcript, fan_out
+from helpers import LABELS, make_case, scripted
+from rljp.agents import fan_out
 from rljp.confusable import ConfusableSet
 import rljp.quiz as quiz_mod
 from rljp.fol import ArticleCharge, parse_rule, render_consequent
@@ -146,7 +146,7 @@ class TestRunQuiz:
         for q in questions:
             letter = q.correct_letter if q.is_positive else q.target_letter
             script[f"quiz/{q.case_id}"] = f"Reasoning: because\nAnswer: {letter}"
-        result = run_quiz(self.RULE, questions, ScriptedBackend(script))
+        result = run_quiz(self.RULE, questions, scripted(script))
         assert (
             result.count("TP") == 2 and result.count("FP") == 1
             and result.count("TN") == 0 and result.count("FN") == 0
@@ -159,7 +159,7 @@ class TestRunQuiz:
             f"quiz/{q.case_id}": f"Reasoning: r\nAnswer: {q.correct_letter}"
             for q in questions
         }
-        result = run_quiz(self.RULE, questions, ScriptedBackend(script))
+        result = run_quiz(self.RULE, questions, scripted(script))
         assert result.score == 1.0
 
     def test_garbage_then_letter_triggers_reask(self):
@@ -171,20 +171,18 @@ class TestRunQuiz:
             ]
             for q in questions
         }
-        transcript = Transcript()
-        result = run_quiz(
-            self.RULE, questions, ScriptedBackend(script), transcript=transcript
-        )
+        agent = scripted(script)
+        result = run_quiz(self.RULE, questions, agent)
         assert result.score == 1.0
         assert not any(r.malformed for r in result.records)
-        assert transcript.calls == 2 * len(questions)
+        assert agent.transcript.calls == 2 * len(questions)
 
     def test_garbage_twice_yields_malformed_record(self):
         questions = make_quiz(_confusable(), LABELS, num_options=4, seed=1)
         script = {
             f"quiz/{q.case_id}": ["nonsense", "still nonsense"] for q in questions
         }
-        result = run_quiz(self.RULE, questions, ScriptedBackend(script))
+        result = run_quiz(self.RULE, questions, scripted(script))
         assert all(r.malformed for r in result.records)
         # malformed counts against: FN on positives, FP on negatives
         assert result.count("FN") == 2 and result.count("FP") == 1 and result.score == 0.0
@@ -194,7 +192,7 @@ class TestRunQuiz:
         script = {
             f"quiz/{q.case_id}": ["nonsense", "Reasoning: a guess\nAnswer: Z"] for q in questions
         }
-        result = run_quiz(self.RULE, questions, ScriptedBackend(script))
+        result = run_quiz(self.RULE, questions, scripted(script))
         assert all(r.malformed for r in result.records)
         assert {(r.predicted_letter, r.reasoning_text) for r in result.records} == {
             ("Z", "a guess")
@@ -204,7 +202,7 @@ class TestRunQuiz:
         # quizzes run side by side under fan_out, one per target
         questions = make_quiz(_confusable(), LABELS, num_options=4, seed=1)
         prefixes = [f"quiz/t{i}" for i in range(6)]
-        backend = ScriptedBackend(
+        agent = scripted(
             {
                 f"{prefix}/{q.case_id}": f"Reasoning: r\nAnswer: {q.correct_letter}"
                 for prefix in prefixes
@@ -212,7 +210,7 @@ class TestRunQuiz:
             }
         )
         results = fan_out(
-            lambda prefix: run_quiz(self.RULE, questions, backend, tag_prefix=prefix),
+            lambda prefix: run_quiz(self.RULE, questions, agent, tag_prefix=prefix),
             prefixes,
             4,
         )

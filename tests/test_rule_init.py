@@ -1,7 +1,6 @@
 import pytest
 
-from helpers import LABELS, make_case
-from rljp.agents import ScriptedBackend, Transcript
+from helpers import LABELS, make_case, scripted
 from rljp.fol import ArticleCharge, ArticleTerm, consequent_key
 from rljp.rule_init import (
     InitError,
@@ -38,8 +37,8 @@ PRECEDENTS = [make_case(f"p{i}", f"precedent facts {i}") for i in range(3)]
 
 class TestSummarize:
     def test_six_labeled_lines(self):
-        backend = ScriptedBackend({f"init/summarize/{KEY}": SIX_LINES})
-        factors = summarize_circumstances(PRECEDENTS, TARGET, backend).splitlines()
+        agent = scripted({f"init/summarize/{KEY}": SIX_LINES})
+        factors = summarize_circumstances(PRECEDENTS, TARGET, agent).splitlines()
         assert factors[0] == "SUBJECT: adult offender"
         assert factors[5] == "MENTAL_STATE: intentional"
 
@@ -47,14 +46,14 @@ class TestSummarize:
         partial = "\n".join(
             line for line in SIX_LINES.splitlines() if not line.startswith("VICTIM")
         )
-        backend = ScriptedBackend({f"init/summarize/{KEY}": partial})
-        factors = summarize_circumstances(PRECEDENTS, TARGET, backend).splitlines()
+        agent = scripted({f"init/summarize/{KEY}": partial})
+        factors = summarize_circumstances(PRECEDENTS, TARGET, agent).splitlines()
         assert factors[1] == "VICTIM: unspecified"
         assert factors[3] == "BEHAVIOR: taking property covertly"
 
     def test_empty_precedents_rejected(self):
         with pytest.raises(InitError):
-            summarize_circumstances([], TARGET, ScriptedBackend({}))
+            summarize_circumstances([], TARGET, scripted({}))
 
 
 class TestDefineSymbols:
@@ -68,8 +67,8 @@ class TestDefineSymbols:
         return [line.split()[0] for line in table.splitlines()]
 
     def test_parses_table(self):
-        backend = ScriptedBackend({f"init/symbols/{KEY}": SYMBOLS_OK})
-        table = define_symbols(self.FACTORS, TARGET, backend)
+        agent = scripted({f"init/symbols/{KEY}": SYMBOLS_OK})
+        table = define_symbols(self.FACTORS, TARGET, agent)
         assert self._kinds(table).count("PRED") == 2
         assert self._kinds(table).count("VAR") == 1
         assert [line for line in table.splitlines() if line.startswith("QUANT")] == [
@@ -87,20 +86,20 @@ class TestDefineSymbols:
 
     def test_duplicate_name_triggers_one_repair(self):
         duplicated = "VAR x: a\nPRED x/1: conflicts with the variable"
-        backend = ScriptedBackend(
+        agent = scripted(
             {f"init/symbols/{KEY}": [duplicated, SYMBOLS_OK]}
         )
-        table = define_symbols(self.FACTORS, TARGET, backend)
-        assert len(backend.calls) == 2
-        assert "duplicate symbol name" in backend.calls[1].user_text
+        table = define_symbols(self.FACTORS, TARGET, agent)
+        assert len(agent.backend.calls) == 2
+        assert "duplicate symbol name" in agent.backend.calls[1].user_text
         assert self._kinds(table).count("PRED") == 2
 
     def test_repair_prompt_quotes_the_error_under_the_first_prompt(self):
-        backend = ScriptedBackend({f"init/symbols/{KEY}": ["", "VAR x: a\nVAR x: b", ""]})
+        agent = scripted({f"init/symbols/{KEY}": ["", "VAR x: a\nVAR x: b", ""]})
         with pytest.raises(InitError) as err:
-            define_symbols(self.FACTORS, TARGET, backend)
-        first = backend.calls[0].user_text
-        assert [r.user_text for r in backend.calls[1:]] == [
+            define_symbols(self.FACTORS, TARGET, agent)
+        first = agent.backend.calls[0].user_text
+        assert [r.user_text for r in agent.backend.calls[1:]] == [
             f"{first}\n\nYour previous reply was rejected: no symbols parsed from reply\n"
             "Emit the corrected symbol list only.",
             f"{first}\n\nYour previous reply was rejected: duplicate symbol name x\n"
@@ -111,9 +110,9 @@ class TestDefineSymbols:
         )
 
     def test_empty_reply_three_times_errors(self):
-        backend = ScriptedBackend({f"init/symbols/{KEY}": ["", "", ""]})
+        agent = scripted({f"init/symbols/{KEY}": ["", "", ""]})
         with pytest.raises(InitError, match="symbol definition failed"):
-            define_symbols(self.FACTORS, TARGET, backend)
+            define_symbols(self.FACTORS, TARGET, agent)
 
 
 class TestInitRuleForTarget:
@@ -125,53 +124,49 @@ class TestInitRuleForTarget:
         }
 
     def test_three_step_transcript_yields_version_zero(self):
-        backend = ScriptedBackend(self._script(RULE_OK))
-        transcript = Transcript()
-        rule = init_rule_for_target(
-            TARGET, PRECEDENTS, backend, LABELS, transcript=transcript
-        )
+        agent = scripted(self._script(RULE_OK))
+        rule = init_rule_for_target(TARGET, PRECEDENTS, agent, LABELS)
         assert rule.version == 0
         assert rule.provenance.kind == "initialized"
         assert rule.target == TARGET
-        assert transcript.calls == 3
+        assert agent.transcript.calls == 3
 
     def test_invalid_then_valid_is_four_calls(self):
-        backend = ScriptedBackend(
+        agent = scripted(
             self._script(["RULE: FORALL x Theft(x) -> ARTICLE(264)", RULE_OK])
         )
-        transcript = Transcript()
-        rule = init_rule_for_target(
-            TARGET, PRECEDENTS, backend, LABELS, transcript=transcript
-        )
+        rule = init_rule_for_target(TARGET, PRECEDENTS, agent, LABELS)
         assert rule.version == 0
-        assert transcript.calls == 4
+        assert agent.transcript.calls == 4
 
     def test_term_target_keeps_term_consequent(self):
         target = ArticleTerm("264", "b1")
         key = consequent_key(target)
-        backend = ScriptedBackend(
+        agent = scripted(
             {
                 f"init/summarize/{key}": SIX_LINES,
                 f"init/symbols/{key}": SYMBOLS_OK,
                 f"init/rule/{key}": "RULE: FORALL x (Theft(x)) -> ARTICLE(264) TERM(b1)",
             }
         )
-        rule = init_rule_for_target(target, PRECEDENTS, backend, LABELS)
+        rule = init_rule_for_target(target, PRECEDENTS, agent, LABELS)
         assert rule.target == target
 
     def test_unrecoverable_failure_raises(self):
-        backend = ScriptedBackend(self._script(["bad", "bad", "bad"]))
+        agent = scripted(self._script(["bad", "bad", "bad"]))
         with pytest.raises(InitError, match="rule construction failed"):
-            init_rule_for_target(TARGET, PRECEDENTS, backend, LABELS)
+            init_rule_for_target(TARGET, PRECEDENTS, agent, LABELS)
 
 
 class TestInitAllRules:
-    def _groups(self):
-        return {
+    def _groups(self, targets):
+        """The precedent groups of `targets`, in their order."""
+        groups = {
             ArticleCharge("264", "theft"): [make_case("a", "theft facts")],
             ArticleCharge("263", "robbery"): [make_case("b", "robbery facts", "263", "robbery")],
             ArticleCharge("266", "fraud"): [make_case("c", "fraud facts", "266", "fraud")],
         }
+        return {target: groups[target] for target in targets}
 
     def _target(self, article, charge):
         return ArticleCharge(article, charge)
@@ -192,7 +187,7 @@ class TestInitAllRules:
             script[f"init/summarize/{key}"] = SIX_LINES
             script[f"init/symbols/{key}"] = SYMBOLS_OK
             script[f"init/rule/{key}"] = rule
-        ruleset = init_all_rules(self._groups(), targets, ScriptedBackend(script), LABELS)
+        ruleset = init_all_rules(self._groups(targets), scripted(script), LABELS)
         assert len(ruleset.rules) == 3
         assert ruleset.failures == {}
 
@@ -205,15 +200,9 @@ class TestInitAllRules:
             script[f"init/symbols/{key}"] = SYMBOLS_OK
         script[f"init/rule/{consequent_key(targets[0])}"] = RULE_OK
         script[f"init/rule/{consequent_key(targets[1])}"] = ["bad", "bad", "bad"]
-        ruleset = init_all_rules(self._groups(), targets, ScriptedBackend(script), LABELS)
+        ruleset = init_all_rules(self._groups(targets), scripted(script), LABELS)
         assert len(ruleset.rules) == 1
         assert list(ruleset.failures) == [consequent_key(targets[1])]
-
-    def test_zero_precedents_skipped_with_report(self):
-        targets = [self._target("234", "assault")]
-        ruleset = init_all_rules(self._groups(), targets, ScriptedBackend({}), LABELS)
-        assert ruleset.rules == {}
-        assert ruleset.failures == {consequent_key(targets[0]): "no precedents"}
 
     def test_initialized_rules_validate(self):
         targets = [self._target("264", "theft")]
@@ -222,7 +211,7 @@ class TestInitAllRules:
             f"init/symbols/{KEY}": SYMBOLS_OK,
             f"init/rule/{KEY}": RULE_OK,
         }
-        ruleset = init_all_rules(self._groups(), targets, ScriptedBackend(script), LABELS)
+        ruleset = init_all_rules(self._groups(targets), scripted(script), LABELS)
         from rljp.fol import validate_rule
 
         for rule in ruleset.rules.values():
@@ -235,7 +224,7 @@ class TestInitAllRules:
             f"init/symbols/{KEY}": SYMBOLS_OK,
             f"init/rule/{KEY}": RULE_OK,
         }
-        backend = ScriptedBackend(script)
-        init_all_rules(self._groups(), targets, backend, LABELS, temperature=0.2)
-        assert len(backend.calls) == 3
-        assert [call.temperature for call in backend.calls] == [0.2] * 3
+        agent = scripted(script)
+        init_all_rules(self._groups(targets), agent, LABELS, temperature=0.2)
+        assert len(agent.backend.calls) == 3
+        assert [call.temperature for call in agent.backend.calls] == [0.2] * 3
