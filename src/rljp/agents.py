@@ -11,6 +11,12 @@ fail loudly on anything unscripted, so tests pin the exact conversation a
 stage is allowed to have. fan_out() is the one place that runs agent work
 on threads: each worker makes its calls one after another, so the worker
 count bounds the calls in flight.
+
+Outside its send, a call takes no lock and makes no system call: the retry
+jitter's RNG is only built (and seeded from os.urandom) after a transient
+failure, and the transcript queues the call on a deque. Either one, done on
+every call, made the worker threads hand the interpreter lock to each other
+on every call instead of only when a send waits.
 """
 
 from __future__ import annotations
@@ -23,6 +29,7 @@ import random
 import re
 import threading
 import time
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -104,20 +111,25 @@ class Transcript:
     """Append-only call log; one JSON line per logical agent call.
 
     Keeps running totals of calls and usage units rather than the entries.
-    `record` only counts a call and queues its line; `flush` appends the
-    queued lines to the file in one write. Callers flush before writing any
-    artifact that holds an answer, so a hard kill loses only lines whose
-    answers no artifact holds. Opening an existing log seeds the totals from
-    its lines, so a resumed run still accounts for every call in the file.
+    `record` takes no lock and makes no system call: it appends the call's
+    line and usage to a deque (an atomic append), so worker threads never
+    block on one another to log a call. `flush` and the reads of `calls`,
+    `input_units` and `output_units` drain that queue into the totals under
+    a lock, and `flush` appends the drained lines to the file in one write.
+    Callers flush before writing any artifact that holds an answer, so a
+    hard kill loses only lines whose answers no artifact holds. Opening an
+    existing log seeds the totals from its lines, so a resumed run still
+    accounts for every call in the file.
     """
 
     def __init__(self, path: Optional[str | Path] = None):
         self.path = Path(path) if path is not None else None
-        self.calls = 0
-        self.input_units = 0
-        self.output_units = 0
+        self._calls = 0
+        self._input_units = 0
+        self._output_units = 0
+        self._recorded: deque[tuple[Optional[str], int, int]] = deque()
         self._pending: list[str] = []
-        self._lock = threading.Lock()  # counters and _pending
+        self._lock = threading.Lock()  # totals, _pending and draining _recorded
         self._write_lock = threading.Lock()  # held until a flush's lines are on disk
         if self.path is not None and self.path.exists():
             line = ""
@@ -129,14 +141,41 @@ class Transcript:
                         # a write cut short by a crash: still one call
                         logger.warning("%s: unreadable line counted without usage", self.path)
                         entry = {}
-                    self._count(entry)
+                    self._count(entry.get("input_units", 0), entry.get("output_units", 0))
             if line and not line.endswith("\n"):
                 self._pending.append("\n")  # so the next call starts a line of its own
 
-    def _count(self, entry: dict) -> None:
-        self.calls += 1
-        self.input_units += entry.get("input_units", 0)
-        self.output_units += entry.get("output_units", 0)
+    def _count(self, input_units: int, output_units: int) -> None:
+        self._calls += 1
+        self._input_units += input_units
+        self._output_units += output_units
+
+    def _drain(self) -> None:
+        """Move the recorded calls into the totals and pending lines; the
+        caller holds _lock, so this is the queue's only consumer."""
+        while self._recorded:
+            line, input_units, output_units = self._recorded.popleft()
+            self._count(input_units, output_units)
+            if line is not None:
+                self._pending.append(line)
+
+    @property
+    def calls(self) -> int:
+        with self._lock:
+            self._drain()
+            return self._calls
+
+    @property
+    def input_units(self) -> int:
+        with self._lock:
+            self._drain()
+            return self._input_units
+
+    @property
+    def output_units(self) -> int:
+        with self._lock:
+            self._drain()
+            return self._output_units
 
     def record(
         self,
@@ -146,25 +185,24 @@ class Transcript:
         retries: int,
         backend: str,
     ) -> None:
-        entry = {
-            "tag": request.tag,
-            "request": {
-                "system": request.system_text,
-                "user": request.user_text,
-                "temperature": request.temperature,
-            },
-            "response": response.text,
-            "latency": response.latency_ms,
-            "retries": retries,
-            "backend": backend,
-            "input_units": response.input_units,
-            "output_units": response.output_units,
-        }
-        line = json.dumps(entry, ensure_ascii=False) + "\n"
-        with self._lock:
-            self._count(entry)
-            if self.path is not None:
-                self._pending.append(line)
+        line = None
+        if self.path is not None:
+            entry = {
+                "tag": request.tag,
+                "request": {
+                    "system": request.system_text,
+                    "user": request.user_text,
+                    "temperature": request.temperature,
+                },
+                "response": response.text,
+                "latency": response.latency_ms,
+                "retries": retries,
+                "backend": backend,
+                "input_units": response.input_units,
+                "output_units": response.output_units,
+            }
+            line = json.dumps(entry, ensure_ascii=False) + "\n"
+        self._recorded.append((line, response.input_units, response.output_units))
 
     def flush(self) -> None:
         """Append every queued line to the file. When it returns, each call
@@ -172,6 +210,7 @@ class Transcript:
         thread's concurrent flush wrote."""
         with self._write_lock:
             with self._lock:
+                self._drain()
                 lines, self._pending = self._pending, []
             if lines:
                 with self.path.open("a", encoding="utf-8") as handle:
@@ -201,7 +240,6 @@ def retry(
     all, with full-jitter backoff and at least the failure's retry_after in
     between; any other error propagates at once.
     """
-    rng = rng or random.Random()
     last_error: Optional[Exception] = None
     for attempt in range(policy.max_attempts):
         try:
@@ -213,6 +251,9 @@ def retry(
                 tag, attempt + 1, policy.max_attempts, exc,
             )
             if attempt + 1 < policy.max_attempts:
+                if rng is None:
+                    # seeding from os.urandom is a system call; only a retry pays it
+                    rng = random.Random()
                 sleep(max(policy.delay(attempt, rng), exc.retry_after))
     raise RetriesExhaustedError(
         f"gave up on {tag!r} after {policy.max_attempts} attempts: {last_error}"

@@ -102,11 +102,12 @@ class CharNgramPerceptron:
             raise ProviderNotTrainedError("candidate provider has not been trained")
         features = self._features(fact_texts)
         # a row-wise sum, not a BLAS mat-vec: the mat-vec can round equal
-        # weight rows differently, and tied labels must stay tied
+        # weight rows differently, and tied labels must stay tied; the
+        # reshape keeps an empty batch two-dimensional
         return {
             subtask: np.array(
                 [(self._weights[subtask][:, idx] * vals).sum(axis=1) for idx, vals in features]
-            )
+            ).reshape(len(features), len(self._weights[subtask]))
             for subtask in SUBTASKS
         }
 

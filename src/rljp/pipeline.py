@@ -345,11 +345,13 @@ def _build_confusable(run: PipelineRun) -> None:
     train = list(corpus.load_split(run.path("split.json"), run.cases).train)
     embeddings = confusable.embed_cases(train, build_embedder(run.config["providers"]["embedder"]))
     num_config = run.config["optimization"]["num_negatives"]
+    gold = {kind: [case_label(c, kind) for c in train] for kind in corpus.RULE_KINDS}
     sets = {}
     for target in corpus.load_precedents(run.path("precedents.json"), run.cases):
         key = consequent_key(target)
-        positives = [c for c in train if case_label(c, target) == target]
-        others = [c for c in train if case_label(c, target) != target]
+        labelled = list(zip(train, gold[type(target)]))
+        positives = [c for c, label in labelled if label == target]
+        others = [c for c, label in labelled if label != target]
         if not positives or not others:
             logger.warning("target %s has no positives or no others; skipped", key)
             continue

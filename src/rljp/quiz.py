@@ -37,11 +37,11 @@ def derive_rng(seed: int, *parts: str) -> random.Random:
     return random.Random(int.from_bytes(digest, "big"))
 
 
-def case_label(case: LegalCase, kind_of: Consequent) -> Consequent:
-    """The case's gold label projected onto the target's consequent kind."""
+def case_label(case: LegalCase, kind: type[Consequent]) -> Consequent:
+    """The case's gold label projected onto a consequent kind."""
     if case.judgment is None:
         raise ValueError(f"case {case.case_id} has no judgment")
-    return type(kind_of)(*(case.judgment.label(s) for s in kind_of.subtasks))
+    return kind(*(case.judgment.label(s) for s in kind.subtasks))
 
 
 def label_universe(labels: LabelSpace, kind: type[Consequent]) -> list[Consequent]:
@@ -129,7 +129,7 @@ def make_quiz(
 
     questions: list[QuizQuestion] = []
     for case in confusable.validation_cases():
-        gold_text = render_consequent(case_label(case, target))
+        gold_text = render_consequent(case_label(case, type(target)))
         is_positive = gold_text == target_text
 
         fixed = [target_text] if is_positive else [target_text, gold_text]

@@ -1,10 +1,13 @@
 import json
 import random
+import sys
+import threading
 
 import pytest
 import requests
 
 from helpers import transcript_entries
+from rljp import agents
 from rljp.agents import (
     Agent,
     AgentError,
@@ -132,6 +135,42 @@ class TestComplete:
                 delay = policy.delay(attempt, rng)
                 assert 0.0 <= delay <= 2.0**attempt
 
+    def test_a_first_send_that_succeeds_builds_no_rng(self, monkeypatch):
+        # an unseeded Random seeds itself from os.urandom, a system call on
+        # every logical call that only a retry needs
+        def no_rng(*args):
+            raise AssertionError("random.Random() built for a call that did not retry")
+
+        monkeypatch.setattr(agents.random, "Random", no_rng)
+        agent = Agent(ScriptedBackend({"t": "ok"}))
+        assert complete(_request("t"), agent, sleep=lambda _: None).text == "ok"
+        assert agent.transcript.calls == 1
+
+    def test_a_retried_call_builds_its_rng_after_the_first_failure(self, monkeypatch):
+        events: list[str] = []
+        seeded = random.Random
+
+        def logged_rng(*args):
+            events.append("rng")
+            return seeded(7)
+
+        class LoggedFlaky(FlakyBackend):
+            def send(self, request):
+                events.append("send")
+                return super().send(request)
+
+        monkeypatch.setattr(agents.random, "Random", logged_rng)
+        sleeps: list[float] = []
+        policy = RetryPolicy(base_delay=0.5, factor=3.0, max_attempts=5)
+        response = complete(_request(), Agent(LoggedFlaky(failures=2)), policy=policy,
+                            sleep=sleeps.append)
+        assert response.text == "ok"
+        assert events == ["send", "rng", "send", "send"]
+        # full jitter over [0, base * factor^attempt), drawn from that one rng
+        expected = seeded(7)
+        assert sleeps == [expected.uniform(0.0, 0.5), expected.uniform(0.0, 1.5)]
+        assert 0.0 <= sleeps[0] < 0.5 and 0.0 <= sleeps[1] < 1.5
+
     def test_transcript_lines_match_logical_calls(self, tmp_path):
         agent = Agent(ScriptedBackend({"a": "1", "b": "2"}), Transcript(tmp_path / "t.jsonl"))
         complete(_request("a"), agent)
@@ -152,6 +191,69 @@ class TestTranscript:
         assert (reopened.calls, reopened.input_units, reopened.output_units) == (2, 7, 2)
         reopened.record(_request("b"), ChatResponse("y", 3, 1), retries=0, backend="b")
         assert (reopened.calls, reopened.input_units, reopened.output_units) == (3, 10, 3)
+
+    def test_a_transcript_reopened_after_a_flush_seeds_the_same_totals(self, tmp_path):
+        path = tmp_path / "transcript.jsonl"
+        first = Transcript(path)
+        for i in range(5):
+            first.record(_request(f"t{i}"), ChatResponse("x", i, 2 * i), retries=0, backend="b")
+        first.flush()
+        totals = (first.calls, first.input_units, first.output_units)
+        assert totals == (5, 10, 20)
+        reopened = Transcript(path)
+        assert (reopened.calls, reopened.input_units, reopened.output_units) == totals
+
+    def test_a_memory_only_transcript_counts_and_flushes_nothing(self):
+        transcript = Transcript()
+        for i in range(3):
+            transcript.record(_request(), ChatResponse("x", 4, i), retries=0, backend="b")
+        transcript.flush()
+        assert (transcript.calls, transcript.input_units, transcript.output_units) == (3, 12, 3)
+
+    def test_record_takes_no_lock(self, tmp_path):
+        # under worker threads a lock taken per call convoys: each acquire
+        # blocks and hands the interpreter lock to another thread
+        class Forbidden:
+            def __enter__(self):
+                raise AssertionError("record took a lock")
+
+        transcript = Transcript(tmp_path / "transcript.jsonl")
+        locks = transcript._lock, transcript._write_lock
+        transcript._lock = transcript._write_lock = Forbidden()
+        transcript.record(_request(), ChatResponse("x", 2, 1), retries=0, backend="b")
+        transcript._lock, transcript._write_lock = locks
+        assert (transcript.calls, transcript.input_units, transcript.output_units) == (1, 2, 1)
+        assert len(transcript_entries(transcript)) == 1
+
+    def test_records_from_many_threads_are_all_counted_and_written(self, tmp_path):
+        path = tmp_path / "transcript.jsonl"
+        transcript = Transcript(path)
+        threads_n, calls_n = 8, 500
+
+        def worker(index: int) -> None:
+            for call in range(calls_n):
+                transcript.record(
+                    _request(f"w{index}/{call}"), ChatResponse("y", call, index),
+                    retries=0, backend="b",
+                )
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(i,)) for i in range(threads_n)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert transcript.calls == threads_n * calls_n
+        assert transcript.input_units == threads_n * sum(range(calls_n))
+        assert transcript.output_units == calls_n * sum(range(threads_n))
+        transcript.flush()
+        lines = path.read_text(encoding="utf-8").splitlines()
+        assert len(lines) == len({json.loads(line)["tag"] for line in lines}) == 4000
 
 
 class TestChatRequest:

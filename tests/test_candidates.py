@@ -66,6 +66,13 @@ class TestCandidateLabels:
             for ranked in provider.top_labels(facts, k=n_labels):
                 assert ranked["charge"] == labels.charges, n_labels
 
+    def test_no_facts_rank_to_an_empty_list(self):
+        provider = fixed_scorer({"a": 0.1, "b": 0.2})
+        assert provider.top_labels([], k=2) == []
+        assert {subtask: m.shape for subtask, m in provider.scores([]).items()} == {
+            "article": (0, 1), "charge": (0, 2), "prison_term": (0, 1),
+        }
+
     def test_k_below_one_is_rejected(self):
         with pytest.raises(ValueError, match="k must be at least 1"):
             fixed_scorer({"a": 0.1}).top_labels(["fact"], k=0)
