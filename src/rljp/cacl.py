@@ -47,11 +47,13 @@ class CaclError(RuntimeError):
     """Unrecoverable failure while deriving or applying a direction."""
 
 
-def _format_record(record: ReasoningRecord, fact_truncate: int) -> str:
+def _format_record(record: ReasoningRecord) -> str:
     fact = record.question.fact_text
-    if len(fact) > fact_truncate:
-        fact = fact[:fact_truncate]
-        logger.debug("truncated fact for %s to %d chars", record.question.case_id, fact_truncate)
+    if len(fact) > FACT_TRUNCATE_DEFAULT:
+        fact = fact[:FACT_TRUNCATE_DEFAULT]
+        logger.debug(
+            "truncated fact for %s to %d chars", record.question.case_id, FACT_TRUNCATE_DEFAULT
+        )
     predicted = record.predicted_letter or "(none)"
     return (
         f"Question ({record.question.case_id}):\n"
@@ -63,22 +65,20 @@ def _format_record(record: ReasoningRecord, fact_truncate: int) -> str:
     )
 
 
-def _format_records(
-    records: Sequence[ReasoningRecord],
-    *,
-    cap: int,
-    fact_truncate: int,
-    rank_by_similarity: bool,
-) -> str:
+def _format_records(records: Sequence[ReasoningRecord], *, rank_by_similarity: bool) -> str:
+    """At most MAX_RECORDS_PER_SIDE_DEFAULT records, the most similar first
+    with `rank_by_similarity`, each fact cut to FACT_TRUNCATE_DEFAULT chars."""
     chosen = list(records)
     if rank_by_similarity:
         chosen.sort(
             key=lambda r: -(r.question.similarity if r.question.similarity is not None else -1.0)
         )
-    if len(chosen) > cap:
-        logger.info("capping %d records to %d for prompt", len(chosen), cap)
-        chosen = chosen[:cap]
-    return "\n\n".join(_format_record(r, fact_truncate) for r in chosen)
+    if len(chosen) > MAX_RECORDS_PER_SIDE_DEFAULT:
+        logger.info(
+            "capping %d records to %d for prompt", len(chosen), MAX_RECORDS_PER_SIDE_DEFAULT
+        )
+        chosen = chosen[:MAX_RECORDS_PER_SIDE_DEFAULT]
+    return "\n\n".join(_format_record(r) for r in chosen)
 
 
 _KEEP_RE = re.compile(r"KEEP:\s*(.*?)(?:\nIMPROVE:|\Z)", re.DOTALL)
@@ -104,8 +104,6 @@ def derive_direction(
     *,
     tag_prefix: str = "cacl",
     temperature: float = 0.7,
-    fact_truncate: int = FACT_TRUNCATE_DEFAULT,
-    max_records_per_side: int = MAX_RECORDS_PER_SIDE_DEFAULT,
 ) -> tuple[str, str]:
     """Derive the (keep, improve) direction from the quiz's correct (TP/TN)
     and incorrect (FP/FN) records.
@@ -125,12 +123,7 @@ def derive_direction(
             template,
             {
                 "rule": rule_text,
-                "records": _format_records(
-                    records,
-                    cap=max_records_per_side,
-                    fact_truncate=fact_truncate,
-                    rank_by_similarity=rank_by_similarity,
-                ),
+                "records": _format_records(records, rank_by_similarity=rank_by_similarity),
             },
         )
         return ask(agent, prompt, tag=tag, temperature=temperature)
@@ -299,18 +292,10 @@ def optimize_rule(
     child_rule_id: str,
     tag_prefix: str = "cacl",
     temperature: float = 0.7,
-    fact_truncate: int = FACT_TRUNCATE_DEFAULT,
-    max_records_per_side: int = MAX_RECORDS_PER_SIDE_DEFAULT,
 ) -> FolRule:
     """Full refinement step: quiz records -> direction -> rewritten child rule."""
     keep, improve = derive_direction(
-        rule,
-        result,
-        agent,
-        tag_prefix=tag_prefix,
-        temperature=temperature,
-        fact_truncate=fact_truncate,
-        max_records_per_side=max_records_per_side,
+        rule, result, agent, tag_prefix=tag_prefix, temperature=temperature
     )
     return apply_direction(
         rule,

@@ -1,17 +1,21 @@
 """Pipeline configuration: a single JSON file with one section per concern.
 
-Every tunable named by the engine modules appears here with its default, so
-a config file only states what it overrides. The --mock switch is applied
-here, at load time, so the config a run records is the one it uses; the
-backends are built here too, each from one spec.
+Every setting a run may vary appears here with its default, so a config
+file only states what it overrides; the prescreener's sizes and the prompt
+budgets are fixed, as constants in `candidates`, `cacl` and `examination`.
+The --mock switch is applied here, at load time, so the config a run records
+is the one it uses; the backends are built here too, each from one spec.
 """
 
 from __future__ import annotations
 
 import copy
 import json
+import math
 from pathlib import Path
 from typing import Any, Optional
+
+from .corpus import DEFAULT_SCHEMA
 
 DEFAULT_CONFIG: dict[str, Any] = {
     "seed": 11,
@@ -37,16 +41,10 @@ DEFAULT_CONFIG: dict[str, Any] = {
         "defined_score": 0.9,
         "max_iterations": 5,
         "num_negatives": None,  # None -> |S_positive|
-        "max_records_per_side": 20,
-        "fact_truncate": 1200,
         "temperature": 0.7,
     },
     "examination": {
         "candidate_k": 10,
-        "abstract_threshold": 4000,
-        "ngram_sizes": [1, 2, 3],
-        "hash_dim": 32768,
-        "epochs": 5,
     },
 }
 
@@ -72,25 +70,20 @@ _FLOORS = {
     "quiz.num_options": 2,
     "optimization.max_iterations": 0,
     "optimization.num_negatives": 1,
-    "optimization.max_records_per_side": 1,
-    "optimization.fact_truncate": 1,
     "examination.candidate_k": 1,
-    "examination.abstract_threshold": 1,
-    "examination.hash_dim": 1,
-    "examination.epochs": 1,
 }
 
 
 def _fits(default, value) -> bool:
-    """Whether `value` has the type of `default`. An int fits a float, a bool
-    fits only a bool, and anything fits None; each element of a list must fit
-    the default's first element."""
+    """Whether `value` has the type of `default`. A finite int or float fits a
+    float, a bool fits only a bool, and anything fits None; each element of a
+    list must fit the default's first element."""
     if default is None:
         return True
     if isinstance(default, list):
         return isinstance(value, list) and all(_fits(default[0], item) for item in value)
     if isinstance(default, float) and not isinstance(value, bool):
-        return isinstance(value, (int, float))
+        return isinstance(value, (int, float)) and math.isfinite(value)
     return type(value) is type(default)
 
 
@@ -107,6 +100,8 @@ def _merge(base: dict, override: dict, path: str = "") -> dict:
             merged[key] = _merge(merged[key], value, where)
         elif _fits(merged[key], value):
             merged[key] = value
+        elif isinstance(merged[key], float) and isinstance(value, float):
+            raise ConfigError(f"{where} must be finite, not {value!r}")
         else:
             raise ConfigError(
                 f"{where} must have the type of its default {merged[key]!r}, not {value!r}"
@@ -114,13 +109,12 @@ def _merge(base: dict, override: dict, path: str = "") -> dict:
     return merged
 
 
-def _resolve_paths(section: dict, base: Path, path: str = "") -> None:
+def _resolve_paths(section: dict, base: Path) -> None:
     """Resolve every non-empty `*_path` string under `section` against `base`,
-    in place; data.schema is left as it is."""
+    in place."""
     for key, value in section.items():
-        where = f"{path}.{key}" if path else key
-        if isinstance(value, dict) and where != "data.schema":
-            _resolve_paths(value, base, where)
+        if isinstance(value, dict):
+            _resolve_paths(value, base)
         elif key.endswith("_path") and isinstance(value, str) and value:
             section[key] = str((base / value).resolve())
 
@@ -150,16 +144,24 @@ def load_config(
         raise ConfigError(f"data.cases_path must be a non-empty string, not {data['cases_path']!r}")
     if not isinstance(data["labels_path"], (str, type(None))):
         raise ConfigError(f"data.labels_path must be null or a string, not {data['labels_path']!r}")
+    schema = data["schema"]
+    if not isinstance(schema, dict):
+        raise ConfigError(f"data.schema must be an object, not {schema!r}")
+    for field, source in schema.items():
+        if field not in DEFAULT_SCHEMA:
+            fields = ", ".join(DEFAULT_SCHEMA)
+            raise ConfigError(f"data.schema.{field} is not a case field; the fields are {fields}")
+        if field == "case_id" and source is None:
+            continue  # cases are then numbered by line
+        if not isinstance(source, str) or not source:
+            raise ConfigError(f"data.schema.{field} must be a non-empty string, not {source!r}")
     for where, floor in _FLOORS.items():
         section, _, key = where.rpartition(".")
         value = config[section][key] if section else config[key]
         if value is not None and (type(value) is not int or value < floor):
             raise ConfigError(f"{where} must be an integer of at least {floor}, not {value!r}")
-    sizes = config["examination"]["ngram_sizes"]
-    if not sizes or min(sizes) < 1:
-        raise ConfigError(f"examination.ngram_sizes must be sizes of at least 1, not {sizes!r}")
     temperature = config["optimization"]["temperature"]
-    if not temperature >= 0:  # NaN too
+    if temperature < 0:
         raise ConfigError(f"optimization.temperature must be at least 0, not {temperature!r}")
     if config["quiz"]["num_options"] > 26:
         raise ConfigError("quiz.num_options must be at most 26: options are lettered A-Z")
@@ -182,7 +184,8 @@ def load_config(
 
 def build_agent(spec: dict):
     """Agent backend for one spec: providers.agent, a routing entry, or
-    providers.mock.agent."""
+    providers.mock.agent. A spec that cannot be built is a ConfigError that
+    names it."""
     from .agents import HttpBackend, ScriptedBackend
     from .synthetic import OracleAgent, SyntheticWorld
 
@@ -191,12 +194,24 @@ def build_agent(spec: dict):
         world_path = spec.get("world_path")
         if not world_path:
             raise ConfigError("synthetic-oracle agent requires world_path")
-        return OracleAgent(SyntheticWorld.load(world_path))
+        try:
+            return OracleAgent(SyntheticWorld.load(world_path))
+        except (OSError, ValueError, KeyError, TypeError) as exc:
+            raise ConfigError(
+                f"synthetic-oracle agent cannot load world_path {world_path!r}: {exc}"
+            ) from exc
     if kind == "scripted":
         script_path = spec.get("script_path")
         if not script_path:
             raise ConfigError("scripted agent requires script_path")
-        script = json.loads(Path(script_path).read_text(encoding="utf-8"))
+        try:
+            script = json.loads(Path(script_path).read_text(encoding="utf-8"))
+        except (OSError, ValueError) as exc:
+            raise ConfigError(
+                f"scripted agent cannot load script_path {script_path!r}: {exc}"
+            ) from exc
+        if not isinstance(script, dict):
+            raise ConfigError(f"scripted agent's script_path {script_path!r} is not a JSON object")
         return ScriptedBackend(script)
     if kind == "http":
         base_url = spec.get("base_url")
@@ -208,11 +223,16 @@ def build_agent(spec: dict):
 
 
 def build_embedder(spec: dict):
+    """Embedder for providers.embedder or providers.mock.embedder; a spec that
+    cannot be built is a ConfigError that names it."""
     from .confusable import HashingEmbedder, HttpEmbedder
 
     kind = spec.get("kind")
     if kind == "hashing":
-        return HashingEmbedder(dim=int(spec.get("dim", 256)))
+        dim = spec.get("dim", 256)
+        if type(dim) is not int or dim < 1:
+            raise ConfigError(f"hashing embedder dim must be an integer of at least 1, not {dim!r}")
+        return HashingEmbedder(dim=dim)
     if kind == "http":
         base_url = spec.get("base_url")
         model = spec.get("model")

@@ -414,8 +414,6 @@ def _optimize(run: PipelineRun) -> list[Path]:
                 child_rule_id=child_rule_id,
                 tag_prefix=f"cacl/{key}",
                 temperature=opt_config["temperature"],
-                fact_truncate=opt_config["fact_truncate"],
-                max_records_per_side=opt_config["max_records_per_side"],
             )
 
         best = opt_tree.optimize(
@@ -440,13 +438,7 @@ def _optimize(run: PipelineRun) -> list[Path]:
 
 
 def _train_candidates(run: PipelineRun) -> None:
-    exam = run.config["examination"]
-    provider = CharNgramPerceptron(
-        run.labels,
-        ngram_sizes=tuple(exam["ngram_sizes"]),
-        hash_dim=exam["hash_dim"],
-        epochs=exam["epochs"],
-    )
+    provider = CharNgramPerceptron(run.labels)
     provider.train(list(corpus.load_split(run.path("split.json"), run.cases).train))
     provider.save(run.path("candidates.json"))
 
@@ -458,11 +450,12 @@ def _examine(run: PipelineRun) -> None:
         raise ValueError("the test split is empty; give data.ratios a larger test share")
     rules = rule_init.load_ruleset(run.path("rules_optimized.json"))
     provider = CharNgramPerceptron.load(run.path("candidates.json"))
-    exam = run.config["examination"]
     agent = run._agent_for("examine")
     # ranked here in one batch, not on the workers: numpy scoring on worker
     # threads contends for the interpreter lock and made examine slower
-    candidates = provider.top_labels([case.fact_text for case in split.test], exam["candidate_k"])
+    candidates = provider.top_labels(
+        [case.fact_text for case in split.test], run.config["examination"]["candidate_k"]
+    )
 
     def examine(item: tuple[LegalCase, dict]):
         case, case_candidates = item
@@ -474,7 +467,6 @@ def _examine(run: PipelineRun) -> None:
             labels,
             agent,
             seed=run.config["seed"],
-            abstract_threshold=exam["abstract_threshold"],
         )
         agent.transcript.flush()  # the case's answers reach disk before predictions.jsonl
         return prediction
@@ -526,22 +518,19 @@ STAGE_TABLE: dict[str, Stage] = {
     "optimize": Stage(
         ("cases.valid.jsonl", "rules_init.json", "confusable.json"),
         ("data.labels_path", "seed", "quiz.num_options", "optimization.defined_score",
-         "optimization.max_iterations", "optimization.max_records_per_side",
-         "optimization.fact_truncate", "optimization.temperature", "providers.agent"),
+         "optimization.max_iterations", "optimization.temperature", "providers.agent"),
         ("rules_optimized.json",),
         _optimize,
     ),
     "train-candidates": Stage(
         ("cases.valid.jsonl", "split.json"),
-        ("data.labels_path", "examination.ngram_sizes", "examination.hash_dim",
-         "examination.epochs"),
+        ("data.labels_path",),
         ("candidates.json",),
         _train_candidates,
     ),
     "examine": Stage(
         ("cases.valid.jsonl", "split.json", "rules_optimized.json", "candidates.json"),
-        ("data.labels_path", "seed", "examination.candidate_k",
-         "examination.abstract_threshold", "providers.agent"),
+        ("data.labels_path", "seed", "examination.candidate_k", "providers.agent"),
         ("predictions.jsonl",),
         _examine,
     ),

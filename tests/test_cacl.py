@@ -1,9 +1,13 @@
+import dataclasses
+import random
 import re
 
 import pytest
 
 from helpers import LABELS, scripted
 from rljp.cacl import (
+    FACT_TRUNCATE_DEFAULT,
+    MAX_RECORDS_PER_SIDE_DEFAULT,
     CaclError,
     apply_direction,
     derive_direction,
@@ -94,6 +98,34 @@ class TestDeriveDirection:
         )
         with pytest.raises(CaclError, match="unparsable"):
             derive_direction(RULE, _result(["TP", "FP"]), agent)
+
+    def test_improve_prompt_quotes_the_most_similar_records_with_cut_facts(self):
+        similarities = [i / 100 for i in range(25)]
+        random.Random(3).shuffle(similarities)
+        records = []
+        for i, similarity in enumerate(similarities):
+            record = _record("FP")
+            question = dataclasses.replace(
+                record.question,
+                case_id=f"n{i:02d}",
+                fact_text=f"fact {i:02d} " + "y" * 1492,
+                similarity=similarity,
+            )
+            records.append(dataclasses.replace(record, question=question))
+        assert all(len(r.question.fact_text) == 1500 for r in records)
+        agent = scripted({"cacl/improve": "improves", "cacl/synthesize": "IMPROVE: b"})
+        derive_direction(RULE, QuizResult(tuple(records)), agent)
+        prompt = agent.backend.calls[0].user_text
+        by_similarity = sorted(records, key=lambda r: -r.question.similarity)
+        quoted = re.findall(r"Question \((n\d\d)\):\nFact: (.*)\n", prompt)
+        assert len(quoted) == MAX_RECORDS_PER_SIDE_DEFAULT == 20
+        assert [case_id for case_id, _ in quoted] == [
+            r.question.case_id for r in by_similarity[:20]
+        ]
+        assert [fact for _, fact in quoted] == [
+            r.question.fact_text[:FACT_TRUNCATE_DEFAULT] for r in by_similarity[:20]
+        ]
+        assert FACT_TRUNCATE_DEFAULT == 1200
 
     def test_empty_triplet_rejected(self):
         empty = QuizResult(records=())

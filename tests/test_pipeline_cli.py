@@ -1,6 +1,7 @@
 import dataclasses
 import errno
 import json
+import re
 import shutil
 from collections import Counter
 from pathlib import Path
@@ -185,18 +186,11 @@ class TestConfig:
             ("quiz", "num_options", 27),
             ("data", "precedent_k", 0),
             ("optimization", "max_iterations", -1),
-            ("optimization", "max_records_per_side", 0),
-            ("optimization", "fact_truncate", 0),
             ("optimization", "temperature", -0.5),
             ("optimization", "temperature", float("nan")),
             ("examination", "candidate_k", 0),
             ("examination", "candidate_k", -1),
             ("examination", "candidate_k", -9),
-            ("examination", "abstract_threshold", 0),
-            ("examination", "hash_dim", 0),
-            ("examination", "epochs", 0),
-            ("examination", "ngram_sizes", [0, 3]),
-            ("examination", "ngram_sizes", []),
         ],
     )
     def test_cli_exit_code_2_on_setting_out_of_range(
@@ -222,7 +216,7 @@ class TestConfig:
             ({"optimization": {"num_negatives": 12}}, True),
             ({"quiz": {"num_options": True}}, False),
             ({"quiz": {"num_options": 4.0}}, False),
-            ({"examination": {"ngram_sizes": [1, 2.5]}}, False),
+            ({"data": {"cases_path": "x.jsonl", "ratios": [1, 0, "0"]}}, False),
             ({"quiz": 4}, False),
         ],
     )
@@ -237,7 +231,7 @@ class TestConfig:
 
     def test_every_path_setting_is_resolved_against_the_config_dir(self, tmp_path):
         raw = {
-            "data": {"cases_path": "c.jsonl", "schema": {"fact_path": "fact"}},
+            "data": {"cases_path": "c.jsonl", "schema": {"fact_text": "fact"}},
             "providers": {
                 "embedder": {"kind": "hashing", "vocab_path": "v.txt"},
                 "routing": {"optimize": {"kind": "scripted", "script_path": "s.json"}},
@@ -247,7 +241,7 @@ class TestConfig:
         config = load_config(tmp_path / "config.json")
         assert config["data"]["cases_path"] == str(tmp_path / "c.jsonl")
         assert config["data"]["labels_path"] is None
-        assert config["data"]["schema"] == {"fact_path": "fact"}
+        assert config["data"]["schema"] == {"fact_text": "fact"}
         assert config["providers"]["embedder"]["vocab_path"] == str(tmp_path / "v.txt")
         assert config["providers"]["routing"]["optimize"]["script_path"] == str(
             tmp_path / "s.json"
@@ -259,19 +253,120 @@ class TestConfig:
         with pytest.raises(ConfigError, match="non-negative"):
             load_config(path)
 
-    def test_cli_exit_code_2_on_backend_config_error(self, fixture_dir, tmp_path):
-        # --mock with an http agent and no providers.mock.agent to swap in
-        raw = {
-            "data": {"cases_path": str(fixture_dir / "cases.jsonl")},
-            "providers": {
-                "agent": {"kind": "http", "base_url": "http://localhost:9", "model": "m"}
-            },
-        }
+    def test_cli_exit_code_2_on_backend_config_error(self, fixture_dir, tmp_path, capsys):
+        (tmp_path / "not_json.txt").write_text("not json")
+        world = {"kind": "synthetic-oracle", "world_path": str(fixture_dir / "world.json")}
+        # (providers, extra flags, what the message names)
+        cases = [
+            # --mock with an http agent and no providers.mock.agent to swap in
+            (
+                {"agent": {"kind": "http", "base_url": "http://localhost:9", "model": "m"}},
+                ["--mock"],
+                "http agent",
+            ),
+            (
+                {"agent": {"kind": "synthetic-oracle", "world_path": "missing.json"}},
+                [],
+                "world_path",
+            ),
+            (
+                {"agent": {"kind": "synthetic-oracle", "world_path": "not_json.txt"}},
+                [],
+                "world_path",
+            ),
+            ({"agent": {"kind": "scripted", "script_path": "missing.json"}}, [], "script_path"),
+            ({"agent": world, "embedder": {"kind": "hashing", "dim": 0}}, [], "dim"),
+            ({"agent": world, "embedder": {"kind": "hashing", "dim": "abc"}}, [], "dim"),
+        ]
+        for i, (providers, flags, named) in enumerate(cases):
+            raw = {"data": {"cases_path": str(fixture_dir / "cases.jsonl")}, "providers": providers}
+            path = tmp_path / "config.json"
+            path.write_text(json.dumps(raw))
+            run_dir = tmp_path / f"run{i}"
+            assert run_cli(["run-all", "--config", path, "--run-dir", run_dir, *flags]) == 2
+            assert not (run_dir / "manifest.json").exists()
+            err = capsys.readouterr().err
+            assert err.startswith("config error:") and named in err, (providers, err)
+
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [
+            ("data", "ratios", [0.5, 0.5, float("nan")]),
+            ("optimization", "defined_score", float("nan")),
+            ("optimization", "temperature", float("inf")),
+        ],
+    )
+    def test_cli_exit_code_2_on_a_float_setting_that_is_not_finite(
+        self, fixture_dir, tmp_path, capsys, section, key, value
+    ):
+        # json reads NaN and Infinity; a NaN defined_score was never reached
+        # and let optimize spend every iteration of every target
+        raw = json.loads((fixture_dir / "config.json").read_text())
+        raw["data"] = {"cases_path": str(fixture_dir / "cases.jsonl")}
+        raw["providers"]["agent"]["world_path"] = str(fixture_dir / "world.json")
+        raw.setdefault(section, {})[key] = value
         path = tmp_path / "config.json"
         path.write_text(json.dumps(raw))
         run_dir = tmp_path / "run"
-        assert run_cli(["run-all", "--config", path, "--run-dir", run_dir, "--mock"]) == 2
+        assert run_cli(["run-all", "--config", path, "--run-dir", run_dir]) == 2
         assert not (run_dir / "manifest.json").exists()
+        assert f"config error: {section}.{key} must" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [
+            ("optimization", "max_records_per_side", 20),
+            ("optimization", "fact_truncate", 1200),
+            ("examination", "abstract_threshold", 4000),
+            ("examination", "ngram_sizes", [1, 2, 3]),
+            ("examination", "hash_dim", 32768),
+            ("examination", "epochs", 5),
+        ],
+    )
+    def test_cli_exit_code_2_on_an_engine_constant_set_in_the_config(
+        self, fixture_dir, tmp_path, capsys, section, key, value
+    ):
+        # these sizes and budgets are engine constants, not settings
+        raw = json.loads((fixture_dir / "config.json").read_text())
+        raw["data"] = {"cases_path": str(fixture_dir / "cases.jsonl")}
+        raw["providers"]["agent"]["world_path"] = str(fixture_dir / "world.json")
+        raw.setdefault(section, {})[key] = value
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(raw))
+        run_dir = tmp_path / "run"
+        assert run_cli(["run-all", "--config", path, "--run-dir", run_dir]) == 2
+        assert not (run_dir / "manifest.json").exists()
+        assert f"unknown configuration key: {section}.{key}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "schema, message",
+        [
+            ({"facts": "fact"}, "data.schema.facts is not a case field"),
+            ("fact", "data.schema must be an object"),
+            ({"fact_text": 3}, "data.schema.fact_text must be a non-empty string"),
+            ({"charge": ""}, "data.schema.charge must be a non-empty string"),
+            ({"article": None}, "data.schema.article must be a non-empty string"),
+        ],
+    )
+    def test_a_schema_names_case_fields_and_their_sources(self, tmp_path, schema, message):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"data": {"cases_path": "x.jsonl", "schema": schema}}))
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            load_config(path)
+
+    def test_a_null_case_id_source_numbers_cases_by_line(self, fixture_dir, tmp_path):
+        raw = {
+            "data": {
+                "cases_path": str(fixture_dir / "cases.jsonl"),
+                "schema": {"case_id": None, "fact_text": "fact"},
+            }
+        }
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(raw))
+        data = load_config(path)["data"]
+        assert data["schema"] == {"case_id": None, "fact_text": "fact"}
+        ids = [case.case_id for case in load_cases(data["cases_path"], data["schema"])]
+        assert ids[:2] == ["case_000001", "case_000002"]
 
     def test_per_stage_routing_builds_distinct_backends(self, fixture_dir, tmp_path):
         raw = json.loads((fixture_dir / "config.json").read_text())
@@ -866,7 +961,7 @@ class ConfigReads:
 
 class TestStageSettings:
     def test_settable_keys_are_the_default_config_leaves(self):
-        assert len(ConfigReads.SETTABLE) == 23
+        assert len(ConfigReads.SETTABLE) == 17
         assert set(_FREEFORM) <= ConfigReads.SETTABLE
 
     def test_each_body_reads_exactly_its_row_settings(
