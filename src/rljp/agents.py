@@ -33,9 +33,10 @@ from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Callable, Iterable, Optional, Protocol, Sequence, TypeVar, Union
+from typing import TYPE_CHECKING, Callable, Iterable, Optional, Protocol, Sequence, TypeVar, Union
 
-import requests
+if TYPE_CHECKING:
+    import requests
 
 logger = logging.getLogger(__name__)
 
@@ -363,7 +364,8 @@ class HttpClient:
     Credentials come from the RLJP_API_KEY environment variable. 5xx, 429
     and transport errors surface as TransientAgentError (so `retry` retries,
     no sooner than a numeric Retry-After on 429 or 503), other 4xx and
-    unparsable bodies as AgentError.
+    unparsable bodies as AgentError. `requests` is imported here, not with
+    the module, so a run with no http backend or embedder never loads it.
     """
 
     def __init__(
@@ -378,12 +380,18 @@ class HttpClient:
         self.base_url = base_url.rstrip("/")
         self.model = model
         self.timeout = timeout
-        self.session = session or requests.Session()
+        if session is None:
+            import requests
+
+            session = requests.Session()
+        self.session = session
         self.api_key = api_key if api_key is not None else os.environ.get(API_KEY_ENV, "")
         self.name = f"http:{model}"
 
     def post(self, path: str, payload: dict):
         """The parsed JSON body of a POST of `payload` to `path`."""
+        import requests
+
         try:
             http_response = self.session.post(
                 f"{self.base_url}/{path}",

@@ -2,12 +2,15 @@
 classifier trained by averaged perceptron, one model per subtask.
 
 A fact is a sparse vector: the sorted hashed indices of its character
-n-grams and their L2-normalised counts. Training and scoring only touch the
-weight columns at those indices, and the averaged weights come in closed
-form (each update weighted by the steps left after it) rather than by
-summing the whole matrix after every step. The saved artifact keeps, per
-subtask, only the weight columns that are non-zero. A batch of facts is
-featurized in one pass and ranked for every subtask at once.
+n-grams and their L2-normalised counts. Each subtask's weights are held, in
+memory as in the saved artifact, as a pair: the sorted hashed columns with a
+non-zero weight, and a labels x len(columns) block of rows. No
+hash_dim-wide matrix is built. Training works on the columns its facts
+touch, comes to the averaged weights in closed form (each update weighted by
+the steps left after it) rather than by summing the whole block after every
+step, and stops after an epoch that makes no update, since every later epoch
+would repeat it. A batch of facts is featurized in one pass and ranked for
+every subtask at once.
 
 This stands in for the heavyweight neural prescreener.
 """
@@ -53,7 +56,8 @@ class CharNgramPerceptron:
         self.ngram_sizes = ngram_sizes
         self.hash_dim = hash_dim
         self.epochs = epochs
-        self._weights: dict[str, np.ndarray] = {}
+        # per subtask: sorted non-zero columns, and a labels x len(columns) block
+        self._weights: dict[str, tuple[np.ndarray, np.ndarray]] = {}
 
     def _features(self, texts: Sequence[str]) -> list[tuple[np.ndarray, np.ndarray]]:
         """Per text, its sorted hashed n-gram indices and their unit-norm counts."""
@@ -69,19 +73,23 @@ class CharNgramPerceptron:
         if not cases:
             raise ValueError("no training cases")
         features = self._features([case.fact_text for case in cases])
+        # the columns any fact touches, and each fact's indices among them
+        touched = np.unique(np.concatenate([idx for idx, _ in features]))
+        local = [(np.searchsorted(touched, idx), vals) for idx, vals in features]
         steps = self.epochs * len(cases)
         for subtask in SUBTASKS:
             label_list = self.labels.of(subtask)
             index = {label: i for i, label in enumerate(label_list)}
             y = [index[_gold_label(case, subtask)] for case in cases]
             n_labels = len(label_list)
-            w = np.zeros((n_labels, self.hash_dim))
+            w = np.zeros((n_labels, len(touched)))
             # sum over steps of the weights after each step: the update made
             # at step s is present in the (steps - s) sums from s onwards
             accum = np.zeros_like(w)
             step = 0
             for _ in range(self.epochs):
-                for (idx, vals), gold in zip(features, y):
+                updated = False
+                for (idx, vals), gold in zip(local, y):
                     margins = w[:, idx] @ vals
                     target = np.full(n_labels, -1.0)
                     target[gold] = 1.0
@@ -91,8 +99,13 @@ class CharNgramPerceptron:
                         delta = np.outer(target[wrong], vals)
                         w[block] += delta
                         accum[block] += (steps - step) * delta
+                        updated = True
                     step += 1
-            self._weights[subtask] = accum / steps
+                if not updated:
+                    break  # the weights are unchanged, so every later epoch is this one
+            averaged = accum / steps
+            kept = averaged.any(axis=0)
+            self._weights[subtask] = (touched[kept], averaged[:, kept])
         logger.info("candidate provider trained on %d cases", len(cases))
 
     def scores(self, fact_texts: Sequence[str]) -> dict[str, np.ndarray]:
@@ -101,15 +114,22 @@ class CharNgramPerceptron:
         if not self._weights:
             raise ProviderNotTrainedError("candidate provider has not been trained")
         features = self._features(fact_texts)
-        # a row-wise sum, not a BLAS mat-vec: the mat-vec can round equal
-        # weight rows differently, and tied labels must stay tied; the
-        # reshape keeps an empty batch two-dimensional
-        return {
-            subtask: np.array(
-                [(self._weights[subtask][:, idx] * vals).sum(axis=1) for idx, vals in features]
-            ).reshape(len(features), len(self._weights[subtask]))
-            for subtask in SUBTASKS
-        }
+        margins = {}
+        for subtask in SUBTASKS:
+            columns, rows = self._weights[subtask]
+            # each hashed index's place among the columns; an index with no
+            # weight points at a trailing zero column, so a fact's gathered
+            # values are those of the hash_dim-wide matrix, in the same order
+            position = np.full(self.hash_dim, len(columns))
+            position[columns] = np.arange(len(columns))
+            padded = np.hstack([rows, np.zeros((len(rows), 1))])
+            # a row-wise sum, not a BLAS mat-vec: the mat-vec can round equal
+            # weight rows differently, and tied labels must stay tied; the
+            # reshape keeps an empty batch two-dimensional
+            margins[subtask] = np.array(
+                [(padded[:, position[idx]] * vals).sum(axis=1) for idx, vals in features]
+            ).reshape(len(features), len(rows))
+        return margins
 
     def top_labels(self, fact_texts: Sequence[str], k: int) -> list[dict[str, tuple[str, ...]]]:
         """Per text, each subtask's k best-scored labels, best first; tied
@@ -128,28 +148,27 @@ class CharNgramPerceptron:
             for row in range(len(fact_texts))
         ]
 
-    # -- persistence: per subtask, the non-zero weight columns and their
-    # values as flat lists (label-major), which keeps the artifact diffable
+    # -- persistence: per subtask, the weights' pair as it is held, with the
+    # rows as flat lists (label-major), which keeps the artifact diffable
 
     def save(self, path: str | Path) -> None:
-        weights = {}
-        for subtask, w in self._weights.items():
-            columns = np.flatnonzero(w.any(axis=0))
-            weights[subtask] = {
-                "columns": columns.tolist(),
-                "rows": w[:, columns].tolist(),
-            }
         payload = {
             "hash_dim": self.hash_dim,
             "ngram_sizes": list(self.ngram_sizes),
             "epochs": self.epochs,
             "labels": asdict(self.labels),
-            "weights": weights,
+            "weights": {
+                subtask: {"columns": columns.tolist(), "rows": rows.tolist()}
+                for subtask, (columns, rows) in self._weights.items()
+            },
         }
         Path(path).write_text(json.dumps(payload) + "\n", encoding="utf-8")
 
     @classmethod
     def load(cls, path: str | Path) -> "CharNgramPerceptron":
+        """The provider saved at `path`; ValueError naming the file and the
+        subtask unless its weights hold a row per label and strictly
+        increasing columns in [0, hash_dim) for exactly the three subtasks."""
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
         provider = cls(
             LabelSpace.from_dict(payload["labels"]),
@@ -157,10 +176,28 @@ class CharNgramPerceptron:
             hash_dim=payload["hash_dim"],
             epochs=payload["epochs"],
         )
-        for subtask, stored in payload["weights"].items():
+        weights = payload["weights"]
+        unmatched = sorted(set(SUBTASKS) ^ set(weights))
+        if unmatched:
+            subtask = unmatched[0]
+            kind = "missing" if subtask in SUBTASKS else "not a subtask"
+            raise ValueError(f"{path}: weights for subtask {subtask!r}: {kind}")
+        for subtask in SUBTASKS:
+            columns, rows = weights[subtask]["columns"], weights[subtask]["rows"]
             n_labels = len(provider.labels.of(subtask))
-            w = np.zeros((n_labels, provider.hash_dim))
-            w[:, stored["columns"]] = np.asarray(stored["rows"], dtype=np.float64)
-            provider._weights[subtask] = w
+            problem = None
+            if not all(type(c) is int and 0 <= c < provider.hash_dim for c in columns):
+                problem = f"columns are not all ints in [0, {provider.hash_dim})"
+            elif any(a >= b for a, b in zip(columns, columns[1:])):
+                problem = "columns are not strictly increasing"
+            elif len(rows) != n_labels:
+                problem = f"{len(rows)} rows for {n_labels} labels"
+            elif any(not isinstance(row, list) or len(row) != len(columns) for row in rows):
+                problem = f"a row is not as long as the {len(columns)} columns"
+            if problem:
+                raise ValueError(f"{path}: weights for subtask {subtask!r}: {problem}")
+            provider._weights[subtask] = (
+                np.array(columns, dtype=np.int64),
+                np.array(rows, dtype=np.float64).reshape(n_labels, len(columns)),
+            )
         return provider
-

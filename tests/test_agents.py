@@ -1,7 +1,10 @@
 import json
+import os
 import random
+import subprocess
 import sys
 import threading
+from pathlib import Path
 
 import pytest
 import requests
@@ -24,6 +27,9 @@ from rljp.agents import (
     complete,
     render_template,
 )
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 class FlakyBackend:
@@ -419,3 +425,22 @@ class TestHttpBackend:
             complete(_request(), Agent(backend), sleep=lambda _: None)
         assert not isinstance(err.value, TransientAgentError)
         assert len(session.requests) == 1
+
+
+def test_a_run_with_no_http_backend_never_imports_requests(fixture_config_path, tmp_path):
+    # the fixture's agent is the synthetic oracle and its embedder is hashing
+    script = (
+        "import sys\n"
+        "from rljp.cli import main\n"
+        "status = main(sys.argv[1:])\n"
+        "print(status, 'requests' in sys.modules)\n"
+    )
+    args = ["run-all", "--config", str(fixture_config_path), "--run-dir", str(tmp_path / "run")]
+    result = subprocess.run(
+        [sys.executable, "-c", script, *args],
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert result.stdout.splitlines()[-1] == "0 False", result.stderr[-2000:]

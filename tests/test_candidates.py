@@ -1,4 +1,5 @@
 import json
+import re
 import zlib
 
 import numpy as np
@@ -10,8 +11,22 @@ from rljp.candidates import (
     ProviderNotTrainedError,
     _gold_label,
 )
-from rljp.corpus import LabelSpace, load_cases, load_label_space
+from rljp.corpus import LabelSpace, load_cases, load_label_space, split_dataset
 from rljp.synthetic import write_corpus
+
+
+def dense_pair(w):
+    """A hash_dim-wide weight matrix as the (columns, rows) pair a provider
+    holds: every column kept."""
+    return np.arange(w.shape[1]), w
+
+
+def expanded(provider, subtask):
+    """A provider's weights for `subtask` as a labels x hash_dim matrix."""
+    columns, rows = provider._weights[subtask]
+    w = np.zeros((len(rows), provider.hash_dim))
+    w[:, columns] = rows
+    return w
 
 
 def fixed_scorer(table):
@@ -22,7 +37,7 @@ def fixed_scorer(table):
     provider = CharNgramPerceptron(labels, hash_dim=64)
     for subtask in SUBTASKS:
         values = [table[label] for label in labels.of(subtask)] if subtask == "charge" else [0.0]
-        provider._weights[subtask] = np.repeat(np.array(values)[:, None], 64, axis=1)
+        provider._weights[subtask] = dense_pair(np.repeat(np.array(values)[:, None], 64, axis=1))
     return provider
 
 
@@ -60,7 +75,7 @@ class TestCandidateLabels:
             labels = LabelSpace(("264",), tuple(f"c{i:03d}" for i in range(n_labels)), ("b0",))
             provider = CharNgramPerceptron(labels, hash_dim=512)
             for subtask in SUBTASKS:
-                provider._weights[subtask] = np.tile(row, (len(labels.of(subtask)), 1))
+                provider._weights[subtask] = dense_pair(np.tile(row, (len(labels.of(subtask)), 1)))
             margins = provider.scores(facts)["charge"]
             assert (margins == margins[:, :1]).all(), n_labels
             for ranked in provider.top_labels(facts, k=n_labels):
@@ -191,6 +206,36 @@ def _dense_train(provider, cases):
     return weights
 
 
+def _every_epoch_train(provider, cases):
+    """Averaged weights in closed form over labels x hash_dim matrices, with
+    every epoch run, and per subtask the 1-based epochs that made an update."""
+    features = provider._features([case.fact_text for case in cases])
+    steps = provider.epochs * len(cases)
+    weights, updating = {}, {}
+    for subtask in SUBTASKS:
+        label_list = provider.labels.of(subtask)
+        y = [label_list.index(_gold_label(case, subtask)) for case in cases]
+        w = np.zeros((len(label_list), provider.hash_dim))
+        accum = np.zeros_like(w)
+        updating[subtask] = set()
+        step = 0
+        for epoch in range(1, provider.epochs + 1):
+            for (idx, vals), gold in zip(features, y):
+                margins = w[:, idx] @ vals
+                target = np.full(len(label_list), -1.0)
+                target[gold] = 1.0
+                wrong = np.flatnonzero((margins * target) <= 0)
+                if wrong.size:
+                    block = np.ix_(wrong, idx)
+                    delta = np.outer(target[wrong], vals)
+                    w[block] += delta
+                    accum[block] += (steps - step) * delta
+                    updating[subtask].add(epoch)
+                step += 1
+        weights[subtask] = accum / steps
+    return weights, updating
+
+
 @pytest.fixture(scope="module")
 def corpus_120(tmp_path_factory):
     directory = tmp_path_factory.mktemp("corpus_120")
@@ -204,7 +249,9 @@ def trained_pair(corpus_120):
     provider = CharNgramPerceptron(labels)
     provider.train(cases)
     dense = CharNgramPerceptron(labels)
-    dense._weights = _dense_train(dense, cases)
+    dense._weights = {
+        subtask: dense_pair(w) for subtask, w in _dense_train(dense, cases).items()
+    }
     return provider, dense
 
 
@@ -225,7 +272,7 @@ class TestSparseEqualsDense:
         provider, dense = trained_pair
         assert set(provider._weights) == set(SUBTASKS)
         for subtask in SUBTASKS:
-            ours, theirs = provider._weights[subtask], dense._weights[subtask]
+            ours, theirs = expanded(provider, subtask), expanded(dense, subtask)
             assert ours.shape == theirs.shape
             assert np.abs(ours - theirs).max() <= 1e-12, subtask
 
@@ -244,6 +291,109 @@ class TestArtifactFormats:
         provider.save(tmp_path / "candidates.json")
         stored = json.loads((tmp_path / "candidates.json").read_text())["weights"]
         for subtask in SUBTASKS:
-            w = provider._weights[subtask]
+            w = expanded(provider, subtask)
             assert stored[subtask]["columns"] == np.flatnonzero(w.any(axis=0)).tolist()
             assert len(stored[subtask]["rows"]) == w.shape[0]
+
+    def test_save_then_load_then_save_writes_the_same_bytes(self, trained_pair, tmp_path):
+        provider, _ = trained_pair
+        provider.save(tmp_path / "first.json")
+        CharNgramPerceptron.load(tmp_path / "first.json").save(tmp_path / "second.json")
+        assert (tmp_path / "first.json").read_bytes() == (tmp_path / "second.json").read_bytes()
+
+
+class TestCompactWeights:
+    def test_a_fact_with_no_weighted_gram_scores_zero_for_every_label(self):
+        provider = fixed_scorer({"a": 0.3, "b": -0.7, "c": 0.1})
+        fact = "fact"
+        [(idx, _)] = provider._features([fact])
+        # weights in every column but the fact's
+        for subtask, (columns, rows) in provider._weights.items():
+            kept = np.setdiff1d(columns, idx)
+            provider._weights[subtask] = (kept, rows[:, kept])
+        for subtask, margins in provider.scores([fact]).items():
+            assert margins.tolist() == [[0.0] * len(provider.labels.of(subtask))], subtask
+
+    def test_trained_weights_are_a_block_over_the_touched_columns(self, tmp_path):
+        write_corpus(tmp_path, num_cases=600, seed=1)
+        cases = load_cases(tmp_path / "cases.jsonl")
+        train = split_dataset(cases, (0.8, 0.1, 0.1), seed=1).train
+        assert len(train) == 480
+        provider = CharNgramPerceptron(load_label_space(tmp_path / "labels.json"))
+        provider.train(train)
+        touched = np.unique(np.concatenate([idx for idx, _ in provider._features(
+            [case.fact_text for case in train]
+        )]))
+        held = 0
+        for subtask in SUBTASKS:
+            columns, rows = provider._weights[subtask]
+            assert rows.shape == (len(provider.labels.of(subtask)), len(columns)), subtask
+            assert np.isin(columns, touched).all(), subtask
+            held += columns.nbytes + rows.nbytes
+        assert held < 1_000_000
+
+    def test_training_stops_after_an_epoch_with_no_update(self, corpus_120):
+        cases, labels = corpus_120
+        provider = CharNgramPerceptron(labels, epochs=12)
+        provider.train(cases)
+        reference, updating = _every_epoch_train(provider, cases)
+        # article and charge stop making updates before the last epoch,
+        # prison term only in it, so both the stop and the full run are met
+        first_quiet = {
+            subtask: min(set(range(1, 13)) - epochs) for subtask, epochs in updating.items()
+        }
+        assert first_quiet["article"] < 12 and first_quiet["charge"] < 12
+        assert first_quiet["prison_term"] == 12
+        for subtask in SUBTASKS:
+            assert np.array_equal(expanded(provider, subtask), reference[subtask]), subtask
+
+
+def _break(payload, case):
+    """Break `payload` in the way `case` names; returns the subtask broken."""
+    weights = payload["weights"]
+    columns, rows = weights["charge"]["columns"], weights["charge"]["rows"]
+    if case == "one-row-for-every-label":
+        weights["charge"]["rows"] = rows[:1]
+    elif case == "missing-subtask":
+        del weights["charge"]
+    elif case == "extra-subtask":
+        weights["verdict"] = weights["charge"]
+    elif case == "duplicate-column":
+        columns[1] = columns[0]
+    elif case == "decreasing-columns":
+        columns[0], columns[1] = columns[1], columns[0]
+    elif case == "column-at-hash-dim":
+        columns[-1] = payload["hash_dim"]
+    elif case == "negative-column":
+        columns[0] = -1
+    elif case == "float-column":
+        columns[0] = float(columns[0])
+    elif case == "short-row":
+        rows[0] = rows[0][:-1]
+    return "verdict" if case == "extra-subtask" else "charge"
+
+
+class TestLoadValidation:
+    @pytest.fixture
+    def saved(self, tmp_path):
+        """A tiny trained provider's artifact, as its JSON payload."""
+        tiny = TestCharNgramPerceptron()
+        provider = CharNgramPerceptron(tiny._tiny_labels(), hash_dim=2048)
+        provider.train(tiny._tiny_cases())
+        provider.save(tmp_path / "candidates.json")
+        return json.loads((tmp_path / "candidates.json").read_text())
+
+    @pytest.mark.parametrize(
+        "case",
+        [
+            "one-row-for-every-label", "missing-subtask", "extra-subtask", "duplicate-column",
+            "decreasing-columns", "column-at-hash-dim", "negative-column", "float-column",
+            "short-row",
+        ],
+    )
+    def test_a_malformed_artifact_is_rejected_naming_file_and_subtask(self, saved, tmp_path, case):
+        subtask = _break(saved, case)
+        path = tmp_path / "broken.json"
+        path.write_text(json.dumps(saved))
+        with pytest.raises(ValueError, match=re.escape(f"{path}: weights for subtask '{subtask}'")):
+            CharNgramPerceptron.load(path)
