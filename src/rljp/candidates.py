@@ -35,12 +35,6 @@ class ProviderNotTrainedError(RuntimeError):
     pass
 
 
-def _gold_label(case: LegalCase, subtask: str) -> str:
-    if case.judgment is None:
-        raise ValueError(f"case {case.case_id} has no judgment")
-    return case.judgment.label(subtask)
-
-
 class CharNgramPerceptron:
     """One-vs-rest averaged perceptron over hashed character 1..3-grams."""
 
@@ -80,7 +74,7 @@ class CharNgramPerceptron:
         for subtask in SUBTASKS:
             label_list = self.labels.of(subtask)
             index = {label: i for i, label in enumerate(label_list)}
-            y = [index[_gold_label(case, subtask)] for case in cases]
+            y = [index[case.judgment.label(subtask)] for case in cases]
             n_labels = len(label_list)
             w = np.zeros((n_labels, len(touched)))
             # sum over steps of the weights after each step: the update made

@@ -1,25 +1,28 @@
 """Case corpus handling: loading, validation, splitting, and precedent grouping.
 
-This module also owns the judgment label model: the three subtasks, and which
-`Judgment` field and `LabelSpace` list each one reads. Other modules ask
-`Judgment.label` and `LabelSpace.of` rather than naming the fields.
+This module also owns the judgment label model: the three subtasks, which
+`Judgment` field and `LabelSpace` list each one reads, and a judgment's label
+of a consequent kind (`case_label`). Other modules ask these rather than
+naming the fields.
 
 Cases arrive as line-delimited JSON. Field names differ between corpora, so
 loading takes a schema mapping logical field -> dotted path into each record.
-Malformed lines are collected into a rejects report instead of aborting the
+Every case kept carries a judgment: a malformed line, or one missing any of
+its three labels, is collected into a rejects report instead of aborting the
 load; duplicate case ids abort (they would silently corrupt every downstream
 grouping).
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import logging
 import math
 import random
-from dataclasses import dataclass, fields
+from dataclasses import astuple, dataclass, fields
 from pathlib import Path
-from typing import Iterable, Optional, Sequence
+from typing import Collection, Iterable, Optional, Sequence
 
 from .fol import ArticleCharge, ArticleTerm, Consequent, consequent_labels
 
@@ -73,7 +76,7 @@ class Judgment:
 class LegalCase:
     case_id: str
     fact_text: str
-    judgment: Optional[Judgment] = None
+    judgment: Judgment
 
     def __post_init__(self) -> None:
         if not self.fact_text:
@@ -148,10 +151,11 @@ def load_cases(
 ) -> list[LegalCase]:
     """Load cases from a JSONL file.
 
-    Every line either yields a LegalCase or lands in `rejects` with its
-    1-based line number; ordering of accepted cases follows the file. A
-    missing case_id mapping synthesizes ids from line numbers. Duplicate
-    case ids raise CorpusError.
+    Every line either yields a judged LegalCase or lands in `rejects` with
+    its 1-based line number and reason: a line lacking any of the article,
+    charge and prison-term labels is rejected. Ordering of accepted cases
+    follows the file. A missing case_id mapping synthesizes ids from line
+    numbers. Duplicate case ids raise CorpusError.
     """
     schema = {**DEFAULT_SCHEMA, **(schema or {})}
     path = Path(path)
@@ -182,28 +186,22 @@ def load_cases(
                 sink.append(RejectedLine(lineno, "missing or empty fact text"))
                 continue
 
-            article = _as_label(_dig(record, schema["article"]))
-            charge = _as_label(_dig(record, schema["charge"]))
-            term = _as_label(_dig(record, schema["prison_term_bucket"]))
-            judgment = None
-            present = [v is not None for v in (article, charge, term)]
-            if all(present):
-                clash = next(
-                    (v for v in (article, charge, term) if any(s in v for s in _KEY_SEPARATORS)),
-                    None,
-                )
-                if clash is not None:
-                    sink.append(RejectedLine(lineno, f"label {clash!r} holds a key separator"))
-                    continue
-                judgment = Judgment(article, charge, term)
-            elif any(present):
-                sink.append(RejectedLine(lineno, "incomplete judgment labels"))
+            labels = [
+                _as_label(_dig(record, schema[name]))
+                for name in ("article", "charge", "prison_term_bucket")
+            ]
+            if None in labels:
+                sink.append(RejectedLine(lineno, "missing judgment labels"))
+                continue
+            clash = next((v for v in labels if any(s in v for s in _KEY_SEPARATORS)), None)
+            if clash is not None:
+                sink.append(RejectedLine(lineno, f"label {clash!r} holds a key separator"))
                 continue
 
             if case_id in seen_ids:
                 raise CorpusError(f"duplicate case_id {case_id!r} at line {lineno}")
             seen_ids.add(case_id)
-            cases.append(LegalCase(case_id=case_id, fact_text=fact, judgment=judgment))
+            cases.append(LegalCase(case_id=case_id, fact_text=fact, judgment=Judgment(*labels)))
 
     if sink:
         logger.warning("load_cases: %d rejected lines from %s", len(sink), path)
@@ -214,13 +212,12 @@ def save_cases(path: str | Path, cases: Iterable[LegalCase]) -> None:
     """One JSON line per case in DEFAULT_SCHEMA's fields, which `load_cases` reads back."""
     with Path(path).open("w", encoding="utf-8") as handle:
         for case in cases:
-            row = {"case_id": case.case_id, "fact": case.fact_text}
-            if case.judgment:
-                row["meta"] = {
-                    "relevant_articles": [case.judgment.article_id],
-                    "accusation": [case.judgment.charge_id],
-                    "term_bucket": [case.judgment.prison_term_bucket],
-                }
+            meta = {
+                "relevant_articles": [case.judgment.article_id],
+                "accusation": [case.judgment.charge_id],
+                "term_bucket": [case.judgment.prison_term_bucket],
+            }
+            row = {"case_id": case.case_id, "fact": case.fact_text, "meta": meta}
             handle.write(json.dumps(row, ensure_ascii=False) + "\n")
 
 
@@ -271,31 +268,35 @@ def load_split(path: str | Path, cases: dict[str, LegalCase]) -> DatasetSplit:
     return DatasetSplit(*(tuple(cases[i] for i in payload[f.name]) for f in fields(DatasetSplit)))
 
 
+def case_label(case: LegalCase, kind: type[Consequent]) -> Consequent:
+    """The case's judgment projected onto a consequent kind."""
+    return kind(*(case.judgment.label(s) for s in kind.subtasks))
+
+
+def label_universe(labels: LabelSpace, kind: type[Consequent]) -> list[Consequent]:
+    """Every label of `kind` the label space can form: the labels a quiz on a
+    target of that kind draws its options from."""
+    return [kind(*combo) for combo in itertools.product(*(labels.of(s) for s in kind.subtasks))]
+
+
 def group_precedents(
     cases: Iterable[LegalCase],
-    mode: str,
+    kind: type[Consequent],
     k: int,
-) -> dict[tuple[str, ...], list[LegalCase]]:
-    """Group judged cases by their labels for the subtasks `mode` names.
+) -> dict[Consequent, list[LegalCase]]:
+    """Group cases by their label of `kind`, in label order.
 
-    `mode` joins subtasks with "+", e.g. "article+charge" groups by
-    (article, charge). Each group keeps the first k cases in input order;
-    empty groups are never emitted.
+    Each group keeps the first k cases in input order; empty groups are
+    never emitted.
     """
-    subtasks = mode.split("+")
-    if any(subtask not in _SUBTASK_FIELDS for subtask in subtasks):
-        raise CorpusError(f"unknown precedent mode {mode!r}")
     if k < 1:
         raise CorpusError("k must be >= 1")
-    groups: dict[tuple[str, ...], list[LegalCase]] = {}
+    groups: dict[Consequent, list[LegalCase]] = {}
     for case in cases:
-        if case.judgment is None:
-            raise CorpusError(f"case {case.case_id} has no judgment")
-        key = tuple(case.judgment.label(subtask) for subtask in subtasks)
-        bucket = groups.setdefault(key, [])
+        bucket = groups.setdefault(case_label(case, kind), [])
         if len(bucket) < k:
             bucket.append(case)
-    return groups
+    return dict(sorted(groups.items(), key=lambda item: astuple(item[0])))
 
 
 def save_precedents(path: str | Path, groups: dict[Consequent, Sequence[LegalCase]]) -> None:
@@ -321,20 +322,21 @@ def load_precedents(
     }
 
 
-def label_space(cases: Iterable[LegalCase]) -> LabelSpace:
-    """Deduplicated labels in first-appearance order across judged cases."""
-    articles: dict[str, None] = {}
-    charges: dict[str, None] = {}
-    terms: dict[str, None] = {}
-    for case in cases:
-        if case.judgment is None:
-            raise CorpusError(f"case {case.case_id} has no judgment")
-        articles.setdefault(case.judgment.article_id)
-        charges.setdefault(case.judgment.charge_id)
-        terms.setdefault(case.judgment.prison_term_bucket)
-    return LabelSpace(tuple(articles), tuple(charges), tuple(terms))
+def label_space(cases: Collection[LegalCase]) -> LabelSpace:
+    """Deduplicated labels in first-appearance order across the cases."""
+    return LabelSpace(
+        *(tuple(dict.fromkeys(case.judgment.label(s) for case in cases)) for s in SUBTASKS)
+    )
 
 
 def load_label_space(path: str | Path) -> LabelSpace:
-    """Label space from a dataset metadata file {articles, charges, prison_terms}."""
-    return LabelSpace.from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+    """Label space from a dataset metadata file {articles, charges, prison_terms},
+    each a list of string or int labels; an int is read as its decimal string."""
+    data = json.loads(Path(path).read_text(encoding="utf-8"))
+    if not isinstance(data, dict):
+        raise CorpusError(f"labels file {path} does not hold a JSON object")
+    for f in fields(LabelSpace):
+        values = data.get(f.name)
+        if not isinstance(values, list) or any(type(v) not in (str, int) for v in values):
+            raise CorpusError(f"labels file {path}: {f.name!r} is not a list of strings or ints")
+    return LabelSpace.from_dict(data)

@@ -39,7 +39,7 @@ from .config import ConfigError, build_agent, build_embedder
 from .corpus import Judgment, LabelSpace, LegalCase, RejectedLine
 from .fol import FolRule, consequent_key
 from .metrics import compute_metrics, report_as_json, report_as_table
-from .quiz import case_label, label_universe, make_quiz
+from .quiz import make_quiz
 from .rule_init import RuleSet
 
 logger = logging.getLogger(__name__)
@@ -211,9 +211,9 @@ class PipelineRun:
                         raise ChecksumError(
                             name, f"artifact {path_str} does not match its recorded checksum"
                         )
+                # saved with the next stage's start, or run_through's end
                 logger.info("stage %s: up to date, skipped", name)
                 recorded["skipped"] = True
-                self._save_manifest()
                 return
         entry = {
             "status": "running",
@@ -312,18 +312,27 @@ def _group_precedents(run: PipelineRun) -> None:
     # here, a stage before the first agent call
     num_options = run.config["quiz"]["num_options"]
     for kind in corpus.RULE_KINDS:
-        size = len(label_universe(run.labels, kind))
+        size = len(corpus.label_universe(run.labels, kind))
         if size < num_options:
             raise ValueError(
                 f"quiz.num_options is {num_options}, but the label space has only "
                 f"{size} {'+'.join(kind.subtasks)} labels to draw options from"
             )
+    # the prescreener and the quizzes index the label space by every gold label
+    known = {subtask: set(run.labels.of(subtask)) for subtask in corpus.SUBTASKS}
+    for case in run.cases.values():
+        for subtask in corpus.SUBTASKS:
+            label = case.judgment.label(subtask)
+            if label not in known[subtask]:
+                raise ValueError(
+                    f"case {case.case_id} has {subtask} label {label!r}, which "
+                    f"data.labels_path {run.config['data']['labels_path']} does not list"
+                )
     train = corpus.load_split(run.path("split.json"), run.cases).train
     k = run.config["data"]["precedent_k"]
     groups = {}
     for kind in corpus.RULE_KINDS:
-        by_labels = corpus.group_precedents(train, "+".join(kind.subtasks), k)
-        groups.update((kind(*labels), cases) for labels, cases in sorted(by_labels.items()))
+        groups.update(corpus.group_precedents(train, kind, k))
     corpus.save_precedents(run.path("precedents.json"), groups)
 
 
@@ -345,7 +354,7 @@ def _build_confusable(run: PipelineRun) -> None:
     train = list(corpus.load_split(run.path("split.json"), run.cases).train)
     embeddings = confusable.embed_cases(train, build_embedder(run.config["providers"]["embedder"]))
     num_config = run.config["optimization"]["num_negatives"]
-    gold = {kind: [case_label(c, kind) for c in train] for kind in corpus.RULE_KINDS}
+    gold = {kind: [corpus.case_label(c, kind) for c in train] for kind in corpus.RULE_KINDS}
     sets = {}
     for target in corpus.load_precedents(run.path("precedents.json"), run.cases):
         key = consequent_key(target)
@@ -477,9 +486,7 @@ def _examine(run: PipelineRun) -> None:
 
 def _evaluate(run: PipelineRun) -> None:
     split = corpus.load_split(run.path("split.json"), run.cases)
-    gold_by_id: dict[str, Judgment] = {
-        case.case_id: case.judgment for case in split.test if case.judgment is not None
-    }
+    gold_by_id = {case.case_id: case.judgment for case in split.test}
     predictions = examination.load_predictions(run.path("predictions.jsonl"))
     report = compute_metrics(
         [Judgment(p.article_id, p.charge_id, p.prison_term_bucket) for p in predictions],

@@ -10,7 +10,6 @@ label, on a positive/negative case respectively.
 from __future__ import annotations
 
 import hashlib
-import itertools
 import logging
 import random
 import re
@@ -20,8 +19,8 @@ from typing import Optional, Sequence
 
 from .agents import Agent, render_template
 from .confusable import ConfusableSet
-from .corpus import LabelSpace, LegalCase
-from .fol import Consequent, FolRule, render_consequent, render_rule
+from .corpus import LabelSpace, case_label, label_universe
+from .fol import FolRule, render_consequent, render_rule
 from .prompts import QUIZ_QUESTION, ask
 
 logger = logging.getLogger(__name__)
@@ -35,19 +34,6 @@ def derive_rng(seed: int, *parts: str) -> random.Random:
         ("/".join([str(seed), *parts])).encode("utf-8"), digest_size=8
     ).digest()
     return random.Random(int.from_bytes(digest, "big"))
-
-
-def case_label(case: LegalCase, kind: type[Consequent]) -> Consequent:
-    """The case's gold label projected onto a consequent kind."""
-    if case.judgment is None:
-        raise ValueError(f"case {case.case_id} has no judgment")
-    return kind(*(case.judgment.label(s) for s in kind.subtasks))
-
-
-def label_universe(labels: LabelSpace, kind: type[Consequent]) -> list[Consequent]:
-    """Every label of `kind` the label space can form: the labels a quiz on a
-    target of that kind draws its options from."""
-    return [kind(*combo) for combo in itertools.product(*(labels.of(s) for s in kind.subtasks))]
 
 
 @dataclass(frozen=True)

@@ -5,12 +5,7 @@ import zlib
 import numpy as np
 import pytest
 
-from rljp.candidates import (
-    SUBTASKS,
-    CharNgramPerceptron,
-    ProviderNotTrainedError,
-    _gold_label,
-)
+from rljp.candidates import SUBTASKS, CharNgramPerceptron, ProviderNotTrainedError
 from rljp.corpus import LabelSpace, load_cases, load_label_space, split_dataset
 from rljp.synthetic import write_corpus
 
@@ -165,7 +160,7 @@ class TestCharNgramPerceptron:
         ranked = provider.top_labels([case.fact_text for case in cases], k=10)
         for subtask in SUBTASKS:
             hits = sum(
-                _gold_label(case, subtask) in top10[subtask] for case, top10 in zip(cases, ranked)
+                case.judgment.label(subtask) in top10[subtask] for case, top10 in zip(cases, ranked)
             )
             assert hits / len(cases) >= 0.9, subtask
 
@@ -188,7 +183,7 @@ def _dense_train(provider, cases):
     for subtask in SUBTASKS:
         label_list = provider.labels.of(subtask)
         index = {label: i for i, label in enumerate(label_list)}
-        y = np.array([index[_gold_label(case, subtask)] for case in cases])
+        y = np.array([index[case.judgment.label(subtask)] for case in cases])
         n_labels = len(label_list)
         w = np.zeros((n_labels, provider.hash_dim))
         accum = np.zeros_like(w)
@@ -214,7 +209,7 @@ def _every_epoch_train(provider, cases):
     weights, updating = {}, {}
     for subtask in SUBTASKS:
         label_list = provider.labels.of(subtask)
-        y = [label_list.index(_gold_label(case, subtask)) for case in cases]
+        y = [label_list.index(case.judgment.label(subtask)) for case in cases]
         w = np.zeros((len(label_list), provider.hash_dim))
         accum = np.zeros_like(w)
         updating[subtask] = set()

@@ -19,6 +19,7 @@ from rljp.corpus import (
     split_dataset,
     write_rejects_report,
 )
+from rljp.fol import ArticleCharge, ArticleTerm
 
 
 def _write_jsonl(path, rows):
@@ -62,9 +63,23 @@ class TestLoadCases:
         row = json.loads(report.read_text().strip())
         assert row["line"] == 2 and row["reason"]
 
+    def test_line_without_labels_is_rejected_with_line_number_and_reason(self, tmp_path):
+        path = tmp_path / "cases.jsonl"
+        unjudged = {"case_id": "c1", "fact": "case 1 facts"}
+        partly = _row(2)
+        del partly["meta"]["term_bucket"]
+        _write_jsonl(path, [_row(0), unjudged, partly, _row(3)])
+        rejects = []
+        cases = load_cases(path, rejects=rejects)
+        assert [c.case_id for c in cases] == ["c0", "c3"]
+        assert [(r.line, r.reason) for r in rejects] == [
+            (2, "missing judgment labels"),
+            (3, "missing judgment labels"),
+        ]
+
     def test_empty_fact_text_rejected(self):
         with pytest.raises(ValueError, match="empty fact_text"):
-            LegalCase(case_id="x", fact_text="")
+            LegalCase(case_id="x", fact_text="", judgment=Judgment("264", "theft", "b0"))
 
     def test_duplicate_case_id_is_fatal(self, tmp_path):
         path = tmp_path / "cases.jsonl"
@@ -156,22 +171,26 @@ class TestGroupPrecedents:
             make_case("d", "f4", "266", "fraud"),
             make_case("e", "f5", "263", "robbery"),
         ]
-        groups = group_precedents(cases, "article+charge", k=3)
-        assert [c.case_id for c in groups[("264", "theft")]] == ["a", "b", "c"]
-        assert set(groups) == {("264", "theft"), ("266", "fraud"), ("263", "robbery")}
+        groups = group_precedents(cases, ArticleCharge, k=3)
+        assert [c.case_id for c in groups[ArticleCharge("264", "theft")]] == ["a", "b", "c"]
+        assert set(groups) == {
+            ArticleCharge("264", "theft"),
+            ArticleCharge("266", "fraud"),
+            ArticleCharge("263", "robbery"),
+        }
 
     def test_k_truncates_stably(self):
         cases = [make_case(c, f"f{c}", "264", "theft") for c in "abc"]
-        groups = group_precedents(cases, "article+charge", k=2)
-        assert [c.case_id for c in groups[("264", "theft")]] == ["a", "b"]
+        groups = group_precedents(cases, ArticleCharge, k=2)
+        assert [c.case_id for c in groups[ArticleCharge("264", "theft")]] == ["a", "b"]
 
     def test_article_term_mode(self):
         cases = [
             make_case("a", "f1", "264", "theft", "b0"),
             make_case("b", "f2", "264", "theft", "b1"),
         ]
-        groups = group_precedents(cases, "article+prison_term", k=3)
-        assert set(groups) == {("264", "b0"), ("264", "b1")}
+        groups = group_precedents(cases, ArticleTerm, k=3)
+        assert set(groups) == {ArticleTerm("264", "b0"), ArticleTerm("264", "b1")}
 
 
 class TestLabelSpace:

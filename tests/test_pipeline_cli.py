@@ -537,6 +537,73 @@ class TestRunAll:
         assert manifest["agent_calls"] == 0
 
 
+    def test_unjudged_test_split_lines_are_rejected_and_the_run_finishes(
+        self, fixture_dir, tmp_path
+    ):
+        data = tmp_path / "data"
+        shutil.copytree(fixture_dir, data)
+        config = load_config(data / "config.json")
+        cases = load_cases(data / "cases.jsonl")
+        split = rljp.corpus.split_dataset(cases, tuple(config["data"]["ratios"]), config["seed"])
+        stripped = {case.case_id for case in split.test[:2]}
+        rows = [json.loads(row) for row in (data / "cases.jsonl").read_text().splitlines()]
+        for row in rows:
+            if row["case_id"] in stripped:
+                del row["meta"]
+        (data / "cases.jsonl").write_text("".join(json.dumps(row) + "\n" for row in rows))
+        run_dir = tmp_path / "run"
+        assert run_cli(["run-all", "--config", data / "config.json", "--run-dir", run_dir]) == 0
+        rejects = [json.loads(line) for line in (run_dir / "rejects.jsonl").open()]
+        lines = sorted(i + 1 for i, row in enumerate(rows) if row["case_id"] in stripped)
+        assert rejects == [{"line": n, "reason": "missing judgment labels"} for n in lines]
+        test_ids = json.loads((run_dir / "split.json").read_text())["test"]
+        assert not stripped & set(test_ids)
+        metrics = json.loads((run_dir / "metrics.json").read_text())
+        assert metrics["num_cases"] == len(test_ids) > 0
+
+    def test_label_outside_the_labels_file_fails_before_any_agent_call(
+        self, fixture_dir, tmp_path, capsys
+    ):
+        data = tmp_path / "data"
+        shutil.copytree(fixture_dir, data)
+        labels = json.loads((data / "labels.json").read_text())
+        labels["charges"].remove("arson")
+        (data / "labels.json").write_text(json.dumps(labels))
+        run_dir = tmp_path / "run"
+        assert run_cli(["run-all", "--config", data / "config.json", "--run-dir", run_dir]) == 1
+        err = capsys.readouterr().err
+        assert "case syn_0010 has charge label 'arson'" in err
+        assert "data.labels_path" in err and "labels.json" in err
+        manifest = json.loads((run_dir / "manifest.json").read_text())
+        assert manifest["stages"]["group-precedents"]["status"] == "failed"
+        assert manifest["agent_calls"] == 0
+
+    @pytest.mark.parametrize(
+        "edit, key",
+        [
+            (lambda labels: labels.pop("prison_terms"), "prison_terms"),
+            (lambda labels: labels.update(articles="264"), "articles"),
+        ],
+        ids=["missing-key", "string-not-list"],
+    )
+    def test_malformed_labels_file_fails_before_any_agent_call(
+        self, fixture_dir, tmp_path, capsys, edit, key
+    ):
+        data = tmp_path / "data"
+        shutil.copytree(fixture_dir, data)
+        labels = json.loads((data / "labels.json").read_text())
+        edit(labels)
+        (data / "labels.json").write_text(json.dumps(labels))
+        run_dir = tmp_path / "run"
+        assert run_cli(["run-all", "--config", data / "config.json", "--run-dir", run_dir]) == 1
+        assert f"labels file {data / 'labels.json'}: {key!r} is not a list" in (
+            capsys.readouterr().err
+        )
+        manifest = json.loads((run_dir / "manifest.json").read_text())
+        assert manifest["stages"]["group-precedents"]["status"] == "failed"
+        assert manifest["agent_calls"] == 0
+
+
 class TestResume:
     def test_rerun_without_resume_flag_is_usage_error(
         self, completed_run, fixture_config_path
@@ -678,6 +745,26 @@ class TestResume:
         assert all(entry["skipped"] for entry in manifest["stages"].values())
         assert list(manifest["stages"]) == list(STAGES)
         assert (moved / "transcript.jsonl").read_text().count("\n") == lines_before
+
+    def test_fully_skipped_resume_writes_the_manifest_once(
+        self, completed_run, fixture_config_path, tmp_path, monkeypatch
+    ):
+        run_dir = tmp_path / "run"
+        shutil.copytree(completed_run, run_dir)
+        writes = []
+        write = pipeline_mod.opt_tree.write_atomically
+
+        def counting(path, text):
+            writes.append(Path(path).name)
+            write(path, text)
+
+        monkeypatch.setattr(pipeline_mod.opt_tree, "write_atomically", counting)
+        assert run_cli(
+            ["run-all", "--config", fixture_config_path, "--run-dir", run_dir, "--resume"]
+        ) == 0
+        assert writes == ["manifest.json"]
+        manifest = json.loads((run_dir / "manifest.json").read_text())
+        assert all(entry["skipped"] for entry in manifest["stages"].values())
 
     def test_corpus_moved_with_config_and_run_dir_resumes_with_every_stage_skipped(
         self, fixture_dir, tmp_path
