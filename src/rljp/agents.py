@@ -108,6 +108,12 @@ class RetryPolicy:
         return rng.uniform(0.0, self.base_delay * self.factor**attempt)
 
 
+# `record` writes the usage as each line's last two keys. json.dumps escapes
+# every '"' inside a string, so this tail cannot occur inside a value.
+_USAGE_MARK = b', "input_units": '
+_USAGE_TAIL = re.compile(rb'(-?\d+), "output_units": (-?\d+)}\n?')
+
+
 class Transcript:
     """Append-only call log; one JSON line per logical agent call.
 
@@ -120,7 +126,9 @@ class Transcript:
     Callers flush before writing any artifact that holds an answer, so a
     hard kill loses only lines whose answers no artifact holds. Opening an
     existing log seeds the totals from its lines, so a resumed run still
-    accounts for every call in the file.
+    accounts for every call in the file: it streams the file's bytes and
+    reads each line's usage from the tail `record` writes, and JSON-decodes
+    only a line without that tail (an older line, or one cut short).
     """
 
     def __init__(self, path: Optional[str | Path] = None):
@@ -133,17 +141,23 @@ class Transcript:
         self._lock = threading.Lock()  # totals, _pending and draining _recorded
         self._write_lock = threading.Lock()  # held until a flush's lines are on disk
         if self.path is not None and self.path.exists():
-            line = ""
-            with self.path.open("r", encoding="utf-8") as handle:
+            line = b""
+            with self.path.open("rb") as handle:
                 for line in handle:
+                    _, mark, tail = line.rpartition(_USAGE_MARK)
+                    usage = _USAGE_TAIL.fullmatch(tail) if mark else None
+                    if usage:
+                        self._count(int(usage[1]), int(usage[2]))
+                        continue
                     try:
                         entry = json.loads(line)
-                    except json.JSONDecodeError:
-                        # a write cut short by a crash: still one call
+                    except ValueError:
+                        # a write cut short by a crash, even inside a character
+                        # (a UnicodeDecodeError): still one call
                         logger.warning("%s: unreadable line counted without usage", self.path)
                         entry = {}
                     self._count(entry.get("input_units", 0), entry.get("output_units", 0))
-            if line and not line.endswith("\n"):
+            if line and not line.endswith(b"\n"):
                 self._pending.append("\n")  # so the next call starts a line of its own
 
     def _count(self, input_units: int, output_units: int) -> None:

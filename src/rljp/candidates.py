@@ -5,18 +5,21 @@ A fact is a sparse vector: the sorted hashed indices of its character
 n-grams and their L2-normalised counts. Each subtask's weights are held, in
 memory as in the saved artifact, as a pair: the sorted hashed columns with a
 non-zero weight, and a labels x len(columns) block of rows. No
-hash_dim-wide matrix is built. Training works on the columns its facts
-touch, comes to the averaged weights in closed form (each update weighted by
-the steps left after it) rather than by summing the whole block after every
-step, and stops after an epoch that makes no update, since every later epoch
-would repeat it. A batch of facts is featurized in one pass and ranked for
-every subtask at once.
+hash_dim-wide matrix is built. The artifact keeps the columns as a JSON list
+and the rows as base64 text of their raw float64 bytes, so a load restores
+every weight exactly by construction and parses no decimal text. Training
+works on the columns its facts touch, comes to the averaged weights in
+closed form (each update weighted by the steps left after it) rather than by
+summing the whole block after every step, and stops after an epoch that
+makes no update, since every later epoch would repeat it. A batch of facts
+is featurized in one pass and ranked for every subtask at once.
 
 This stands in for the heavyweight neural prescreener.
 """
 
 from __future__ import annotations
 
+import base64
 import json
 import logging
 from dataclasses import asdict
@@ -29,6 +32,18 @@ from .confusable import gram_hashes
 from .corpus import SUBTASKS, LabelSpace, LegalCase
 
 logger = logging.getLogger(__name__)
+
+_ROW_DTYPE = np.dtype("<f8")  # the saved rows' bytes, whatever the platform's order
+
+
+def _base64_bytes(text) -> bytes | None:
+    """The bytes that `text` spells in base64, or None if it is not base64 text."""
+    if not isinstance(text, str):
+        return None
+    try:
+        return base64.b64decode(text, validate=True)
+    except ValueError:  # binascii.Error, or a character outside ASCII
+        return None
 
 
 class ProviderNotTrainedError(RuntimeError):
@@ -142,8 +157,10 @@ class CharNgramPerceptron:
             for row in range(len(fact_texts))
         ]
 
-    # -- persistence: per subtask, the weights' pair as it is held, with the
-    # rows as flat lists (label-major), which keeps the artifact diffable
+    # -- persistence: per subtask, the weights' pair as it is held: the
+    # columns as a JSON list, and the rows as one base64 string of their
+    # label-major little-endian float64 bytes, which round-trip exactly and
+    # load without parsing a decimal per weight
 
     def save(self, path: str | Path) -> None:
         payload = {
@@ -152,7 +169,10 @@ class CharNgramPerceptron:
             "epochs": self.epochs,
             "labels": asdict(self.labels),
             "weights": {
-                subtask: {"columns": columns.tolist(), "rows": rows.tolist()}
+                subtask: {
+                    "columns": columns.tolist(),
+                    "rows": base64.b64encode(rows.astype(_ROW_DTYPE).tobytes()).decode("ascii"),
+                }
                 for subtask, (columns, rows) in self._weights.items()
             },
         }
@@ -161,8 +181,9 @@ class CharNgramPerceptron:
     @classmethod
     def load(cls, path: str | Path) -> "CharNgramPerceptron":
         """The provider saved at `path`; ValueError naming the file and the
-        subtask unless its weights hold a row per label and strictly
-        increasing columns in [0, hash_dim) for exactly the three subtasks."""
+        subtask unless its weights hold, for exactly the three subtasks,
+        strictly increasing columns in [0, hash_dim) and rows that are base64
+        text of labels x columns float64 values."""
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
         provider = cls(
             LabelSpace.from_dict(payload["labels"]),
@@ -184,14 +205,17 @@ class CharNgramPerceptron:
                 problem = f"columns are not all ints in [0, {provider.hash_dim})"
             elif any(a >= b for a, b in zip(columns, columns[1:])):
                 problem = "columns are not strictly increasing"
-            elif len(rows) != n_labels:
-                problem = f"{len(rows)} rows for {n_labels} labels"
-            elif any(not isinstance(row, list) or len(row) != len(columns) for row in rows):
-                problem = f"a row is not as long as the {len(columns)} columns"
+            elif (blob := _base64_bytes(rows)) is None:
+                problem = "rows are not base64 text"
+            elif len(blob) != n_labels * len(columns) * _ROW_DTYPE.itemsize:
+                problem = (
+                    f"rows hold {len(blob)} bytes, not {n_labels} labels x "
+                    f"{len(columns)} columns of float64"
+                )
             if problem:
                 raise ValueError(f"{path}: weights for subtask {subtask!r}: {problem}")
             provider._weights[subtask] = (
                 np.array(columns, dtype=np.int64),
-                np.array(rows, dtype=np.float64).reshape(n_labels, len(columns)),
+                np.frombuffer(blob, dtype=_ROW_DTYPE).reshape(n_labels, len(columns)),
             )
         return provider

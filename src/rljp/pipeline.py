@@ -26,6 +26,7 @@ import datetime as _dt
 import hashlib
 import json
 import logging
+import math
 import time
 import uuid
 from dataclasses import dataclass
@@ -312,7 +313,7 @@ def _group_precedents(run: PipelineRun) -> None:
     # here, a stage before the first agent call
     num_options = run.config["quiz"]["num_options"]
     for kind in corpus.RULE_KINDS:
-        size = len(corpus.label_universe(run.labels, kind))
+        size = math.prod(len(run.labels.of(subtask)) for subtask in kind.subtasks)
         if size < num_options:
             raise ValueError(
                 f"quiz.num_options is {num_options}, but the label space has only "

@@ -1,3 +1,4 @@
+import base64
 import json
 import re
 import zlib
@@ -287,14 +288,38 @@ class TestArtifactFormats:
         stored = json.loads((tmp_path / "candidates.json").read_text())["weights"]
         for subtask in SUBTASKS:
             w = expanded(provider, subtask)
-            assert stored[subtask]["columns"] == np.flatnonzero(w.any(axis=0)).tolist()
-            assert len(stored[subtask]["rows"]) == w.shape[0]
+            columns = np.flatnonzero(w.any(axis=0))
+            assert stored[subtask]["columns"] == columns.tolist()
+            rows = np.frombuffer(base64.b64decode(stored[subtask]["rows"]), dtype="<f8")
+            assert rows.size == w.shape[0] * len(columns)
+            assert np.array_equal(rows.reshape(w.shape[0], len(columns)), w[:, columns])
 
     def test_save_then_load_then_save_writes_the_same_bytes(self, trained_pair, tmp_path):
         provider, _ = trained_pair
         provider.save(tmp_path / "first.json")
         CharNgramPerceptron.load(tmp_path / "first.json").save(tmp_path / "second.json")
         assert (tmp_path / "first.json").read_bytes() == (tmp_path / "second.json").read_bytes()
+
+    def test_negative_zero_and_subnormal_weights_round_trip_bit_for_bit(self, tmp_path):
+        tiny = np.finfo(np.float64).smallest_subnormal
+        provider = fixed_scorer({"a": -0.0, "b": tiny, "c": -3 * tiny, "d": 0.1})
+        columns, rows = provider._weights["charge"]
+        rows = rows.copy()
+        rows[0, ::2] = 1.0  # label a: alternating 1.0 and -0.0
+        rows[3, 1] = np.finfo(np.float64).tiny / 2
+        provider._weights["charge"] = (columns, rows)
+        provider.save(tmp_path / "first.json")
+        loaded = CharNgramPerceptron.load(tmp_path / "first.json")
+        loaded.save(tmp_path / "second.json")
+        assert (tmp_path / "first.json").read_bytes() == (tmp_path / "second.json").read_bytes()
+        for subtask in SUBTASKS:
+            assert loaded._weights[subtask][1].tobytes() == provider._weights[subtask][1].tobytes()
+        assert np.signbit(loaded._weights["charge"][1][0, 1])
+        facts = ["fact", "another fact", ""]
+        ours, theirs = loaded.scores(facts), provider.scores(facts)
+        for subtask in SUBTASKS:
+            assert ours[subtask].tobytes() == theirs[subtask].tobytes(), subtask
+        assert loaded.top_labels(facts, k=4) == provider.top_labels(facts, k=4)
 
 
 class TestCompactWeights:
@@ -347,8 +372,10 @@ def _break(payload, case):
     """Break `payload` in the way `case` names; returns the subtask broken."""
     weights = payload["weights"]
     columns, rows = weights["charge"]["columns"], weights["charge"]["rows"]
+    blob = base64.b64decode(rows)
     if case == "one-row-for-every-label":
-        weights["charge"]["rows"] = rows[:1]
+        # the bytes of the first label's row only
+        weights["charge"]["rows"] = base64.b64encode(blob[: 8 * len(columns)]).decode()
     elif case == "missing-subtask":
         del weights["charge"]
     elif case == "extra-subtask":
@@ -364,7 +391,15 @@ def _break(payload, case):
     elif case == "float-column":
         columns[0] = float(columns[0])
     elif case == "short-row":
-        rows[0] = rows[0][:-1]
+        # the base64 text cut one character short
+        weights["charge"]["rows"] = rows[:-1]
+    elif case == "rows-a-weight-short":
+        weights["charge"]["rows"] = base64.b64encode(blob[:-8]).decode()
+    elif case == "rows-with-a-non-base64-character":
+        weights["charge"]["rows"] = "*" + rows[1:]
+    elif case == "rows-as-decimal-lists":
+        n_labels = len(payload["labels"]["charges"])
+        weights["charge"]["rows"] = np.frombuffer(blob).reshape(n_labels, -1).tolist()
     return "verdict" if case == "extra-subtask" else "charge"
 
 
@@ -383,7 +418,8 @@ class TestLoadValidation:
         [
             "one-row-for-every-label", "missing-subtask", "extra-subtask", "duplicate-column",
             "decreasing-columns", "column-at-hash-dim", "negative-column", "float-column",
-            "short-row",
+            "short-row", "rows-a-weight-short", "rows-with-a-non-base64-character",
+            "rows-as-decimal-lists",
         ],
     )
     def test_a_malformed_artifact_is_rejected_naming_file_and_subtask(self, saved, tmp_path, case):
