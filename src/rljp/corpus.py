@@ -20,11 +20,11 @@ import json
 import logging
 import math
 import random
-from dataclasses import astuple, dataclass, fields
+from dataclasses import asdict, astuple, dataclass, fields
 from pathlib import Path
 from typing import Collection, Iterable, Optional, Sequence
 
-from .fol import ArticleCharge, ArticleTerm, Consequent, consequent_labels
+from .fol import ArticleCharge, ArticleTerm, Consequent, consequent_from_key, consequent_key
 
 logger = logging.getLogger(__name__)
 
@@ -46,13 +46,12 @@ _SUBTASK_FIELDS = {
 }
 SUBTASKS = tuple(_SUBTASK_FIELDS)
 
-# the consequent kinds that get rules; precedents.json has one section of
-# precedent groups per kind, named by its subtasks joined with "+"
+# the consequent kinds that get rules
 RULE_KINDS = (ArticleCharge, ArticleTerm)
 
-# characters that join labels in stored keys: "," in fol.consequent_key and
-# "|" in the precedents.json group keys; a label holding one cannot round-trip
-_KEY_SEPARATORS = ",|"
+# fol.consequent_key joins a target's labels with it, so a label holding it
+# cannot round-trip through any stored key
+_KEY_SEPARATOR = ","
 
 
 def _subtask_fields(subtask: str) -> tuple[str, str]:
@@ -193,7 +192,7 @@ def load_cases(
             if None in labels:
                 sink.append(RejectedLine(lineno, "missing judgment labels"))
                 continue
-            clash = next((v for v in labels if any(s in v for s in _KEY_SEPARATORS)), None)
+            clash = next((v for v in labels if _KEY_SEPARATOR in v), None)
             if clash is not None:
                 sink.append(RejectedLine(lineno, f"label {clash!r} holds a key separator"))
                 continue
@@ -300,11 +299,8 @@ def group_precedents(
 
 
 def save_precedents(path: str | Path, groups: dict[Consequent, Sequence[LegalCase]]) -> None:
-    """precedents.json: a section per RULE_KINDS entry of "|"-joined labels -> case ids."""
-    payload: dict[str, dict] = {"+".join(kind.subtasks): {} for kind in RULE_KINDS}
-    for target, cases in groups.items():
-        labels = "|".join(consequent_labels(target).values())
-        payload["+".join(target.subtasks)][labels] = [case.case_id for case in cases]
+    """precedents.json: each target's consequent_key -> its case ids, in group order."""
+    payload = {consequent_key(t): [case.case_id for case in cases] for t, cases in groups.items()}
     Path(path).write_text(
         json.dumps(payload, indent=2, ensure_ascii=False) + "\n", encoding="utf-8"
     )
@@ -315,11 +311,7 @@ def load_precedents(
 ) -> dict[Consequent, list[LegalCase]]:
     """The groups `save_precedents` wrote, in file order; ids are looked up in `cases`."""
     payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    return {
-        kind(*labels.split("|", len(kind.subtasks) - 1)): [cases[i] for i in ids]
-        for kind in RULE_KINDS
-        for labels, ids in payload["+".join(kind.subtasks)].items()
-    }
+    return {consequent_from_key(key): [cases[i] for i in ids] for key, ids in payload.items()}
 
 
 def label_space(cases: Collection[LegalCase]) -> LabelSpace:
@@ -340,3 +332,10 @@ def load_label_space(path: str | Path) -> LabelSpace:
         if not isinstance(values, list) or any(type(v) not in (str, int) for v in values):
             raise CorpusError(f"labels file {path}: {f.name!r} is not a list of strings or ints")
     return LabelSpace.from_dict(data)
+
+
+def save_label_space(path: str | Path, labels: LabelSpace) -> None:
+    """labels.json: {articles, charges, prison_terms}, which `load_label_space` reads back."""
+    Path(path).write_text(
+        json.dumps(asdict(labels), indent=2, ensure_ascii=False) + "\n", encoding="utf-8"
+    )

@@ -37,7 +37,7 @@ from . import cacl, confusable, corpus, examination, opt_tree, rule_init
 from .agents import Agent, Transcript, fan_out
 from .candidates import CharNgramPerceptron
 from .config import ConfigError, build_agent, build_embedder
-from .corpus import Judgment, LabelSpace, LegalCase, RejectedLine
+from .corpus import Judgment, LegalCase, RejectedLine
 from .fol import FolRule, consequent_key
 from .metrics import compute_metrics, report_as_json, report_as_table
 from .quiz import make_quiz
@@ -115,18 +115,15 @@ class PipelineRun:
                 )
             self.manifest = json.loads(self.manifest_path.read_text(encoding="utf-8"))
             self.manifest["config"] = config
-            self.manifest["seed"] = config["seed"]
         else:
             self.manifest = {
                 "run_id": uuid.uuid4().hex,
                 "created_at": _now(),
                 "config": config,
-                "seed": config["seed"],
                 "providers": {},
                 "stages": {},
                 "agent_calls": 0,
                 "usage": {"input_units": 0, "output_units": 0},
-                "artifacts": [],
             }
         self.transcript = Transcript(self.run_dir / "transcript.jsonl")
         # built up front, so a bad spec is a config error before any stage runs
@@ -141,7 +138,6 @@ class PipelineRun:
             **({"routing": routed} if routed else {}),
         }
         self._cases: Optional[dict[str, LegalCase]] = None
-        self._labels: Optional[LabelSpace] = None
         self.resuming = False  # set by _execute before each stage body
 
     def agent_spec(self, stage: Optional[str]) -> dict:
@@ -241,9 +237,6 @@ class PipelineRun:
             entry["outputs"] = {
                 p.relative_to(self.run_dir).as_posix(): _sha256(p) for p in outputs
             }
-            for path_str in entry["outputs"]:
-                if path_str not in self.manifest["artifacts"]:
-                    self.manifest["artifacts"].append(path_str)
             entry["status"] = "ok"
             entry["finished_at"] = _now()
             entry["elapsed_s"] = round(time.monotonic() - started, 3)
@@ -261,19 +254,6 @@ class PipelineRun:
             cases = corpus.load_cases(self.path("cases.valid.jsonl"))
             self._cases = {case.case_id: case for case in cases}
         return self._cases
-
-    @property
-    def labels(self) -> LabelSpace:
-        """data.labels_path, or else the labels of cases.valid.jsonl; the file
-        is read once per run, the setting on every use."""
-        labels_path = self.config["data"]["labels_path"]
-        if self._labels is None:
-            self._labels = (
-                corpus.load_label_space(labels_path)
-                if labels_path
-                else corpus.label_space(self.cases.values())
-            )
-        return self._labels
 
     def run_through(self, last_stage: str) -> dict:
         """Run the stage prefix ending at `last_stage`; returns the manifest."""
@@ -295,10 +275,24 @@ def _ingest(run: PipelineRun) -> None:
     cases = corpus.load_cases(data["cases_path"], data["schema"], rejects=rejects)
     if not cases:
         raise ValueError("no valid cases ingested")
+    # the one choice of label space; later stages read labels.json
+    labels_path = data["labels_path"]
+    labels = corpus.load_label_space(labels_path) if labels_path else corpus.label_space(cases)
+    # the prescreener and the quizzes index the label space by every gold label
+    known = {subtask: set(labels.of(subtask)) for subtask in corpus.SUBTASKS}
+    for case in cases:
+        for subtask in corpus.SUBTASKS:
+            label = case.judgment.label(subtask)
+            if label not in known[subtask]:
+                raise ValueError(
+                    f"case {case.case_id} has {subtask} label {label!r}, which "
+                    f"data.labels_path {labels_path} does not list"
+                )
     corpus.save_cases(run.path("cases.valid.jsonl"), cases)
     corpus.write_rejects_report(run.path("rejects.jsonl"), rejects)
-    # cases.valid.jsonl was rewritten; reparse it and its labels on next use
-    run._cases = run._labels = None
+    corpus.save_label_space(run.path("labels.json"), labels)
+    # cases.valid.jsonl was rewritten; reparse it on next use
+    run._cases = None
 
 
 def _split(run: PipelineRun) -> None:
@@ -311,24 +305,15 @@ def _split(run: PipelineRun) -> None:
 def _group_precedents(run: PipelineRun) -> None:
     # a quiz draws its options from its target kind's label universe; checked
     # here, a stage before the first agent call
+    labels = corpus.load_label_space(run.path("labels.json"))
     num_options = run.config["quiz"]["num_options"]
     for kind in corpus.RULE_KINDS:
-        size = math.prod(len(run.labels.of(subtask)) for subtask in kind.subtasks)
+        size = math.prod(len(labels.of(subtask)) for subtask in kind.subtasks)
         if size < num_options:
             raise ValueError(
                 f"quiz.num_options is {num_options}, but the label space has only "
                 f"{size} {'+'.join(kind.subtasks)} labels to draw options from"
             )
-    # the prescreener and the quizzes index the label space by every gold label
-    known = {subtask: set(run.labels.of(subtask)) for subtask in corpus.SUBTASKS}
-    for case in run.cases.values():
-        for subtask in corpus.SUBTASKS:
-            label = case.judgment.label(subtask)
-            if label not in known[subtask]:
-                raise ValueError(
-                    f"case {case.case_id} has {subtask} label {label!r}, which "
-                    f"data.labels_path {run.config['data']['labels_path']} does not list"
-                )
     train = corpus.load_split(run.path("split.json"), run.cases).train
     k = run.config["data"]["precedent_k"]
     groups = {}
@@ -342,7 +327,7 @@ def _init_rules(run: PipelineRun) -> None:
     ruleset = rule_init.init_all_rules(
         groups,
         run._agent_for("init-rules"),
-        run.labels,
+        corpus.load_label_space(run.path("labels.json")),
         temperature=run.config["optimization"]["temperature"],
         concurrency=run.config["agent_concurrency"],
     )
@@ -380,7 +365,7 @@ def _build_confusable(run: PipelineRun) -> None:
 
 
 def _optimize(run: PipelineRun) -> list[Path]:
-    labels = run.labels
+    labels = corpus.load_label_space(run.path("labels.json"))
     init_rules = rule_init.load_ruleset(run.path("rules_init.json"))
     confusable_sets = confusable.load_confusable(run.path("confusable.json"), run.cases)
     opt_config = run.config["optimization"]
@@ -448,13 +433,13 @@ def _optimize(run: PipelineRun) -> list[Path]:
 
 
 def _train_candidates(run: PipelineRun) -> None:
-    provider = CharNgramPerceptron(run.labels)
+    provider = CharNgramPerceptron(corpus.load_label_space(run.path("labels.json")))
     provider.train(list(corpus.load_split(run.path("split.json"), run.cases).train))
     provider.save(run.path("candidates.json"))
 
 
 def _examine(run: PipelineRun) -> None:
-    labels = run.labels
+    labels = corpus.load_label_space(run.path("labels.json"))
     split = corpus.load_split(run.path("split.json"), run.cases)
     if not split.test:
         raise ValueError("the test split is empty; give data.ratios a larger test share")
@@ -502,18 +487,21 @@ def _evaluate(run: PipelineRun) -> None:
 # every existing run directory.
 STAGE_TABLE: dict[str, Stage] = {
     "ingest": Stage(
-        (), ("data.cases_path", "data.schema"), ("cases.valid.jsonl", "rejects.jsonl"), _ingest
+        (),
+        ("data.cases_path", "data.schema", "data.labels_path"),
+        ("cases.valid.jsonl", "rejects.jsonl", "labels.json"),
+        _ingest,
     ),
     "split": Stage(("cases.valid.jsonl",), ("seed", "data.ratios"), ("split.json",), _split),
     "group-precedents": Stage(
-        ("cases.valid.jsonl", "split.json"),
-        ("data.labels_path", "data.precedent_k", "quiz.num_options"),
+        ("cases.valid.jsonl", "labels.json", "split.json"),
+        ("data.precedent_k", "quiz.num_options"),
         ("precedents.json",),
         _group_precedents,
     ),
     "init-rules": Stage(
-        ("cases.valid.jsonl", "precedents.json"),
-        ("data.labels_path", "optimization.temperature", "providers.agent"),
+        ("cases.valid.jsonl", "labels.json", "precedents.json"),
+        ("optimization.temperature", "providers.agent"),
         ("rules_init.json",),
         _init_rules,
     ),
@@ -524,21 +512,22 @@ STAGE_TABLE: dict[str, Stage] = {
         _build_confusable,
     ),
     "optimize": Stage(
-        ("cases.valid.jsonl", "rules_init.json", "confusable.json"),
-        ("data.labels_path", "seed", "quiz.num_options", "optimization.defined_score",
+        ("cases.valid.jsonl", "labels.json", "rules_init.json", "confusable.json"),
+        ("seed", "quiz.num_options", "optimization.defined_score",
          "optimization.max_iterations", "optimization.temperature", "providers.agent"),
         ("rules_optimized.json",),
         _optimize,
     ),
     "train-candidates": Stage(
-        ("cases.valid.jsonl", "split.json"),
-        ("data.labels_path",),
+        ("cases.valid.jsonl", "labels.json", "split.json"),
+        (),
         ("candidates.json",),
         _train_candidates,
     ),
     "examine": Stage(
-        ("cases.valid.jsonl", "split.json", "rules_optimized.json", "candidates.json"),
-        ("data.labels_path", "seed", "examination.candidate_k", "providers.agent"),
+        ("cases.valid.jsonl", "labels.json", "split.json", "rules_optimized.json",
+         "candidates.json"),
+        ("seed", "examination.candidate_k", "providers.agent"),
         ("predictions.jsonl",),
         _examine,
     ),

@@ -336,7 +336,9 @@ class OracleAgent:
             )
         else:
             raise AgentError(f"oracle has no handler for tag {tag!r}")
-        return ChatResponse(text=reply, latency_ms=0.0)
+        # billed in characters, so offline runs exercise the usage accounting
+        units = len(request.system_text) + len(request.user_text)
+        return ChatResponse(text=reply, input_units=units, output_units=len(reply))
 
     # -- handlers
 

@@ -24,16 +24,18 @@ from rljp.config import (
 from rljp.candidates import CharNgramPerceptron
 from rljp.confusable import HttpEmbedder, load_confusable, save_confusable
 from rljp.corpus import (
+    label_space,
     load_cases,
     load_label_space,
     load_precedents,
     load_split,
     save_cases,
+    save_label_space,
     save_precedents,
     save_split,
 )
 from rljp.examination import load_predictions, save_predictions
-from rljp.fol import consequent_key
+from rljp.fol import ArticleCharge, consequent_key
 from rljp.opt_tree import load_tree, save_tree, tree_path
 from rljp.pipeline import STAGE_TABLE, STAGES, run_pipeline
 from rljp.quiz import make_quiz
@@ -51,9 +53,9 @@ def cases_of(run_dir):
 
 def resave_trees(run_dir, out):
     """Each tree store through load_tree and save_tree, its quiz rebuilt as
-    the run built it: the run's recorded settings and the fixture's labels."""
+    the run built it: the run's recorded settings and its labels.json."""
     config = json.loads((run_dir / "manifest.json").read_text())["config"]
-    labels = load_label_space(config["data"]["labels_path"])
+    labels = load_label_space(run_dir / "labels.json")
     (out / "trees").mkdir()
     for key, conf in load_confusable(run_dir / "confusable.json", cases_of(run_dir)).items():
         questions = make_quiz(
@@ -67,6 +69,9 @@ def resave_trees(run_dir, out):
 RESAVE = {
     "cases.valid.jsonl": lambda run, out: save_cases(
         out / "cases.valid.jsonl", load_cases(run / "cases.valid.jsonl")
+    ),
+    "labels.json": lambda run, out: save_label_space(
+        out / "labels.json", load_label_space(run / "labels.json")
     ),
     "split.json": lambda run, out: save_split(
         out / "split.json", load_split(run / "split.json", cases_of(run))
@@ -484,14 +489,13 @@ class TestRunAll:
         manifest = json.loads((completed_run / "manifest.json").read_text())
         for entry in manifest["stages"].values():
             for path in entry["outputs"]:
-                assert path in manifest["artifacts"]
                 assert not Path(path).is_absolute()
                 assert (completed_run / path).exists()
 
     def test_config_snapshot_is_complete(self, completed_run, fixture_config_path):
         manifest = json.loads((completed_run / "manifest.json").read_text())
         assert manifest["config"] == load_config(fixture_config_path)
-        assert manifest["seed"] == 50
+        assert manifest["config"]["seed"] == 50
 
     def test_rejects_report_is_empty_for_clean_corpus(self, completed_run):
         assert (completed_run / "rejects.jsonl").read_text() == ""
@@ -575,7 +579,7 @@ class TestRunAll:
         assert "case syn_0010 has charge label 'arson'" in err
         assert "data.labels_path" in err and "labels.json" in err
         manifest = json.loads((run_dir / "manifest.json").read_text())
-        assert manifest["stages"]["group-precedents"]["status"] == "failed"
+        assert manifest["stages"]["ingest"]["status"] == "failed"
         assert manifest["agent_calls"] == 0
 
     @pytest.mark.parametrize(
@@ -600,7 +604,7 @@ class TestRunAll:
             capsys.readouterr().err
         )
         manifest = json.loads((run_dir / "manifest.json").read_text())
-        assert manifest["stages"]["group-precedents"]["status"] == "failed"
+        assert manifest["stages"]["ingest"]["status"] == "failed"
         assert manifest["agent_calls"] == 0
 
 
@@ -814,7 +818,7 @@ class TestResume:
         manifest = json.loads((tmp_path / "run" / "manifest.json").read_text())
         skipped = {name: entry["skipped"] for name, entry in manifest["stages"].items()}
         assert skipped == {
-            "ingest": True, "split": True, "group-precedents": False, "init-rules": False
+            "ingest": False, "split": True, "group-precedents": False, "init-rules": False
         }
 
     def test_run_dir_with_dense_candidates_and_absolute_paths_resumes(
@@ -831,7 +835,6 @@ class TestResume:
             entry["outputs"] = {
                 str(run_dir / name): digest for name, digest in entry["outputs"].items()
             }
-        manifest["artifacts"] = [str(run_dir / name) for name in manifest["artifacts"]]
         manifest_path.write_text(json.dumps(manifest))
 
         assert run_cli(["evaluate", *args, "--resume"]) == 0
@@ -867,7 +870,8 @@ class TestResume:
         assert list(manifest["stages"]) == ["ingest", "split", "group-precedents"]
         written = sorted(p.name for p in run_dir.iterdir() if p.is_file())
         assert written == [
-            "cases.valid.jsonl", "manifest.json", "precedents.json", "rejects.jsonl", "split.json"
+            "cases.valid.jsonl", "labels.json", "manifest.json", "precedents.json",
+            "rejects.jsonl", "split.json",
         ]
         assert not any((run_dir / "trees").iterdir())
 
@@ -904,19 +908,38 @@ class TestResume:
         )
         assert manifest["usage"]["output_units"] == sum(e["output_units"] for e in entries)
 
+    def test_resumed_run_reports_the_oracles_usage(self, fixture_config_path, tmp_path):
+        # the synthetic oracle bills each call's characters, so the totals a
+        # reopened transcript seeds are not 0
+        args = ["run-all", "--config", fixture_config_path, "--run-dir", tmp_path / "run"]
+        assert run_cli(args) == 0
+        assert run_cli([*args, "--resume"]) == 0
+        manifest = json.loads((tmp_path / "run" / "manifest.json").read_text())
+        assert all(entry["skipped"] for entry in manifest["stages"].values())
+        entries = _transcript(tmp_path / "run")
+        assert manifest["agent_calls"] == len(entries)
+        usage = manifest["usage"]
+        assert usage["input_units"] == sum(e["input_units"] for e in entries) > 0
+        assert usage["output_units"] == sum(e["output_units"] for e in entries) > 0
+        for entry in entries:
+            request = entry["request"]
+            assert entry["input_units"] == len(request["system"]) + len(request["user"])
+            assert entry["output_units"] == len(entry["response"])
+
     def test_run_all_reads_the_label_file_once(
         self, fixture_config_path, tmp_path, monkeypatch
     ):
         calls = []
 
         def counted(path):
-            calls.append(path)
+            calls.append(Path(path))
             return load_label_space(path)
 
         monkeypatch.setattr(rljp.corpus, "load_label_space", counted)
         args = ["--config", fixture_config_path, "--run-dir", tmp_path / "run"]
         assert run_cli(["run-all", *args]) == 0
-        assert len(calls) == 1
+        labels_path = Path(load_config(fixture_config_path)["data"]["labels_path"])
+        assert calls.count(labels_path) == 1
 
     def test_mock_flag_runs_offline(self, fixture_config_path, tmp_path):
         run_dir = tmp_path / "run"
@@ -1054,9 +1077,8 @@ class TestStageSettings:
     def test_each_body_reads_exactly_its_row_settings(
         self, fixture_config_path, tmp_path, monkeypatch
     ):
-        # run.labels reads data.labels_path on every use though it reads the
-        # file once, and build-confusable builds its embedder in its body, so
-        # every stage that uses either shows the read
+        # build-confusable builds its embedder in its body, so its row shows
+        # the read; only ingest reads data.labels_path
         reads = {name: set() for name in STAGES}
 
         def recording(name, body):
@@ -1085,9 +1107,9 @@ class TestStageSettings:
     def test_each_body_touches_exactly_its_row_files(
         self, fixture_config_path, tmp_path, monkeypatch
     ):
-        # the parsed cases and labels are dropped before each body, so a body
-        # that uses them reads cases.valid.jsonl itself; tree stores are named
-        # through tree_path, not path, and are not row files
+        # the parsed cases are dropped before each body, so a body that uses
+        # them reads cases.valid.jsonl itself; tree stores are named through
+        # tree_path, not path, and are not row files
         touched: dict[str, set] = {name: set() for name in STAGES}
         current: list[str] = []
         path = pipeline_mod.PipelineRun.path
@@ -1099,7 +1121,7 @@ class TestStageSettings:
 
         def recording(name, body):
             def wrapped(run):
-                run._cases = run._labels = None
+                run._cases = None
                 current.append(name)
                 try:
                     return body(run)
@@ -1211,6 +1233,19 @@ class TestPipelineProducts:
         predictions = load_predictions(run_dir / "predictions.jsonl")
         assert [p.case_id for p in predictions] == [c.case_id for c in split.test]
 
+        # each artifact, every tree store included, reads back and writes the
+        # same bytes; the quizzes are rebuilt from labels.json
+        out = tmp_path / "resaved"
+        out.mkdir()
+        for resave in RESAVE.values():
+            resave(run_dir, out)
+        trees = sorted(p.relative_to(run_dir) for p in (run_dir / "trees").glob("*.json"))
+        assert len(trees) == len(sets)
+        written = sorted(p.relative_to(out) for p in out.rglob("*") if p.is_file())
+        assert written == sorted([*(Path(name) for name in RESAVE if name != "trees"), *trees])
+        for name in written:
+            assert (out / name).read_bytes() == (run_dir / name).read_bytes(), name
+
     def test_tree_store_names_are_distinct_per_target(self, tmp_path):
         keys = ["article=264,charge=a b", "article=264,charge=a.b", "article=264,charge=a-b"]
         assert len({tree_path(tmp_path, key) for key in keys}) == 3
@@ -1273,8 +1308,8 @@ class TestInitRulesPrecedents:
         assert run_cli(["init-rules", "--config", config_path, "--run-dir", run_dir]) == 0
 
         precedents = json.loads((run_dir / "precedents.json").read_text())
-        assert precedents["article+charge"]["264|2"] == ["c1", "c3"]
-        assert precedents["article+prison_term"]["264|2"] == ["c2", "c4"]
+        assert precedents["article=264,charge=2"] == ["c1", "c3"]
+        assert precedents["article=264,term=2"] == ["c2", "c4"]
         with (run_dir / "transcript.jsonl").open() as handle:
             entries = [json.loads(line) for line in handle]
         (prompt,) = [e["request"]["user"] for e in entries if e["tag"] == f"init/summarize/{key}"]
@@ -1284,34 +1319,83 @@ class TestInitRulesPrecedents:
         assert list(rules) == [key]
 
 
+def _write_small_corpus(directory, first_article, first_charge, **config):
+    """Three cases, the first with the given labels, the others 264/theft,
+    and a config over them with a scripted agent that has no answers."""
+    rows = [
+        ("c1", "took a bicycle", first_article, first_charge),
+        ("c2", "took a wallet", "264", "theft"),
+        ("c3", "took a phone", "264", "theft"),
+    ]
+    with (directory / "cases.jsonl").open("w") as handle:
+        for case_id, fact, article, charge in rows:
+            meta = {"relevant_articles": [article], "accusation": [charge], "term_bucket": ["b0"]}
+            handle.write(json.dumps({"case_id": case_id, "fact": fact, "meta": meta}) + "\n")
+    (directory / "script.json").write_text("{}")
+    config = {
+        "data": {"cases_path": "cases.jsonl"},
+        "providers": {"agent": {"kind": "scripted", "script_path": "script.json"}},
+        **config,
+    }
+    (directory / "config.json").write_text(json.dumps(config))
+    return directory / "config.json"
+
+
 class TestIngestRejects:
-    @pytest.mark.parametrize(
-        "article, charge",
-        [("264", "theft, aggravated"), ("26|4", "theft")],
-        ids=["comma-in-charge", "pipe-in-article"],
-    )
-    def test_label_with_a_key_separator_is_rejected(self, tmp_path, article, charge):
-        rows = [
-            ("c1", "took a bicycle", article, charge),
-            ("c2", "took a wallet", "264", "theft"),
-            ("c3", "took a phone", "264", "theft"),
-        ]
-        with (tmp_path / "cases.jsonl").open("w") as handle:
-            for case_id, fact, art, chg in rows:
-                meta = {"relevant_articles": [art], "accusation": [chg], "term_bucket": ["b0"]}
-                handle.write(json.dumps({"case_id": case_id, "fact": fact, "meta": meta}) + "\n")
-        (tmp_path / "script.json").write_text("{}")
-        config = {
-            "data": {"cases_path": "cases.jsonl"},
-            "providers": {"agent": {"kind": "scripted", "script_path": "script.json"}},
-        }
-        config_path = tmp_path / "config.json"
-        config_path.write_text(json.dumps(config))
+    @pytest.mark.parametrize("charge", ["theft, aggravated"], ids=["comma-in-charge"])
+    def test_label_with_a_key_separator_is_rejected(self, tmp_path, charge):
+        config_path = _write_small_corpus(tmp_path, "264", charge)
         run_dir = tmp_path / "run"
         assert run_cli(["ingest", "--config", config_path, "--run-dir", run_dir]) == 0
 
         rejects = [json.loads(line) for line in (run_dir / "rejects.jsonl").open()]
-        label = charge if article == "264" else article
-        assert rejects == [{"line": 1, "reason": f"label {label!r} holds a key separator"}]
+        assert rejects == [{"line": 1, "reason": f"label {charge!r} holds a key separator"}]
         valid = [json.loads(line)["case_id"] for line in (run_dir / "cases.valid.jsonl").open()]
         assert valid == ["c2", "c3"]
+
+    def test_label_holding_a_pipe_is_kept_and_its_precedents_round_trip(self, tmp_path):
+        # two articles, one charge and one term: a quiz can offer two options
+        config_path = _write_small_corpus(tmp_path, "26|4", "theft", quiz={"num_options": 2})
+        run_dir = tmp_path / "run"
+        args = ["--config", config_path, "--run-dir", run_dir]
+        assert run_cli(["group-precedents", *args]) == 0
+
+        assert (run_dir / "rejects.jsonl").read_text() == ""
+        cases = cases_of(run_dir)
+        assert list(cases) == ["c1", "c2", "c3"]
+        assert load_label_space(run_dir / "labels.json").articles == ("26|4", "264")
+        payload = json.loads((run_dir / "precedents.json").read_text())
+        assert payload["article=26|4,charge=theft"] == payload["article=26|4,term=b0"] == ["c1"]
+        groups = load_precedents(run_dir / "precedents.json", cases)
+        assert [c.case_id for c in groups[ArticleCharge("26|4", "theft")]] == ["c1"]
+        save_precedents(tmp_path / "precedents.json", groups)
+        assert (tmp_path / "precedents.json").read_bytes() == (
+            run_dir / "precedents.json"
+        ).read_bytes()
+
+
+class TestIngestLabelSpace:
+    def test_labels_json_is_the_labels_file(self, fixture_dir, tmp_path):
+        # in the reverse of the order the cases show the labels in
+        data = tmp_path / "data"
+        shutil.copytree(fixture_dir, data)
+        labels = json.loads((data / "labels.json").read_text())
+        labels = {key: values[::-1] for key, values in labels.items()}
+        (data / "labels.json").write_text(json.dumps(labels))
+        run_dir = tmp_path / "run"
+        assert run_cli(["ingest", "--config", data / "config.json", "--run-dir", run_dir]) == 0
+        written = load_label_space(run_dir / "labels.json")
+        assert written == load_label_space(data / "labels.json")
+        assert written != label_space(load_cases(run_dir / "cases.valid.jsonl"))
+
+    def test_labels_json_without_a_labels_file_is_the_cases_labels(self, fixture_dir, tmp_path):
+        data = tmp_path / "data"
+        shutil.copytree(fixture_dir, data)
+        raw = json.loads((data / "config.json").read_text())
+        raw["data"]["labels_path"] = None
+        (data / "config.json").write_text(json.dumps(raw))
+        (data / "labels.json").unlink()
+        run_dir = tmp_path / "run"
+        assert run_cli(["ingest", "--config", data / "config.json", "--run-dir", run_dir]) == 0
+        labels = load_label_space(run_dir / "labels.json")
+        assert labels == label_space(load_cases(run_dir / "cases.valid.jsonl"))
