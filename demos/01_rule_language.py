@@ -33,6 +33,7 @@ for source in [
     "FORALL x Theft(x AND) -> ARTICLE(264)",
     "(P() OR) -> ARTICLE(264)",
     "(P()) -> CHARGE(theft)",
+    "(P()) -> ARTICLE(264)",
 ]:
     try:
         parse_rule(source)
@@ -42,8 +43,8 @@ for source in [
 print()
 print("== validation (labels, binding, arity) ==")
 for source in [
-    "FORALL x (Theft(y)) -> ARTICLE(264)",
-    "FORALL x (P(x) AND P(x, x)) -> ARTICLE(264)",
+    "FORALL x (Theft(y)) -> ARTICLE(264) CHARGE(theft)",
+    "FORALL x (P(x) AND P(x, x)) -> ARTICLE(263) CHARGE(robbery)",
     "(Smuggle()) -> ARTICLE(9999) CHARGE(smuggling)",
 ]:
     rule = parse_rule(source)

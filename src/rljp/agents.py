@@ -10,7 +10,10 @@ agent's transcript. Scripted mocks replay an ordered tag -> text mapping and
 fail loudly on anything unscripted, so tests pin the exact conversation a
 stage is allowed to have. fan_out() is the one place that runs agent work
 on threads: each worker makes its calls one after another, so the worker
-count bounds the calls in flight.
+count bounds the calls in flight. The workers only compute and call the
+agent; the thread that iterates fan_out's results writes the transcript out
+as each result arrives (optimize's workers are the exception: each writes
+it out before its own tree-store saves).
 
 Outside its send, a call takes no lock and makes no system call: the retry
 jitter's RNG is only built (and seeded from os.urandom) after a transient
@@ -33,7 +36,9 @@ from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Iterable, Optional, Protocol, Sequence, TypeVar, Union
+from typing import (
+    TYPE_CHECKING, Callable, Iterable, Iterator, Optional, Protocol, Sequence, TypeVar, Union,
+)
 
 if TYPE_CHECKING:
     import requests
@@ -123,12 +128,14 @@ class Transcript:
     block on one another to log a call. `flush` and the reads of `calls`,
     `input_units` and `output_units` drain that queue into the totals under
     a lock, and `flush` appends the drained lines to the file in one write.
-    Callers flush before writing any artifact that holds an answer, so a
-    hard kill loses only lines whose answers no artifact holds. Opening an
-    existing log seeds the totals from its lines, so a resumed run still
-    accounts for every call in the file: it streams the file's bytes and
-    reads each line's usage from the tail `record` writes, and JSON-decodes
-    only a line without that tail (an older line, or one cut short).
+    Callers flush before writing any artifact that holds an answer, on the
+    thread that writes it (the one iterating `fan_out`'s results, except for
+    optimize's tree stores), so a hard kill loses only lines whose answers
+    no artifact holds. Opening an existing log seeds the totals from its
+    lines, so a resumed run still accounts for every call in the file: it
+    streams the file's bytes and reads each line's usage from the tail
+    `record` writes, and JSON-decodes only a line without that tail (an
+    older line, or one cut short).
     """
 
     def __init__(self, path: Optional[str | Path] = None):
@@ -307,18 +314,23 @@ def complete(
     return response
 
 
-def fan_out(fn: Callable[[T], R], items: Iterable[T], workers: int) -> list[R]:
-    """`fn` over `items` on at most `workers` threads; results in item order.
+def fan_out(fn: Callable[[T], R], items: Iterable[T], workers: int) -> Iterator[R]:
+    """`fn` over `items` on at most `workers` threads; yields the results in
+    item order, each as soon as it and every earlier one are done.
 
-    With `workers <= 1` it is a plain loop. An exception raised by `fn`
-    propagates, the first in item order, after the items not yet started
-    are cancelled and the running ones have finished.
+    Nothing starts before the first result is asked for. With `workers <= 1`
+    it is a plain loop. An exception raised by `fn` propagates, the first in
+    item order, after the items not yet started are cancelled and the running
+    ones have finished. The workers only compute; whatever must happen once
+    per result, such as writing the transcript out, the caller does between
+    yields, on its own thread.
     """
     items = list(items)
     if workers <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
+        yield from map(fn, items)
+        return
     with ThreadPoolExecutor(max_workers=min(workers, len(items))) as pool:
-        return list(pool.map(fn, items))
+        yield from pool.map(fn, items)
 
 
 # ---------------------------------------------------------------------------

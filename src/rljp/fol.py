@@ -2,7 +2,8 @@
 
 A rule reads ``<quantifiers> ( <expression> ) -> <consequent>`` where the
 expression combines predicate atoms with NOT/AND/OR (in decreasing binding
-strength) and the consequent names one or two judgment labels:
+strength) and the consequent names two judgment labels, an article and a
+charge or a prison term:
 
     FORALL x (Theft(x) AND ValueLarge(x)) -> ARTICLE(264) CHARGE(theft)
 
@@ -92,13 +93,6 @@ AstNode = Union[Quantifier, Connective, PredicateAtom]
 
 
 @dataclass(frozen=True)
-class Article:
-    article_id: str
-
-    subtasks: ClassVar[tuple[str, ...]] = ("article",)
-
-
-@dataclass(frozen=True)
 class ArticleCharge:
     article_id: str
     charge_id: str
@@ -114,9 +108,9 @@ class ArticleTerm:
     subtasks: ClassVar[tuple[str, ...]] = ("article", "prison_term")
 
 
-Consequent = Union[Article, ArticleCharge, ArticleTerm]
+Consequent = Union[ArticleCharge, ArticleTerm]
 
-_KIND_OF_SUBTASKS = {kind.subtasks: kind for kind in (Article, ArticleCharge, ArticleTerm)}
+_KIND_OF_SUBTASKS = {kind.subtasks: kind for kind in (ArticleCharge, ArticleTerm)}
 
 
 @dataclass(frozen=True)

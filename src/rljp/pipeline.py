@@ -16,8 +16,11 @@ relative to the run directory, so a moved run directory still resumes. On
 rerun a stage is skipped exactly when its recorded input hash still matches
 and all of its outputs are present with their recorded hashes; an output
 whose bytes changed behind the manifest's back is a checksum failure, not a
-silent rebuild. Only a stage re-run under the input hash it recorded last,
-after a crash or a failure, resumes partial work: optimize reloads its trees.
+silent rebuild. Between two stage bodies each run-directory file is hashed
+once: the input hashes, the skip checks and the output hashes share a memo
+that is emptied before every body runs. Only a stage re-run under the input
+hash it recorded last, after a crash or a failure, resumes partial work:
+optimize reloads its trees.
 """
 
 from __future__ import annotations
@@ -139,6 +142,8 @@ class PipelineRun:
         }
         self._cases: Optional[dict[str, LegalCase]] = None
         self.resuming = False  # set by _execute before each stage body
+        # run-dir file -> sha256; emptied before each stage body, which may rewrite any file
+        self._digests: dict[Path, str] = {}
 
     def agent_spec(self, stage: Optional[str]) -> dict:
         """The agent spec routed to `stage`: a stage row's `providers.agent`."""
@@ -160,6 +165,12 @@ class PipelineRun:
         """`name` under the run dir; an absolute path (as older manifests
         recorded outputs) stays itself."""
         return self.run_dir / name
+
+    def _digest(self, path: Path) -> str:
+        """sha256 of a run-directory file, read once between stage bodies."""
+        if path not in self._digests:
+            self._digests[path] = _sha256(path)
+        return self._digests[path]
 
     # -- manifest helpers
 
@@ -187,7 +198,7 @@ class PipelineRun:
             digest.update(json.dumps([key, view], sort_keys=True).encode())
         for input_name in stage.inputs:
             digest.update(input_name.encode())
-            digest.update(_sha256(self.path(input_name)).encode())
+            digest.update(self._digest(self.path(input_name)).encode())
         return digest.hexdigest()
 
     def _execute(self, name: str) -> None:
@@ -203,7 +214,7 @@ class PipelineRun:
             missing = [p for p in recorded["outputs"] if not self.path(p).exists()]
             if not missing:
                 for path_str, digest in recorded["outputs"].items():
-                    actual = _sha256(self.path(path_str))
+                    actual = self._digest(self.path(path_str))
                     if actual != digest:
                         raise ChecksumError(
                             name, f"artifact {path_str} does not match its recorded checksum"
@@ -223,6 +234,7 @@ class PipelineRun:
         self._save_manifest()
         logger.info("stage %s: running", name)
         started = time.monotonic()
+        self._digests.clear()
         try:
             extra_outputs = stage.body(self) or []
         except Exception as exc:
@@ -235,7 +247,7 @@ class PipelineRun:
         else:
             outputs = [self.path(output) for output in stage.outputs] + extra_outputs
             entry["outputs"] = {
-                p.relative_to(self.run_dir).as_posix(): _sha256(p) for p in outputs
+                p.relative_to(self.run_dir).as_posix(): self._digest(p) for p in outputs
             }
             entry["status"] = "ok"
             entry["finished_at"] = _now()
@@ -259,6 +271,7 @@ class PipelineRun:
         """Run the stage prefix ending at `last_stage`; returns the manifest."""
         if last_stage not in STAGE_TABLE:
             raise ValueError(f"unknown stage {last_stage!r}")
+        self._digests.clear()  # files may have changed since an earlier pass
         for name in STAGES[: STAGES.index(last_stage) + 1]:
             self._execute(name)
         self._save_manifest()
@@ -423,7 +436,7 @@ def _optimize(run: PipelineRun) -> list[Path]:
         return best, tree.max_score
 
     results = fan_out(optimize_target, keys, run.config["agent_concurrency"])
-    for key, (best, weight) in zip(keys, results):
+    for key, (best, weight) in zip(keys, results, strict=True):
         optimized.rules[key] = best
         optimized.weights[key] = weight
     if not optimized.rules:
@@ -454,7 +467,7 @@ def _examine(run: PipelineRun) -> None:
 
     def examine(item: tuple[LegalCase, dict]):
         case, case_candidates = item
-        prediction = examination.examine_case(
+        return examination.examine_case(
             case.case_id,
             case.fact_text,
             rules,
@@ -463,10 +476,15 @@ def _examine(run: PipelineRun) -> None:
             agent,
             seed=run.config["seed"],
         )
-        agent.transcript.flush()  # the case's answers reach disk before predictions.jsonl
-        return prediction
 
-    predictions = fan_out(examine, zip(split.test, candidates), run.config["agent_concurrency"])
+    predictions = []
+    for prediction in fan_out(
+        examine, zip(split.test, candidates), run.config["agent_concurrency"]
+    ):
+        # written out here, not on the workers: each finished case's answers
+        # reach disk at once, and before predictions.jsonl
+        agent.transcript.flush()
+        predictions.append(prediction)
     examination.save_predictions(run.path("predictions.jsonl"), predictions)
 
 

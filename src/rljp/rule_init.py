@@ -247,12 +247,11 @@ def init_all_rules(
         except Exception as exc:
             logger.warning("target %s failed: %s", consequent_key(target), exc)
             return str(exc)
-        finally:
-            agent.transcript.flush()  # this target's answers reach disk before its rule
 
     ruleset = RuleSet()
     outcomes = fan_out(init_one, precedent_groups, concurrency)
-    for target, outcome in zip(precedent_groups, outcomes):
+    for target, outcome in zip(precedent_groups, outcomes, strict=True):
+        agent.transcript.flush()  # this target's answers reach disk before its rule
         if isinstance(outcome, str):
             ruleset.failures[consequent_key(target)] = outcome
         else:

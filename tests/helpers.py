@@ -8,7 +8,6 @@ import random
 from rljp.agents import Agent, ScriptedBackend, Transcript
 from rljp.corpus import Judgment, LabelSpace, LegalCase
 from rljp.fol import (
-    Article,
     ArticleCharge,
     ArticleTerm,
     Connective,
@@ -72,10 +71,7 @@ def random_expr(
 
 def random_consequent(rng: random.Random, labels: LabelSpace = LABELS):
     article = rng.choice(labels.articles)
-    kind = rng.random()
-    if kind < 1 / 3:
-        return Article(article)
-    if kind < 2 / 3:
+    if rng.random() < 0.5:
         return ArticleCharge(article, rng.choice(labels.charges))
     return ArticleTerm(article, rng.choice(labels.prison_terms))
 

@@ -29,7 +29,7 @@ class TestFanOut:
             time.sleep(0.002 * (8 - i))
             return i * i
 
-        assert fan_out(slow_first, range(8), 4) == [i * i for i in range(8)]
+        assert list(fan_out(slow_first, range(8), 4)) == [i * i for i in range(8)]
 
     def test_reraises_a_workers_exception(self):
         def fail_on_three(i):
@@ -38,14 +38,26 @@ class TestFanOut:
             return i
 
         with pytest.raises(ValueError, match="item 3"):
-            fan_out(fail_on_three, range(8), 4)
+            list(fan_out(fail_on_three, range(8), 4))
 
     @pytest.mark.parametrize("workers", [0, 1])
     def test_one_worker_is_a_plain_loop(self, workers):
         seen = []
-        results = fan_out(lambda i: seen.append((i, threading.get_ident())) or i, range(5), workers)
+        results = list(
+            fan_out(lambda i: seen.append((i, threading.get_ident())) or i, range(5), workers)
+        )
         assert results == list(range(5))
         assert seen == [(i, threading.get_ident()) for i in range(5)]
+
+    @pytest.mark.parametrize("workers", [1, 4])
+    def test_nothing_starts_before_the_first_result_is_asked_for(self, workers):
+        started = []
+        results = fan_out(started.append, range(5), workers)
+        time.sleep(0.01)
+        assert started == []
+        assert next(results) is None
+        assert 0 in started
+        results.close()
 
     def test_at_most_workers_run_at_once(self):
         lock = threading.Lock()
@@ -60,7 +72,7 @@ class TestFanOut:
                 running[0] -= 1
             return i
 
-        assert fan_out(work, range(12), 3) == list(range(12))
+        assert list(fan_out(work, range(12), 3)) == list(range(12))
         assert 1 < peak[0] <= 3
 
 
@@ -82,7 +94,7 @@ class TestSharedStateUnderFanOut:
         def call(i):
             complete(ChatRequest("system", f"prompt {i}", tag="t"), agent)
 
-        fan_out(call, range(n), 8)
+        list(fan_out(call, range(n), 8))
         assert agent.transcript.calls == n
         entries = transcript_entries(agent.transcript)
         assert sorted(e["request"]["user"] for e in entries) == sorted(

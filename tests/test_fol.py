@@ -6,7 +6,6 @@ import pytest
 
 from helpers import LABELS, random_consequent, random_rule
 from rljp.fol import (
-    Article,
     ArticleCharge,
     Connective,
     FolRule,
@@ -24,7 +23,7 @@ from rljp.fol import (
 
 class TestParse:
     def test_forall_and(self):
-        rule = parse_rule("FORALL x (Theft(x) AND ValueLarge(x)) -> ARTICLE(264)")
+        rule = parse_rule("FORALL x (Theft(x) AND ValueLarge(x)) -> ARTICLE(264) CHARGE(theft)")
         assert rule.antecedent == Quantifier(
             "forall",
             "x",
@@ -33,7 +32,7 @@ class TestParse:
                 (PredicateAtom("Theft", (Var("x"),)), PredicateAtom("ValueLarge", (Var("x"),))),
             ),
         )
-        assert rule.target == Article("264")
+        assert rule.target == ArticleCharge("264", "theft")
 
     def test_exists_or_not_with_charge(self):
         rule = parse_rule(
@@ -59,6 +58,7 @@ class TestParse:
             ("CHARGE(theft)", 10, {"ARTICLE"}),
             ("ARTICLE(264) CHARGE(theft) TERM(b1)", 37, {"EOF"}),
             ("ARTICLE(264) TERM b1", 28, {"LPAREN"}),
+            ("ARTICLE(264)", 22, {"CHARGE", "TERM"}),
         ],
     )
     def test_consequent_syntax_error(self, consequent, col, expected):
@@ -66,15 +66,22 @@ class TestParse:
             parse_rule(f"(P()) -> {consequent}")
         assert (err.value.col, err.value.expected) == (col, expected)
 
+    def test_an_article_alone_is_not_a_consequent(self):
+        with pytest.raises(
+            RuleSyntaxError,
+            match=r"unexpected end of input at line 1, column 36 \(expected one of: CHARGE, TERM\)",
+        ):
+            parse_rule("FORALL x (Theft(x)) -> ARTICLE(264)")
+
     def test_precedence_not_over_and_over_or(self):
-        rule = parse_rule("(A() OR B() AND NOT C()) -> ARTICLE(264)")
+        rule = parse_rule("(A() OR B() AND NOT C()) -> ARTICLE(264) CHARGE(theft)")
         assert rule.antecedent.kind == "or"
         right = rule.antecedent.children[1]
         assert right.kind == "and"
         assert right.children[1].kind == "not"
 
     def test_unbound_variable_is_not_a_parse_error(self):
-        rule = parse_rule("FORALL x (P(y)) -> ARTICLE(264)")
+        rule = parse_rule("FORALL x (P(y)) -> ARTICLE(264) CHARGE(theft)")
         messages = [v.message for v in validate_rule(rule, LABELS)]
         assert "unbound variable y" in messages
 
@@ -88,21 +95,21 @@ class TestParse:
         assert atom.args[2].value == 3
 
     def test_multi_quantifier_prefix(self):
-        rule = parse_rule("FORALL x EXISTS y (Pair(x, y)) -> ARTICLE(264)")
+        rule = parse_rule("FORALL x EXISTS y (Pair(x, y)) -> ARTICLE(264) CHARGE(theft)")
         assert rule.antecedent.variable == "x"
         assert rule.antecedent.body.variable == "y"
 
 
 class TestRender:
     def test_canonical_parenthesization(self):
-        rule = parse_rule("FORALL x (Theft(x) AND ValueLarge(x)) -> ARTICLE(264)")
+        rule = parse_rule("FORALL x (Theft(x) AND ValueLarge(x)) -> ARTICLE(264) CHARGE(theft)")
         assert (
             render_rule(rule)
-            == "FORALL x ((Theft(x) AND ValueLarge(x))) -> ARTICLE(264)"
+            == "FORALL x ((Theft(x) AND ValueLarge(x))) -> ARTICLE(264) CHARGE(theft)"
         )
 
     def test_nested_not_preserved(self):
-        rule = parse_rule("(NOT NOT P(1)) -> ARTICLE(264)")
+        rule = parse_rule("(NOT NOT P(1)) -> ARTICLE(264) CHARGE(theft)")
         assert "NOT (NOT (P(1)))" in render_rule(rule)
 
     def test_roundtrip_1000_random_asts(self):
@@ -116,7 +123,7 @@ class TestRender:
 
     def test_render_parse_is_canonical_normal_form(self):
         sources = [
-            "FORALL x ((((Theft(x))) AND ValueLarge(x))) -> ARTICLE(264)",
+            "FORALL x ((((Theft(x))) AND ValueLarge(x))) -> ARTICLE(264) CHARGE(theft)",
             "(A() OR (B() AND C())) -> ARTICLE(263) TERM(b1)",
             'EXISTS v (NOT (P(v, "x")) ) -> ARTICLE(266) CHARGE(fraud)',
         ]
@@ -143,7 +150,7 @@ class TestValidate:
         assert [v.message for v in validate_rule(rule, LABELS)] == ["unknown prison term b99"]
 
     def test_arity_conflict(self):
-        rule = parse_rule("FORALL x (P(x) AND P(x, x)) -> ARTICLE(264)")
+        rule = parse_rule("FORALL x (P(x) AND P(x, x)) -> ARTICLE(264) CHARGE(theft)")
         assert any(v.message == "arity conflict P" for v in validate_rule(rule, LABELS))
 
     def test_valid_rule_has_no_violations(self):
@@ -153,7 +160,7 @@ class TestValidate:
         assert validate_rule(rule, LABELS) == []
 
     def test_violations_order_independent(self):
-        rule = parse_rule("FORALL x (P(y) AND P(z, z)) -> ARTICLE(1)")
+        rule = parse_rule("FORALL x (P(y) AND P(z, z)) -> ARTICLE(1) CHARGE(theft)")
         first = {(v.code, v.message) for v in validate_rule(rule, LABELS)}
         second = {(v.code, v.message) for v in validate_rule(rule, LABELS)}
         assert first == second
@@ -163,7 +170,7 @@ class TestValidate:
 
     def test_version_increment_constraint(self):
         with pytest.raises(ValueError):
-            FolRule("r", Article("264"), PredicateAtom("P"), version=-1)
+            FolRule("r", ArticleCharge("264", "theft"), PredicateAtom("P"), version=-1)
 
 
 def test_only_fol_branches_on_consequent_kinds():

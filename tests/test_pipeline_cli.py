@@ -1,5 +1,6 @@
 import dataclasses
 import errno
+import hashlib
 import json
 import re
 import shutil
@@ -633,6 +634,64 @@ class TestResume:
         skipped = {name for name, e in manifest["stages"].items() if e.get("skipped")}
         assert skipped == set(STAGES) - {"evaluate"}
         assert (run_dir / "metrics.json").exists()
+
+    def test_a_resume_that_skips_seven_stages_hashes_each_file_once(
+        self, fixture_config_path, tmp_path, monkeypatch
+    ):
+        run_dir = tmp_path / "run"
+        config = load_config(fixture_config_path)
+        run_pipeline(config, run_dir, last_stage="train-candidates")
+        hashed: Counter = Counter()  # run-dir file -> hashes before the first body
+        body_ran: list[str] = []
+        sha256 = pipeline_mod._sha256
+
+        def counting_sha256(path):
+            if not body_ran and Path(path).is_relative_to(run_dir):
+                hashed[Path(path).relative_to(run_dir).as_posix()] += 1
+            return sha256(path)
+
+        def examine(run, inner=STAGE_TABLE["examine"].body):
+            body_ran.append("examine")
+            return inner(run)
+
+        monkeypatch.setattr(pipeline_mod, "_sha256", counting_sha256)
+        monkeypatch.setitem(
+            STAGE_TABLE, "examine", dataclasses.replace(STAGE_TABLE["examine"], body=examine)
+        )
+        manifest = run_pipeline(config, run_dir, resume=True)
+        skipped = [name for name, entry in manifest["stages"].items() if entry["skipped"]]
+        assert skipped == list(STAGES[:7])
+        assert body_ran == ["examine"]
+        assert hashed["cases.valid.jsonl"] == 1
+        assert {name for name, count in hashed.items() if count > 1} == set()
+
+    @pytest.mark.parametrize("change", ["delete predictions", "candidate_k 2"])
+    def test_a_rewritten_predictions_file_is_hashed_from_its_new_bytes(
+        self, fixture_config_path, tmp_path, change
+    ):
+        run_dir = tmp_path / "run"
+        config = load_config(fixture_config_path)
+        run_pipeline(config, run_dir)
+        first = (run_dir / "predictions.jsonl").read_bytes()
+        if change == "delete predictions":
+            (run_dir / "predictions.jsonl").unlink()
+        else:
+            config["examination"]["candidate_k"] = 2
+        manifest = run_pipeline(config, run_dir, resume=True)
+        rewritten = (run_dir / "predictions.jsonl").read_bytes()
+        ran = [name for name, entry in manifest["stages"].items() if not entry["skipped"]]
+        if change == "delete predictions":
+            # the same bytes again, so evaluate's inputs are unchanged
+            assert rewritten == first
+            assert ran == ["examine"]
+        else:
+            assert rewritten != first
+            assert ran == ["examine", "evaluate"]
+        examine = manifest["stages"]["examine"]
+        assert examine["outputs"]["predictions.jsonl"] == hashlib.sha256(rewritten).hexdigest()
+        # what a fresh run object, with nothing memoized, hashes from the files
+        fresh = pipeline_mod.PipelineRun(config, run_dir, resume=True)
+        assert manifest["stages"]["evaluate"]["input_hash"] == fresh._stage_input_hash("evaluate")
 
     def test_corrupted_tree_store_fails_checksum_naming_file(
         self, fixture_config_path, tmp_path, capsys

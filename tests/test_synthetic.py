@@ -73,14 +73,14 @@ class TestAntecedentHolds:
 
     def test_and_or_not(self):
         phrases = {"A": "alpha", "B": "beta"}
-        rule = parse_rule("FORALL x ((A(x) AND NOT B(x))) -> ARTICLE(1)")
+        rule = parse_rule("FORALL x ((A(x) AND NOT B(x))) -> ARTICLE(1) CHARGE(c)")
         assert antecedent_holds(rule.antecedent, "has alpha only", phrases)
         assert not antecedent_holds(rule.antecedent, "alpha and beta", phrases)
-        rule_or = parse_rule("(A() OR B()) -> ARTICLE(1)")
+        rule_or = parse_rule("(A() OR B()) -> ARTICLE(1) CHARGE(c)")
         assert antecedent_holds(rule_or.antecedent, "just beta", phrases)
 
     def test_unknown_predicate_is_false(self):
-        rule = parse_rule("(Mystery()) -> ARTICLE(1)")
+        rule = parse_rule("(Mystery()) -> ARTICLE(1) CHARGE(c)")
         assert not antecedent_holds(rule.antecedent, "anything", {})
 
 
@@ -118,7 +118,7 @@ class TestOracleAgent:
 
     def test_exam_yes_no(self):
         yes_prompt = (
-            "Judgment rule:\nFORALL x (HeldNarcotics(x)) -> ARTICLE(348)\n\n"
+            "Judgment rule:\nFORALL x (HeldNarcotics(x)) -> ARTICLE(348) CHARGE(drugs)\n\n"
             "Case facts:\nthe defendant held illegal narcotics at home\n\n"
             "Reply exactly in this format:\nReasoning: r\nAnswer: YES or NO"
         )
@@ -150,7 +150,7 @@ class TestOracleAgent:
 
     def test_replies_are_pure_functions_of_request(self):
         prompt = (
-            "Judgment rule:\nFORALL x (CausedFire(x)) -> ARTICLE(114)\n\n"
+            "Judgment rule:\nFORALL x (CausedFire(x)) -> ARTICLE(114) CHARGE(arson)\n\n"
             "Case facts:\ncaused a destructive fire at the premises\n\n"
             "Answer: YES or NO"
         )

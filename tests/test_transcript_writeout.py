@@ -7,6 +7,7 @@ the accounting after a failed or interrupted stage, and a hard kill followed
 by `--resume`.
 """
 
+import dataclasses
 import json
 import os
 import signal
@@ -124,6 +125,77 @@ def test_every_answer_is_on_disk_before_the_artifact_that_holds_it(
     assert writes["predictions.jsonl"] == 1
     assert writes["trees"] >= 2 * len(list((run_dir / "trees").glob("*.json"))) > 0
     assert agent_calls(run_dir) == line_count(run_dir) == len(answered)
+
+
+def case_tags(run_dir: Path, case_id: str) -> Counter:
+    """The transcript lines on disk that examining `case_id` wrote, by tag."""
+    return Counter(
+        {
+            tag: count
+            for tag, count in disk_tags(run_dir).items()
+            if tag.startswith(f"exam/{case_id}/") or tag == f"abstract/{case_id}"
+        }
+    )
+
+
+def test_examine_and_init_rules_write_the_transcript_on_the_calling_thread(
+    fixture_config_path, tmp_path, monkeypatch
+):
+    send_threads: set[int] = set()
+    tap(monkeypatch, lambda request: send_threads.add(threading.get_ident()))
+    run_dir = tmp_path / "run"
+    config = load_config(fixture_config_path)
+    config["agent_concurrency"] = 4
+    caller = threading.get_ident()
+    running: list[str] = []  # the stage whose body is running, while one is
+    flushes: list[tuple[str, int]] = []  # (stage, thread) of each flush in a body
+
+    flush = Transcript.flush
+
+    def recording_flush(self):
+        if running:
+            flushes.append((running[0], threading.get_ident()))
+        flush(self)
+
+    monkeypatch.setattr(Transcript, "flush", recording_flush)
+    for name in ("init-rules", "examine"):
+        row = pipeline_mod.STAGE_TABLE[name]
+
+        def body(run, name=name, inner=row.body):
+            running.append(name)
+            try:
+                return inner(run)
+            finally:
+                running.clear()
+
+        monkeypatch.setitem(pipeline_mod.STAGE_TABLE, name, dataclasses.replace(row, body=body))
+
+    # the examined cases, and each case's transcript lines on disk once the
+    # caller has taken its prediction and asks for the next one (or the end)
+    examined: list[str] = []
+    seen_on_disk: list[Counter] = []
+    fan_out = pipeline_mod.fan_out
+
+    def watched_fan_out(fn, items, workers):
+        items = list(items)
+        for item, result in zip(items, fan_out(fn, items, workers)):
+            yield result
+            if running == ["examine"]:
+                examined.append(item[0].case_id)
+                seen_on_disk.append(sum((case_tags(run_dir, c) for c in examined), Counter()))
+
+    monkeypatch.setattr(pipeline_mod, "fan_out", watched_fan_out)
+    run_pipeline(config, run_dir)
+
+    stages = Counter(stage for stage, _ in flushes)
+    rules = json.loads((run_dir / "rules_init.json").read_text())["rules"]
+    assert stages["init-rules"] >= len(rules) > 1
+    assert stages["examine"] >= len(examined) > 1
+    assert {thread for _, thread in flushes} == {caller}
+    assert len(send_threads - {caller}) > 1  # the calls themselves ran on the workers
+    for i, on_disk in enumerate(seen_on_disk):
+        expected = sum((case_tags(run_dir, c) for c in examined[: i + 1]), Counter())
+        assert expected and on_disk == expected, examined[i]
 
 
 @pytest.mark.parametrize("fault", [RefusalError, KeyboardInterrupt])
