@@ -13,7 +13,10 @@ on threads: each worker makes its calls one after another, so the worker
 count bounds the calls in flight. The workers only compute and call the
 agent; the thread that iterates fan_out's results writes the transcript out
 as each result arrives (optimize's workers are the exception: each writes
-it out before its own tree-store saves).
+it out before its own tree-store saves). Each write-out leaves a `Mark`, the
+file's length and the totals of the calls it holds; a transcript reopened
+from a mark (a run keeps the last one in its manifest) reads only the bytes
+after it, so reopening costs the lines since the mark, not the run's history.
 
 Outside its send, a call takes no lock and makes no system call: the retry
 jitter's RNG is only built (and seeded from os.urandom) after a transient
@@ -37,7 +40,8 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import (
-    TYPE_CHECKING, Callable, Iterable, Iterator, Optional, Protocol, Sequence, TypeVar, Union,
+    TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple, Optional, Protocol, Sequence, TypeVar,
+    Union,
 )
 
 if TYPE_CHECKING:
@@ -119,6 +123,16 @@ _USAGE_MARK = b', "input_units": '
 _USAGE_TAIL = re.compile(rb'(-?\d+), "output_units": (-?\d+)}\n?')
 
 
+class Mark(NamedTuple):
+    """Where a transcript file ended at a flush, and the totals of the calls
+    its lines up to there hold."""
+
+    offset: int
+    calls: int
+    input_units: int
+    output_units: int
+
+
 class Transcript:
     """Append-only call log; one JSON line per logical agent call.
 
@@ -131,14 +145,20 @@ class Transcript:
     Callers flush before writing any artifact that holds an answer, on the
     thread that writes it (the one iterating `fan_out`'s results, except for
     optimize's tree stores), so a hard kill loses only lines whose answers
-    no artifact holds. Opening an existing log seeds the totals from its
-    lines, so a resumed run still accounts for every call in the file: it
-    streams the file's bytes and reads each line's usage from the tail
-    `record` writes, and JSON-decodes only a line without that tail (an
-    older line, or one cut short).
+    no artifact holds. Opening an existing log seeds the totals, so a
+    resumed run still accounts for every call in the file. Given the `Mark`
+    of an earlier flush (a run's manifest keeps the last one), it starts
+    from that mark's totals and reads only the bytes after its offset: the
+    lines a crash left between that flush and the next manifest save, and
+    any line cut short. Without a mark, or when the file is shorter than the
+    mark's offset (which it logs), it counts every line from byte 0. A
+    transcript is only ever appended to, so the bytes before a mark's offset
+    are the lines its totals count. Each line's usage is read from the tail
+    `record` writes last; only a line without that tail (an older line, or
+    one cut short) is JSON-decoded.
     """
 
-    def __init__(self, path: Optional[str | Path] = None):
+    def __init__(self, path: Optional[str | Path] = None, mark: Optional[Mark] = None):
         self.path = Path(path) if path is not None else None
         self._calls = 0
         self._input_units = 0
@@ -147,25 +167,48 @@ class Transcript:
         self._pending: list[str] = []
         self._lock = threading.Lock()  # totals, _pending and draining _recorded
         self._write_lock = threading.Lock()  # held until a flush's lines are on disk
-        if self.path is not None and self.path.exists():
-            line = b""
-            with self.path.open("rb") as handle:
-                for line in handle:
-                    _, mark, tail = line.rpartition(_USAGE_MARK)
-                    usage = _USAGE_TAIL.fullmatch(tail) if mark else None
-                    if usage:
-                        self._count(int(usage[1]), int(usage[2]))
-                        continue
-                    try:
-                        entry = json.loads(line)
-                    except ValueError:
-                        # a write cut short by a crash, even inside a character
-                        # (a UnicodeDecodeError): still one call
-                        logger.warning("%s: unreadable line counted without usage", self.path)
-                        entry = {}
-                    self._count(entry.get("input_units", 0), entry.get("output_units", 0))
-            if line and not line.endswith(b"\n"):
-                self._pending.append("\n")  # so the next call starts a line of its own
+        # the file's length after the last flush and the totals of the calls
+        # its lines hold; None before the first flush
+        self.mark: Optional[Mark] = None
+        size, offset = self._size(), 0
+        if mark is not None and size >= mark.offset:
+            offset = mark.offset
+            self._calls = mark.calls
+            self._input_units = mark.input_units
+            self._output_units = mark.output_units
+        elif mark is not None:
+            logger.warning(
+                "%s: %d bytes, shorter than the %d recorded; counting every line",
+                self.path, size, mark.offset,
+            )
+        if size == offset:
+            return  # nothing after the mark, or no file
+        line = b""
+        with self.path.open("rb") as handle:
+            handle.seek(offset)
+            for line in handle:
+                _, found, tail = line.rpartition(_USAGE_MARK)
+                usage = _USAGE_TAIL.fullmatch(tail) if found else None
+                if usage:
+                    self._count(int(usage[1]), int(usage[2]))
+                    continue
+                try:
+                    entry = json.loads(line)
+                except ValueError:
+                    # a write cut short by a crash, even inside a character
+                    # (a UnicodeDecodeError): still one call
+                    logger.warning("%s: unreadable line counted without usage", self.path)
+                    entry = {}
+                self._count(entry.get("input_units", 0), entry.get("output_units", 0))
+        if line and not line.endswith(b"\n"):
+            self._pending.append("\n")  # so the next call starts a line of its own
+
+    def _size(self) -> int:
+        """The file's length in bytes; 0 while there is no file."""
+        try:
+            return self.path.stat().st_size if self.path is not None else 0
+        except FileNotFoundError:
+            return 0
 
     def _count(self, input_units: int, output_units: int) -> None:
         self._calls += 1
@@ -229,14 +272,16 @@ class Transcript:
     def flush(self) -> None:
         """Append every queued line to the file. When it returns, each call
         recorded before it was made is on disk, even one that another
-        thread's concurrent flush wrote."""
+        thread's concurrent flush wrote, and `mark` is where the file ends."""
         with self._write_lock:
             with self._lock:
                 self._drain()
                 lines, self._pending = self._pending, []
+                totals = (self._calls, self._input_units, self._output_units)
             if lines:
                 with self.path.open("a", encoding="utf-8") as handle:
                     handle.writelines(lines)
+            self.mark = Mark(self._size(), *totals)
 
 
 @dataclass(frozen=True)

@@ -201,9 +201,15 @@ class CharNgramPerceptron:
             columns, rows = weights[subtask]["columns"], weights[subtask]["rows"]
             n_labels = len(provider.labels.of(subtask))
             problem = None
-            if not all(type(c) is int and 0 <= c < provider.hash_dim for c in columns):
+            # numpy would read a JSON true among ints as 1, so the element
+            # types are compared one by one (at C speed); numpy checks the rest
+            ints = isinstance(columns, list) and set(map(type, columns)) <= {int}
+            array = np.asarray(columns) if ints else None
+            if not ints or array.size and (
+                array.min() < 0 or array.max() >= provider.hash_dim
+            ):
                 problem = f"columns are not all ints in [0, {provider.hash_dim})"
-            elif any(a >= b for a, b in zip(columns, columns[1:])):
+            elif (np.diff(array) <= 0).any():
                 problem = "columns are not strictly increasing"
             elif (blob := _base64_bytes(rows)) is None:
                 problem = "rows are not base64 text"
@@ -215,7 +221,7 @@ class CharNgramPerceptron:
             if problem:
                 raise ValueError(f"{path}: weights for subtask {subtask!r}: {problem}")
             provider._weights[subtask] = (
-                np.array(columns, dtype=np.int64),
+                array.astype(np.int64),
                 np.frombuffer(blob, dtype=_ROW_DTYPE).reshape(n_labels, len(columns)),
             )
         return provider

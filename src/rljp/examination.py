@@ -6,7 +6,10 @@ antecedent check each), then the remaining ruled labels in seed-determined
 random order; the first YES wins, and a label that is not a candidate sets
 the fallback flag. If nothing fires at all, the top-1 candidate is emitted
 with the fallback flag set. Subtasks run article -> charge -> prison_term, and
-the predicted article narrows which charge/term rules are eligible. Within a
+the predicted article narrows which charge/term rules are eligible. Those
+pools, one per subtask and predicted article, and each rule's rendered text
+come from a `RuleIndex` that the examine stage builds once and hands to
+every case, so a case neither walks the rule set nor renders a rule. Within a
 case a rule is checked against the fact at most once: the article and charge
 subtasks both check ArticleCharge rules, and a repeat reuses the verdict
 without another call. A check that failed (no reply, or no YES/NO in it) counts
@@ -24,7 +27,7 @@ from typing import Callable, Iterable, Optional
 
 from .agents import Agent, AgentError, render_template
 from .corpus import SUBTASKS, LabelSpace
-from .fol import FolRule, consequent_labels, render_rule
+from .fol import Consequent, FolRule, consequent_labels, render_rule
 from .prompts import ABSTRACT_FACT, EXAM_CHECK, ask
 from .quiz import derive_rng
 from .rule_init import RuleSet
@@ -104,29 +107,39 @@ def _verdict(text: str) -> bool:
     return match.group(1).upper() == "YES"
 
 
-def _rule_pool(
-    rules: RuleSet, subtask: str, article: Optional[str]
-) -> dict[str, FolRule]:
-    """label -> rule eligible for this subtask, narrowed by predicted article.
+class RuleIndex:
+    """A rule set's examination pools, built once per examine stage.
 
-    A rule supports the label its consequent names for the subtask. The pool
-    keeps the rules whose article is the predicted one (every rule while no
-    article is predicted, as for the article subtask itself); if that article
-    has none, all rules naming the subtask stay eligible.
+    `pool(subtask, article)` is the label -> rule map of the rules eligible
+    for the subtask under the predicted article. A rule supports the label
+    its consequent names for the subtask. The pool keeps the rules whose
+    article is the predicted one (every rule while no article is predicted,
+    as for the article subtask itself); if that article has none, all rules
+    naming the subtask stay eligible. The first rule of a label wins.
+    `texts` holds each rule's rendered text by its target, which a rule set
+    holds one rule for, so a check renders no rule.
     """
-    pool: dict[str, FolRule] = {}
-    widened: dict[str, FolRule] = {}
-    for rule in rules.rules.values():
-        named = consequent_labels(rule.target)
-        if subtask not in named:
-            continue
-        widened.setdefault(named[subtask], rule)
-        if article is None or named["article"] == article:
-            pool.setdefault(named[subtask], rule)
-    if not pool and widened:
-        logger.info("no %s rules under article %s; widening pool", subtask, article)
-        return widened
-    return pool
+
+    def __init__(self, rules: RuleSet):
+        # (subtask, article) -> label -> rule; article None keys every rule naming the subtask
+        self._pools: dict[tuple[str, Optional[str]], dict[str, FolRule]] = {}
+        self.texts: dict[Consequent, str] = {}
+        for rule in rules.rules.values():
+            if rule.target not in self.texts:
+                self.texts[rule.target] = render_rule(rule)
+            named = consequent_labels(rule.target)
+            for subtask, label in named.items():
+                for article in (None, named["article"]):
+                    self._pools.setdefault((subtask, article), {}).setdefault(label, rule)
+
+    def pool(self, subtask: str, article: Optional[str]) -> dict[str, FolRule]:
+        """The subtask's pool under `article`, shared by every case: do not edit it."""
+        pool = self._pools.get((subtask, article))
+        if pool is None:
+            pool = self._pools.get((subtask, None), {})
+            if pool:
+                logger.info("no %s rules under article %s; widening pool", subtask, article)
+        return pool
 
 
 def examine_case(
@@ -139,10 +152,15 @@ def examine_case(
     *,
     seed: int = 0,
     abstract_threshold: int = ABSTRACT_THRESHOLD_DEFAULT,
+    index: Optional[RuleIndex] = None,
 ) -> Prediction:
     """Predict the full judgment triple for one case. The candidates were
     ranked on the original fact; rules are checked against the fact, or
-    against its abstract when it is longer than `abstract_threshold`."""
+    against its abstract when it is longer than `abstract_threshold`.
+    `index` is `RuleIndex(rules)`, which a caller examining many cases
+    builds once; without it the case builds its own."""
+    if index is None:
+        index = RuleIndex(rules)
     fact_text, used_abstract = maybe_abstract(
         fact_text, abstract_threshold, agent, tag=f"abstract/{case_id}"
     )
@@ -154,7 +172,7 @@ def examine_case(
 
     def holds(rule: FolRule, tag: str) -> bool:
         """The rule's verdict on the fact; a failed check is NO and not kept."""
-        rule_text = render_rule(rule)
+        rule_text = index.texts[rule.target]
         if rule_text not in verdicts:
             prompt = render_template(EXAM_CHECK, {"rule": rule_text, "fact": fact_text})
             try:
@@ -165,7 +183,7 @@ def examine_case(
         return verdicts[rule_text]
 
     for subtask in SUBTASKS:
-        pool = _rule_pool(rules, subtask, predicted_article)
+        pool = index.pool(subtask, predicted_article)
         label, fell_back, why = _predict_subtask(
             case_id, subtask, candidates[subtask], pool, labels, seed, holds
         )

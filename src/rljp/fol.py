@@ -26,7 +26,7 @@ term       := factor ("AND" factor)*
 factor     := "NOT" factor | atom | "(" expr ")"
 atom       := Identifier "(" (arg ("," arg)*)? ")"
 arg        := variable | integer | "quoted string"
-consequent := "ARTICLE(" label ")" ("CHARGE(" label ")" | "TERM(" label ")")?
+consequent := "ARTICLE(" label ")" ("CHARGE(" label ")" | "TERM(" label ")")
 Identifiers match [A-Za-z_][A-Za-z0-9_]*; NOT binds tighter than AND, AND
 tighter than OR; every variable must be bound by a leading quantifier."""
 

@@ -37,7 +37,7 @@ from pathlib import Path
 from typing import Callable, Optional
 
 from . import cacl, confusable, corpus, examination, opt_tree, rule_init
-from .agents import Agent, Transcript, fan_out
+from .agents import Agent, Mark, Transcript, fan_out
 from .candidates import CharNgramPerceptron
 from .config import ConfigError, build_agent, build_embedder
 from .corpus import Judgment, LegalCase, RejectedLine
@@ -128,7 +128,12 @@ class PipelineRun:
                 "agent_calls": 0,
                 "usage": {"input_units": 0, "output_units": 0},
             }
-        self.transcript = Transcript(self.run_dir / "transcript.jsonl")
+        mark = None
+        if "transcript_bytes" in self.manifest:  # absent from older run directories
+            usage = self.manifest["usage"]
+            mark = Mark(self.manifest["transcript_bytes"], self.manifest["agent_calls"],
+                        usage["input_units"], usage["output_units"])
+        self.transcript = Transcript(self.run_dir / "transcript.jsonl", mark)
         # built up front, so a bad spec is a config error before any stage runs
         self._agents: dict[str, Agent] = {}
         routed = {
@@ -175,12 +180,16 @@ class PipelineRun:
     # -- manifest helpers
 
     def _save_manifest(self) -> None:
-        self.transcript.flush()  # so agent_calls is the file's line count
-        self.manifest["agent_calls"] = self.transcript.calls
+        # agent_calls is the file's line count, and a reopened transcript
+        # counts only what follows transcript_bytes
+        self.transcript.flush()
+        mark = self.transcript.mark
+        self.manifest["agent_calls"] = mark.calls
         self.manifest["usage"] = {
-            "input_units": self.transcript.input_units,
-            "output_units": self.transcript.output_units,
+            "input_units": mark.input_units,
+            "output_units": mark.output_units,
         }
+        self.manifest["transcript_bytes"] = mark.offset
         opt_tree.write_atomically(
             self.manifest_path, json.dumps(self.manifest, indent=2, ensure_ascii=False) + "\n"
         )
@@ -457,6 +466,7 @@ def _examine(run: PipelineRun) -> None:
     if not split.test:
         raise ValueError("the test split is empty; give data.ratios a larger test share")
     rules = rule_init.load_ruleset(run.path("rules_optimized.json"))
+    index = examination.RuleIndex(rules)  # the pools and rule texts every case reads
     provider = CharNgramPerceptron.load(run.path("candidates.json"))
     agent = run._agent_for("examine")
     # ranked here in one batch, not on the workers: numpy scoring on worker
@@ -475,6 +485,7 @@ def _examine(run: PipelineRun) -> None:
             labels,
             agent,
             seed=run.config["seed"],
+            index=index,
         )
 
     predictions = []

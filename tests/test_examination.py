@@ -1,12 +1,16 @@
 import random
+from collections import Counter
 
 import pytest
 
 import rljp.examination as examination
 from helpers import LABELS, scripted, transcript_entries
+from rljp import rule_init
 from rljp.agents import Agent, AgentError, ChatResponse
-from rljp.examination import examine_case, maybe_abstract
-from rljp.fol import parse_rule
+from rljp.config import load_config
+from rljp.examination import RuleIndex, examine_case, maybe_abstract
+from rljp.fol import consequent_key, consequent_labels, parse_rule
+from rljp.pipeline import run_pipeline
 from rljp.quiz import derive_rng
 from rljp.rule_init import RuleSet
 
@@ -388,3 +392,67 @@ class TestOneLoopMatchesTwoLoops:
         one_loop = VerdictBackend(verdicts)
         assert examine(one_loop) == want
         assert one_loop.tags == two_loops.tags
+
+
+def _walked_rule_pool(rules, subtask, article):
+    """The pool as each case built it before the index: one walk over every
+    rule, widened to all rules naming the subtask when the article has none."""
+    pool, widened = {}, {}
+    for rule in rules.rules.values():
+        named = consequent_labels(rule.target)
+        if subtask not in named:
+            continue
+        widened.setdefault(named[subtask], rule)
+        if article is None or named["article"] == article:
+            pool.setdefault(named[subtask], rule)
+    return widened if not pool and widened else pool
+
+
+class TestRuleIndex:
+    @pytest.mark.parametrize("seed", range(20))
+    def test_every_pool_equals_a_walk_over_the_rules(self, seed):
+        rng = random.Random(seed)
+        rules = _ruleset(
+            *(
+                _rule(article, **{kind: label}, pred=rng.choice(["P", "Q"]))
+                for article in LABELS.articles[:3]  # the fourth article has no rule
+                for kind, pool in (("charge", LABELS.charges), ("term", LABELS.prison_terms))
+                for label in pool
+                if rng.random() < 0.4
+            )
+        )
+        index = RuleIndex(rules)
+        for subtask in ("article", "charge", "prison_term"):
+            for article in (None, *LABELS.articles):
+                want = _walked_rule_pool(rules, subtask, article)
+                assert list(index.pool(subtask, article).items()) == list(want.items()), (
+                    subtask, article,
+                )
+            # an article without rules widens the pool to every rule naming the subtask
+            assert index.pool(subtask, LABELS.articles[3]) == index.pool(subtask, None)
+        for rule in rules.rules.values():
+            assert index.texts[rule.target] == examination.render_rule(rule)
+
+    def test_a_pool_widens_only_to_rules_naming_its_subtask(self):
+        index = RuleIndex(_ruleset(_rule("264", charge="theft")))
+        assert index.pool("prison_term", None) == index.pool("prison_term", "264") == {}
+        assert index.pool("charge", "263") == {"theft": _rule("264", charge="theft")}
+
+
+def test_a_fixture_examine_renders_each_rule_once(fixture_config_path, tmp_path, monkeypatch):
+    config = load_config(fixture_config_path)
+    run_dir = tmp_path / "run"
+    run_pipeline(config, run_dir, last_stage="train-candidates")
+    rendered = Counter()
+    render_rule = examination.render_rule
+
+    def counted_render_rule(rule):
+        rendered[consequent_key(rule.target)] += 1
+        return render_rule(rule)
+
+    monkeypatch.setattr(examination, "render_rule", counted_render_rule)
+    run_pipeline(config, run_dir, resume=True)
+    rules = rule_init.load_ruleset(run_dir / "rules_optimized.json").rules
+    assert set(rendered) == set(rules) and max(rendered.values()) == 1
+    checks = (run_dir / "transcript.jsonl").read_text(encoding="utf-8").count('{"tag": "exam/')
+    assert checks > len(rules)  # so a render per check would have rendered a rule twice

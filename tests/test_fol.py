@@ -6,6 +6,7 @@ import pytest
 
 from helpers import LABELS, random_consequent, random_rule
 from rljp.fol import (
+    GRAMMAR_HELP,
     ArticleCharge,
     Connective,
     FolRule,
@@ -72,6 +73,12 @@ class TestParse:
             match=r"unexpected end of input at line 1, column 36 \(expected one of: CHARGE, TERM\)",
         ):
             parse_rule("FORALL x (Theft(x)) -> ARTICLE(264)")
+
+    def test_the_grammar_help_requires_a_charge_or_a_term(self):
+        # init and rewrite prompts quote the help, so it offers no lone ARTICLE(...)
+        (production,) = [line for line in GRAMMAR_HELP.splitlines() if line.startswith("consequent ")]
+        assert production.endswith('"ARTICLE(" label ")" ("CHARGE(" label ")" | "TERM(" label ")")')
+        assert not any(mark in production for mark in "?*")
 
     def test_precedence_not_over_and_over_or(self):
         rule = parse_rule("(A() OR B() AND NOT C()) -> ARTICLE(264) CHARGE(theft)")
