@@ -8,11 +8,14 @@ non-zero weight, and a labels x len(columns) block of rows. No
 hash_dim-wide matrix is built. The artifact keeps the columns as a JSON list
 and the rows as base64 text of their raw float64 bytes, so a load restores
 every weight exactly by construction and parses no decimal text. Training
-works on the columns its facts touch, comes to the averaged weights in
-closed form (each update weighted by the steps left after it) rather than by
-summing the whole block after every step, and stops after an epoch that
-makes no update, since every later epoch would repeat it. A batch of facts
-is featurized in one pass and ranked for every subtask at once.
+stacks the three subtasks' label rows into one block, so each fact costs one
+gather, one mat-vec and at most one update, and works on the columns its
+facts touch. It comes to the averaged weights in closed form (each update
+weighted by the steps left after it) rather than by summing the whole block
+after every step, and runs until an epoch makes no update, since every later
+epoch would repeat it; the cap of 50 epochs is also the averaging horizon,
+so the average is mostly the converged weights. A batch of facts is
+featurized in one pass and ranked for every subtask at once.
 
 This stands in for the heavyweight neural prescreener.
 """
@@ -59,7 +62,7 @@ class CharNgramPerceptron:
         *,
         ngram_sizes: tuple[int, ...] = (1, 2, 3),
         hash_dim: int = 32768,
-        epochs: int = 5,
+        epochs: int = 50,
     ):
         self.labels = labels
         self.ngram_sizes = ngram_sizes
@@ -85,37 +88,46 @@ class CharNgramPerceptron:
         # the columns any fact touches, and each fact's indices among them
         touched = np.unique(np.concatenate([idx for idx, _ in features]))
         local = [(np.searchsorted(touched, idx), vals) for idx, vals in features]
+        # every subtask's label rows stacked in one block, so a fact takes one
+        # gather, one mat-vec and at most one update for all three; a row
+        # reads and writes only itself, so each subtask trains as if alone
+        label_lists = [self.labels.of(subtask) for subtask in SUBTASKS]
+        starts = np.cumsum([0] + [len(label_list) for label_list in label_lists])
+        targets = np.full((len(cases), starts[-1]), -1.0)
+        for subtask, label_list, start in zip(SUBTASKS, label_lists, starts):
+            index = {label: start + i for i, label in enumerate(label_list)}
+            gold = [index[case.judgment.label(subtask)] for case in cases]
+            targets[np.arange(len(cases)), gold] = 1.0
+        w = np.zeros((starts[-1], len(touched)))
+        # sum over steps of the weights after each step: the update made at
+        # step s is present in the (steps - s) sums from s onwards
+        accum = np.zeros_like(w)
         steps = self.epochs * len(cases)
-        for subtask in SUBTASKS:
-            label_list = self.labels.of(subtask)
-            index = {label: i for i, label in enumerate(label_list)}
-            y = [index[case.judgment.label(subtask)] for case in cases]
-            n_labels = len(label_list)
-            w = np.zeros((n_labels, len(touched)))
-            # sum over steps of the weights after each step: the update made
-            # at step s is present in the (steps - s) sums from s onwards
-            accum = np.zeros_like(w)
-            step = 0
-            for _ in range(self.epochs):
-                updated = False
-                for (idx, vals), gold in zip(local, y):
-                    margins = w[:, idx] @ vals
-                    target = np.full(n_labels, -1.0)
-                    target[gold] = 1.0
-                    wrong = np.flatnonzero((margins * target) <= 0)
-                    if wrong.size:
-                        block = np.ix_(wrong, idx)
-                        delta = np.outer(target[wrong], vals)
-                        w[block] += delta
-                        accum[block] += (steps - step) * delta
-                        updated = True
-                    step += 1
-                if not updated:
-                    break  # the weights are unchanged, so every later epoch is this one
-            averaged = accum / steps
-            kept = averaged.any(axis=0)
-            self._weights[subtask] = (touched[kept], averaged[:, kept])
-        logger.info("candidate provider trained on %d cases", len(cases))
+        step = 0
+        for epoch in range(1, self.epochs + 1):
+            updated = False
+            for (idx, vals), target in zip(local, targets):
+                wrong = np.flatnonzero(((w[:, idx] @ vals) * target) <= 0)
+                if wrong.size:
+                    block = np.ix_(wrong, idx)
+                    delta = np.outer(target[wrong], vals)
+                    w[block] += delta
+                    accum[block] += (steps - step) * delta
+                    updated = True
+                step += 1
+            if not updated:
+                # the weights are unchanged, so every later epoch is this one;
+                # a subtask's rows stop changing at its own first such epoch
+                outcome = f"converged: epoch {epoch} of {self.epochs} made no update"
+                break
+        else:
+            outcome = f"stopped at the {self.epochs}-epoch cap without converging"
+        averaged = accum / steps
+        for subtask, start, end in zip(SUBTASKS, starts, starts[1:]):
+            rows = averaged[start:end]
+            kept = rows.any(axis=0)
+            self._weights[subtask] = (touched[kept], rows[:, kept])
+        logger.info("candidate provider trained on %d cases; %s", len(cases), outcome)
 
     def scores(self, fact_texts: Sequence[str]) -> dict[str, np.ndarray]:
         """Per subtask, the margins of each text (a row) for each label (a

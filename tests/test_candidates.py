@@ -1,5 +1,6 @@
 import base64
 import json
+import logging
 import re
 import zlib
 
@@ -7,7 +8,9 @@ import numpy as np
 import pytest
 
 from rljp.candidates import SUBTASKS, CharNgramPerceptron, ProviderNotTrainedError
+from rljp.config import load_config
 from rljp.corpus import LabelSpace, load_cases, load_label_space, split_dataset
+from rljp.pipeline import run_pipeline
 from rljp.synthetic import write_corpus
 
 
@@ -366,6 +369,46 @@ class TestCompactWeights:
         assert first_quiet["prison_term"] == 12
         for subtask in SUBTASKS:
             assert np.array_equal(expanded(provider, subtask), reference[subtask]), subtask
+
+
+def _train_log(caplog):
+    [message] = [r.getMessage() for r in caplog.records if r.name == "rljp.candidates"]
+    return message
+
+
+class TestConvergence:
+    def test_the_log_says_when_training_stops_at_the_cap(self, caplog):
+        tiny = TestCharNgramPerceptron()
+        provider = CharNgramPerceptron(tiny._tiny_labels(), hash_dim=2048, epochs=1)
+        with caplog.at_level(logging.INFO, logger="rljp.candidates"):
+            provider.train(tiny._tiny_cases())
+        assert "stopped at the 1-epoch cap without converging" in _train_log(caplog)
+
+    def test_a_converged_prescreener_saves_exam_calls(self, tmp_path, caplog):
+        # the agent-latency bench shape: 240 cases at 0.7/0.1/0.2, seed 1; a
+        # prescreener averaged over 5 unconverged epochs ranked the gold
+        # article first for 22 of 48 test cases and cost 3.44 checks a case
+        write_corpus(tmp_path / "corpus", num_cases=240, seed=1)
+        (tmp_path / "config.json").write_text(json.dumps({
+            "seed": 1,
+            "data": {
+                "cases_path": "corpus/cases.jsonl",
+                "labels_path": "corpus/labels.json",
+                "ratios": [0.7, 0.1, 0.2],
+            },
+            "providers": {"agent": {"kind": "synthetic-oracle", "world_path": "corpus/world.json"}},
+        }))
+        config = load_config(tmp_path / "config.json")
+        run_dir = tmp_path / "run"
+        with caplog.at_level(logging.INFO, logger="rljp.candidates"):
+            run_pipeline(config, run_dir, last_stage="train-candidates")
+        quiet = re.search(r"converged: epoch (\d+) of (\d+) made no update", _train_log(caplog))
+        assert quiet and int(quiet[1]) < int(quiet[2]), _train_log(caplog)
+        run_pipeline(config, run_dir, resume=True)
+        checks = (run_dir / "transcript.jsonl").read_text(encoding="utf-8").count('{"tag": "exam/')
+        test_cases = len(json.loads((run_dir / "split.json").read_text())["test"])
+        assert test_cases == 48
+        assert checks <= 2.2 * test_cases
 
 
 def _break(payload, case):

@@ -7,6 +7,7 @@ import rljp.examination as examination
 from helpers import LABELS, scripted, transcript_entries
 from rljp import rule_init
 from rljp.agents import Agent, AgentError, ChatResponse
+from rljp.candidates import CharNgramPerceptron
 from rljp.config import load_config
 from rljp.examination import RuleIndex, examine_case, maybe_abstract
 from rljp.fol import consequent_key, consequent_labels, parse_rule
@@ -451,6 +452,17 @@ def test_a_fixture_examine_renders_each_rule_once(fixture_config_path, tmp_path,
         return render_rule(rule)
 
     monkeypatch.setattr(examination, "render_rule", counted_render_rule)
+    top_labels = CharNgramPerceptron.top_labels
+
+    def best_last(provider, fact_texts, k):
+        # the prescreener ranks most gold labels first, so reversed they are
+        # checked after every other candidate that has a rule
+        return [
+            {subtask: ordered[::-1] for subtask, ordered in ranked.items()}
+            for ranked in top_labels(provider, fact_texts, k)
+        ]
+
+    monkeypatch.setattr(CharNgramPerceptron, "top_labels", best_last)
     run_pipeline(config, run_dir, resume=True)
     rules = rule_init.load_ruleset(run_dir / "rules_optimized.json").rules
     assert set(rendered) == set(rules) and max(rendered.values()) == 1
