@@ -10,19 +10,19 @@ agent's transcript. Scripted mocks replay an ordered tag -> text mapping and
 fail loudly on anything unscripted, so tests pin the exact conversation a
 stage is allowed to have. fan_out() is the one place that runs agent work
 on threads: each worker makes its calls one after another, so the worker
-count bounds the calls in flight. The workers only compute and call the
-agent; the thread that iterates fan_out's results writes the transcript out
-as each result arrives (optimize's workers are the exception: each writes
-it out before its own tree-store saves). Each write-out leaves a `Mark`, the
-file's length and the totals of the calls it holds; a transcript reopened
-from a mark (a run keeps the last one in its manifest) reads only the bytes
-after it, so reopening costs the lines since the mark, not the run's history.
+count bounds the calls in flight. Each work item records into a transcript
+of its own, and the thread that iterates fan_out's results appends an item's
+lines to the run's transcript and writes them out before it takes that
+item's result, so the file holds the items' lines in item order and no two
+threads ever share a transcript. Each write-out leaves a `Mark`, the file's
+length and the totals of the calls it holds; a transcript reopened from a
+mark (a run keeps the last one in its manifest) reads only the bytes after
+it, so reopening costs the lines since the mark, not the run's history.
 
-Outside its send, a call takes no lock and makes no system call: the retry
-jitter's RNG is only built (and seeded from os.urandom) after a transient
-failure, and the transcript queues the call on a deque. Either one, done on
-every call, made the worker threads hand the interpreter lock to each other
-on every call instead of only when a send waits.
+Outside its send, a call makes no system call: the retry jitter's RNG is
+only built (and seeded from os.urandom) after a transient failure. Seeding
+it on every call made the worker threads hand the interpreter lock to each
+other on every call instead of only when a send waits.
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ import random
 import re
 import threading
 import time
-from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -117,12 +116,6 @@ class RetryPolicy:
         return rng.uniform(0.0, self.base_delay * self.factor**attempt)
 
 
-# `record` writes the usage as each line's last two keys. json.dumps escapes
-# every '"' inside a string, so this tail cannot occur inside a value.
-_USAGE_MARK = b', "input_units": '
-_USAGE_TAIL = re.compile(rb'(-?\d+), "output_units": (-?\d+)}\n?')
-
-
 class Mark(NamedTuple):
     """Where a transcript file ended at a flush, and the totals of the calls
     its lines up to there hold."""
@@ -136,46 +129,36 @@ class Mark(NamedTuple):
 class Transcript:
     """Append-only call log; one JSON line per logical agent call.
 
-    Keeps running totals of calls and usage units rather than the entries.
-    `record` takes no lock and makes no system call: it appends the call's
-    line and usage to a deque (an atomic append), so worker threads never
-    block on one another to log a call. `flush` and the reads of `calls`,
-    `input_units` and `output_units` drain that queue into the totals under
-    a lock, and `flush` appends the drained lines to the file in one write.
-    Callers flush before writing any artifact that holds an answer, on the
-    thread that writes it (the one iterating `fan_out`'s results, except for
-    optimize's tree stores), so a hard kill loses only lines whose answers
-    no artifact holds. Opening an existing log seeds the totals, so a
-    resumed run still accounts for every call in the file. Given the `Mark`
-    of an earlier flush (a run's manifest keeps the last one), it starts
-    from that mark's totals and reads only the bytes after its offset: the
-    lines a crash left between that flush and the next manifest save, and
-    any line cut short. Without a mark, or when the file is shorter than the
-    mark's offset (which it logs), it counts every line from byte 0. A
-    transcript is only ever appended to, so the bytes before a mark's offset
-    are the lines its totals count. Each line's usage is read from the tail
-    `record` writes last; only a line without that tail (an older line, or
-    one cut short) is JSON-decoded.
+    Keeps running totals of calls and usage units, and the lines recorded
+    since the last `flush`, which appends them to the file in one write (a
+    transcript without a file drops them). A transcript belongs to one
+    thread: `fan_out` gives each work item a path-less transcript of its
+    own and `extend`s the caller's with it on the calling thread. Callers
+    flush before writing any artifact that holds an answer, so a hard kill
+    loses only lines whose answers no artifact holds. Opening an existing
+    log seeds the totals, so a resumed run still accounts for every call in
+    the file. Given the `Mark` of an earlier flush (a run's manifest keeps
+    the last one), it starts from that mark's totals and decodes only the
+    lines after its offset: those a crash left between that flush and the
+    next manifest save, and any line cut short. Without a mark, or when the
+    file is shorter than the mark's offset (which it logs), it decodes every
+    line from byte 0. A transcript is only ever appended to, so the bytes
+    before a mark's offset are the lines its totals count.
     """
 
     def __init__(self, path: Optional[str | Path] = None, mark: Optional[Mark] = None):
         self.path = Path(path) if path is not None else None
-        self._calls = 0
-        self._input_units = 0
-        self._output_units = 0
-        self._recorded: deque[tuple[Optional[str], int, int]] = deque()
-        self._pending: list[str] = []
-        self._lock = threading.Lock()  # totals, _pending and draining _recorded
-        self._write_lock = threading.Lock()  # held until a flush's lines are on disk
+        self.calls = 0
+        self.input_units = 0
+        self.output_units = 0
+        self.lines: list[str] = []  # recorded since the last flush
         # the file's length after the last flush and the totals of the calls
         # its lines hold; None before the first flush
         self.mark: Optional[Mark] = None
         size, offset = self._size(), 0
         if mark is not None and size >= mark.offset:
             offset = mark.offset
-            self._calls = mark.calls
-            self._input_units = mark.input_units
-            self._output_units = mark.output_units
+            self.calls, self.input_units, self.output_units = mark[1:]
         elif mark is not None:
             logger.warning(
                 "%s: %d bytes, shorter than the %d recorded; counting every line",
@@ -187,11 +170,6 @@ class Transcript:
         with self.path.open("rb") as handle:
             handle.seek(offset)
             for line in handle:
-                _, found, tail = line.rpartition(_USAGE_MARK)
-                usage = _USAGE_TAIL.fullmatch(tail) if found else None
-                if usage:
-                    self._count(int(usage[1]), int(usage[2]))
-                    continue
                 try:
                     entry = json.loads(line)
                 except ValueError:
@@ -201,7 +179,7 @@ class Transcript:
                     entry = {}
                 self._count(entry.get("input_units", 0), entry.get("output_units", 0))
         if line and not line.endswith(b"\n"):
-            self._pending.append("\n")  # so the next call starts a line of its own
+            self.lines.append("\n")  # so the next call starts a line of its own
 
     def _size(self) -> int:
         """The file's length in bytes; 0 while there is no file."""
@@ -211,36 +189,9 @@ class Transcript:
             return 0
 
     def _count(self, input_units: int, output_units: int) -> None:
-        self._calls += 1
-        self._input_units += input_units
-        self._output_units += output_units
-
-    def _drain(self) -> None:
-        """Move the recorded calls into the totals and pending lines; the
-        caller holds _lock, so this is the queue's only consumer."""
-        while self._recorded:
-            line, input_units, output_units = self._recorded.popleft()
-            self._count(input_units, output_units)
-            if line is not None:
-                self._pending.append(line)
-
-    @property
-    def calls(self) -> int:
-        with self._lock:
-            self._drain()
-            return self._calls
-
-    @property
-    def input_units(self) -> int:
-        with self._lock:
-            self._drain()
-            return self._input_units
-
-    @property
-    def output_units(self) -> int:
-        with self._lock:
-            self._drain()
-            return self._output_units
+        self.calls += 1
+        self.input_units += input_units
+        self.output_units += output_units
 
     def record(
         self,
@@ -250,44 +201,47 @@ class Transcript:
         retries: int,
         backend: str,
     ) -> None:
-        line = None
-        if self.path is not None:
-            entry = {
-                "tag": request.tag,
-                "request": {
-                    "system": request.system_text,
-                    "user": request.user_text,
-                    "temperature": request.temperature,
-                },
-                "response": response.text,
-                "latency": response.latency_ms,
-                "retries": retries,
-                "backend": backend,
-                "input_units": response.input_units,
-                "output_units": response.output_units,
-            }
-            line = json.dumps(entry, ensure_ascii=False) + "\n"
-        self._recorded.append((line, response.input_units, response.output_units))
+        entry = {
+            "tag": request.tag,
+            "request": {
+                "system": request.system_text,
+                "user": request.user_text,
+                "temperature": request.temperature,
+            },
+            "response": response.text,
+            "latency": response.latency_ms,
+            "retries": retries,
+            "backend": backend,
+            "input_units": response.input_units,
+            "output_units": response.output_units,
+        }
+        self.lines.append(json.dumps(entry, ensure_ascii=False) + "\n")
+        self._count(response.input_units, response.output_units)
+
+    def extend(self, other: Transcript) -> None:
+        """Take the calls a fresh, never flushed `other` recorded: its lines
+        go after this transcript's, and its totals are added to these."""
+        self.lines += other.lines
+        other.lines = []
+        self.calls += other.calls
+        self.input_units += other.input_units
+        self.output_units += other.output_units
 
     def flush(self) -> None:
-        """Append every queued line to the file. When it returns, each call
-        recorded before it was made is on disk, even one that another
-        thread's concurrent flush wrote, and `mark` is where the file ends."""
-        with self._write_lock:
-            with self._lock:
-                self._drain()
-                lines, self._pending = self._pending, []
-                totals = (self._calls, self._input_units, self._output_units)
-            if lines:
-                with self.path.open("a", encoding="utf-8") as handle:
-                    handle.writelines(lines)
-            self.mark = Mark(self._size(), *totals)
+        """Append the lines recorded since the last flush to the file; then
+        `mark` is where the file ends."""
+        lines, self.lines = self.lines, []
+        if lines and self.path is not None:
+            with self.path.open("a", encoding="utf-8") as handle:
+                handle.writelines(lines)
+        self.mark = Mark(self._size(), self.calls, self.input_units, self.output_units)
 
 
 @dataclass(frozen=True)
 class Agent:
     """A backend and the transcript its calls are recorded in; without a
-    transcript file the calls are only counted."""
+    transcript file the calls are counted and their lines kept until a
+    flush drops them."""
 
     backend: Backend
     transcript: Transcript = field(default_factory=Transcript)
@@ -359,23 +313,45 @@ def complete(
     return response
 
 
-def fan_out(fn: Callable[[T], R], items: Iterable[T], workers: int) -> Iterator[R]:
-    """`fn` over `items` on at most `workers` threads; yields the results in
-    item order, each as soon as it and every earlier one are done.
+def fan_out(
+    fn: Callable[[T, Agent], R], items: Iterable[T], agent: Agent, workers: int
+) -> Iterator[R]:
+    """`fn(item, item_agent)` over `items` on at most `workers` threads;
+    yields the results in item order, each as soon as it and every earlier
+    one are done.
 
-    Nothing starts before the first result is asked for. With `workers <= 1`
-    it is a plain loop. An exception raised by `fn` propagates, the first in
-    item order, after the items not yet started are cancelled and the running
-    ones have finished. The workers only compute; whatever must happen once
-    per result, such as writing the transcript out, the caller does between
-    yields, on its own thread.
+    `item_agent` is `agent`'s backend with a path-less transcript of the
+    item's own. Before it yields item i's result, fan_out appends item i's
+    lines to `agent.transcript` and flushes it, on the calling thread, so
+    the file holds them, in item order, before the caller writes anything
+    that holds their answers. Nothing starts before the first result is
+    asked for. With `workers <= 1` it is a plain loop. An exception raised
+    by `fn` propagates, the first in item order, after the items not yet
+    started are cancelled and the running ones have finished; on that
+    exception, or when the caller closes the generator early, the lines of
+    every started item are appended and flushed first, in item order.
     """
     items = list(items)
-    if workers <= 1 or len(items) <= 1:
-        yield from map(fn, items)
-        return
-    with ThreadPoolExecutor(max_workers=min(workers, len(items))) as pool:
-        yield from pool.map(fn, items)
+    views = [Agent(agent.backend, Transcript()) for _ in items]
+    taken = 0
+    pool = None
+    try:
+        if workers <= 1 or len(items) <= 1:
+            results = map(fn, items, views)
+        else:
+            pool = ThreadPoolExecutor(max_workers=min(workers, len(items)))
+            results = pool.map(fn, items, views)
+        for result in results:
+            agent.transcript.extend(views[taken].transcript)
+            taken += 1
+            agent.transcript.flush()
+            yield result
+    finally:
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)  # waits for the running items
+        for view in views[taken:]:
+            agent.transcript.extend(view.transcript)  # an item never started has none
+        agent.transcript.flush()
 
 
 # ---------------------------------------------------------------------------

@@ -234,7 +234,8 @@ def _node_row(node: RuleNode) -> dict:
     }
 
 
-def save_tree(tree: OptimizationTree, path: str | Path) -> None:
+def tree_snapshot(tree: OptimizationTree) -> str:
+    """The text of the tree's store."""
     payload = {
         "target": consequent_key(tree.target),
         "nodes": [_node_row(node) for node in tree.nodes.values()],
@@ -243,7 +244,11 @@ def save_tree(tree: OptimizationTree, path: str | Path) -> None:
         "iteration": tree.iteration,
         "sequence": tree._sequence,
     }
-    write_atomically(path, json.dumps(payload, ensure_ascii=False, indent=2) + "\n")
+    return json.dumps(payload, ensure_ascii=False, indent=2) + "\n"
+
+
+def save_tree(tree: OptimizationTree, path: str | Path) -> None:
+    write_atomically(path, tree_snapshot(tree))
 
 
 def write_atomically(path: str | Path, text: str) -> None:

@@ -20,7 +20,8 @@ silent rebuild. Between two stage bodies each run-directory file is hashed
 once: the input hashes, the skip checks and the output hashes share a memo
 that is emptied before every body runs. Only a stage re-run under the input
 hash it recorded last, after a crash or a failure, resumes partial work:
-optimize reloads its trees.
+optimize reloads the tree of each target whose snapshot was written, and
+quizzes every other target from its root again.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ import logging
 import math
 import time
 import uuid
+from contextlib import closing
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Optional
@@ -400,8 +402,9 @@ def _optimize(run: PipelineRun) -> list[Path]:
         else:
             optimized.failures[key] = "no confusable set"
 
-    def optimize_target(key: str) -> tuple[FolRule, float]:
-        """Quiz, tree and refinement loop of one target; writes its tree store."""
+    def optimize_target(key: str, agent: Agent) -> tuple[FolRule, float, str]:
+        """Quiz, tree and refinement loop of one target: its best rule, that
+        rule's weight and the tree's snapshot, which the caller writes."""
         conf = confusable_sets[key]
         questions = make_quiz(
             conf,
@@ -412,8 +415,9 @@ def _optimize(run: PipelineRun) -> list[Path]:
         store = opt_tree.tree_path(run.run_dir, key)
         tree = None
         if run.resuming and store.exists():
-            # resume after a crash or failure under the same input hash; a
-            # store the crash cut short starts over
+            # resume after a crash or failure under the same input hash: a
+            # target whose snapshot was written is done; a store the crash
+            # cut short starts over
             try:
                 tree = opt_tree.load_tree(store, conf.target, questions)
                 logger.info("resuming tree for %s at iteration %d", key, tree.iteration)
@@ -440,14 +444,19 @@ def _optimize(run: PipelineRun) -> list[Path]:
             rewrite=rewrite,
             defined_score=opt_config["defined_score"],
             max_iterations=opt_config["max_iterations"],
-            store_path=store,
         )
-        return best, tree.max_score
+        # serialized here: the calling thread, starved of the interpreter
+        # lock by the workers, only writes text that is ready
+        return best, tree.max_score, opt_tree.tree_snapshot(tree)
 
-    results = fan_out(optimize_target, keys, run.config["agent_concurrency"])
-    for key, (best, weight) in zip(keys, results, strict=True):
-        optimized.rules[key] = best
-        optimized.weights[key] = weight
+    # closed before _execute's manifest save, even when a write below fails,
+    # so the lines of the targets still running are counted
+    with closing(fan_out(optimize_target, keys, agent, run.config["agent_concurrency"])) as results:
+        for key, (best, weight, snapshot) in zip(keys, results, strict=True):
+            # fan_out wrote the target's answers out before it yielded them
+            opt_tree.write_atomically(opt_tree.tree_path(run.run_dir, key), snapshot)
+            optimized.rules[key] = best
+            optimized.weights[key] = weight
     if not optimized.rules:
         raise ValueError("optimization produced no rules")
     rule_init.save_ruleset(run.path("rules_optimized.json"), optimized)
@@ -475,7 +484,7 @@ def _examine(run: PipelineRun) -> None:
         [case.fact_text for case in split.test], run.config["examination"]["candidate_k"]
     )
 
-    def examine(item: tuple[LegalCase, dict]):
+    def examine(item: tuple[LegalCase, dict], agent: Agent):
         case, case_candidates = item
         return examination.examine_case(
             case.case_id,
@@ -488,14 +497,11 @@ def _examine(run: PipelineRun) -> None:
             index=index,
         )
 
-    predictions = []
-    for prediction in fan_out(
-        examine, zip(split.test, candidates), run.config["agent_concurrency"]
-    ):
-        # written out here, not on the workers: each finished case's answers
-        # reach disk at once, and before predictions.jsonl
-        agent.transcript.flush()
-        predictions.append(prediction)
+    # fan_out writes each case's answers out as it yields the case's
+    # prediction, so all of them are on disk before predictions.jsonl
+    predictions = list(
+        fan_out(examine, zip(split.test, candidates), agent, run.config["agent_concurrency"])
+    )
     examination.save_predictions(run.path("predictions.jsonl"), predictions)
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import logging
 import re
+from contextlib import closing
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
@@ -238,7 +239,7 @@ def init_all_rules(
     precedents, `concurrency` targets at a time; per-target failures are
     reported in the RuleSet, in target order, not raised."""
 
-    def init_one(target: Consequent) -> FolRule | str:
+    def init_one(target: Consequent, agent: Agent) -> FolRule | str:
         """The target's rule, or the reason it has none."""
         try:
             return init_rule_for_target(
@@ -249,11 +250,10 @@ def init_all_rules(
             return str(exc)
 
     ruleset = RuleSet()
-    outcomes = fan_out(init_one, precedent_groups, concurrency)
-    for target, outcome in zip(precedent_groups, outcomes, strict=True):
-        agent.transcript.flush()  # this target's answers reach disk before its rule
-        if isinstance(outcome, str):
-            ruleset.failures[consequent_key(target)] = outcome
-        else:
-            ruleset.add(outcome)
+    with closing(fan_out(init_one, precedent_groups, agent, concurrency)) as outcomes:
+        for target, outcome in zip(precedent_groups, outcomes, strict=True):
+            if isinstance(outcome, str):
+                ruleset.failures[consequent_key(target)] = outcome
+            else:
+                ruleset.add(outcome)
     return ruleset

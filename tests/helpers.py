@@ -4,8 +4,9 @@ from __future__ import annotations
 
 import json
 import random
+import sys
 
-from rljp.agents import Agent, ScriptedBackend, Transcript
+from rljp.agents import Agent, ChatRequest, ChatResponse, ScriptedBackend, Transcript, fan_out
 from rljp.corpus import Judgment, LabelSpace, LegalCase
 from rljp.fol import (
     ArticleCharge,
@@ -113,3 +114,31 @@ def scripted(script, transcript_path=None) -> Agent:
     `agent.backend.calls`); its transcript writes to `transcript_path` when
     given, and otherwise only counts calls."""
     return Agent(ScriptedBackend(script), Transcript(transcript_path))
+
+
+def fan_out_under_stress(path, on_result=lambda item: None, items=64, calls=5):
+    """`items` items through `fan_out` on 8 workers at a 1 µs switch interval,
+    so threads switch between any two bytecodes; item i records `calls` calls
+    tagged `i/<call>`, with usage (i + 1, call). `on_result(i)` runs on the
+    calling thread as item i's result arrives. Returns the transcript at
+    `path` the items were fanned out from and its mark after each result."""
+
+    def work(item, agent):
+        for call in range(calls):
+            agent.transcript.record(
+                ChatRequest("s", "u", tag=f"{item}/{call}"), ChatResponse("x", item + 1, call),
+                retries=0, backend="b",
+            )
+        return item
+
+    transcript = Transcript(path)
+    marks = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for item in fan_out(work, range(items), Agent(ScriptedBackend({}), transcript), 8):
+            marks.append(transcript.mark)
+            on_result(item)
+    finally:
+        sys.setswitchinterval(interval)
+    return transcript, marks

@@ -4,12 +4,13 @@ import random
 import subprocess
 import sys
 import threading
+from collections import deque
 from pathlib import Path
 
 import pytest
 import requests
 
-from helpers import transcript_entries
+from helpers import fan_out_under_stress, transcript_entries
 from rljp import agents
 from rljp.agents import (
     Agent,
@@ -216,50 +217,25 @@ class TestTranscript:
         transcript.flush()
         assert (transcript.calls, transcript.input_units, transcript.output_units) == (3, 12, 3)
 
-    def test_record_takes_no_lock(self, tmp_path):
-        # under worker threads a lock taken per call convoys: each acquire
-        # blocks and hands the interpreter lock to another thread
-        class Forbidden:
-            def __enter__(self):
-                raise AssertionError("record took a lock")
-
+    def test_a_transcript_holds_no_lock_and_no_queue(self, tmp_path):
+        # one thread owns a transcript (fan_out gives each work item one of
+        # its own), so there is no lock to take or to convoy on, and no queue
         transcript = Transcript(tmp_path / "transcript.jsonl")
-        locks = transcript._lock, transcript._write_lock
-        transcript._lock = transcript._write_lock = Forbidden()
         transcript.record(_request(), ChatResponse("x", 2, 1), retries=0, backend="b")
-        transcript._lock, transcript._write_lock = locks
+        shared = (type(threading.Lock()), type(threading.RLock()), deque)
+        assert [name for name, value in vars(transcript).items() if isinstance(value, shared)] == []
         assert (transcript.calls, transcript.input_units, transcript.output_units) == (1, 2, 1)
         assert len(transcript_entries(transcript)) == 1
 
     def test_records_from_many_threads_are_all_counted_and_written(self, tmp_path):
         path = tmp_path / "transcript.jsonl"
-        transcript = Transcript(path)
-        threads_n, calls_n = 8, 500
-
-        def worker(index: int) -> None:
-            for call in range(calls_n):
-                transcript.record(
-                    _request(f"w{index}/{call}"), ChatResponse("y", call, index),
-                    retries=0, backend="b",
-                )
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            threads = [threading.Thread(target=worker, args=(i,)) for i in range(threads_n)]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=60)
-                assert not thread.is_alive()
-        finally:
-            sys.setswitchinterval(interval)
-        assert transcript.calls == threads_n * calls_n
-        assert transcript.input_units == threads_n * sum(range(calls_n))
-        assert transcript.output_units == calls_n * sum(range(threads_n))
-        transcript.flush()
+        items, calls = 64, 50
+        transcript, _ = fan_out_under_stress(path, items=items, calls=calls)
+        assert transcript.calls == items * calls
+        assert transcript.input_units == calls * sum(range(1, items + 1))
+        assert transcript.output_units == items * sum(range(calls))
         lines = path.read_text(encoding="utf-8").splitlines()
-        assert len(lines) == len({json.loads(line)["tag"] for line in lines}) == 4000
+        assert len(lines) == len({json.loads(line)["tag"] for line in lines}) == items * calls
 
 
 class TestChatRequest:

@@ -1,50 +1,66 @@
 """The ordered fan-out and the pipeline stages that run on it."""
 
 import json
-import sys
 import threading
 import time
 
 import pytest
 
 import rljp.pipeline as pipeline_mod
-from helpers import transcript_entries
+from helpers import fan_out_under_stress
 from rljp.agents import (
     Agent,
     AgentError,
     ChatRequest,
+    ChatResponse,
     ScriptedBackend,
     Transcript,
-    complete,
     fan_out,
 )
 from rljp.config import load_config
 from rljp.pipeline import StageError, run_pipeline
 
 
+def bare_agent(path=None) -> Agent:
+    """An agent whose backend no test item calls."""
+    return Agent(ScriptedBackend({}), Transcript(path))
+
+
+def record(agent: Agent, tag: str) -> None:
+    agent.transcript.record(ChatRequest("s", "u", tag=tag), ChatResponse("x"), retries=0,
+                            backend="b")
+
+
+def tags_on_disk(path) -> list[str]:
+    return [json.loads(line)["tag"] for line in path.read_text(encoding="utf-8").splitlines()]
+
+
 class TestFanOut:
     def test_results_in_item_order(self):
         # later items finish first
-        def slow_first(i):
+        def slow_first(i, agent):
             time.sleep(0.002 * (8 - i))
             return i * i
 
-        assert list(fan_out(slow_first, range(8), 4)) == [i * i for i in range(8)]
+        assert list(fan_out(slow_first, range(8), bare_agent(), 4)) == [i * i for i in range(8)]
 
     def test_reraises_a_workers_exception(self):
-        def fail_on_three(i):
+        def fail_on_three(i, agent):
             if i == 3:
                 raise ValueError("item 3")
             return i
 
         with pytest.raises(ValueError, match="item 3"):
-            list(fan_out(fail_on_three, range(8), 4))
+            list(fan_out(fail_on_three, range(8), bare_agent(), 4))
 
     @pytest.mark.parametrize("workers", [0, 1])
     def test_one_worker_is_a_plain_loop(self, workers):
         seen = []
         results = list(
-            fan_out(lambda i: seen.append((i, threading.get_ident())) or i, range(5), workers)
+            fan_out(
+                lambda i, agent: seen.append((i, threading.get_ident())) or i,
+                range(5), bare_agent(), workers,
+            )
         )
         assert results == list(range(5))
         assert seen == [(i, threading.get_ident()) for i in range(5)]
@@ -52,7 +68,7 @@ class TestFanOut:
     @pytest.mark.parametrize("workers", [1, 4])
     def test_nothing_starts_before_the_first_result_is_asked_for(self, workers):
         started = []
-        results = fan_out(started.append, range(5), workers)
+        results = fan_out(lambda i, agent: started.append(i), range(5), bare_agent(), workers)
         time.sleep(0.01)
         assert started == []
         assert next(results) is None
@@ -63,7 +79,7 @@ class TestFanOut:
         lock = threading.Lock()
         running, peak = [0], [0]
 
-        def work(i):
+        def work(i, agent):
             with lock:
                 running[0] += 1
                 peak[0] = max(peak[0], running[0])
@@ -72,34 +88,83 @@ class TestFanOut:
                 running[0] -= 1
             return i
 
-        assert list(fan_out(work, range(12), 3)) == list(range(12))
+        assert list(fan_out(work, range(12), bare_agent(), 3)) == list(range(12))
         assert 1 < peak[0] <= 3
 
+    @pytest.mark.parametrize("workers", [1, 4])
+    def test_each_items_lines_are_on_disk_before_its_result(self, tmp_path, workers):
+        path = tmp_path / "transcript.jsonl"
+        agent = bare_agent(path)
+        threads = set()
 
-@pytest.fixture
-def fast_switching():
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        yield
-    finally:
-        sys.setswitchinterval(interval)
+        def work(i, item_agent):
+            assert item_agent.transcript is not agent.transcript
+            assert item_agent.backend is agent.backend
+            threads.add(threading.get_ident())
+            time.sleep(0.002 * (6 - i))  # later items finish first
+            record(item_agent, f"{i}/a")
+            record(item_agent, f"{i}/b")
+            return i
+
+        for i in fan_out(work, range(6), agent, workers):
+            assert tags_on_disk(path) == [f"{j}/{call}" for j in range(i + 1) for call in "ab"]
+            assert agent.transcript.mark.calls == agent.transcript.calls == 2 * (i + 1)
+        assert (threading.get_ident() in threads) == (workers == 1)
+
+    @pytest.mark.parametrize("workers", [1, 4])
+    def test_an_exception_writes_every_started_items_lines_first(self, tmp_path, workers):
+        path = tmp_path / "transcript.jsonl"
+        agent = bare_agent(path)
+        started = []
+
+        def work(i, item_agent):
+            started.append(i)
+            record(item_agent, f"{i}/asked")
+            if i == 3:
+                time.sleep(0.02)  # the items after it finish first
+                raise ValueError("item 3")
+            return i
+
+        with pytest.raises(ValueError, match="item 3"):
+            list(fan_out(work, range(12), agent, workers))
+        assert tags_on_disk(path) == [f"{i}/asked" for i in sorted(started)]
+        if workers == 1:
+            assert started == [0, 1, 2, 3]
+        else:
+            assert len(started) > 4  # later items ran while item 3 slept
+        assert agent.transcript.mark.calls == len(started)
+
+    @pytest.mark.parametrize("workers", [1, 4])
+    def test_closing_early_writes_every_started_items_lines(self, tmp_path, workers):
+        path = tmp_path / "transcript.jsonl"
+        agent = bare_agent(path)
+        started = []
+
+        def work(i, item_agent):
+            started.append(i)
+            time.sleep(0.002)
+            record(item_agent, f"{i}/asked")
+            return i
+
+        results = fan_out(work, range(12), agent, workers)
+        assert next(results) == 0
+        results.close()
+        if workers == 1:
+            assert started == [0]
+        else:
+            assert set(range(4)) <= set(started)  # those running beside item 0 finished
+        assert tags_on_disk(path) == [f"{i}/asked" for i in sorted(started)]
+        assert agent.transcript.mark.calls == len(started)
 
 
 class TestSharedStateUnderFanOut:
-    def test_transcript_keeps_every_call(self, fast_switching, tmp_path):
-        n = 400
-        agent = Agent(ScriptedBackend({"t": ["ok"] * n}), Transcript(tmp_path / "transcript.jsonl"))
-
-        def call(i):
-            complete(ChatRequest("system", f"prompt {i}", tag="t"), agent)
-
-        list(fan_out(call, range(n), 8))
-        assert agent.transcript.calls == n
-        entries = transcript_entries(agent.transcript)
-        assert sorted(e["request"]["user"] for e in entries) == sorted(
-            f"prompt {i}" for i in range(n)
-        )
+    def test_transcript_keeps_every_call(self, tmp_path):
+        # the calling thread alone appends and writes, so the lines follow
+        # item order however the workers interleave
+        path = tmp_path / "transcript.jsonl"
+        transcript, _ = fan_out_under_stress(path)
+        assert transcript.calls == 64 * 5
+        assert tags_on_disk(path) == [f"{i}/{call}" for i in range(64) for call in range(5)]
 
 
 class CountingBackend:
@@ -121,6 +186,15 @@ class CountingBackend:
         finally:
             with meter["lock"]:
                 meter["in_flight"] -= 1
+
+
+def without_latency(path) -> list[dict]:
+    lines = []
+    for line in path.read_text(encoding="utf-8").splitlines():
+        entry = json.loads(line)
+        del entry["latency"]
+        lines.append(entry)
+    return lines
 
 
 LEARNED_AND_PREDICTED = (
@@ -159,6 +233,12 @@ class TestPipelineFanOut:
         assert trees and trees == sorted(p.name for p in (threaded / "trees").iterdir())
         for name in [*LEARNED_AND_PREDICTED, *(f"trees/{tree}" for tree in trees)]:
             assert (threaded / name).read_bytes() == (serial / name).read_bytes(), name
+        # the transcript too, line by line, but for each call's measured latency
+        serial_lines, threaded_lines = (without_latency(run / "transcript.jsonl")
+                                        for run in (serial, threaded))
+        assert len(threaded_lines) == len(serial_lines) > 0
+        for number, (line, expected) in enumerate(zip(threaded_lines, serial_lines), 1):
+            assert line == expected, f"transcript line {number}"
 
     @pytest.mark.parametrize("concurrency", [1, 2, 4])
     def test_sends_in_flight_never_exceed_concurrency(self, runs_by_concurrency, concurrency):

@@ -42,6 +42,7 @@ from rljp.pipeline import STAGE_TABLE, STAGES, run_pipeline
 from rljp.quiz import make_quiz
 from rljp.rule_init import load_ruleset, save_ruleset
 from rljp.synthetic import write_corpus
+from test_transcript_writeout import agent_calls, disk_tags, line_count, tap
 
 
 def run_cli(args):
@@ -740,24 +741,34 @@ class TestResume:
         assert {entry["tag"].split("/")[1] for entry in resumed} == {key}
         assert json.loads(victim.read_text())["max_score"] >= 0.9
 
+    @pytest.mark.parametrize("workers", [1, 4])
     def test_a_write_cut_short_keeps_the_previous_store_and_manifest(
-        self, fixture_config_path, tmp_path, monkeypatch, completed_run
+        self, fixture_config_path, tmp_path, monkeypatch, completed_run, workers
     ):
         # a write that fails once its file is open (a full disk; a kill acts
-        # alike) hits a tree store's second save, made after its first
-        # expansion, and then the manifest save that records the failed stage
+        # alike) hits the second target's only snapshot write, and then the
+        # manifest save that records the failed stage; with 4 workers, later
+        # targets are running then, and their answers must still be counted
         run_dir = tmp_path / "run"
         config = load_config(fixture_config_path)
-        config["agent_concurrency"] = 1
+        config["agent_concurrency"] = workers
+        answered = tap(monkeypatch)
         write_text = Path.write_text
-        writes = Counter()
+        snapshots: list[Path] = []  # each target's snapshot, in write order
         cut: list[Path] = []
+        # the cut manifest's agent_calls, and the lines and answered calls then
+        counted: list[tuple[int, int, int]] = []
 
         def cut_short(path, data, *args, **kwargs):
-            writes[path] += 1
-            if (path.parent.name == "trees" and writes[path] == 2 and not cut) or (
+            if path.parent.name == "trees":
+                snapshots.append(path)
+            if (len(snapshots) == 2 and not cut) or (
                 len(cut) == 1 and path.name.startswith("manifest.json")
             ):
+                if cut:
+                    counted.append(
+                        (json.loads(data)["agent_calls"], line_count(run_dir), len(answered))
+                    )
                 cut.append(path)
                 write_text(path, data[: len(data) // 2], *args, **kwargs)
                 raise OSError(errno.ENOSPC, "injected: no space left on device")
@@ -766,15 +777,20 @@ class TestResume:
         monkeypatch.setattr(Path, "write_text", cut_short)
         with pytest.raises(OSError, match="injected"):
             run_pipeline(config, run_dir)
-        monkeypatch.undo()
-        assert len(cut) == 2
+        monkeypatch.setattr(Path, "write_text", write_text)
+        assert len(cut) == 2 and cut[0] == snapshots[1]
         manifest = json.loads((run_dir / "manifest.json").read_text())
         assert manifest["stages"]["optimize"]["status"] == "running"
+        # the fan-out was closed before that manifest save: it counted every
+        # answered call, those of the targets still running included
+        (saved,) = counted
+        assert saved[0] == saved[1] == saved[2] == len(answered)
+        assert disk_tags(run_dir) == Counter(answered)
         stores = list((run_dir / "trees").iterdir())
         assert len(stores) == 1 and stores[0].suffix == ".json"
         payload = json.loads(stores[0].read_text())
-        assert payload["iteration"] == 0
         key = payload["target"]
+        assert stores[0].read_bytes() == tree_path(completed_run, key).read_bytes()
         quizzed = {
             f"quiz/{node['node_id']}/{record['case_id']}"
             for node in payload["nodes"]
@@ -782,16 +798,25 @@ class TestResume:
         }
         asked = {e["tag"] for e in _transcript(run_dir) if e["tag"].startswith(f"quiz/{key}/")}
         assert asked == quizzed != set()
+        (second,) = {
+            json.loads(path.read_text())["target"]
+            for path in (completed_run / "trees").iterdir()
+            if path.name + ".tmp" == cut[0].name
+        }
+        asked_second = Counter(
+            e["tag"] for e in _transcript(run_dir) if e["tag"].startswith(f"quiz/{second}/")
+        )
 
         calls_before = len(_transcript(run_dir))
         run_pipeline(config, run_dir, resume=True)
-        resumed = {
-            e["tag"]
-            for e in _transcript(run_dir)[calls_before:]
-            if e["tag"].startswith(f"quiz/{key}/")
-        }
-        assert resumed and not resumed & quizzed
+        resumed = [e["tag"] for e in _transcript(run_dir)[calls_before:]]
+        # the written target asks nothing again; the cut one starts over
+        assert not [tag for tag in resumed if tag.startswith(f"quiz/{key}/")]
+        assert Counter(
+            tag for tag in resumed if tag.startswith(f"quiz/{second}/")
+        ) == asked_second != Counter()
         assert stores[0].read_bytes() == tree_path(completed_run, key).read_bytes()
+        assert agent_calls(run_dir) == line_count(run_dir) == len(answered)
 
     def test_moved_run_dir_resumes_with_every_stage_skipped(
         self, fixture_config_path, tmp_path

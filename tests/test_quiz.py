@@ -210,8 +210,11 @@ class TestRunQuiz:
             }
         )
         results = fan_out(
-            lambda prefix: run_quiz(self.RULE, questions, agent, tag_prefix=prefix),
+            lambda prefix, target_agent: run_quiz(
+                self.RULE, questions, target_agent, tag_prefix=prefix
+            ),
             prefixes,
+            agent,
             4,
         )
         for result in results:

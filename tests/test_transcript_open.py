@@ -1,10 +1,10 @@
 """Opening an existing transcript: the totals it seeds.
 
-A reopened `Transcript` reads each line's usage from the tail `record`
-writes and JSON-decodes only the lines without it. These tests hold its
-totals to a decode of every line, on lines built to mislead a tail reader,
-and pin that a line cut short by a kill, even inside a character, is one
-call without usage.
+A reopened `Transcript` JSON-decodes each line for its usage. These tests
+hold its totals to a decode of every line, on lines that hold the usage
+keys' text inside values or list the keys in another order, and pin that a
+line cut short by a kill, even inside a character, is one call without
+usage.
 """
 
 import json

@@ -13,11 +13,10 @@ import json
 import logging
 import pathlib
 import shutil
-import sys
-import threading
 
 import pytest
 
+from helpers import fan_out_under_stress
 from rljp.agents import ChatRequest, ChatResponse, Mark, Transcript
 from rljp.config import load_config
 from rljp.pipeline import PipelineRun, run_pipeline
@@ -194,31 +193,9 @@ def test_a_transcript_without_a_mark_is_counted_from_byte_0(tmp_path):
     assert totals(Transcript(path)) == decoded_totals(path) == (3, 3, 3)
 
 
-def test_each_mark_describes_the_bytes_before_it_under_concurrent_flushes(tmp_path):
+def test_each_mark_describes_the_bytes_before_it_under_fan_out(tmp_path):
     path = tmp_path / "transcript.jsonl"
-    transcript = Transcript(path)
-    marks: list[Mark] = []
-
-    def worker(n):
-        for i in range(200):
-            transcript.record(
-                ChatRequest("s", "u", tag=f"w{n}/{i}"), ChatResponse("x", n + 1, i),
-                retries=0, backend="b",
-            )
-            transcript.flush()
-            marks.append(transcript.mark)
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=worker, args=(n,)) for n in range(6)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=60)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(thread.is_alive() for thread in threads)
+    _, marks = fan_out_under_stress(path)
     # the totals of the lines before each line end, by that end's offset
     ends, offset, calls, input_units, output_units = {}, 0, 0, 0, 0
     for line in path.read_bytes().splitlines(keepends=True):
@@ -227,6 +204,7 @@ def test_each_mark_describes_the_bytes_before_it_under_concurrent_flushes(tmp_pa
         input_units += entry["input_units"]
         output_units += entry["output_units"]
         ends[offset] = Mark(offset, calls, input_units, output_units)
-    assert calls == len(marks) == 1200
+    assert calls == 64 * 5 and len(marks) == 64
+    assert [mark.calls for mark in marks] == [5 * (i + 1) for i in range(64)]
     for mark in marks:
         assert ends.get(mark.offset) == mark

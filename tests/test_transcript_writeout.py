@@ -1,10 +1,12 @@
 """When transcript lines reach disk.
 
-`Transcript.record` only queues a call's line; the pipeline writes the queue
-out before each artifact that holds an answer (a tree store, a rule file,
-the predictions) and with every manifest save. These tests pin that order,
-the accounting after a failed or interrupted stage, and a hard kill followed
-by `--resume`.
+A worker records each call's line in its work item's own transcript;
+`fan_out` appends an item's lines to the run's transcript and writes them
+out, on the calling thread, before the caller writes any artifact that holds
+their answers (a tree store, a rule file, the predictions), and the manifest
+saves write out the rest. These tests pin that order, the one writing
+thread, the accounting after a failed or interrupted stage, and a hard kill
+followed by `--resume`.
 """
 
 import dataclasses
@@ -21,11 +23,11 @@ from pathlib import Path
 import pytest
 
 import rljp.pipeline as pipeline_mod
+from helpers import fan_out_under_stress
 from rljp import examination, opt_tree, rule_init
 from rljp.agents import ChatRequest, ChatResponse, RefusalError, Transcript
 from rljp.cli import main
 from rljp.config import load_config
-from rljp.fol import consequent_key
 from rljp.pipeline import StageError, run_pipeline
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -97,12 +99,13 @@ def test_every_answer_is_on_disk_before_the_artifact_that_holds_it(
             problems.append(f"{artifact} written before {sorted(missing)[:3]} reached disk")
         writes[artifact if prefixes == ("",) else "trees"] += 1
 
-    save_tree = opt_tree.save_tree
+    write_atomically = opt_tree.write_atomically
 
-    def checked_save_tree(tree, path):
-        key = consequent_key(tree.target)
-        check(Path(path).name, (f"quiz/{key}/", f"cacl/{key}/"))
-        save_tree(tree, path)
+    def checked_write_atomically(path, text):
+        if Path(path).parent.name == "trees":
+            key = json.loads(text)["target"]
+            check(Path(path).name, (f"quiz/{key}/", f"cacl/{key}/"))
+        write_atomically(path, text)
 
     save_ruleset = rule_init.save_ruleset
 
@@ -116,14 +119,15 @@ def test_every_answer_is_on_disk_before_the_artifact_that_holds_it(
         check(Path(path).name)
         save_predictions(path, predictions)
 
-    monkeypatch.setattr(opt_tree, "save_tree", checked_save_tree)
+    monkeypatch.setattr(opt_tree, "write_atomically", checked_write_atomically)
     monkeypatch.setattr(rule_init, "save_ruleset", checked_save_ruleset)
     monkeypatch.setattr(examination, "save_predictions", checked_save_predictions)
     run_pipeline(load_config(fixture_config_path), run_dir)
     assert problems == []
     assert writes["rules_init.json"] == writes["rules_optimized.json"] == 1
     assert writes["predictions.jsonl"] == 1
-    assert writes["trees"] >= 2 * len(list((run_dir / "trees").glob("*.json"))) > 0
+    # one snapshot per target, written when its loop has ended
+    assert writes["trees"] == len(list((run_dir / "trees").glob("*.json"))) > 0
     assert agent_calls(run_dir) == line_count(run_dir) == len(answered)
 
 
@@ -138,7 +142,7 @@ def case_tags(run_dir: Path, case_id: str) -> Counter:
     )
 
 
-def test_examine_and_init_rules_write_the_transcript_on_the_calling_thread(
+def test_every_agent_stage_writes_the_transcript_on_the_calling_thread(
     fixture_config_path, tmp_path, monkeypatch
 ):
     send_threads: set[int] = set()
@@ -148,17 +152,31 @@ def test_examine_and_init_rules_write_the_transcript_on_the_calling_thread(
     config["agent_concurrency"] = 4
     caller = threading.get_ident()
     running: list[str] = []  # the stage whose body is running, while one is
-    flushes: list[tuple[str, int]] = []  # (stage, thread) of each flush in a body
+    # (stage, method, thread) of each record, extend and flush of the run's
+    # transcript, the only one with a file, while a body runs
+    uses: list[tuple[str, str, int]] = []
 
-    flush = Transcript.flush
+    def watched(name):
+        method = getattr(Transcript, name)
 
-    def recording_flush(self):
-        if running:
-            flushes.append((running[0], threading.get_ident()))
-        flush(self)
+        def use(self, *args, **kwargs):
+            if running and self.path is not None:
+                uses.append((running[0], name, threading.get_ident()))
+            return method(self, *args, **kwargs)
 
-    monkeypatch.setattr(Transcript, "flush", recording_flush)
-    for name in ("init-rules", "examine"):
+        monkeypatch.setattr(Transcript, name, use)
+
+    for name in ("record", "extend", "flush"):
+        watched(name)
+    write_threads: set[int] = set()  # of the tree-store and manifest writes
+    write_atomically = opt_tree.write_atomically
+
+    def watched_write(path, text):
+        write_threads.add(threading.get_ident())
+        write_atomically(path, text)
+
+    monkeypatch.setattr(opt_tree, "write_atomically", watched_write)
+    for name in ("init-rules", "optimize", "examine"):
         row = pipeline_mod.STAGE_TABLE[name]
 
         def body(run, name=name, inner=row.body):
@@ -176,9 +194,9 @@ def test_examine_and_init_rules_write_the_transcript_on_the_calling_thread(
     seen_on_disk: list[Counter] = []
     fan_out = pipeline_mod.fan_out
 
-    def watched_fan_out(fn, items, workers):
+    def watched_fan_out(fn, items, agent, workers):
         items = list(items)
-        for item, result in zip(items, fan_out(fn, items, workers)):
+        for item, result in zip(items, fan_out(fn, items, agent, workers)):
             yield result
             if running == ["examine"]:
                 examined.append(item[0].case_id)
@@ -187,11 +205,12 @@ def test_examine_and_init_rules_write_the_transcript_on_the_calling_thread(
     monkeypatch.setattr(pipeline_mod, "fan_out", watched_fan_out)
     run_pipeline(config, run_dir)
 
-    stages = Counter(stage for stage, _ in flushes)
+    flushes = Counter(stage for stage, method, _ in uses if method == "flush")
     rules = json.loads((run_dir / "rules_init.json").read_text())["rules"]
-    assert stages["init-rules"] >= len(rules) > 1
-    assert stages["examine"] >= len(examined) > 1
-    assert {thread for _, thread in flushes} == {caller}
+    assert flushes["init-rules"] >= len(rules) > 1
+    assert flushes["optimize"] >= len(list((run_dir / "trees").glob("*.json"))) > 1
+    assert flushes["examine"] >= len(examined) > 1
+    assert {thread for _, _, thread in uses} == write_threads == {caller}
     assert len(send_threads - {caller}) > 1  # the calls themselves ran on the workers
     for i, on_disk in enumerate(seen_on_disk):
         expected = sum((case_tags(run_dir, c) for c in examined[: i + 1]), Counter())
@@ -306,40 +325,18 @@ def test_a_line_cut_short_is_ended_before_the_next_call(tmp_path):
     assert json.loads(lines[-1])["tag"] == "b"
 
 
-def test_concurrent_records_and_flushes_lose_no_line(tmp_path):
+def test_fanned_out_records_lose_no_line(tmp_path):
     # more threads than cores and a short switch interval, so a line lost
-    # between the queue swap and the write, or a flush that returns before
-    # another flush has written its caller's lines, would show
+    # between a worker's record and the caller's write, or an item written
+    # out after its result was handed over, would show
     path = tmp_path / "transcript.jsonl"
-    transcript = Transcript(path)
     problems: list[str] = []
 
-    def worker(index: int) -> None:
-        for batch in range(10):
-            tags = [f"w{index}/{batch}/{call}" for call in range(5)]
-            for tag in tags:
-                transcript.record(ChatRequest("s", "u", tag=tag), ChatResponse("y"), retries=0,
-                                  backend="b")
-            transcript.flush()
-            # another thread's flush may be writing the last line as this reads
-            on_disk = {
-                json.loads(line)["tag"]
-                for line in path.read_text().splitlines(keepends=True)
-                if line.endswith("\n")
-            }
-            problems.extend(tag for tag in tags if tag not in on_disk)
+    def on_result(item: int) -> None:
+        on_disk = {json.loads(line)["tag"] for line in path.read_text().splitlines()}
+        problems.extend(f"{item}/{call}" for call in range(5) if f"{item}/{call}" not in on_disk)
 
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=worker, args=(i,)) for i in range(8)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=60)
-            assert not thread.is_alive()
-    finally:
-        sys.setswitchinterval(interval)
+    transcript, _ = fan_out_under_stress(path, on_result)
     assert problems == []
     lines = path.read_text().splitlines()
-    assert len(lines) == len({json.loads(line)["tag"] for line in lines}) == transcript.calls == 400
+    assert len(lines) == len({json.loads(line)["tag"] for line in lines}) == transcript.calls == 320
