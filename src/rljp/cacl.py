@@ -41,6 +41,8 @@ logger = logging.getLogger(__name__)
 
 FACT_TRUNCATE_DEFAULT = 1200
 MAX_RECORDS_PER_SIDE_DEFAULT = 20
+# repair prompts after a reply that does not parse, here and in rule initialization
+MAX_REPAIRS = 2
 
 
 class CaclError(RuntimeError):
@@ -209,17 +211,16 @@ def request_rule(
     what: str,
     error: type[Exception],
     temperature: float,
-    max_repairs: int,
 ) -> FolRule:
     """Ask for a rule concluding `target`, then repair it if need be.
 
     A reply that fails parse_and_check_rule is answered with up to
-    `max_repairs` REPAIR_RULE prompts quoting the error; if the last repair
+    MAX_REPAIRS REPAIR_RULE prompts quoting the error; if the last repair
     fails too, raises `error` saying "<what> failed after ...".
     """
     try:
         return ask(
-            agent, prompt, tag=tag, temperature=temperature, attempts=1 + max_repairs,
+            agent, prompt, tag=tag, temperature=temperature, attempts=1 + MAX_REPAIRS,
             parse=lambda text: parse_and_check_rule(
                 text, rule_id=rule_id, version=version, provenance=provenance, labels=labels,
                 required_consequent=target,
@@ -235,7 +236,7 @@ def request_rule(
             ),
         )
     except ValueError as exc:
-        raise error(f"{what} failed after {max_repairs} repairs: {exc}") from exc
+        raise error(f"{what} failed after {MAX_REPAIRS} repairs: {exc}") from exc
 
 
 def apply_direction(
@@ -248,13 +249,12 @@ def apply_direction(
     child_rule_id: str,
     tag_prefix: str = "cacl",
     temperature: float = 0.7,
-    max_repairs: int = 2,
 ) -> FolRule:
     """Rewrite the rule into a child rule that preserves `keep` and changes
     `improve`.
 
     The child keeps the parent's consequent and gets version parent+1; parse,
-    validation, or consequent-drift failures trigger up to `max_repairs`
+    validation, or consequent-drift failures trigger up to MAX_REPAIRS
     repair prompts quoting the error, then CaclError.
     """
     prompt = render_template(
@@ -279,7 +279,6 @@ def apply_direction(
         what="rewrite",
         error=CaclError,
         temperature=temperature,
-        max_repairs=max_repairs,
     )
 
 

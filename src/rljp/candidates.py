@@ -5,7 +5,7 @@ A fact is a sparse vector: the sorted hashed indices of its character
 n-grams and their L2-normalised counts. Each subtask's weights are held, in
 memory as in the saved artifact, as a pair: the sorted hashed columns with a
 non-zero weight, and a labels x len(columns) block of rows. No
-hash_dim-wide matrix is built. The artifact keeps the columns as a JSON list
+HASH_DIM-wide matrix is built. The artifact keeps the columns as a JSON list
 and the rows as base64 text of their raw float64 bytes, so a load restores
 every weight exactly by construction and parses no decimal text. Training
 stacks the three subtasks' label rows into one block, so each fact costs one
@@ -13,9 +13,11 @@ gather, one mat-vec and at most one update, and works on the columns its
 facts touch. It comes to the averaged weights in closed form (each update
 weighted by the steps left after it) rather than by summing the whole block
 after every step, and runs until an epoch makes no update, since every later
-epoch would repeat it; the cap of 50 epochs is also the averaging horizon,
-so the average is mostly the converged weights. A batch of facts is
-featurized in one pass and ranked for every subtask at once.
+epoch would repeat it; the cap of EPOCHS epochs is also the averaging
+horizon, so the average is mostly the converged weights. A batch of facts is
+featurized in one pass and ranked for every subtask at once. The sizes are
+engine constants, read at each use; the artifact records them, and a load
+rejects a file hashed under other sizes.
 
 This stands in for the heavyweight neural prescreener.
 """
@@ -36,6 +38,10 @@ from .corpus import SUBTASKS, LabelSpace, LegalCase
 
 logger = logging.getLogger(__name__)
 
+NGRAM_SIZES = (1, 2, 3)  # the character n-grams a fact's features hash
+HASH_DIM = 32768  # the hashed feature columns
+EPOCHS = 50  # the training cap, and the horizon the weights are averaged over
+
 _ROW_DTYPE = np.dtype("<f8")  # the saved rows' bytes, whatever the platform's order
 
 
@@ -54,28 +60,18 @@ class ProviderNotTrainedError(RuntimeError):
 
 
 class CharNgramPerceptron:
-    """One-vs-rest averaged perceptron over hashed character 1..3-grams."""
+    """One-vs-rest averaged perceptron over hashed character n-grams."""
 
-    def __init__(
-        self,
-        labels: LabelSpace,
-        *,
-        ngram_sizes: tuple[int, ...] = (1, 2, 3),
-        hash_dim: int = 32768,
-        epochs: int = 50,
-    ):
+    def __init__(self, labels: LabelSpace):
         self.labels = labels
-        self.ngram_sizes = ngram_sizes
-        self.hash_dim = hash_dim
-        self.epochs = epochs
         # per subtask: sorted non-zero columns, and a labels x len(columns) block
         self._weights: dict[str, tuple[np.ndarray, np.ndarray]] = {}
 
     def _features(self, texts: Sequence[str]) -> list[tuple[np.ndarray, np.ndarray]]:
         """Per text, its sorted hashed n-gram indices and their unit-norm counts."""
         features = []
-        for hashes in gram_hashes(texts, self.ngram_sizes):
-            idx, counts = np.unique(hashes % self.hash_dim, return_counts=True)
+        for hashes in gram_hashes(texts, NGRAM_SIZES):
+            idx, counts = np.unique(hashes % HASH_DIM, return_counts=True)
             vals = counts.astype(np.float64)
             norm = np.linalg.norm(vals)
             features.append((idx, vals / norm if norm else vals))
@@ -102,9 +98,9 @@ class CharNgramPerceptron:
         # sum over steps of the weights after each step: the update made at
         # step s is present in the (steps - s) sums from s onwards
         accum = np.zeros_like(w)
-        steps = self.epochs * len(cases)
+        steps = EPOCHS * len(cases)
         step = 0
-        for epoch in range(1, self.epochs + 1):
+        for epoch in range(1, EPOCHS + 1):
             updated = False
             for (idx, vals), target in zip(local, targets):
                 wrong = np.flatnonzero(((w[:, idx] @ vals) * target) <= 0)
@@ -118,10 +114,10 @@ class CharNgramPerceptron:
             if not updated:
                 # the weights are unchanged, so every later epoch is this one;
                 # a subtask's rows stop changing at its own first such epoch
-                outcome = f"converged: epoch {epoch} of {self.epochs} made no update"
+                outcome = f"converged: epoch {epoch} of {EPOCHS} made no update"
                 break
         else:
-            outcome = f"stopped at the {self.epochs}-epoch cap without converging"
+            outcome = f"stopped at the {EPOCHS}-epoch cap without converging"
         averaged = accum / steps
         for subtask, start, end in zip(SUBTASKS, starts, starts[1:]):
             rows = averaged[start:end]
@@ -140,8 +136,8 @@ class CharNgramPerceptron:
             columns, rows = self._weights[subtask]
             # each hashed index's place among the columns; an index with no
             # weight points at a trailing zero column, so a fact's gathered
-            # values are those of the hash_dim-wide matrix, in the same order
-            position = np.full(self.hash_dim, len(columns))
+            # values are those of the HASH_DIM-wide matrix, in the same order
+            position = np.full(HASH_DIM, len(columns))
             position[columns] = np.arange(len(columns))
             padded = np.hstack([rows, np.zeros((len(rows), 1))])
             # a row-wise sum, not a BLAS mat-vec: the mat-vec can round equal
@@ -176,9 +172,9 @@ class CharNgramPerceptron:
 
     def save(self, path: str | Path) -> None:
         payload = {
-            "hash_dim": self.hash_dim,
-            "ngram_sizes": list(self.ngram_sizes),
-            "epochs": self.epochs,
+            "hash_dim": HASH_DIM,
+            "ngram_sizes": list(NGRAM_SIZES),
+            "epochs": EPOCHS,
             "labels": asdict(self.labels),
             "weights": {
                 subtask: {
@@ -192,17 +188,18 @@ class CharNgramPerceptron:
 
     @classmethod
     def load(cls, path: str | Path) -> "CharNgramPerceptron":
-        """The provider saved at `path`; ValueError naming the file and the
-        subtask unless its weights hold, for exactly the three subtasks,
-        strictly increasing columns in [0, hash_dim) and rows that are base64
-        text of labels x columns float64 values."""
+        """The provider saved at `path`; ValueError naming the file unless it
+        was hashed under HASH_DIM and NGRAM_SIZES, and naming the subtask too
+        unless its weights hold, for exactly the three subtasks, strictly
+        increasing columns in [0, HASH_DIM) and rows that are base64 text of
+        labels x columns float64 values."""
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
-        provider = cls(
-            LabelSpace.from_dict(payload["labels"]),
-            ngram_sizes=tuple(payload["ngram_sizes"]),
-            hash_dim=payload["hash_dim"],
-            epochs=payload["epochs"],
-        )
+        for key, value in (("hash_dim", HASH_DIM), ("ngram_sizes", list(NGRAM_SIZES))):
+            if payload[key] != value:
+                raise ValueError(
+                    f"{path}: {key} is {payload[key]!r}, not the prescreener's {value!r}"
+                )
+        provider = cls(LabelSpace.from_dict(payload["labels"]))
         weights = payload["weights"]
         unmatched = sorted(set(SUBTASKS) ^ set(weights))
         if unmatched:
@@ -218,9 +215,9 @@ class CharNgramPerceptron:
             ints = isinstance(columns, list) and set(map(type, columns)) <= {int}
             array = np.asarray(columns) if ints else None
             if not ints or array.size and (
-                array.min() < 0 or array.max() >= provider.hash_dim
+                array.min() < 0 or array.max() >= HASH_DIM
             ):
-                problem = f"columns are not all ints in [0, {provider.hash_dim})"
+                problem = f"columns are not all ints in [0, {HASH_DIM})"
             elif (np.diff(array) <= 0).any():
                 problem = "columns are not strictly increasing"
             elif (blob := _base64_bytes(rows)) is None:

@@ -31,6 +31,8 @@ EMBED_BATCH = 64
 # kernel about a third faster but left the agent-latency benchmark's peak RSS
 # 1.4 MB higher (BENCH_18.json, 2-vCPU x86-64 VM)
 GRAM_CHUNK = 1 << 11
+# the character n-grams `HashingEmbedder` hashes
+EMBED_NGRAM_SIZES = (3,)
 
 
 class EmbeddingBackend(Protocol):
@@ -189,15 +191,14 @@ class HashingEmbedder:
 
     name = "hashing-ngram"
 
-    def __init__(self, dim: int = 256, ngram_sizes: tuple[int, ...] = (3,)):
+    def __init__(self, dim: int = 256):
         if dim <= 0:
             raise ValueError("dim must be positive")
         self.dim = dim
-        self.ngram_sizes = ngram_sizes
 
     def embed_texts(self, texts: Sequence[str]) -> np.ndarray:
         out = np.zeros((len(texts), self.dim), dtype=np.float64)
-        for row, (text, hashes) in enumerate(zip(texts, gram_hashes(texts, self.ngram_sizes))):
+        for row, (text, hashes) in enumerate(zip(texts, gram_hashes(texts, EMBED_NGRAM_SIZES))):
             whole = zlib.crc32(text.encode("utf-8"))
             if not hashes.size:
                 hashes = np.array([whole])

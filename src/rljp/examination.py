@@ -151,18 +151,17 @@ def examine_case(
     agent: Agent,
     *,
     seed: int = 0,
-    abstract_threshold: int = ABSTRACT_THRESHOLD_DEFAULT,
     index: Optional[RuleIndex] = None,
 ) -> Prediction:
     """Predict the full judgment triple for one case. The candidates were
     ranked on the original fact; rules are checked against the fact, or
-    against its abstract when it is longer than `abstract_threshold`.
+    against its abstract when it is longer than ABSTRACT_THRESHOLD_DEFAULT.
     `index` is `RuleIndex(rules)`, which a caller examining many cases
     builds once; without it the case builds its own."""
     if index is None:
         index = RuleIndex(rules)
     fact_text, used_abstract = maybe_abstract(
-        fact_text, abstract_threshold, agent, tag=f"abstract/{case_id}"
+        fact_text, ABSTRACT_THRESHOLD_DEFAULT, agent, tag=f"abstract/{case_id}"
     )
     chosen: dict[str, str] = {}
     used_fallback: dict[str, bool] = {}

@@ -24,9 +24,6 @@ from .quiz import OUTCOMES, QuizQuestion, QuizResult, ReasoningRecord, run_quiz
 
 logger = logging.getLogger(__name__)
 
-DEFINED_SCORE_DEFAULT = 0.9
-MAX_ITERATIONS_DEFAULT = 5
-
 # rewrite callback: (rule, its quiz result, child rule id) -> child rule
 RewriteFn = Callable[[FolRule, QuizResult, str], FolRule]
 
@@ -147,8 +144,8 @@ def optimize(
     agent: Agent,
     *,
     rewrite: RewriteFn,
-    defined_score: float = DEFINED_SCORE_DEFAULT,
-    max_iterations: int = MAX_ITERATIONS_DEFAULT,
+    defined_score: float,
+    max_iterations: int,
     store_path: Optional[str | Path] = None,
 ) -> FolRule:
     """Run the refinement loop and return the best rule found.

@@ -1,33 +1,39 @@
 """Resumable pipeline: nine stages from raw cases to a metrics report.
 
 The stages are the rows of one table, `STAGE_TABLE`, in run order. A row
-gives a stage's input files in the run directory, the dotted config keys its
-body reads (its only record of what it depends on), the fixed outputs it
-writes, and a body function over the `PipelineRun`; the optimize body also
-returns its per-target tree stores as extra outputs. `STAGES`,
+records what its body depends on: the dotted config keys it reads (its
+settings), the engine constants and prompt texts it reads (its engine
+values, each `module.NAME` in the module that defines it) and its input
+files in the run directory. It also gives the fixed outputs the body
+writes, and the body, a function over the `PipelineRun`; the optimize body
+also returns its per-target tree stores as extra outputs. `STAGES`,
 `PipelineRun.run_through` and the CLI subcommands all come from this table,
 and every stage runs through `PipelineRun._execute`.
 
 Every stage reads and writes plain files under the run directory through the
 reader and writer beside each artifact's type (in `corpus`, `rule_init`,
 `confusable`, `opt_tree`, `candidates` and `examination`), which need no run.
-It records its input hash plus output hashes in the manifest, by paths
-relative to the run directory, so a moved run directory still resumes. On
-rerun a stage is skipped exactly when its recorded input hash still matches
-and all of its outputs are present with their recorded hashes; an output
-whose bytes changed behind the manifest's back is a checksum failure, not a
-silent rebuild. Between two stage bodies each run-directory file is hashed
-once: the input hashes, the skip checks and the output hashes share a memo
-that is emptied before every body runs. Only a stage re-run under the input
-hash it recorded last, after a crash or a failure, resumes partial work:
-optimize reloads the tree of each target whose snapshot was written, and
-quizzes every other target from its root again.
+It records its input hash, over the current values of its settings and
+engine values and the bytes of its input files, plus output hashes in the
+manifest, by paths relative to the run directory, so a moved run directory
+still resumes. A module's source is not hashed, so a docstring edit re-runs
+nothing. On rerun a stage is skipped exactly when its recorded input hash
+still matches and all of its outputs are present with their recorded
+hashes; an output whose bytes changed behind the manifest's back is a
+checksum failure, not a silent rebuild. Between two stage bodies each
+run-directory file is hashed once: the input hashes, the skip checks and the
+output hashes share a memo that is emptied before every body runs. Only a
+stage re-run under the input hash it recorded last, after a crash or a
+failure, resumes partial work: optimize reloads the tree of each target
+whose snapshot was written, and quizzes every other target from its root
+again.
 """
 
 from __future__ import annotations
 
 import datetime as _dt
 import hashlib
+import importlib
 import json
 import logging
 import math
@@ -63,11 +69,13 @@ class ChecksumError(StageError):
 
 @dataclass(frozen=True)
 class Stage:
-    """One row of the stage table: input files in the run dir, and the dotted
-    config keys the body reads."""
+    """One row of the stage table: input files in the run dir, the dotted
+    config keys the body reads, and the engine constants and prompt texts it
+    reads, as `module.NAME`."""
 
     inputs: tuple[str, ...]
     settings: tuple[str, ...]
+    engine: tuple[str, ...]
     outputs: tuple[str, ...]
     body: Callable[[PipelineRun], Optional[list[Path]]]  # returns extra outputs
 
@@ -207,6 +215,10 @@ class PipelineRun:
                 value = self.agent_spec(name)
             view = _paths_as_digests(key, value)
             digest.update(json.dumps([key, view], sort_keys=True).encode())
+        for dotted in stage.engine:
+            module, _, attribute = dotted.partition(".")
+            value = getattr(importlib.import_module(f".{module}", __package__), attribute)
+            digest.update(json.dumps([dotted, value], sort_keys=True).encode())
         for input_name in stage.inputs:
             digest.update(input_name.encode())
             digest.update(self._digest(self.path(input_name)).encode())
@@ -518,31 +530,37 @@ def _evaluate(run: PipelineRun) -> None:
 
 
 # Stage order is run order. A stage's input hash covers its settings, then
-# its inputs, each in the order listed here; reordering them invalidates
-# every existing run directory.
+# its engine values, then its inputs, each in the order listed here;
+# reordering them invalidates every existing run directory.
 STAGE_TABLE: dict[str, Stage] = {
     "ingest": Stage(
         (),
         ("data.cases_path", "data.schema", "data.labels_path"),
+        ("corpus.DEFAULT_SCHEMA",),
         ("cases.valid.jsonl", "rejects.jsonl", "labels.json"),
         _ingest,
     ),
-    "split": Stage(("cases.valid.jsonl",), ("seed", "data.ratios"), ("split.json",), _split),
+    "split": Stage(("cases.valid.jsonl",), ("seed", "data.ratios"), (), ("split.json",), _split),
     "group-precedents": Stage(
         ("cases.valid.jsonl", "labels.json", "split.json"),
         ("data.precedent_k", "quiz.num_options"),
+        (),
         ("precedents.json",),
         _group_precedents,
     ),
     "init-rules": Stage(
         ("cases.valid.jsonl", "labels.json", "precedents.json"),
         ("optimization.temperature", "providers.agent"),
+        ("rule_init.FACTOR_FIELDS", "cacl.MAX_REPAIRS", "prompts.SYSTEM_LEGAL_ANALYST",
+         "prompts.SUMMARIZE_CIRCUMSTANCES", "prompts.DEFINE_SYMBOLS", "prompts.REPAIR_SYMBOLS",
+         "prompts.CONSTRUCT_RULE", "fol.GRAMMAR_HELP", "prompts.REPAIR_RULE"),
         ("rules_init.json",),
         _init_rules,
     ),
     "build-confusable": Stage(
         ("cases.valid.jsonl", "split.json", "precedents.json"),
         ("optimization.num_negatives", "providers.embedder"),
+        ("confusable.EMBED_NGRAM_SIZES",),
         ("confusable.json",),
         _build_confusable,
     ),
@@ -550,12 +568,17 @@ STAGE_TABLE: dict[str, Stage] = {
         ("cases.valid.jsonl", "labels.json", "rules_init.json", "confusable.json"),
         ("seed", "quiz.num_options", "optimization.defined_score",
          "optimization.max_iterations", "optimization.temperature", "providers.agent"),
+        ("cacl.FACT_TRUNCATE_DEFAULT", "cacl.MAX_RECORDS_PER_SIDE_DEFAULT", "cacl.MAX_REPAIRS",
+         "prompts.SYSTEM_LEGAL_ANALYST", "prompts.QUIZ_QUESTION", "prompts.CACL_KEEP",
+         "prompts.CACL_IMPROVE", "prompts.CACL_SYNTHESIZE", "prompts.CACL_REWRITE",
+         "fol.GRAMMAR_HELP", "prompts.REPAIR_RULE"),
         ("rules_optimized.json",),
         _optimize,
     ),
     "train-candidates": Stage(
         ("cases.valid.jsonl", "labels.json", "split.json"),
         (),
+        ("candidates.NGRAM_SIZES", "candidates.HASH_DIM", "candidates.EPOCHS"),
         ("candidates.json",),
         _train_candidates,
     ),
@@ -563,11 +586,14 @@ STAGE_TABLE: dict[str, Stage] = {
         ("cases.valid.jsonl", "labels.json", "split.json", "rules_optimized.json",
          "candidates.json"),
         ("seed", "examination.candidate_k", "providers.agent"),
+        ("candidates.NGRAM_SIZES", "candidates.HASH_DIM", "examination.ABSTRACT_THRESHOLD_DEFAULT",
+         "prompts.SYSTEM_LEGAL_ANALYST", "prompts.ABSTRACT_FACT", "prompts.EXAM_CHECK"),
         ("predictions.jsonl",),
         _examine,
     ),
     "evaluate": Stage(
         ("cases.valid.jsonl", "split.json", "predictions.jsonl"),
+        (),
         (),
         ("metrics.json", "metrics.txt"),
         _evaluate,

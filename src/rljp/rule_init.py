@@ -18,7 +18,7 @@ from pathlib import Path
 from typing import Sequence
 
 from .agents import Agent, fan_out, render_template
-from .cacl import request_rule
+from .cacl import MAX_REPAIRS, request_rule
 from .corpus import LabelSpace, LegalCase
 from .fol import (
     GRAMMAR_HELP,
@@ -166,10 +166,9 @@ def define_symbols(
     agent: Agent,
     *,
     temperature: float = 0.7,
-    max_repairs: int = 2,
 ) -> str:
     """Step 2: elicit VAR/PRED/QUANT lines for the summarized `factors`;
-    duplicates or an empty table get up to two repair prompts, then
+    duplicates or an empty table get up to MAX_REPAIRS repair prompts, then
     InitError."""
     prompt = render_template(
         DEFINE_SYMBOLS,
@@ -178,13 +177,13 @@ def define_symbols(
     try:
         return ask(
             agent, prompt, tag=f"init/symbols/{consequent_key(target)}", temperature=temperature,
-            parse=_parse_symbols, attempts=1 + max_repairs,
+            parse=_parse_symbols, attempts=1 + MAX_REPAIRS,
             follow_up=lambda reply, error: render_template(
                 REPAIR_SYMBOLS, {"prompt": prompt, "error": str(error)}
             ),
         )
     except ValueError as exc:
-        raise InitError(f"symbol definition failed after {max_repairs} repairs: {exc}") from exc
+        raise InitError(f"symbol definition failed after {MAX_REPAIRS} repairs: {exc}") from exc
 
 
 def init_rule_for_target(
@@ -194,14 +193,11 @@ def init_rule_for_target(
     labels: LabelSpace,
     *,
     temperature: float = 0.7,
-    max_repairs: int = 2,
 ) -> FolRule:
     """Steps 1-3 for one target; returns a version-0 rule that parses and
     validates, or raises InitError."""
     factors = summarize_circumstances(precedents, target, agent, temperature=temperature)
-    symbols = define_symbols(
-        factors, target, agent, temperature=temperature, max_repairs=max_repairs
-    )
+    symbols = define_symbols(factors, target, agent, temperature=temperature)
     prompt = render_template(
         CONSTRUCT_RULE,
         {
@@ -223,7 +219,6 @@ def init_rule_for_target(
         what="rule construction",
         error=InitError,
         temperature=temperature,
-        max_repairs=max_repairs,
     )
 
 

@@ -7,6 +7,7 @@ import zlib
 import numpy as np
 import pytest
 
+import rljp.candidates as candidates
 from rljp.candidates import SUBTASKS, CharNgramPerceptron, ProviderNotTrainedError
 from rljp.config import load_config
 from rljp.corpus import LabelSpace, load_cases, load_label_space, split_dataset
@@ -15,15 +16,15 @@ from rljp.synthetic import write_corpus
 
 
 def dense_pair(w):
-    """A hash_dim-wide weight matrix as the (columns, rows) pair a provider
+    """A HASH_DIM-wide weight matrix as the (columns, rows) pair a provider
     holds: every column kept."""
     return np.arange(w.shape[1]), w
 
 
 def expanded(provider, subtask):
-    """A provider's weights for `subtask` as a labels x hash_dim matrix."""
+    """A provider's weights for `subtask` as a labels x HASH_DIM matrix."""
     columns, rows = provider._weights[subtask]
-    w = np.zeros((len(rows), provider.hash_dim))
+    w = np.zeros((len(rows), candidates.HASH_DIM))
     w[:, columns] = rows
     return w
 
@@ -33,10 +34,12 @@ def fixed_scorer(table):
     any non-empty fact: each label's weights are its table value in every
     column, and a fact's feature values are positive."""
     labels = LabelSpace(("264",), tuple(table), ("b0",))
-    provider = CharNgramPerceptron(labels, hash_dim=64)
+    provider = CharNgramPerceptron(labels)
     for subtask in SUBTASKS:
         values = [table[label] for label in labels.of(subtask)] if subtask == "charge" else [0.0]
-        provider._weights[subtask] = dense_pair(np.repeat(np.array(values)[:, None], 64, axis=1))
+        provider._weights[subtask] = dense_pair(
+            np.repeat(np.array(values)[:, None], candidates.HASH_DIM, axis=1)
+        )
     return provider
 
 
@@ -64,15 +67,16 @@ class TestCandidateLabels:
         [ranked] = fixed_scorer(table).top_labels(["fact"], k=len(table))
         assert ranked["charge"] == ("hot", *tied)
 
-    def test_equal_non_zero_weight_rows_tie_on_every_fact(self):
+    def test_equal_non_zero_weight_rows_tie_on_every_fact(self, monkeypatch):
         # a BLAS mat-vec rounds some rows of a block differently, which split
         # equal rows' margins for many label counts and fact lengths
+        monkeypatch.setattr(candidates, "HASH_DIM", 512)
         rng = np.random.default_rng(0)
         row = rng.normal(size=512)
         facts = ["".join(rng.choice(list("abcdefghij"), size=n)) for n in range(5, 200, 9)]
         for n_labels in (7, 26, 51, 102):
             labels = LabelSpace(("264",), tuple(f"c{i:03d}" for i in range(n_labels)), ("b0",))
-            provider = CharNgramPerceptron(labels, hash_dim=512)
+            provider = CharNgramPerceptron(labels)
             for subtask in SUBTASKS:
                 provider._weights[subtask] = dense_pair(np.tile(row, (len(labels.of(subtask)), 1)))
             margins = provider.scores(facts)["charge"]
@@ -123,7 +127,7 @@ class TestCharNgramPerceptron:
             provider.scores(["fact"])
 
     def test_learns_separable_charges(self):
-        provider = CharNgramPerceptron(self._tiny_labels(), hash_dim=4096, epochs=5)
+        provider = CharNgramPerceptron(self._tiny_labels())
         provider.train(self._tiny_cases())
         facts = ["covert taking of goods number 99", "violent seizure with force number 99"]
         # a row per fact, a column per charge: theft, robbery
@@ -132,7 +136,7 @@ class TestCharNgramPerceptron:
         assert robbery[1] > robbery[0]
 
     def test_save_load_reproduces_scores(self, tmp_path):
-        provider = CharNgramPerceptron(self._tiny_labels(), hash_dim=2048, epochs=3)
+        provider = CharNgramPerceptron(self._tiny_labels())
         provider.train(self._tiny_cases())
         provider.save(tmp_path / "provider.json")
         loaded = CharNgramPerceptron.load(tmp_path / "provider.json")
@@ -141,7 +145,7 @@ class TestCharNgramPerceptron:
         assert all(np.array_equal(ours[subtask], theirs[subtask]) for subtask in SUBTASKS)
 
     def test_a_batch_is_featurized_in_one_call(self, monkeypatch):
-        provider = CharNgramPerceptron(self._tiny_labels(), hash_dim=2048, epochs=3)
+        provider = CharNgramPerceptron(self._tiny_labels())
         provider.train(self._tiny_cases())
         facts = ["covert taking of goods number 5", "violent seizure with force number 5"]
         alone = [provider.top_labels([fact], k=2)[0] for fact in facts]
@@ -169,29 +173,30 @@ class TestCharNgramPerceptron:
             assert hits / len(cases) >= 0.9, subtask
 
 
-def _dense_features(provider, text):
+def _dense_features(text):
     """The dense feature vector the sparse one must equal."""
-    x = np.zeros(provider.hash_dim, dtype=np.float64)
-    for n in provider.ngram_sizes:
+    x = np.zeros(candidates.HASH_DIM, dtype=np.float64)
+    for n in candidates.NGRAM_SIZES:
         for i in range(len(text) - n + 1):
-            x[zlib.crc32(text[i : i + n].encode("utf-8")) % provider.hash_dim] += 1.0
+            x[zlib.crc32(text[i : i + n].encode("utf-8")) % candidates.HASH_DIM] += 1.0
     norm = np.linalg.norm(x)
     return x / norm if norm else x
 
 
-def _dense_train(provider, cases):
+def _dense_train(labels, cases):
     """Averaged weights as a dense perceptron sums them: the whole matrix
-    added up after every step."""
-    features = np.stack([_dense_features(provider, case.fact_text) for case in cases])
+    added up after every step of every epoch."""
+    features = np.stack([_dense_features(case.fact_text) for case in cases])
+    epochs = candidates.EPOCHS
     weights = {}
     for subtask in SUBTASKS:
-        label_list = provider.labels.of(subtask)
+        label_list = labels.of(subtask)
         index = {label: i for i, label in enumerate(label_list)}
         y = np.array([index[case.judgment.label(subtask)] for case in cases])
         n_labels = len(label_list)
-        w = np.zeros((n_labels, provider.hash_dim))
+        w = np.zeros((n_labels, candidates.HASH_DIM))
         accum = np.zeros_like(w)
-        for _ in range(provider.epochs):
+        for _ in range(epochs):
             for row in range(len(cases)):
                 x = features[row]
                 margins = w @ x
@@ -201,24 +206,25 @@ def _dense_train(provider, cases):
                 if wrong.any():
                     w[wrong] += np.outer(target[wrong], x)
                 accum += w
-        weights[subtask] = accum / (provider.epochs * len(cases))
+        weights[subtask] = accum / (epochs * len(cases))
     return weights
 
 
 def _every_epoch_train(provider, cases):
-    """Averaged weights in closed form over labels x hash_dim matrices, with
+    """Averaged weights in closed form over labels x HASH_DIM matrices, with
     every epoch run, and per subtask the 1-based epochs that made an update."""
     features = provider._features([case.fact_text for case in cases])
-    steps = provider.epochs * len(cases)
+    epochs = candidates.EPOCHS
+    steps = epochs * len(cases)
     weights, updating = {}, {}
     for subtask in SUBTASKS:
         label_list = provider.labels.of(subtask)
         y = [label_list.index(case.judgment.label(subtask)) for case in cases]
-        w = np.zeros((len(label_list), provider.hash_dim))
+        w = np.zeros((len(label_list), candidates.HASH_DIM))
         accum = np.zeros_like(w)
         updating[subtask] = set()
         step = 0
-        for epoch in range(1, provider.epochs + 1):
+        for epoch in range(1, epochs + 1):
             for (idx, vals), gold in zip(features, y):
                 margins = w[:, idx] @ vals
                 target = np.full(len(label_list), -1.0)
@@ -244,13 +250,19 @@ def corpus_120(tmp_path_factory):
 
 @pytest.fixture(scope="module")
 def trained_pair(corpus_120):
+    """The trained provider and one holding the dense reference's weights,
+    both averaged over 16 epochs: the corpus converges with epoch 12 making
+    no update, so the trainer's converged path is the one compared, and the
+    dense reference runs 16 epochs rather than the 50 of the cap."""
     cases, labels = corpus_120
-    provider = CharNgramPerceptron(labels)
-    provider.train(cases)
-    dense = CharNgramPerceptron(labels)
-    dense._weights = {
-        subtask: dense_pair(w) for subtask, w in _dense_train(dense, cases).items()
-    }
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(candidates, "EPOCHS", 16)
+        provider = CharNgramPerceptron(labels)
+        provider.train(cases)
+        dense = CharNgramPerceptron(labels)
+        dense._weights = {
+            subtask: dense_pair(w) for subtask, w in _dense_train(labels, cases).items()
+        }
     return provider, dense
 
 
@@ -260,10 +272,10 @@ class TestSparseEqualsDense:
         provider = CharNgramPerceptron(labels)
         texts = [case.fact_text for case in cases[:20]] + ["", "a", "aaaa 盗窃", "𝄞 😀 𠀋 notes"]
         for text, (idx, vals) in zip(texts, provider._features(texts)):
-            dense = _dense_features(provider, text)
+            dense = _dense_features(text)
             assert list(idx) == sorted(set(idx.tolist()))
             assert np.array_equal(dense[idx], vals)
-            rest = np.ones(provider.hash_dim, dtype=bool)
+            rest = np.ones(candidates.HASH_DIM, dtype=bool)
             rest[idx] = False
             assert not dense[rest].any()
 
@@ -355,9 +367,10 @@ class TestCompactWeights:
             held += columns.nbytes + rows.nbytes
         assert held < 1_000_000
 
-    def test_training_stops_after_an_epoch_with_no_update(self, corpus_120):
+    def test_training_stops_after_an_epoch_with_no_update(self, corpus_120, monkeypatch):
+        monkeypatch.setattr(candidates, "EPOCHS", 12)
         cases, labels = corpus_120
-        provider = CharNgramPerceptron(labels, epochs=12)
+        provider = CharNgramPerceptron(labels)
         provider.train(cases)
         reference, updating = _every_epoch_train(provider, cases)
         # article and charge stop making updates before the last epoch,
@@ -377,9 +390,10 @@ def _train_log(caplog):
 
 
 class TestConvergence:
-    def test_the_log_says_when_training_stops_at_the_cap(self, caplog):
+    def test_the_log_says_when_training_stops_at_the_cap(self, caplog, monkeypatch):
+        monkeypatch.setattr(candidates, "EPOCHS", 1)
         tiny = TestCharNgramPerceptron()
-        provider = CharNgramPerceptron(tiny._tiny_labels(), hash_dim=2048, epochs=1)
+        provider = CharNgramPerceptron(tiny._tiny_labels())
         with caplog.at_level(logging.INFO, logger="rljp.candidates"):
             provider.train(tiny._tiny_cases())
         assert "stopped at the 1-epoch cap without converging" in _train_log(caplog)
@@ -412,7 +426,8 @@ class TestConvergence:
 
 
 def _break(payload, case):
-    """Break `payload` in the way `case` names; returns the subtask broken."""
+    """Break `payload` in the way `case` names; returns what the error names
+    after the file: the broken subtask's weights, or the size that differs."""
     weights = payload["weights"]
     columns, rows = weights["charge"]["columns"], weights["charge"]["rows"]
     blob = base64.b64decode(rows)
@@ -443,7 +458,13 @@ def _break(payload, case):
     elif case == "rows-as-decimal-lists":
         n_labels = len(payload["labels"]["charges"])
         weights["charge"]["rows"] = np.frombuffer(blob).reshape(n_labels, -1).tolist()
-    return "verdict" if case == "extra-subtask" else "charge"
+    elif case == "hashed-under-another-hash-dim":
+        payload["hash_dim"] = 2048
+        return "hash_dim is 2048"
+    elif case == "hashed-under-other-ngram-sizes":
+        payload["ngram_sizes"] = [2, 3]
+        return "ngram_sizes is [2, 3]"
+    return f"weights for subtask {'verdict' if case == 'extra-subtask' else 'charge'!r}"
 
 
 class TestLoadValidation:
@@ -451,7 +472,7 @@ class TestLoadValidation:
     def saved(self, tmp_path):
         """A tiny trained provider's artifact, as its JSON payload."""
         tiny = TestCharNgramPerceptron()
-        provider = CharNgramPerceptron(tiny._tiny_labels(), hash_dim=2048)
+        provider = CharNgramPerceptron(tiny._tiny_labels())
         provider.train(tiny._tiny_cases())
         provider.save(tmp_path / "candidates.json")
         return json.loads((tmp_path / "candidates.json").read_text())
@@ -462,12 +483,13 @@ class TestLoadValidation:
             "one-row-for-every-label", "missing-subtask", "extra-subtask", "duplicate-column",
             "decreasing-columns", "column-at-hash-dim", "negative-column", "float-column",
             "short-row", "rows-a-weight-short", "rows-with-a-non-base64-character",
-            "rows-as-decimal-lists",
+            "rows-as-decimal-lists", "hashed-under-another-hash-dim",
+            "hashed-under-other-ngram-sizes",
         ],
     )
     def test_a_malformed_artifact_is_rejected_naming_file_and_subtask(self, saved, tmp_path, case):
-        subtask = _break(saved, case)
+        named = _break(saved, case)
         path = tmp_path / "broken.json"
         path.write_text(json.dumps(saved))
-        with pytest.raises(ValueError, match=re.escape(f"{path}: weights for subtask '{subtask}'")):
+        with pytest.raises(ValueError, match=re.escape(f"{path}: {named}")):
             CharNgramPerceptron.load(path)

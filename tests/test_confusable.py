@@ -138,9 +138,10 @@ class TestHashingEmbedder:
         norms = np.linalg.norm(out, axis=1)
         assert np.allclose(norms, 1.0, atol=1e-6)
 
-    def test_rows_match_the_signed_gram_loop(self):
+    def test_rows_match_the_signed_gram_loop(self, monkeypatch):
+        monkeypatch.setattr(confusable_mod, "EMBED_NGRAM_SIZES", (2, 3))
         texts = ["covert taking of goods", "另一个文本", "xy", "", "𝄞 notes 😀 and 𠀋"]
-        embedder = HashingEmbedder(dim=64, ngram_sizes=(2, 3))
+        embedder = HashingEmbedder(dim=64)
         for text, row in zip(texts, embedder.embed_texts(texts)):
             expected = np.zeros(64)
             grams = [text[i : i + n] for n in (2, 3) for i in range(len(text) - n + 1)]

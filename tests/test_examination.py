@@ -300,7 +300,8 @@ class TestPredictCase:
 
 
 class TestExamineCase:
-    def test_rules_are_checked_against_the_abstract_of_a_long_fact(self):
+    def test_rules_are_checked_against_the_abstract_of_a_long_fact(self, monkeypatch):
+        monkeypatch.setattr(examination, "ABSTRACT_THRESHOLD_DEFAULT", 20)
         rules = _ruleset(_rule("264", charge="theft"), _rule("264", term="b0"))
         candidates = _candidates(["264"], ["theft"], ["b0"])
         agent = scripted(
@@ -310,9 +311,7 @@ class TestExamineCase:
                 "exam/c1/prison_term/b0": _yes(),
             }
         )
-        prediction = examine_case(
-            "c1", "x" * 50, rules, candidates, LABELS, agent, abstract_threshold=20
-        )
+        prediction = examine_case("c1", "x" * 50, rules, candidates, LABELS, agent)
         assert prediction.used_abstract is True
         assert (prediction.article_id, prediction.charge_id) == ("264", "theft")
         checks = [call for call in agent.backend.calls if call.tag.startswith("exam/")]

@@ -1,6 +1,8 @@
+import ast
 import dataclasses
 import errno
 import hashlib
+import importlib
 import json
 import re
 import shutil
@@ -9,8 +11,11 @@ from pathlib import Path
 
 import pytest
 
+import rljp.cacl
+import rljp.candidates
 import rljp.corpus
 import rljp.pipeline as pipeline_mod
+import rljp.prompts
 from rljp.agents import ChatResponse
 from rljp.cli import build_parser, main
 from rljp.agents import HttpBackend
@@ -1221,6 +1226,97 @@ class TestStageSettings:
         run_pipeline(load_config(fixture_config_path), tmp_path / "run")
         for name, row in STAGE_TABLE.items():
             assert touched[name] == set(row.inputs) | set(row.outputs), name
+
+
+class TestEngineValuesPerRow:
+    """An edited engine constant or prompt text re-runs the stages whose rows
+    name it, and the stages whose inputs then change."""
+
+    def test_a_resume_re_runs_each_stage_whose_engine_value_was_edited(
+        self, fixture_config_path, tmp_path, monkeypatch
+    ):
+        config = load_config(fixture_config_path)
+        run_dir = tmp_path / "run"
+        run_pipeline(config, run_dir)
+
+        def resume():
+            manifest = run_pipeline(config, run_dir, resume=True)
+            return {name for name, entry in manifest["stages"].items() if not entry["skipped"]}
+
+        # every fact the fixture's CACL prompts quote is under 600 characters,
+        # so the trees and rules come out the same and examine is skipped
+        monkeypatch.setattr(rljp.cacl, "FACT_TRUNCATE_DEFAULT", 600)
+        assert resume() == {"optimize"}
+        # examination imported the template by name, so only the hash sees this
+        # edit; an edit of the source reaches both
+        monkeypatch.setattr(rljp.prompts, "EXAM_CHECK", rljp.prompts.EXAM_CHECK + " Be brief.")
+        assert {"examine"} <= resume() <= {"examine", "evaluate"}
+        monkeypatch.setattr(rljp.candidates, "EPOCHS", 5)
+        assert {"train-candidates", "examine"} <= resume() <= {
+            "train-candidates", "examine", "evaluate"
+        }
+        assert resume() == set()
+
+
+# the package's module-level constants that no stage row names, and why; a
+# name with a leading underscore is its module's own, like its code
+NOT_NAMED_BY_A_ROW = {
+    "agents.API_KEY_ENV": "names the credential's environment variable",
+    "agents.R": "a type variable",
+    "agents.T": "a type variable",
+    "prompts.T": "a type variable",
+    "config.DEFAULT_CONFIG": "read through the config, whose keys the rows name as settings",
+    "confusable.EMBED_BATCH": "output-neutral: texts per embeddings request",
+    "confusable.GRAM_CHUNK": "output-neutral: characters per n-gram hashing pass",
+    "corpus.RULE_KINDS": "the vocabulary the code is written in, edited only with it",
+    "corpus.SUBTASKS": "the vocabulary the code is written in, edited only with it",
+    "fol.KEYWORDS": "the vocabulary the code is written in, edited only with it",
+    "quiz.OUTCOMES": "the vocabulary the code is written in, edited only with it",
+    "pipeline.AGENT_STAGES": "the stage table's",
+    "pipeline.STAGES": "the stage table's",
+    "pipeline.STAGE_TABLE": "the stage table",
+    "synthetic.TERM_BUCKETS": "the corpus generator's; a run reads the corpus it wrote",
+}
+
+
+def _module_constants() -> set[str]:
+    """`module.NAME` of each upper-case name a module of the package assigns
+    at its top level."""
+    names = set()
+    for path in Path(pipeline_mod.__file__).parent.glob("*.py"):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            targets = node.targets if isinstance(node, ast.Assign) else [
+                getattr(node, "target", None)
+            ]
+            for target in targets:
+                if isinstance(target, ast.Name) and re.fullmatch(r"[A-Z][A-Z0-9_]*", target.id):
+                    names.add(f"{path.stem}.{target.id}")
+    return names
+
+
+class TestStageEngineValues:
+    def test_every_module_constant_is_named_by_a_row_or_listed(self):
+        named = {dotted for row in STAGE_TABLE.values() for dotted in row.engine}
+        constants = _module_constants()
+        assert named <= constants
+        assert constants - named == set(NOT_NAMED_BY_A_ROW)
+        for name, row in STAGE_TABLE.items():
+            assert len(set(row.engine)) == len(row.engine), name
+
+    def test_editing_a_named_value_changes_exactly_its_rows_input_hashes(
+        self, completed_run, tmp_path, monkeypatch
+    ):
+        shutil.copytree(completed_run, tmp_path / "run")
+        config = json.loads((tmp_path / "run" / "manifest.json").read_text())["config"]
+        run = pipeline_mod.PipelineRun(config, tmp_path / "run", resume=True)
+        before = {name: run._stage_input_hash(name) for name in STAGES}
+        for dotted in {dotted for row in STAGE_TABLE.values() for dotted in row.engine}:
+            module, _, attribute = dotted.partition(".")
+            module = importlib.import_module(f"rljp.{module}")
+            with monkeypatch.context() as patch:
+                patch.setattr(module, attribute, [getattr(module, attribute)])
+                changed = {name for name in STAGES if run._stage_input_hash(name) != before[name]}
+            assert changed == {n for n, row in STAGE_TABLE.items() if dotted in row.engine}, dotted
 
 
 class TestPipelineProducts:
